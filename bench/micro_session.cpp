@@ -1,9 +1,11 @@
 // Perf-regression harness for the inference runtime.
 //
 // Each case runs the same model two ways:
-//   legacy  — the per-layer entry points as callers used them before the
-//             runtime existed: heap-allocated intermediates, adjoint caches
-//             pushed and cleared around every forward.
+//   legacy  — the reference comparator: a training-context forward
+//             (heap-allocated intermediates, adjoint caches pushed and
+//             cleared around every forward); packed layers call their
+//             fused GEMM kernel directly. The label is kept so the
+//             --verify output and BENCH_session.json keys stay stable.
 //   session — an InferenceSession over the model's context forward: arena
 //             workspaces planned on the first run, zero owned-buffer heap
 //             allocations in steady state, no cache traffic.
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "src/kernels/backend.hpp"
+#include "src/kernels/gemm_packed.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/linear.hpp"
 #include "src/nn/lstm.hpp"
@@ -39,6 +42,7 @@
 #include "src/resilience/guard.hpp"
 #include "src/runtime/execution_context.hpp"
 #include "src/runtime/session.hpp"
+#include "src/tensor/ops.hpp"
 #include "src/tensor/tensor.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/parallel.hpp"
@@ -71,7 +75,7 @@ std::uint64_t digest(const Tensor& t) {
 // so a Case is self-contained and copyable.
 struct Case {
   std::string name;
-  std::function<Tensor()> legacy;  // forward + cache cleanup, output returned
+  std::function<Tensor()> reference;  // forward + cache cleanup, output returned
   std::shared_ptr<InferenceSession> session;
   Tensor input;
 };
@@ -93,8 +97,9 @@ struct Mlp {
           return Linear(hidden, out, r, true, "fc2");
         }()) {}
 
-  Tensor legacy_forward(const Tensor& x) {
-    Tensor y = fc2.forward(act.forward(fc1.forward(x)));
+  Tensor reference_forward(const Tensor& x) {
+    ExecutionContext train{.training = true};
+    Tensor y = forward(x, train);
     fc1.clear_cache();
     act.clear_cache();
     fc2.clear_cache();
@@ -119,9 +124,16 @@ struct QuantMlp {
         q1(source.fc1, 8, 3),
         q2(source.fc2, 8, 3) {}
 
-  Tensor legacy_forward(const Tensor& x) {
-    Tensor y = q2.forward(act.forward(q1.forward(x)));
+  Tensor reference_forward(const Tensor& x) {
+    ExecutionContext train{.training = true};
+    Tensor y = packed_affine(q2, act.forward(packed_affine(q1, x), train));
     act.clear_cache();
+    return y;
+  }
+  // The fused packed GEMM plus bias, called without a layer context.
+  static Tensor packed_affine(const QuantizedLinear& q, const Tensor& x) {
+    Tensor y = matmul_packed(x, q.packed_weight());
+    add_row_bias_inplace(y, q.bias());
     return y;
   }
   Tensor forward(const Tensor& x, ExecutionContext& ctx) {
@@ -153,7 +165,7 @@ std::vector<Case> make_cases() {
         },
         cfg);
     cases.push_back({"mlp fp32",
-                     [m, x] { return m->legacy_forward(x); }, session, x});
+                     [m, x] { return m->reference_forward(x); }, session, x});
   }
 
   // Same topology through the packed AdaptivFloat kernels.
@@ -168,13 +180,13 @@ std::vector<Case> make_cases() {
         },
         cfg);
     cases.push_back({"mlp quant-lut",
-                     [m, x] { return m->legacy_forward(x); }, session, x});
+                     [m, x] { return m->reference_forward(x); }, session, x});
   }
 
   // Quantized MLP under the full protection ladder (ABFT + layer guard).
   // The clean protected path decodes to FP32 and runs the checksummed
   // scalar GEMM, so it is bit-identical to the unprotected forward *under
-  // the scalar backend* — the legacy comparator pins scalar to keep that
+  // the scalar backend* — the reference comparator pins scalar to keep that
   // invariant independent of the ambient AF_BACKEND selection.
   {
     auto m = std::make_shared<QuantMlp>(41, 256, 512, 64);
@@ -193,7 +205,7 @@ std::vector<Case> make_cases() {
     cases.push_back({"mlp abft+guard",
                      [m, x] {
                        ScopedKernelBackend pin(scalar_backend());
-                       return m->legacy_forward(x);
+                       return m->reference_forward(x);
                      },
                      session, x});
   }
@@ -215,7 +227,8 @@ std::vector<Case> make_cases() {
         cfg);
     cases.push_back({"lstm 2x128",
                      [m, x] {
-                       Tensor y = m->forward(x);
+                       ExecutionContext train{.training = true};
+                       Tensor y = m->forward(x, train);
                        m->clear_cache();
                        return y;
                      },
@@ -244,19 +257,18 @@ int run_verify_only() {
   // Ambient AF_THREADS only — CI diffs this output across thread counts.
   bool ok = true;
   for (Case& c : make_cases()) {
-    const Tensor legacy = c.legacy();
-    const std::uint64_t legacy_dig = digest(legacy);
+    const std::uint64_t reference_dig = digest(c.reference());
     const SteadyState ss = settle(c);
-    const bool equal = ss.dig == legacy_dig && ss.allocs == 0;
+    const bool equal = ss.dig == reference_dig && ss.allocs == 0;
     ok = ok && equal;
     std::printf("%-16s legacy %s session %s steady_allocs %lld\n",
-                c.name.c_str(), digest_hex(legacy_dig).c_str(),
+                c.name.c_str(), digest_hex(reference_dig).c_str(),
                 digest_hex(ss.dig).c_str(),
                 static_cast<long long>(ss.allocs));
   }
   if (!ok) {
     std::fprintf(stderr,
-                 "micro_session: session diverged from the legacy path "
+                 "micro_session: session diverged from the reference path "
                  "(digest mismatch or steady-state heap allocation)\n");
     return 1;
   }
@@ -265,9 +277,9 @@ int run_verify_only() {
 
 struct Measurement {
   int threads;
-  double legacy_ms;
+  double reference_ms;
   double session_ms;
-  std::uint64_t legacy_dig;
+  std::uint64_t reference_dig;
   std::uint64_t session_dig;
   std::int64_t steady_allocs;
 };
@@ -276,8 +288,8 @@ int run_bench(const char* json_path) {
   bool all_ok = true;
   std::string json = "{\n  \"bench\": \"micro_session\",\n  \"cases\": [\n";
 
-  TextTable table("micro_session: legacy per-layer path vs arena session");
-  table.set_header({"Case", "1 thr legacy (ms)", "1 thr session (ms)",
+  TextTable table("micro_session: training-context reference vs arena session");
+  table.set_header({"Case", "1 thr reference (ms)", "1 thr session (ms)",
                     std::to_string(kParallelThreads) + " thr session (ms)",
                     "Steady allocs", "Bit-equal"});
 
@@ -287,28 +299,28 @@ int run_bench(const char* json_path) {
     std::vector<Measurement> ms;
     for (const int threads : {1, kParallelThreads}) {
       set_num_threads(threads);
-      const Tensor legacy = c.legacy();
+      const Tensor reference = c.reference();
       const SteadyState ss = settle(c);
       Measurement m;
       m.threads = threads;
-      m.legacy_dig = digest(legacy);
+      m.reference_dig = digest(reference);
       m.session_dig = ss.dig;
       m.steady_allocs = ss.allocs;
-      m.legacy_ms = time_ms([&] { c.legacy(); }, kReps);
+      m.reference_ms = time_ms([&] { c.reference(); }, kReps);
       m.session_ms = time_ms([&] { c.session->run(c.input); }, kReps);
       ms.push_back(m);
-      all_ok = all_ok && m.legacy_dig == m.session_dig && ss.allocs == 0 &&
+      all_ok = all_ok && m.reference_dig == m.session_dig && ss.allocs == 0 &&
                c.session->last_run_heap_allocs() == 0;
     }
     set_num_threads(0);
 
     const Measurement& t1 = ms.front();
     const Measurement& tn = ms.back();
-    const bool equal = t1.legacy_dig == t1.session_dig &&
-                       tn.legacy_dig == tn.session_dig &&
+    const bool equal = t1.reference_dig == t1.session_dig &&
+                       tn.reference_dig == tn.session_dig &&
                        t1.session_dig == tn.session_dig;
     all_ok = all_ok && equal;
-    table.add_row({c.name, fmt_fixed(t1.legacy_ms, 3),
+    table.add_row({c.name, fmt_fixed(t1.reference_ms, 3),
                    fmt_fixed(t1.session_ms, 3), fmt_fixed(tn.session_ms, 3),
                    std::to_string(t1.steady_allocs),
                    equal && t1.steady_allocs == 0 && tn.steady_allocs == 0
@@ -325,10 +337,10 @@ int run_bench(const char* json_path) {
       std::snprintf(
           buf, sizeof(buf),
           "        {\"threads\": %d, \"legacy_ms\": %.3f, "
-          "\"session_ms\": %.3f, \"legacy_digest\": \"%s\", "
+          "\"session_ms\": %.3f, \"reference_digest\": \"%s\", "
           "\"session_digest\": \"%s\", \"steady_state_allocs\": %lld}%s\n",
-          m.threads, m.legacy_ms, m.session_ms,
-          digest_hex(m.legacy_dig).c_str(), digest_hex(m.session_dig).c_str(),
+          m.threads, m.reference_ms, m.session_ms,
+          digest_hex(m.reference_dig).c_str(), digest_hex(m.session_dig).c_str(),
           static_cast<long long>(m.steady_allocs),
           i + 1 < ms.size() ? "," : "");
       json += buf;
@@ -349,7 +361,7 @@ int run_bench(const char* json_path) {
   if (!all_ok) {
     std::fprintf(stderr,
                  "micro_session: BIT-EQUALITY OR ZERO-ALLOC VIOLATION "
-                 "between the legacy path and the session\n");
+                 "between the reference path and the session\n");
     return 1;
   }
   return 0;

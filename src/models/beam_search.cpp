@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/runtime/execution_context.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/check.hpp"
 
@@ -160,16 +161,16 @@ TokenSeq seq2seq_beam_decode(Seq2SeqAttn& model, const Tensor& frames,
            "beam decode expects one utterance [Ts, 1, F]");
   const std::int64_t vocab = model.config().vocab;
 
+  ExecutionContext ectx;
   std::vector<Hypothesis> live = {{{bos}, 0.0}};
   std::vector<std::pair<double, TokenSeq>> completed;
   for (std::int64_t step = 0; step < cfg.max_steps && !live.empty(); ++step) {
     // Re-run the decoder over each hypothesis prefix (O(T^2) but trivial at
-    // toy scale and keeps the model's cache discipline simple).
+    // toy scale); an inference context pushes no caches.
     std::vector<std::vector<double>> scores(live.size());
     for (std::size_t h = 0; h < live.size(); ++h) {
       std::vector<TokenSeq> tgt_in = {live[h].tokens};
-      Tensor logits = model.forward(frames, tgt_in);
-      model.clear_caches();
+      Tensor logits = model.forward(frames, tgt_in, ectx);
       const std::int64_t t_len =
           static_cast<std::int64_t>(live[h].tokens.size());
       scores[h] = log_softmax_row(

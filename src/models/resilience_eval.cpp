@@ -10,6 +10,7 @@
 #include "src/nn/loss.hpp"
 #include "src/nn/lstm.hpp"
 #include "src/nn/optimizer.hpp"
+#include "src/runtime/execution_context.hpp"
 #include "src/tensor/arena.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/check.hpp"
@@ -105,12 +106,13 @@ MlpEvalModel make_mlp_eval_model(std::uint64_t seed, int train_steps,
   ReLU relu;
   Linear fc2(kHidden, kClasses, rng);
   Adam opt(collect_parameters({&fc1, &fc2}), 3e-3f);
+  ExecutionContext train{.training = true};
 
   for (int step = 0; step < train_steps; ++step) {
     auto batch = task.sample_batch(kBatch, rng);
     Tensor x = batch.images.reshaped({kBatch, kInput});
-    Tensor h = relu.forward(fc1.forward(x));
-    Tensor logits = fc2.forward(h);
+    Tensor h = relu.forward(fc1.forward(x, train), train);
+    Tensor logits = fc2.forward(h, train);
     LossResult loss = softmax_cross_entropy(logits, batch.labels);
     fc1.zero_grad();
     fc2.zero_grad();
@@ -204,6 +206,7 @@ LstmEvalModel make_lstm_eval_model(std::uint64_t seed, int train_steps,
   Lstm lstm(kInput, kHidden, /*num_layers=*/1, rng);
   Linear readout(kHidden, kClasses, rng);
   Adam opt(collect_parameters({&lstm, &readout}), 5e-3f);
+  ExecutionContext train{.training = true};
 
   for (int step = 0; step < train_steps; ++step) {
     std::vector<std::int64_t> labels(static_cast<std::size_t>(kBatch));
@@ -219,14 +222,14 @@ LstmEvalModel make_lstm_eval_model(std::uint64_t seed, int train_steps,
       }
     }
 
-    Tensor out = lstm.forward(x);  // [T, B, H]
+    Tensor out = lstm.forward(x, train);  // [T, B, H]
     Tensor last({kBatch, kHidden});
     for (std::int64_t n = 0; n < kBatch; ++n) {
       for (std::int64_t h = 0; h < kHidden; ++h) {
         last[n * kHidden + h] = out[((kT - 1) * kBatch + n) * kHidden + h];
       }
     }
-    Tensor logits = readout.forward(last);
+    Tensor logits = readout.forward(last, train);
     LossResult loss = softmax_cross_entropy(logits, labels);
 
     lstm.zero_grad();

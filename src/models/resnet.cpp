@@ -24,13 +24,6 @@ ResNetClassifier::BasicBlock::BasicBlock(std::int64_t in_ch,
   }
 }
 
-Tensor ResNetClassifier::BasicBlock::forward(const Tensor& x, bool training) {
-  Tensor h = relu1.forward(bn1.forward(conv1.forward(x), training));
-  h = bn2.forward(conv2.forward(h), training);
-  Tensor shortcut = has_projection ? proj->forward(x) : x;
-  return relu2.forward(add(h, shortcut));
-}
-
 Tensor ResNetClassifier::BasicBlock::forward(const Tensor& x,
                                              ExecutionContext& ectx) {
   Tensor h = relu1.forward(bn1.forward(conv1.forward(x, ectx), ectx), ectx);
@@ -91,14 +84,15 @@ ResNetClassifier::ResNetClassifier(const ResNetConfig& cfg, std::uint64_t seed)
   }
 }
 
-Tensor ResNetClassifier::forward(const Tensor& x, bool training) {
+Tensor ResNetClassifier::forward(const Tensor& x, ExecutionContext& ectx) {
   AF_CHECK(x.rank() == 4 && x.dim(1) == cfg_.in_channels,
            "ResNet expects [N, C, H, W]");
-  Tensor h = stem_relu_.forward(stem_bn_.forward(stem_.forward(x), training));
+  Tensor h = stem_relu_.forward(
+      stem_bn_.forward(stem_.forward(x, ectx), ectx), ectx);
   h = act_quant_.process("stem", h);
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     h = act_quant_.process("block" + std::to_string(i),
-                           blocks_[i].forward(h, training));
+                           blocks_[i].forward(h, ectx));
   }
   // Global average pooling.
   const std::int64_t n = h.dim(0), c = h.dim(1), hh = h.dim(2), ww = h.dim(3);
@@ -112,33 +106,7 @@ Tensor ResNetClassifier::forward(const Tensor& x, bool training) {
       pooled[i * c + ch] = static_cast<float>(acc) * inv;
     }
   }
-  ctx_.push_back({n, c, hh, ww});
-  return fc_.forward(act_quant_.process("pooled", pooled));
-}
-
-Tensor ResNetClassifier::forward(const Tensor& x, ExecutionContext& ectx) {
-  if (ectx.training) return forward(x, /*training=*/true);
-  AF_CHECK(x.rank() == 4 && x.dim(1) == cfg_.in_channels,
-           "ResNet expects [N, C, H, W]");
-  Tensor h = stem_relu_.forward(
-      stem_bn_.forward(stem_.forward(x, ectx), ectx), ectx);
-  h = act_quant_.process("stem", h);
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    h = act_quant_.process("block" + std::to_string(i),
-                           blocks_[i].forward(h, ectx));
-  }
-  // Global average pooling (same reduction order as the caching path).
-  const std::int64_t n = h.dim(0), c = h.dim(1), hh = h.dim(2), ww = h.dim(3);
-  Tensor pooled({n, c});
-  const float inv = 1.0f / static_cast<float>(hh * ww);
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = h.data() + (i * c + ch) * hh * ww;
-      double acc = 0;
-      for (std::int64_t j = 0; j < hh * ww; ++j) acc += plane[j];
-      pooled[i * c + ch] = static_cast<float>(acc) * inv;
-    }
-  }
+  if (ectx.training) ctx_.push_back({n, c, hh, ww});
   return fc_.forward(act_quant_.process("pooled", pooled), ectx);
 }
 
@@ -164,9 +132,8 @@ void ResNetClassifier::backward(const Tensor& dlogits) {
 }
 
 std::vector<std::int64_t> ResNetClassifier::predict(const Tensor& x) {
-  Tensor logits = forward(x, /*training=*/false);
-  clear_caches();
-  return argmax_rows(logits);
+  ExecutionContext ectx;
+  return argmax_rows(forward(x, ectx));
 }
 
 std::vector<Module*> ResNetClassifier::all_modules() {

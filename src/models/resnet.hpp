@@ -29,17 +29,14 @@ class ResNetClassifier {
  public:
   ResNetClassifier(const ResNetConfig& cfg, std::uint64_t seed);
 
-  /// x: [N, C, H, W] -> logits [N, num_classes].
-  Tensor forward(const Tensor& x, bool training);
-
-  /// Context forward: identical logits. Training delegates to the caching
-  /// path above; inference pushes nothing (not even the pooling dims).
+  /// x: [N, C, H, W] -> logits [N, num_classes]. Batch norm follows
+  /// ectx.training; inference pushes nothing (not even the pooling dims).
   Tensor forward(const Tensor& x, ExecutionContext& ectx);
 
-  /// Adjoint of the training-mode forward.
+  /// Adjoint of the training-context forward.
   void backward(const Tensor& dlogits);
 
-  /// Argmax class predictions (eval mode), clearing caches afterwards.
+  /// Argmax class predictions through an inference context.
   std::vector<std::int64_t> predict(const Tensor& x);
 
   /// Cached forward records across the whole model (sessions assert 0).
@@ -56,7 +53,6 @@ class ResNetClassifier {
   struct BasicBlock {
     BasicBlock(std::int64_t in_ch, std::int64_t out_ch, std::int64_t stride,
                Pcg32& rng, const std::string& name);
-    Tensor forward(const Tensor& x, bool training);
     Tensor forward(const Tensor& x, ExecutionContext& ectx);
     Tensor backward(const Tensor& dy);
     std::vector<Module*> modules();

@@ -67,8 +67,8 @@ Seq2SeqAttn::Seq2SeqAttn(const Seq2SeqConfig& cfg, std::uint64_t seed)
         return Linear(cfg.hidden, cfg.vocab, r, true, "out_proj");
       }()) {}
 
-Tensor Seq2SeqAttn::attend_core(const Tensor& h, const Tensor& enc,
-                                Tensor& weights) {
+Tensor Seq2SeqAttn::attend(const Tensor& h, const Tensor& enc,
+                           const ExecutionContext& ectx) {
   const std::int64_t b = h.dim(0), hidden = h.dim(1), ts = enc.dim(0);
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(hidden));
   Tensor scores({b, ts});
@@ -81,7 +81,7 @@ Tensor Seq2SeqAttn::attend_core(const Tensor& h, const Tensor& enc,
       scores[bi * ts + s] = static_cast<float>(dot) * inv_sqrt;
     }
   }
-  weights = softmax_rows(scores);
+  Tensor weights = softmax_rows(scores);
   Tensor ctx({b, hidden});
   for (std::int64_t bi = 0; bi < b; ++bi) {
     float* crow = ctx.data() + bi * hidden;
@@ -91,13 +91,7 @@ Tensor Seq2SeqAttn::attend_core(const Tensor& h, const Tensor& enc,
       for (std::int64_t j = 0; j < hidden; ++j) crow[j] += w * erow[j];
     }
   }
-  return ctx;
-}
-
-Tensor Seq2SeqAttn::attend(const Tensor& h, const Tensor& enc) {
-  Tensor weights;
-  Tensor ctx = attend_core(h, enc, weights);
-  attn_cache_.push_back({std::move(weights)});
+  if (ectx.training) attn_cache_.push_back({std::move(weights)});
   return ctx;
 }
 
@@ -145,14 +139,16 @@ Tensor Seq2SeqAttn::attend_backward(const Tensor& dctx, const Tensor& h,
 }
 
 Tensor Seq2SeqAttn::forward(const Tensor& frames,
-                            const std::vector<TokenSeq>& tgt_in) {
+                            const std::vector<TokenSeq>& tgt_in,
+                            ExecutionContext& ectx) {
   check_forward_inputs(frames, tgt_in, cfg_.feature_dim);
   StepCtx ctx;
   ctx.ts = frames.dim(0);
   ctx.b = frames.dim(1);
   ctx.tt = static_cast<std::int64_t>(tgt_in[0].size());
 
-  ctx.enc_out = act_quant_.process("enc.out", encoder_.forward(frames));
+  ctx.enc_out =
+      act_quant_.process("enc.out", encoder_.forward(frames, ectx));
 
   Tensor logits({ctx.b * ctx.tt, cfg_.vocab});
   LstmState state = decoder_.initial_state(ctx.b);
@@ -162,57 +158,22 @@ Tensor Seq2SeqAttn::forward(const Tensor& frames,
       const auto& seq = tgt_in[static_cast<std::size_t>(bi)];
       ids[static_cast<std::size_t>(bi)] = seq[static_cast<std::size_t>(t)];
     }
-    Tensor x = tgt_emb_.forward(ids);
-    state = decoder_.forward(x, state);
-    ctx.dec_h.push_back(state.h);
-    Tensor context = attend(state.h, ctx.enc_out);
-    Tensor comb = act_quant_.process(
-        "dec.comb",
-        combine_act_.forward(
-            attn_combine_.forward(concat_cols(state.h, context))));
-    Tensor step_logits = out_proj_.forward(comb);
-    for (std::int64_t bi = 0; bi < ctx.b; ++bi) {
-      std::copy_n(step_logits.data() + bi * cfg_.vocab, cfg_.vocab,
-                  logits.data() + (bi * ctx.tt + t) * cfg_.vocab);
-    }
-  }
-  ctx_.push_back(std::move(ctx));
-  return logits;
-}
-
-Tensor Seq2SeqAttn::forward(const Tensor& frames,
-                            const std::vector<TokenSeq>& tgt_in,
-                            ExecutionContext& ectx) {
-  if (ectx.training) return forward(frames, tgt_in);
-  check_forward_inputs(frames, tgt_in, cfg_.feature_dim);
-  const std::int64_t b = frames.dim(1);
-  const std::int64_t tt = static_cast<std::int64_t>(tgt_in[0].size());
-
-  Tensor enc = act_quant_.process("enc.out", encoder_.forward(frames, ectx));
-
-  Tensor logits({b * tt, cfg_.vocab});
-  LstmState state = decoder_.initial_state(b);
-  for (std::int64_t t = 0; t < tt; ++t) {
-    std::vector<std::int64_t> ids(static_cast<std::size_t>(b));
-    for (std::int64_t bi = 0; bi < b; ++bi) {
-      const auto& seq = tgt_in[static_cast<std::size_t>(bi)];
-      ids[static_cast<std::size_t>(bi)] = seq[static_cast<std::size_t>(t)];
-    }
     Tensor x = tgt_emb_.forward(ids, ectx);
     state = decoder_.forward(x, state, ectx);
-    Tensor weights;
-    Tensor context = attend_core(state.h, enc, weights);
+    if (ectx.training) ctx.dec_h.push_back(state.h);
+    Tensor context = attend(state.h, ctx.enc_out, ectx);
     Tensor comb = act_quant_.process(
         "dec.comb",
         combine_act_.forward(
             attn_combine_.forward(concat_cols(state.h, context), ectx),
             ectx));
     Tensor step_logits = out_proj_.forward(comb, ectx);
-    for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (std::int64_t bi = 0; bi < ctx.b; ++bi) {
       std::copy_n(step_logits.data() + bi * cfg_.vocab, cfg_.vocab,
-                  logits.data() + (bi * tt + t) * cfg_.vocab);
+                  logits.data() + (bi * ctx.tt + t) * cfg_.vocab);
     }
   }
+  if (ectx.training) ctx_.push_back(std::move(ctx));
   return logits;
 }
 
@@ -252,32 +213,6 @@ void Seq2SeqAttn::backward(const Tensor& dlogits) {
 }
 
 TokenSeq Seq2SeqAttn::greedy_decode(const Tensor& frames, std::int64_t bos,
-                                    std::int64_t eos) {
-  AF_CHECK(frames.rank() == 3 && frames.dim(1) == 1,
-           "greedy_decode expects a single utterance [Ts, 1, F]");
-  Tensor enc = act_quant_.process("enc.out", encoder_.forward(frames));
-  LstmState state = decoder_.initial_state(1);
-  TokenSeq out;
-  std::int64_t prev = bos;
-  for (std::int64_t step = 0; step < cfg_.max_decode_len; ++step) {
-    Tensor x = tgt_emb_.forward({prev});
-    state = decoder_.forward(x, state);
-    Tensor context = attend(state.h, enc);
-    Tensor comb = act_quant_.process(
-        "dec.comb",
-        combine_act_.forward(
-            attn_combine_.forward(concat_cols(state.h, context))));
-    Tensor step_logits = out_proj_.forward(comb);
-    const std::int64_t next = argmax_rows(step_logits)[0];
-    if (next == eos) break;
-    out.push_back(next);
-    prev = next;
-  }
-  clear_caches();
-  return out;
-}
-
-TokenSeq Seq2SeqAttn::greedy_decode(const Tensor& frames, std::int64_t bos,
                                     std::int64_t eos, ExecutionContext& ectx) {
   AF_CHECK(!ectx.training, "greedy_decode is inference-only");
   AF_CHECK(frames.rank() == 3 && frames.dim(1) == 1,
@@ -289,8 +224,7 @@ TokenSeq Seq2SeqAttn::greedy_decode(const Tensor& frames, std::int64_t bos,
   for (std::int64_t step = 0; step < cfg_.max_decode_len; ++step) {
     Tensor x = tgt_emb_.forward({prev}, ectx);
     state = decoder_.forward(x, state, ectx);
-    Tensor weights;
-    Tensor context = attend_core(state.h, enc, weights);
+    Tensor context = attend(state.h, enc, ectx);
     Tensor comb = act_quant_.process(
         "dec.comb",
         combine_act_.forward(

@@ -33,23 +33,16 @@ class Seq2SeqAttn {
 
   /// Teacher-forced forward: frames [Ts, B, F], tgt_in [B][Tt] token ids.
   /// Returns logits [B * Tt, vocab] (time-major within each batch row:
-  /// row = b * Tt + t).
-  Tensor forward(const Tensor& frames, const std::vector<TokenSeq>& tgt_in);
-
-  /// Context forward: identical logits. Training delegates to the caching
-  /// path above; inference pushes no caches anywhere in the model.
+  /// row = b * Tt + t). Caches for backward only under ectx.training.
   Tensor forward(const Tensor& frames, const std::vector<TokenSeq>& tgt_in,
                  ExecutionContext& ectx);
 
-  /// Adjoint of forward (full BPTT through decoder, attention and encoder).
+  /// Adjoint of the training-context forward (full BPTT through decoder,
+  /// attention and encoder).
   void backward(const Tensor& dlogits);
 
-  /// Greedy decode of a single utterance [Ts, 1, F].
-  TokenSeq greedy_decode(const Tensor& frames, std::int64_t bos,
-                         std::int64_t eos);
-
-  /// Context greedy decode: same tokens, no cache pushes (and therefore no
-  /// trailing clear_caches()).
+  /// Greedy decode of a single utterance [Ts, 1, F] through an inference
+  /// context (no cache pushes).
   TokenSeq greedy_decode(const Tensor& frames, std::int64_t bos,
                          std::int64_t eos, ExecutionContext& ectx);
 
@@ -69,11 +62,9 @@ class Seq2SeqAttn {
     Tensor weights;  // [B, Ts]
   };
   // context [B, H] from decoder hidden h [B, H] and encoder outputs
-  // [Ts, B, H]; pushes the softmax weights for backward.
-  Tensor attend(const Tensor& h, const Tensor& enc);
-  // Scores -> softmax -> weighted sum, shared by the caching and context
-  // paths; writes the softmax weights to `weights`.
-  Tensor attend_core(const Tensor& h, const Tensor& enc, Tensor& weights);
+  // [Ts, B, H]; pushes the softmax weights for backward under training.
+  Tensor attend(const Tensor& h, const Tensor& enc,
+                const ExecutionContext& ectx);
   // returns (dh, and accumulates into denc).
   Tensor attend_backward(const Tensor& dctx, const Tensor& h,
                          const Tensor& enc, Tensor& denc);

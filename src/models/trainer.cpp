@@ -205,7 +205,8 @@ float train_seq2seq(Seq2SeqBundle& b, int steps, int batch, float lr,
     {
       std::optional<WeightQuantScope> scope;
       if (weight_q) scope.emplace(b.model.parameters(), *weight_q);
-      Tensor logits = b.model.forward(data.frames, tgt_in);
+      ExecutionContext train{.training = true};
+      Tensor logits = b.model.forward(data.frames, tgt_in, train);
       auto res = softmax_cross_entropy(logits, tgt_out, SpeechTask::kPad);
       loss = res.loss;
       b.model.backward(res.dlogits);
@@ -250,6 +251,7 @@ void calibrate_seq2seq_activations(Seq2SeqBundle& b, int batches,
   b.model.act_quant().reset_stats();
   b.model.act_quant().set_mode(ActQuantMode::kCalibrate);
   with_optional_weight_quant(b.model.parameters(), weight_q, [&] {
+    ExecutionContext ectx;
     for (int i = 0; i < batches; ++i) {
       auto data = b.task.sample_batch(8, rng);
       std::vector<TokenSeq> tgt_in;
@@ -258,8 +260,7 @@ void calibrate_seq2seq_activations(Seq2SeqBundle& b, int batches,
         in.insert(in.end(), transcript.begin(), transcript.end());
         tgt_in.push_back(std::move(in));
       }
-      b.model.forward(data.frames, tgt_in);
-      b.model.clear_caches();
+      b.model.forward(data.frames, tgt_in, ectx);
     }
   });
   b.model.act_quant().set_mode(prev);
@@ -298,7 +299,8 @@ float train_resnet(ResNetBundle& b, int steps, int batch, float lr,
     {
       std::optional<WeightQuantScope> scope;
       if (weight_q) scope.emplace(b.model.parameters(), *weight_q);
-      Tensor logits = b.model.forward(data.images, /*training=*/true);
+      ExecutionContext train{.training = true};
+      Tensor logits = b.model.forward(data.images, train);
       auto res = softmax_cross_entropy(logits, data.labels);
       loss = res.loss;
       b.model.backward(res.dlogits);
@@ -348,10 +350,10 @@ void calibrate_resnet_activations(ResNetBundle& b, int batches,
   b.model.act_quant().reset_stats();
   b.model.act_quant().set_mode(ActQuantMode::kCalibrate);
   with_optional_weight_quant(b.model.parameters(), weight_q, [&] {
+    ExecutionContext ectx;
     for (int i = 0; i < batches; ++i) {
       auto data = b.task.sample_batch(16, rng);
-      b.model.forward(data.images, /*training=*/false);
-      b.model.clear_caches();
+      b.model.forward(data.images, ectx);
     }
   });
   b.model.act_quant().set_mode(prev);

@@ -37,26 +37,13 @@ TransformerMT::EncoderBlock::EncoderBlock(const TransformerConfig& cfg,
           "enc" + std::to_string(index) + ".fc2") {}
 
 Tensor TransformerMT::EncoderBlock::forward(
-    const Tensor& x, const std::vector<std::int64_t>& lengths) {
+    const Tensor& x, const std::vector<std::int64_t>& lengths,
+    ExecutionContext& ctx) {
   const std::int64_t b = x.dim(0), t = x.dim(1), d = x.dim(2);
   // Post-LN (original Vaswani / OpenNMT) ordering: sublayer, residual add,
   // then normalize. Unlike pre-LN this keeps scale pressure on the
   // embeddings and residual stream — the source of the wide NLP weight
   // distributions in paper Figure 1.
-  Tensor sa = attn.forward(x, x, /*causal=*/false, &lengths);
-  Tensor x1 =
-      ln1.forward(add(x, sa).reshaped({b * t, d})).reshaped({b, t, d});
-  Tensor h = fc2.forward(gelu.forward(fc1.forward(x1.reshaped({b * t, d}))));
-  return ln2.forward(add(x1, h.reshaped({b, t, d})).reshaped({b * t, d}))
-      .reshaped({b, t, d});
-}
-
-Tensor TransformerMT::EncoderBlock::forward(
-    const Tensor& x, const std::vector<std::int64_t>& lengths,
-    ExecutionContext& ctx) {
-  const std::int64_t b = x.dim(0), t = x.dim(1), d = x.dim(2);
-  // Same Post-LN math as the caching forward, through the ctx-dispatched
-  // layer entry points (bit-preserving per the runtime contract).
   Tensor sa = attn.forward(x, x, /*causal=*/false, &lengths, ctx);
   Tensor x1 = ln1.forward(add(x, sa).reshaped({b * t, d}), ctx)
                   .reshaped({b, t, d});
@@ -96,17 +83,18 @@ TransformerMT::DecoderBlock::DecoderBlock(const TransformerConfig& cfg,
 
 Tensor TransformerMT::DecoderBlock::forward(
     const Tensor& x, const Tensor& enc,
-    const std::vector<std::int64_t>& src_lengths) {
+    const std::vector<std::int64_t>& src_lengths, ExecutionContext& ctx) {
   const std::int64_t b = x.dim(0), t = x.dim(1), d = x.dim(2);
   // Post-LN ordering throughout (see EncoderBlock::forward).
-  Tensor sa = self_attn.forward(x, x, /*causal=*/true);
-  Tensor x1 =
-      ln1.forward(add(x, sa).reshaped({b * t, d})).reshaped({b, t, d});
-  Tensor ca = cross_attn.forward(x1, enc, false, &src_lengths);
-  Tensor x2 =
-      ln2.forward(add(x1, ca).reshaped({b * t, d})).reshaped({b, t, d});
-  Tensor h = fc2.forward(gelu.forward(fc1.forward(x2.reshaped({b * t, d}))));
-  return ln3.forward(add(x2, h.reshaped({b, t, d})).reshaped({b * t, d}))
+  Tensor sa = self_attn.forward(x, x, /*causal=*/true, nullptr, ctx);
+  Tensor x1 = ln1.forward(add(x, sa).reshaped({b * t, d}), ctx)
+                  .reshaped({b, t, d});
+  Tensor ca = cross_attn.forward(x1, enc, false, &src_lengths, ctx);
+  Tensor x2 = ln2.forward(add(x1, ca).reshaped({b * t, d}), ctx)
+                  .reshaped({b, t, d});
+  Tensor h = fc2.forward(
+      gelu.forward(fc1.forward(x2.reshaped({b * t, d}), ctx), ctx), ctx);
+  return ln3.forward(add(x2, h.reshaped({b, t, d})).reshaped({b * t, d}), ctx)
       .reshaped({b, t, d});
 }
 
@@ -166,30 +154,6 @@ TransformerMT::TransformerMT(const TransformerConfig& cfg, std::uint64_t seed)
       }
     }
   }
-}
-
-Tensor TransformerMT::embed(Embedding& emb, const std::vector<TokenSeq>& batch) {
-  const auto b = static_cast<std::int64_t>(batch.size());
-  AF_CHECK(b > 0, "empty batch");
-  const auto t = static_cast<std::int64_t>(batch[0].size());
-  AF_CHECK(t <= cfg_.max_len, "sequence longer than max_len");
-  std::vector<std::int64_t> flat;
-  flat.reserve(static_cast<std::size_t>(b * t));
-  for (const auto& seq : batch) {
-    AF_CHECK(static_cast<std::int64_t>(seq.size()) == t,
-             "ragged batch: all sequences must share a length");
-    flat.insert(flat.end(), seq.begin(), seq.end());
-  }
-  Tensor e = emb.forward(flat);
-  for (std::int64_t r = 0; r < b * t; ++r) {
-    const std::int64_t pos = r % t;
-    float* row = e.data() + r * cfg_.d_model;
-    const float* prow = pos_table_.data() + pos * cfg_.d_model;
-    for (std::int64_t j = 0; j < cfg_.d_model; ++j) {
-      row[j] += prow[j];
-    }
-  }
-  return e;
 }
 
 Tensor TransformerMT::embed(Embedding& emb, const std::vector<TokenSeq>& batch,
@@ -254,6 +218,7 @@ Tensor TransformerMT::forward(const std::vector<TokenSeq>& src,
                               const std::vector<TokenSeq>& tgt_in,
                               std::int64_t pad_id) {
   AF_CHECK(src.size() == tgt_in.size(), "batch size mismatch");
+  ExecutionContext train{.training = true};
   StepCtx ctx;
   ctx.b = static_cast<std::int64_t>(src.size());
   ctx.ts = static_cast<std::int64_t>(src[0].size());
@@ -261,28 +226,18 @@ Tensor TransformerMT::forward(const std::vector<TokenSeq>& src,
   ctx.src_lengths = valid_lengths(src, pad_id);
   const std::int64_t d = cfg_.d_model;
 
-  // Encoder.
-  Tensor x = act_quant_.process("enc.embed", embed(src_emb_, src))
-                 .reshaped({ctx.b, ctx.ts, d});
-  for (std::size_t i = 0; i < enc_blocks_.size(); ++i) {
-    x = act_quant_.process("enc.block" + std::to_string(i),
-                           enc_blocks_[i].forward(x, ctx.src_lengths));
-  }
-  Tensor enc = act_quant_.process(
-      "enc.out", enc_final_.forward(x.reshaped({ctx.b * ctx.ts, d})))
-                   .reshaped({ctx.b, ctx.ts, d});
-
-  // Decoder.
-  Tensor y = act_quant_.process("dec.embed", embed(tgt_emb_, tgt_in))
+  Tensor enc = encode(src, ctx.src_lengths, train);
+  Tensor y = act_quant_.process("dec.embed", embed(tgt_emb_, tgt_in, train))
                  .reshaped({ctx.b, ctx.tt, d});
   for (std::size_t i = 0; i < dec_blocks_.size(); ++i) {
-    y = act_quant_.process("dec.block" + std::to_string(i),
-                           dec_blocks_[i].forward(y, enc, ctx.src_lengths));
+    y = act_quant_.process(
+        "dec.block" + std::to_string(i),
+        dec_blocks_[i].forward(y, enc, ctx.src_lengths, train));
   }
-  Tensor out = dec_final_.forward(y.reshaped({ctx.b * ctx.tt, d}));
+  Tensor out = dec_final_.forward(y.reshaped({ctx.b * ctx.tt, d}), train);
   out = act_quant_.process("dec.out", out);
   ctx_.push_back(std::move(ctx));
-  return out_proj_.forward(out);
+  return out_proj_.forward(out, train);
 }
 
 void TransformerMT::backward(const Tensor& dlogits) {

@@ -40,9 +40,10 @@ class TransformerMT {
  public:
   TransformerMT(const TransformerConfig& cfg, std::uint64_t seed);
 
-  /// Teacher-forced forward. src and tgt_in are batches of equal-length
-  /// token sequences (src rows may be padded with pad_id at the tail).
-  /// Returns logits [B * T_tgt, tgt_vocab].
+  /// Teacher-forced training forward: every layer runs through one
+  /// training context and caches for backward. src and tgt_in are batches
+  /// of equal-length token sequences (src rows may be padded with pad_id at
+  /// the tail). Returns logits [B * T_tgt, tgt_vocab].
   Tensor forward(const std::vector<TokenSeq>& src,
                  const std::vector<TokenSeq>& tgt_in, std::int64_t pad_id);
 
@@ -77,8 +78,6 @@ class TransformerMT {
   struct EncoderBlock {
     EncoderBlock(const TransformerConfig& cfg, Pcg32& rng, int index);
     // x: [B, T, D]; lengths: valid source lengths per batch row.
-    Tensor forward(const Tensor& x, const std::vector<std::int64_t>& lengths);
-    // Context-driven inference forward: same math, no adjoint caches.
     Tensor forward(const Tensor& x, const std::vector<std::int64_t>& lengths,
                    ExecutionContext& ctx);
     Tensor backward(const Tensor& dy);
@@ -94,7 +93,8 @@ class TransformerMT {
     DecoderBlock(const TransformerConfig& cfg, Pcg32& rng, int index);
     // x: [B, Tt, D]; enc: [B, Ts, D].
     Tensor forward(const Tensor& x, const Tensor& enc,
-                   const std::vector<std::int64_t>& src_lengths);
+                   const std::vector<std::int64_t>& src_lengths,
+                   ExecutionContext& ctx);
     // Returns (dx, d_enc).
     std::pair<Tensor, Tensor> backward(const Tensor& dy);
     std::vector<Module*> modules();
@@ -106,12 +106,11 @@ class TransformerMT {
   };
 
   // Embedding + scaled sinusoidal position, flattened ids -> [B*T, D].
-  Tensor embed(Embedding& emb, const std::vector<TokenSeq>& batch);
   Tensor embed(Embedding& emb, const std::vector<TokenSeq>& batch,
                ExecutionContext& ctx);
 
-  // Context-driven encoder pass (embed -> blocks -> final LN, with the
-  // same act_quant sites as the teacher-forced path): [B, Ts, D].
+  // Encoder pass (embed -> blocks -> final LN, with its act_quant sites):
+  // [B, Ts, D]. Shared by the teacher-forced forward and decode prefill.
   Tensor encode(const std::vector<TokenSeq>& src,
                 const std::vector<std::int64_t>& lengths,
                 ExecutionContext& ctx);

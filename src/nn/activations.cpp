@@ -7,13 +7,6 @@
 
 namespace af {
 
-Tensor Activation::forward(const Tensor& x) {
-  Tensor y(x.shape());
-  for (std::int64_t i = 0; i < x.numel(); ++i) y[i] = f(x[i]);
-  cache_.push_back({x, y});
-  return y;
-}
-
 Tensor Activation::forward(const Tensor& x, ExecutionContext& ctx) {
   Tensor y(x.shape());
   for (std::int64_t i = 0; i < x.numel(); ++i) y[i] = f(x[i]);

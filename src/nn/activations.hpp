@@ -10,8 +10,7 @@ namespace af {
 /// Shared shape-preserving elementwise layer with stack caching.
 class Activation : public Module {
  public:
-  Tensor forward(const Tensor& x);
-  /// Context forward: identical values; skips the cache push in inference.
+  /// Elementwise f(x); caches (x, y) for backward under ctx.training.
   Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& dy);
   void clear_cache() override { cache_.clear(); }

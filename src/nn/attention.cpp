@@ -107,62 +107,30 @@ void MultiHeadAttention::check_inputs(
 
 Tensor MultiHeadAttention::forward(const Tensor& q_in, const Tensor& kv_in,
                                    bool causal,
-                                   const std::vector<std::int64_t>* kv_lengths) {
-  check_inputs(q_in, kv_in, causal, kv_lengths);
-  const std::int64_t b = q_in.dim(0), tq = q_in.dim(1), tk = kv_in.dim(1);
-
-  Cache c;
-  c.b = b;
-  c.tq = tq;
-  c.tk = tk;
-  c.q = wq_.forward(q_in.reshaped({b * tq, d_model_}));
-  c.k = wk_.forward(kv_in.reshaped({b * tk, d_model_}));
-  c.v = wv_.forward(kv_in.reshaped({b * tk, d_model_}));
-  if (record_kv_ranges_) {
-    k_range_seen_ = std::max(k_range_seen_, max_abs(c.k));
-    v_range_seen_ = std::max(v_range_seen_, max_abs(c.v));
-  }
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(d_head_));
-
-  Tensor ctx({b * tq, d_model_});
-  c.attn.reserve(static_cast<std::size_t>(b * heads_));
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    const std::int64_t valid =
-        kv_lengths ? (*kv_lengths)[static_cast<std::size_t>(bi)] : tk;
-    for (std::int64_t h = 0; h < heads_; ++h) {
-      const std::int64_t col = h * d_head_;
-      const float* k_rows = c.k.data() + bi * tk * d_model_ + col;
-      const float* v_rows = c.v.data() + bi * tk * d_model_ + col;
-      Tensor attn({tq, tk});  // rows double as score scratch, then persist
-      for (std::int64_t i = 0; i < tq; ++i) {
-        attend_row(c.q.data() + (bi * tq + i) * d_model_ + col, k_rows,
-                   v_rows, d_model_, tk, causal ? i : tk, valid, d_head_,
-                   inv_sqrt_dh, attn.data() + i * tk,
-                   ctx.data() + (bi * tq + i) * d_model_ + col);
-      }
-      c.attn.push_back(std::move(attn));
-    }
-  }
-  Tensor out = wo_.forward(ctx).reshaped({b, tq, d_model_});
-  cache_.push_back(std::move(c));
-  return out;
-}
-
-Tensor MultiHeadAttention::forward(const Tensor& q_in, const Tensor& kv_in,
-                                   bool causal,
                                    const std::vector<std::int64_t>* kv_lengths,
                                    ExecutionContext& ec) {
-  AF_CHECK(!ec.training, "attention context forward is inference-only");
   check_inputs(q_in, kv_in, causal, kv_lengths);
   const std::int64_t b = q_in.dim(0), tq = q_in.dim(1), tk = kv_in.dim(1);
 
   Tensor q = wq_.forward(q_in.reshaped({b * tq, d_model_}), ec);
   Tensor k = wk_.forward(kv_in.reshaped({b * tk, d_model_}), ec);
   Tensor v = wv_.forward(kv_in.reshaped({b * tk, d_model_}), ec);
+  if (record_kv_ranges_) {
+    k_range_seen_ = std::max(k_range_seen_, max_abs(k));
+    v_range_seen_ = std::max(v_range_seen_, max_abs(v));
+  }
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(d_head_));
 
+  // Training persists every (b, h) softmax matrix for backward, its rows
+  // doubling as the score scratch; inference reuses one row throughout.
+  std::vector<Tensor> attn;
+  Tensor srow;
+  if (ec.training) {
+    attn.reserve(static_cast<std::size_t>(b * heads_));
+  } else {
+    srow = Tensor({tk});
+  }
   Tensor ctx({b * tq, d_model_});
-  Tensor srow({tk});  // one reusable score/weight row; nothing persists
   for (std::int64_t bi = 0; bi < b; ++bi) {
     const std::int64_t valid =
         kv_lengths ? (*kv_lengths)[static_cast<std::size_t>(bi)] : tk;
@@ -170,15 +138,23 @@ Tensor MultiHeadAttention::forward(const Tensor& q_in, const Tensor& kv_in,
       const std::int64_t col = h * d_head_;
       const float* k_rows = k.data() + bi * tk * d_model_ + col;
       const float* v_rows = v.data() + bi * tk * d_model_ + col;
+      if (ec.training) attn.emplace_back(Shape{tq, tk});
       for (std::int64_t i = 0; i < tq; ++i) {
+        float* scores =
+            ec.training ? attn.back().data() + i * tk : srow.data();
         attend_row(q.data() + (bi * tq + i) * d_model_ + col, k_rows, v_rows,
                    d_model_, tk, causal ? i : tk, valid, d_head_,
-                   inv_sqrt_dh, srow.data(),
+                   inv_sqrt_dh, scores,
                    ctx.data() + (bi * tq + i) * d_model_ + col);
       }
     }
   }
-  return wo_.forward(ctx, ec).reshaped({b, tq, d_model_});
+  Tensor out = wo_.forward(ctx, ec).reshaped({b, tq, d_model_});
+  if (ec.training) {
+    cache_.push_back({std::move(q), std::move(k), std::move(v),
+                      std::move(attn), b, tq, tk});
+  }
+  return out;
 }
 
 Tensor MultiHeadAttention::decode_self_step(const Tensor& x, KvState& kv,

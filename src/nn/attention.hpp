@@ -29,16 +29,13 @@ class MultiHeadAttention final : public Module {
   MultiHeadAttention(std::int64_t d_model, std::int64_t num_heads, Pcg32& rng,
                      const std::string& name = "mha");
 
+  /// Monolithic forward through the ctx-dispatched projections.
   /// q_in: [B, Tq, D]; kv_in: [B, Tk, D]. When `causal`, requires Tq == Tk
   /// and masks j > i. `kv_lengths` (optional, size B) masks keys at
   /// positions >= length. Shape defects throw FaultError(kMalformedInput) —
   /// a malformed serving request fails its ticket, never the process.
-  Tensor forward(const Tensor& q_in, const Tensor& kv_in, bool causal,
-                 const std::vector<std::int64_t>* kv_lengths = nullptr);
-
-  /// Context-driven monolithic forward: same math through the ctx-dispatched
-  /// projections (numeric/resilience policy, pinned kernel backend), no
-  /// adjoint caches. Inference only.
+  /// Under ctx.training the projections and per-head softmax weights are
+  /// cached for backward; inference reuses one score row and keeps nothing.
   Tensor forward(const Tensor& q_in, const Tensor& kv_in, bool causal,
                  const std::vector<std::int64_t>* kv_lengths,
                  ExecutionContext& ctx);
@@ -66,7 +63,7 @@ class MultiHeadAttention final : public Module {
 
   // ----- KV range recording --------------------------------------------------
 
-  /// When enabled, the caching forward tracks the running max-abs of the
+  /// When enabled, the monolithic forward tracks the running max-abs of the
   /// projected K and V activations — the calibration statistic a quantized
   /// KV cache recalibrates its per-layer exp_bias from. Enabling resets the
   /// recorded ranges.

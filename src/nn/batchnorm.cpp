@@ -17,7 +17,7 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, const std::string& name,
       running_mean_({channels}),
       running_var_(Tensor::ones({channels})) {}
 
-Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
+Tensor BatchNorm2d::forward(const Tensor& x, ExecutionContext& ctx) {
   AF_CHECK(x.rank() == 4 && x.dim(1) == channels_,
            "BatchNorm2d expects [N, C, H, W]");
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
@@ -25,7 +25,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
   const std::int64_t count = n * plane;
   Tensor y(x.shape());
 
-  if (!training) {
+  if (!ctx.training) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
       const float inv_std =
           1.0f / std::sqrt(running_var_[ch] + eps_);
@@ -77,10 +77,6 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
   }
   cache_.push_back(std::move(cache));
   return y;
-}
-
-Tensor BatchNorm2d::forward(const Tensor& x, ExecutionContext& ctx) {
-  return forward(x, ctx.training);
 }
 
 Tensor BatchNorm2d::backward(const Tensor& dy) {

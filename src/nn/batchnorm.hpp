@@ -18,12 +18,9 @@ class BatchNorm2d final : public Module {
   explicit BatchNorm2d(std::int64_t channels, const std::string& name = "bn",
                        float eps = 1e-5f, float momentum = 0.1f);
 
-  /// x: [N, C, H, W]. In training mode uses batch statistics and updates the
-  /// running estimates; in eval mode uses the running estimates.
-  Tensor forward(const Tensor& x, bool training);
-
-  /// Context forward: mode follows ctx.training. The eval path already
-  /// pushes no cache, so this is pure delegation.
+  /// x: [N, C, H, W]. Under ctx.training uses batch statistics, updates
+  /// the running estimates and caches for backward; in inference uses the
+  /// running estimates and caches nothing.
   Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
 
   /// Backward of the training-mode forward.

@@ -21,45 +21,7 @@ Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                         in_channels * kernel * kernel, rng)),
       bias_(name + ".bias", Tensor({out_channels})) {}
 
-Tensor Conv2d::forward(const Tensor& x) {
-  AF_CHECK(x.rank() == 4 && x.dim(1) == spec_.in_channels,
-           "Conv2d expects [N, C, H, W]");
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = spec_.out_h(h), ow = spec_.out_w(w);
-  const std::int64_t patch = c * spec_.kernel_h * spec_.kernel_w;
-  const Tensor wflat = weight_.value.reshaped({out_channels_, patch});
-
-  Tensor y({n, out_channels_, oh, ow});
-  Cache cache;
-  cache.in_h = h;
-  cache.in_w = w;
-  cache.cols.resize(static_cast<std::size_t>(n));
-  // Images are independent: each chunk lowers and multiplies its own batch
-  // entries, writing disjoint [i] slices of y and cache.cols — bit-identical
-  // for any thread count. The nested matmul runs serially inside the worker.
-  parallel_for(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      Tensor img({c, h, w});
-      std::copy_n(x.data() + i * c * h * w, c * h * w, img.data());
-      Tensor cols = im2col(img, spec_);
-      Tensor yi = matmul(wflat, cols);  // [F, oh*ow]
-      if (has_bias_) {
-        for (std::int64_t f = 0; f < out_channels_; ++f) {
-          float* row = yi.data() + f * oh * ow;
-          for (std::int64_t j = 0; j < oh * ow; ++j) row[j] += bias_.value[f];
-        }
-      }
-      std::copy_n(yi.data(), out_channels_ * oh * ow,
-                  y.data() + i * out_channels_ * oh * ow);
-      cache.cols[static_cast<std::size_t>(i)] = std::move(cols);
-    }
-  });
-  cache_.push_back(std::move(cache));
-  return y;
-}
-
 Tensor Conv2d::forward(const Tensor& x, ExecutionContext& ctx) {
-  if (ctx.training) return forward(x);
   AF_CHECK(x.rank() == 4 && x.dim(1) == spec_.in_channels,
            "Conv2d expects [N, C, H, W]");
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
@@ -67,12 +29,21 @@ Tensor Conv2d::forward(const Tensor& x, ExecutionContext& ctx) {
   const std::int64_t patch = c * spec_.kernel_h * spec_.kernel_w;
   const Tensor wflat = weight_.value.reshaped({out_channels_, patch});
 
+  Cache cache;
+  if (ctx.training) {
+    cache.in_h = h;
+    cache.in_w = w;
+    cache.cols.resize(static_cast<std::size_t>(n));
+  }
   auto compute = [&]() -> Tensor {
     Tensor y({n, out_channels_, oh, ow});
     AbftReport abft_total;
     std::mutex abft_mu;
-    // Same per-sample decomposition as the caching path; the ABFT merge is
-    // pure counter addition, so the lock order cannot perturb results.
+    // Images are independent: each chunk lowers and multiplies its own
+    // batch entries, writing disjoint [i] slices of y and cache.cols —
+    // bit-identical for any thread count. The nested matmul runs serially
+    // inside the worker; the ABFT merge is pure counter addition, so the
+    // lock order cannot perturb results.
     parallel_for(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
       AbftReport abft_local;
       for (std::int64_t i = i0; i < i1; ++i) {
@@ -96,6 +67,9 @@ Tensor Conv2d::forward(const Tensor& x, ExecutionContext& ctx) {
         }
         std::copy_n(yi.data(), out_channels_ * oh * ow,
                     y.data() + i * out_channels_ * oh * ow);
+        if (ctx.training) {
+          cache.cols[static_cast<std::size_t>(i)] = std::move(cols);
+        }
       }
       if (ctx.wants_abft()) {
         std::lock_guard<std::mutex> lock(abft_mu);
@@ -107,10 +81,12 @@ Tensor Conv2d::forward(const Tensor& x, ExecutionContext& ctx) {
     }
     return y;
   };
-  return ctx.wants_guard()
-             ? ctx.active_guard().run(compute, {n, out_channels_, oh, ow},
-                                      ctx.report)
-             : compute();
+  Tensor y = ctx.wants_guard()
+                 ? ctx.active_guard().run(compute, {n, out_channels_, oh, ow},
+                                          ctx.report)
+                 : compute();
+  if (ctx.training) cache_.push_back(std::move(cache));
+  return y;
 }
 
 Tensor Conv2d::backward(const Tensor& dy) {

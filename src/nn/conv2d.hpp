@@ -16,14 +16,10 @@ class Conv2d final : public Module {
          std::int64_t kernel, std::int64_t stride, std::int64_t pad,
          Pcg32& rng, bool has_bias = true, const std::string& name = "conv");
 
-  /// x: [N, C, H, W] -> [N, F, OH, OW]. Caches the im2col patch matrices.
-  Tensor forward(const Tensor& x);
-
-  /// Context forward. Training mode delegates to the caching forward above
-  /// (resilience dispatch is inference-only for convolutions); inference
-  /// lowers each sample without retaining the patch matrices, checksums the
-  /// per-sample GEMMs when the context asks for ABFT, and wraps the whole
-  /// batch in the installed guard when asked.
+  /// x: [N, C, H, W] -> [N, F, OH, OW]. Checksums the per-sample GEMMs
+  /// when the context asks for ABFT and wraps the whole batch in the
+  /// installed guard when asked. Only under ctx.training are the im2col
+  /// patch matrices kept for backward.
   Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
 
   /// dy: [N, F, OH, OW] -> dx; accumulates weight/bias grads.

@@ -5,6 +5,7 @@
 
 #include "src/runtime/execution_context.hpp"
 #include "src/util/check.hpp"
+#include "src/util/fault.hpp"
 
 namespace af {
 
@@ -18,26 +19,16 @@ Embedding::Embedding(std::int64_t vocab, std::int64_t dim, Pcg32& rng,
                                ? init_std
                                : 1.0f / std::sqrt(static_cast<float>(dim)))) {}
 
-Tensor Embedding::forward(const std::vector<std::int64_t>& ids) {
-  Tensor out({static_cast<std::int64_t>(ids.size()), dim_});
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const std::int64_t id = ids[i];
-    AF_CHECK(id >= 0 && id < vocab_,
-             "token id " + std::to_string(id) + " out of vocab");
-    std::copy_n(table_.value.data() + id * dim_, dim_,
-                out.data() + static_cast<std::int64_t>(i) * dim_);
-  }
-  cached_ids_.push_back(ids);
-  return out;
-}
-
 Tensor Embedding::forward(const std::vector<std::int64_t>& ids,
                           ExecutionContext& ctx) {
   Tensor out({static_cast<std::int64_t>(ids.size()), dim_});
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const std::int64_t id = ids[i];
-    AF_CHECK(id >= 0 && id < vocab_,
-             "token id " + std::to_string(id) + " out of vocab");
+    if (id < 0 || id >= vocab_) {
+      throw FaultError(table_.name, FaultKind::kMalformedInput,
+                       "token id " + std::to_string(id) + " out of vocab [0, " +
+                           std::to_string(vocab_) + ")");
+    }
     std::copy_n(table_.value.data() + id * dim_, dim_,
                 out.data() + static_cast<std::int64_t>(i) * dim_);
   }

@@ -14,10 +14,9 @@ class Embedding final : public Module {
   Embedding(std::int64_t vocab, std::int64_t dim, Pcg32& rng,
             const std::string& name = "embed", float init_std = -1.0f);
 
-  /// ids: m token indices -> [m, dim]. Caches the ids.
-  Tensor forward(const std::vector<std::int64_t>& ids);
-
-  /// Context forward: same lookup; skips the id cache in inference.
+  /// ids: m token indices -> [m, dim]; caches the ids under ctx.training.
+  /// An id outside [0, vocab) is reachable from a serving request, so it
+  /// throws FaultError(kMalformedInput).
   Tensor forward(const std::vector<std::int64_t>& ids, ExecutionContext& ctx);
 
   /// dy: [m, dim]; scatters gradients into the table rows.

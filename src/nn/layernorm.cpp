@@ -13,41 +13,15 @@ LayerNorm::LayerNorm(std::int64_t dim, const std::string& name, float eps)
       gamma_(name + ".gamma", Tensor::ones({dim})),
       beta_(name + ".beta", Tensor({dim})) {}
 
-Tensor LayerNorm::forward(const Tensor& x) {
-  AF_CHECK(x.rank() == 2 && x.dim(1) == dim_, "LayerNorm expects [m, dim]");
-  const std::int64_t m = x.dim(0), n = dim_;
-  Tensor y(x.shape());
-  Cache c{Tensor(x.shape()), Tensor({m})};
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* row = x.data() + i * n;
-    double mean = 0;
-    for (std::int64_t j = 0; j < n; ++j) mean += row[j];
-    mean /= static_cast<double>(n);
-    double var = 0;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const double d = row[j] - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(n);
-    const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    c.inv_std[i] = inv_std;
-    float* xh = c.xhat.data() + i * n;
-    float* yr = y.data() + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      xh[j] = (row[j] - static_cast<float>(mean)) * inv_std;
-      yr[j] = gamma_.value[j] * xh[j] + beta_.value[j];
-    }
-  }
-  cache_.push_back(std::move(c));
-  return y;
-}
-
 Tensor LayerNorm::forward(const Tensor& x, ExecutionContext& ctx) {
-  if (ctx.training) return forward(x);
   AF_CHECK(x.rank() == 2 && x.dim(1) == dim_, "LayerNorm expects [m, dim]");
   const std::int64_t m = x.dim(0), n = dim_;
   Tensor y(x.shape());
-  // Same arithmetic (and fp association) as the caching path above.
+  Cache* c = nullptr;
+  if (ctx.training) {
+    cache_.push_back({Tensor(x.shape()), Tensor({m})});
+    c = &cache_.back();
+  }
   for (std::int64_t i = 0; i < m; ++i) {
     const float* row = x.data() + i * n;
     double mean = 0;
@@ -60,9 +34,15 @@ Tensor LayerNorm::forward(const Tensor& x, ExecutionContext& ctx) {
     }
     var /= static_cast<double>(n);
     const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps_));
+    float* xhat = nullptr;
+    if (c != nullptr) {
+      c->inv_std[i] = inv_std;
+      xhat = c->xhat.data() + i * n;
+    }
     float* yr = y.data() + i * n;
     for (std::int64_t j = 0; j < n; ++j) {
       const float xh = (row[j] - static_cast<float>(mean)) * inv_std;
+      if (xhat != nullptr) xhat[j] = xh;
       yr[j] = gamma_.value[j] * xh + beta_.value[j];
     }
   }

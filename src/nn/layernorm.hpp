@@ -18,8 +18,8 @@ class LayerNorm final : public Module {
   explicit LayerNorm(std::int64_t dim, const std::string& name = "ln",
                      float eps = 1e-5f);
 
-  Tensor forward(const Tensor& x);
-  /// Context forward: same normalization; no cache tensors in inference.
+  /// x: [m, dim]. Only under ctx.training are the normalized input and
+  /// the per-row 1/std kept for backward.
   Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& dy);
 

@@ -33,14 +33,6 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Pcg32& rng,
                              out_features, rng)),
       bias_(name + ".bias", Tensor({out_features})) {}
 
-Tensor Linear::forward(const Tensor& x) {
-  check_forward_input(x, in_, weight_.name);
-  Tensor y = matmul(x, weight_.value, false, /*trans_b=*/true);
-  if (has_bias_) add_row_bias_inplace(y, bias_.value);
-  cached_x_.push_back(x);
-  return y;
-}
-
 Tensor Linear::forward(const Tensor& x, ExecutionContext& ctx) {
   check_forward_input(x, in_, weight_.name);
   auto compute = [&]() -> Tensor {

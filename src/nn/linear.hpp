@@ -14,11 +14,8 @@ class Linear final : public Module {
   Linear(std::int64_t in_features, std::int64_t out_features, Pcg32& rng,
          bool has_bias = true, const std::string& name = "linear");
 
-  /// x: [m, in] -> [m, out]. Caches x for backward.
-  Tensor forward(const Tensor& x);
-
-  /// Context-driven forward: same product, with the context's resilience
-  /// dispatch (guard / checksummed GEMM) and no cache push in inference.
+  /// x: [m, in] -> [m, out], with the context's resilience dispatch
+  /// (guard / checksummed GEMM). Caches x for backward under ctx.training.
   Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
 
   /// dy: [m, out] -> dx [m, in]; accumulates into weight/bias grads.

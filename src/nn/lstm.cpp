@@ -28,7 +28,8 @@ LstmState LstmCell::initial_state(std::int64_t batch) const {
   return {Tensor({batch, hidden_}), Tensor({batch, hidden_})};
 }
 
-LstmState LstmCell::forward(const Tensor& x, const LstmState& state) {
+LstmState LstmCell::forward(const Tensor& x, const LstmState& state,
+                            const ExecutionContext& ctx) {
   const std::int64_t batch = x.dim(0);
   AF_CHECK(x.rank() == 2 && x.dim(1) == input_, "LstmCell x must be [B, I]");
   AF_CHECK(state.h.dim(0) == batch && state.h.dim(1) == hidden_,
@@ -39,50 +40,18 @@ LstmState LstmCell::forward(const Tensor& x, const LstmState& state) {
   matmul_acc(z, state.h, wh_.value, false, true);
   add_row_bias_inplace(z, b_.value);
 
-  Cache c{x,
-          state.h,
-          state.c,
-          Tensor({batch, hidden_}),
-          Tensor({batch, hidden_}),
-          Tensor({batch, hidden_}),
-          Tensor({batch, hidden_}),
-          Tensor({batch, hidden_})};
-  LstmState out{Tensor({batch, hidden_}), Tensor({batch, hidden_})};
-  for (std::int64_t r = 0; r < batch; ++r) {
-    const float* zr = z.data() + r * 4 * hidden_;
-    for (std::int64_t j = 0; j < hidden_; ++j) {
-      const float i_g = sigmoid_value(zr[j]);
-      const float f_g = sigmoid_value(zr[hidden_ + j]);
-      const float g_g = tanh_value(zr[2 * hidden_ + j]);
-      const float o_g = sigmoid_value(zr[3 * hidden_ + j]);
-      const float c_new = f_g * state.c[r * hidden_ + j] + i_g * g_g;
-      c.i[r * hidden_ + j] = i_g;
-      c.f[r * hidden_ + j] = f_g;
-      c.g[r * hidden_ + j] = g_g;
-      c.o[r * hidden_ + j] = o_g;
-      c.c_new[r * hidden_ + j] = c_new;
-      out.c[r * hidden_ + j] = c_new;
-      out.h[r * hidden_ + j] = o_g * tanh_value(c_new);
-    }
+  Cache* c = nullptr;
+  if (ctx.training) {
+    cache_.push_back({x,
+                      state.h,
+                      state.c,
+                      Tensor({batch, hidden_}),
+                      Tensor({batch, hidden_}),
+                      Tensor({batch, hidden_}),
+                      Tensor({batch, hidden_}),
+                      Tensor({batch, hidden_})});
+    c = &cache_.back();
   }
-  cache_.push_back(std::move(c));
-  return out;
-}
-
-LstmState LstmCell::forward(const Tensor& x, const LstmState& state,
-                            const ExecutionContext& ctx) {
-  if (ctx.training) return forward(x, state);
-  const std::int64_t batch = x.dim(0);
-  AF_CHECK(x.rank() == 2 && x.dim(1) == input_, "LstmCell x must be [B, I]");
-  AF_CHECK(state.h.dim(0) == batch && state.h.dim(1) == hidden_,
-           "LstmCell state shape mismatch");
-
-  // Identical gate math to the caching step; the five gate tensors are the
-  // dominant per-step allocation and are simply never materialized here.
-  Tensor z = matmul(x, wx_.value, false, true);
-  matmul_acc(z, state.h, wh_.value, false, true);
-  add_row_bias_inplace(z, b_.value);
-
   LstmState out{Tensor({batch, hidden_}), Tensor({batch, hidden_})};
   for (std::int64_t r = 0; r < batch; ++r) {
     const float* zr = z.data() + r * 4 * hidden_;
@@ -92,6 +61,13 @@ LstmState LstmCell::forward(const Tensor& x, const LstmState& state,
       const float g_g = tanh_value(zr[2 * hidden_ + j]);
       const float o_g = sigmoid_value(zr[3 * hidden_ + j]);
       const float c_new = f_g * state.c[r * hidden_ + j] + i_g * g_g;
+      if (c != nullptr) {
+        c->i[r * hidden_ + j] = i_g;
+        c->f[r * hidden_ + j] = f_g;
+        c->g[r * hidden_ + j] = g_g;
+        c->o[r * hidden_ + j] = o_g;
+        c->c_new[r * hidden_ + j] = c_new;
+      }
       out.c[r * hidden_ + j] = c_new;
       out.h[r * hidden_ + j] = o_g * tanh_value(c_new);
     }
@@ -154,36 +130,12 @@ Lstm::Lstm(std::int64_t input_size, std::int64_t hidden_size,
   }
 }
 
-Tensor Lstm::forward(const Tensor& x, std::vector<LstmState>* final_state) {
-  AF_CHECK(x.rank() == 3 && x.dim(2) == input_, "Lstm expects [T, B, I]");
-  const std::int64_t t_len = x.dim(0), batch = x.dim(1);
-  std::vector<LstmState> states;
-  states.reserve(cells_.size());
-  for (const auto& cell : cells_) states.push_back(cell.initial_state(batch));
-
-  Tensor out({t_len, batch, hidden_});
-  for (std::int64_t t = 0; t < t_len; ++t) {
-    Tensor step({batch, input_});
-    std::copy_n(x.data() + t * batch * input_, batch * input_, step.data());
-    for (std::size_t l = 0; l < cells_.size(); ++l) {
-      states[l] = cells_[l].forward(step, states[l]);
-      step = states[l].h;
-    }
-    std::copy_n(step.data(), batch * hidden_,
-                out.data() + t * batch * hidden_);
-  }
-  if (final_state) *final_state = states;
-  cache_.push_back({t_len, batch});
-  return out;
-}
-
 Tensor Lstm::forward(const Tensor& x, ExecutionContext& ctx) {
   return forward(x, ctx, nullptr);
 }
 
 Tensor Lstm::forward(const Tensor& x, ExecutionContext& ctx,
                      std::vector<LstmState>* final_state) {
-  if (ctx.training) return forward(x, final_state);
   AF_CHECK(x.rank() == 3 && x.dim(2) == input_, "Lstm expects [T, B, I]");
   const std::int64_t t_len = x.dim(0), batch = x.dim(1);
 
@@ -212,6 +164,12 @@ Tensor Lstm::forward(const Tensor& x, ExecutionContext& ctx,
     if (final_state) *final_state = states;
     return out;
   };
+  if (ctx.training) {
+    // Unguarded: a guard rerun would push every cell's step caches twice.
+    Tensor out = compute();
+    cache_.push_back({t_len, batch});
+    return out;
+  }
   if (ctx.resilience == ResiliencePolicy::kNone) return compute();
   return ctx.active_guard().run(compute, {t_len, batch, hidden_}, ctx.report);
 }

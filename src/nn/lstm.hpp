@@ -22,12 +22,10 @@ class LstmCell final : public Module {
   LstmCell(std::int64_t input_size, std::int64_t hidden_size, Pcg32& rng,
            const std::string& name = "lstm_cell");
 
-  /// One step: x [B, I], state {h, c} each [B, H] -> new state.
-  LstmState forward(const Tensor& x, const LstmState& state);
-
-  /// Context step: same gate math; in inference no gate tensors are cached
-  /// (the dominant per-step allocation). Training delegates to the caching
-  /// step above.
+  /// One step: x [B, I], state {h, c} each [B, H] -> new state. Only under
+  /// ctx.training are the inputs and gate activations cached for backward;
+  /// in inference the gate tensors (the dominant per-step allocation) are
+  /// never materialized.
   LstmState forward(const Tensor& x, const LstmState& state,
                     const ExecutionContext& ctx);
 
@@ -68,17 +66,15 @@ class Lstm final : public Module {
   Lstm(std::int64_t input_size, std::int64_t hidden_size,
        std::int64_t num_layers, Pcg32& rng, const std::string& name = "lstm");
 
-  /// x: [T, B, I] -> outputs of the top layer [T, B, H]. Final per-layer
-  /// states are written to `final_state` when non-null.
-  Tensor forward(const Tensor& x, std::vector<LstmState>* final_state = nullptr);
-
-  /// Context forward over the sequence. Any resilience request wraps the
-  /// whole sequence in the installed guard: splitting the fused
-  /// x Wx^T + h Wh^T accumulation into separate checksummed GEMMs would
-  /// change the float association, so ABFT degrades to the guard wrap here.
+  /// x: [T, B, I] -> outputs of the top layer [T, B, H]. In inference any
+  /// resilience request wraps the whole sequence in the installed guard:
+  /// splitting the fused x Wx^T + h Wh^T accumulation into separate
+  /// checksummed GEMMs would change the float association, so ABFT degrades
+  /// to the guard wrap here.
   Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
 
-  /// Same, also returning the final per-layer states (seq2seq encoder use).
+  /// Same, also writing the final per-layer states to `final_state` when
+  /// non-null (seq2seq encoder use).
   Tensor forward(const Tensor& x, ExecutionContext& ctx,
                  std::vector<LstmState>* final_state);
 

@@ -5,10 +5,11 @@
 // workloads is structurally fixed, and explicit adjoints keep the
 // quantization hooks (straight-through estimators) easy to reason about.
 //
-// Caching convention: forward() pushes whatever the adjoint needs onto an
-// internal stack; backward() pops it. Backward calls must mirror forward
-// calls in exact reverse order — BPTT and per-step decoding both satisfy
-// this naturally.
+// Caching convention: each layer has one forward(..., ExecutionContext&).
+// Under ctx.training it pushes whatever the adjoint needs onto an internal
+// stack; backward() pops it. Backward calls must mirror training forwards
+// in exact reverse order — BPTT and per-step decoding both satisfy this
+// naturally. Inference forwards push nothing.
 #pragma once
 
 #include <string>
@@ -41,18 +42,18 @@ class Module {
   /// Pointers to every trainable parameter (stable for the module lifetime).
   virtual std::vector<Parameter*> parameters() { return {}; }
 
-  /// Context-driven forward: the unified runtime entry point. The context
-  /// selects numeric and resilience policy, and — unless ctx.training —
-  /// the layer pushes no adjoint caches. Layers whose natural input is not
-  /// a single rank-N tensor (LstmCell steps, Embedding ids) keep their own
-  /// context overloads and leave this unimplemented. The base
-  /// implementation fails loudly.
+  /// Context-driven forward: the one entry point for training and
+  /// inference. The context selects numeric and resilience policy, and —
+  /// unless ctx.training — the layer pushes no adjoint caches. Layers whose
+  /// natural input is not a single rank-N tensor (LstmCell steps, Embedding
+  /// ids, attention's query/key pair) keep their own context overloads and
+  /// leave this unimplemented. The base implementation fails loudly.
   virtual Tensor forward(const Tensor& x, ExecutionContext& ctx);
 
-  /// Drops any cached forward state. Inference-only forward passes (greedy
-  /// decoding, evaluation) never call backward, so callers must clear the
-  /// cache stacks afterwards to keep them balanced. Context-driven
-  /// inference forwards never push caches, making this a no-op for them.
+  /// Drops any cached forward state. A training-context forward that is
+  /// not followed by backward (a reference comparison, a loss-only
+  /// evaluation) must be followed by this to keep the stacks balanced.
+  /// Inference forwards never push caches, so they never need it.
   virtual void clear_cache() {}
 
   /// Number of cached forward records awaiting backward (including any

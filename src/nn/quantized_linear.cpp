@@ -40,16 +40,6 @@ QuantizedLinear::QuantizedLinear(PackedAdaptivFloatTensor weight, Tensor bias)
            "bias length must match out_features (or be empty)");
 }
 
-Tensor QuantizedLinear::forward(const Tensor& x) const {
-  check_forward_input(x, in_);
-  // Fused path: panels of packed codes are decoded by table inside the
-  // GEMM, so memory traffic stays at code width and the FP32 weight matrix
-  // never exists. Bit-identical to unpack()-then-matmul.
-  Tensor y = matmul_packed(x, weight_);
-  if (bias_.numel() == out_) add_row_bias_inplace(y, bias_);
-  return y;
-}
-
 Tensor QuantizedLinear::forward(const Tensor& x, ExecutionContext& ctx) {
   check_forward_input(x, in_);
   auto compute = [&]() -> Tensor {

@@ -28,17 +28,16 @@ class QuantizedLinear final : public Module {
   /// codes are served as stored.
   QuantizedLinear(PackedAdaptivFloatTensor weight, Tensor bias);
 
-  /// x: [m, in] -> [m, out] through the fused packed GEMM: weight panels
-  /// are decoded by table into cache-resident tiles inside the kernel, so
-  /// the full FP32 weight matrix is never materialized. Bit-identical to
-  /// matmul(x, unpack(), false, true) for every AF_THREADS value.
-  Tensor forward(const Tensor& x) const;
-
-  /// Context forward. Numeric policy picks the kernel: kQuantizedLut runs
-  /// the fused packed GEMM; kFp32 multiplies against the decoded weight
-  /// cache. A checksummed (ABFT) request also uses the decoded weights —
-  /// the checksums are computed over the full matrix — and a guard request
-  /// wraps the compute, reproducing the retired guarded_forward exactly.
+  /// x: [m, in] -> [m, out]. Numeric policy picks the kernel:
+  /// kQuantizedLut runs the fused packed GEMM, whose weight panels are
+  /// decoded by table into cache-resident tiles inside the kernel, so the
+  /// full FP32 weight matrix is never materialized (bit-identical to
+  /// matmul(x, unpack(), false, true) for every AF_THREADS value); kFp32
+  /// multiplies against the decoded weight cache. A checksummed (ABFT)
+  /// request also uses the decoded weights — the checksums are computed
+  /// over the full matrix — and a guard request wraps the compute,
+  /// reproducing the retired guarded_forward exactly. Inference-only: the
+  /// layer has no adjoint, so ctx.training caches nothing.
   Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
 
   std::int64_t in_features() const { return in_; }

@@ -1,21 +1,24 @@
 // ExecutionContext: the single knob bundle threaded through
-// Module::forward(x, ctx) — the unified inference entry point that
-// replaced the per-layer side-paths (plain forward vs guarded_forward
-// overloads vs hand-wired abft_matmul call sites).
+// Module::forward(x, ctx) — the one forward every layer and model has, for
+// training and inference alike (it replaced the plain cache-pushing
+// forwards, the guarded_forward overloads and hand-wired abft_matmul call
+// sites).
 //
 // A context carries:
 //  * the numeric policy — decode packed weights through the LUT-fused GEMM
 //    (deployment form) or to FP32 first (debug/reference form);
 //  * the resilience policy — none, output guard, ABFT-checksummed GEMMs,
 //    or both composed (the old guarded_forward(QuantizedLinear) semantics);
-//  * the mode flag — inference forwards push no adjoint caches, so eval
-//    loops no longer leak cache stacks that callers must clear_cache();
+//  * the mode flag — training (resilience kNone) pushes adjoint caches;
+//    inference pushes none, so eval loops no longer leak cache stacks that
+//    callers must clear_cache();
 //  * the thread count a session should pin (0 = ambient AF_THREADS).
 //
 // Every policy is value-preserving on a clean (fault-free) run: the guard
 // only observes, and abft_matmul computes C with the same kernel as
 // matmul(). Dispatching through a context therefore never changes bits —
-// the runtime tests pin this against the legacy paths for every policy.
+// the runtime tests pin every policy against a training-context forward
+// (the cache-pushing comparator) followed by clear_cache().
 #pragma once
 
 #include <string>

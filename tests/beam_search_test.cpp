@@ -88,8 +88,9 @@ TEST(BeamSearch, Seq2SeqBeamDecodesSanely) {
     refs.push_back(utt.transcript);
     Tensor frames =
         utt.frames.reshaped({utt.frames.dim(0), 1, b.cfg.feature_dim});
-    greedy_hyps.push_back(
-        b.model.greedy_decode(frames, SpeechTask::kBos, SpeechTask::kEos));
+    ExecutionContext ectx;
+    greedy_hyps.push_back(b.model.greedy_decode(frames, SpeechTask::kBos,
+                                                SpeechTask::kEos, ectx));
     BeamConfig bc;
     bc.beam_size = 3;
     bc.max_steps = b.cfg.max_decode_len;

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "src/nn/conv2d.hpp"
+#include "src/runtime/execution_context.hpp"
 #include "src/util/check.hpp"
 #include "tests/grad_check.hpp"
 
@@ -74,8 +75,8 @@ TEST_P(ConvSweep, ForwardMatchesDirectReference) {
   Pcg32 rng(11);
   Conv2d conv(p.in_ch, p.out_ch, p.kernel, p.stride, p.pad, rng);
   Tensor x = Tensor::randn({2, p.in_ch, p.size, p.size}, rng);
-  Tensor y = conv.forward(x);
-  conv.clear_cache();
+  ExecutionContext infer;
+  Tensor y = conv.forward(x, infer);
   Tensor ref = conv_reference(x, conv.parameters()[0]->value,
                               conv.parameters()[1]->value, p.stride, p.pad);
   ASSERT_EQ(y.shape(), ref.shape());
@@ -85,15 +86,16 @@ TEST_P(ConvSweep, ForwardMatchesDirectReference) {
 }
 
 TEST_P(ConvSweep, GradCheckInput) {
+  ExecutionContext train{.training = true};
   const auto& p = GetParam();
   Pcg32 rng(12);
   Conv2d conv(p.in_ch, p.out_ch, p.kernel, p.stride, p.pad, rng);
   Tensor x = Tensor::randn({1, p.in_ch, p.size, p.size}, rng);
-  Tensor y = conv.forward(x);
+  Tensor y = conv.forward(x, train);
   Tensor dy = Tensor::randn(y.shape(), rng);
   Tensor dx = conv.backward(dy);
   expect_grad_matches(x, dx, [&] {
-    Tensor yy = conv.forward(x);
+    Tensor yy = conv.forward(x, train);
     double l = dot_all(yy, dy);
     conv.backward(dy);
     return l;

@@ -11,7 +11,9 @@
 #include "src/nn/quant.hpp"
 #include "src/nn/quantized_linear.hpp"
 #include "src/numerics/registry.hpp"
+#include "src/runtime/execution_context.hpp"
 #include "src/util/check.hpp"
+#include "src/util/fault.hpp"
 
 namespace af {
 namespace {
@@ -26,14 +28,14 @@ TEST(QuantizedLinear, MatchesFakeQuantizedReference) {
   Tensor x = Tensor::randn({5, 12}, rng);
 
   QuantizedLinear qlin(lin, 8, 3);
-  Tensor packed_out = qlin.forward(x);
+  ExecutionContext ctx;
+  Tensor packed_out = qlin.forward(x, ctx);
 
   auto q = make_quantizer(FormatKind::kAdaptivFloat, 8);
   Tensor fake_out;
   {
     WeightQuantScope scope({&lin.weight()}, *q);
-    fake_out = lin.forward(x);
-    lin.clear_cache();
+    fake_out = lin.forward(x, ctx);
   }
   ASSERT_EQ(packed_out.shape(), fake_out.shape());
   for (std::int64_t i = 0; i < packed_out.numel(); ++i) {
@@ -54,7 +56,8 @@ TEST(QuantizedLinear, ValidatesInputShape) {
   Pcg32 rng(3);
   Linear lin(4, 2, rng);
   QuantizedLinear qlin(lin, 8, 3);
-  EXPECT_THROW(qlin.forward(Tensor({1, 5})), Error);
+  ExecutionContext ctx;
+  EXPECT_THROW(qlin.forward(Tensor({1, 5}), ctx), FaultError);
 }
 
 TEST(Pruning, PrunesExactFraction) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/kernels/backend.hpp"
+#include "src/kernels/gemm_packed.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/linear.hpp"
 #include "src/nn/lstm.hpp"
@@ -202,7 +203,9 @@ TEST(GuardedForward, LinearCleanPathBitIdentical) {
   ExecutionContext ctx = guard_ctx(guard, &report, ResiliencePolicy::kGuard);
   Tensor guarded = fc.forward(x, ctx);
   EXPECT_EQ(fc.cache_depth(), 0) << "inference forward pushed a cache";
-  Tensor plain = fc.forward(x);
+  ExecutionContext train{.training = true};
+  Tensor plain = fc.forward(x, train);
+  fc.clear_cache();
   EXPECT_TRUE(bit_equal(guarded, plain));
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.tensors_checked, 1);
@@ -217,7 +220,9 @@ TEST(GuardedForward, Conv2dCleanPathBitIdentical) {
   ExecutionContext ctx = guard_ctx(guard, &report, ResiliencePolicy::kGuard);
   Tensor guarded = conv.forward(x, ctx);
   EXPECT_EQ(conv.cache_depth(), 0) << "inference forward pushed a cache";
-  Tensor plain = conv.forward(x);
+  ExecutionContext train{.training = true};
+  Tensor plain = conv.forward(x, train);
+  conv.clear_cache();
   EXPECT_TRUE(bit_equal(guarded, plain));
   EXPECT_TRUE(report.clean());
 }
@@ -231,7 +236,9 @@ TEST(GuardedForward, LstmCleanPathBitIdentical) {
   ExecutionContext ctx = guard_ctx(guard, &report, ResiliencePolicy::kGuard);
   Tensor guarded = lstm.forward(x, ctx);
   EXPECT_EQ(lstm.cache_depth(), 0) << "inference forward pushed a cache";
-  Tensor plain = lstm.forward(x);
+  ExecutionContext train{.training = true};
+  Tensor plain = lstm.forward(x, train);
+  lstm.clear_cache();
   EXPECT_TRUE(bit_equal(guarded, plain));
   EXPECT_TRUE(report.clean());
 }
@@ -249,7 +256,8 @@ TEST(GuardedForward, QuantizedLinearCleanPathBitIdentical) {
   ExecutionContext ctx =
       guard_ctx(guard, &report, ResiliencePolicy::kAbftGuard);
   Tensor guarded = qfc.forward(x, ctx);
-  Tensor plain = qfc.forward(x);
+  Tensor plain = matmul_packed(x, qfc.packed_weight());
+  add_row_bias_inplace(plain, qfc.bias());
   EXPECT_TRUE(bit_equal(guarded, plain));
   EXPECT_EQ(report.abft.multiplies, 1);
   EXPECT_EQ(report.abft.detected, 0);

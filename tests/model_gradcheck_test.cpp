@@ -75,6 +75,7 @@ TEST(ModelGradCheck, TransformerEndToEnd) {
 }
 
 TEST(ModelGradCheck, Seq2SeqEndToEnd) {
+  ExecutionContext train{.training = true};
   Seq2SeqConfig cfg;
   cfg.feature_dim = 8;
   cfg.hidden = 12;
@@ -87,13 +88,13 @@ TEST(ModelGradCheck, Seq2SeqEndToEnd) {
   std::vector<std::int64_t> tgt_out = {3, 4, 2, 5, 6, 2};
 
   auto loss_only = [&] {
-    Tensor logits = model.forward(frames, tgt_in);
+    Tensor logits = model.forward(frames, tgt_in, train);
     const float l = softmax_cross_entropy(logits, tgt_out).loss;
     model.clear_caches();
     return l;
   };
   auto loss_bwd = [&] {
-    Tensor logits = model.forward(frames, tgt_in);
+    Tensor logits = model.forward(frames, tgt_in, train);
     auto res = softmax_cross_entropy(logits, tgt_out);
     model.backward(res.dlogits);
     return res.loss;
@@ -103,6 +104,7 @@ TEST(ModelGradCheck, Seq2SeqEndToEnd) {
 }
 
 TEST(ModelGradCheck, ResNetEndToEnd) {
+  ExecutionContext train{.training = true};
   ResNetConfig cfg;
   cfg.base_width = 4;
   cfg.blocks_per_stage = 1;
@@ -113,13 +115,13 @@ TEST(ModelGradCheck, ResNetEndToEnd) {
   std::vector<std::int64_t> labels = {1, 7, 3};
 
   auto loss_only = [&] {
-    Tensor logits = model.forward(x, /*training=*/true);
+    Tensor logits = model.forward(x, train);
     const float l = softmax_cross_entropy(logits, labels).loss;
     model.clear_caches();
     return l;
   };
   auto loss_bwd = [&] {
-    Tensor logits = model.forward(x, true);
+    Tensor logits = model.forward(x, train);
     auto res = softmax_cross_entropy(logits, labels);
     model.backward(res.dlogits);
     return res.loss;

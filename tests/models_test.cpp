@@ -81,24 +81,26 @@ TEST(TransformerMT, GreedyDecodeDeterministic) {
 }
 
 TEST(Seq2SeqAttn, ForwardShapesAndCacheBalance) {
+  ExecutionContext train{.training = true};
   Seq2SeqBundle b(4, small_s2s());
   Pcg32 rng(1);
   Tensor frames = Tensor::randn({8, 2, 12}, rng);
   std::vector<TokenSeq> tgt = {{1, 3, 4, 5}, {1, 6, 7, 8}};
-  Tensor logits = b.model.forward(frames, tgt);
+  Tensor logits = b.model.forward(frames, tgt, train);
   EXPECT_EQ(logits.shape(), (Shape{2 * 4, b.cfg.vocab}));
   b.model.backward(Tensor(logits.shape()));
-  Tensor logits2 = b.model.forward(frames, tgt);
+  Tensor logits2 = b.model.forward(frames, tgt, train);
   b.model.backward(Tensor(logits2.shape()));
 }
 
 TEST(Seq2SeqAttn, GradientsFlowToAllParameters) {
+  ExecutionContext train{.training = true};
   Seq2SeqBundle b(5, small_s2s());
   Pcg32 rng(2);
   Tensor frames = Tensor::randn({6, 2, 12}, rng);
   std::vector<TokenSeq> tgt = {{1, 3, 4}, {1, 5, 6}};
   b.model.zero_grad();
-  Tensor logits = b.model.forward(frames, tgt);
+  Tensor logits = b.model.forward(frames, tgt, train);
   auto res = softmax_cross_entropy(
       logits, {3, 4, 2, 5, 6, 2});
   b.model.backward(res.dlogits);
@@ -122,10 +124,11 @@ TEST(Seq2SeqAttn, LearnsTheToySpeechTask) {
 }
 
 TEST(ResNet, ForwardShapesAndPredict) {
+  ExecutionContext train{.training = true};
   ResNetBundle b(7, small_rn());
   Pcg32 rng(3);
   Tensor x = Tensor::randn({4, 3, 16, 16}, rng);
-  Tensor logits = b.model.forward(x, true);
+  Tensor logits = b.model.forward(x, train);
   EXPECT_EQ(logits.shape(), (Shape{4, 10}));
   b.model.backward(Tensor(logits.shape()));
   auto preds = b.model.predict(x);

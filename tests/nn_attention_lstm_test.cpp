@@ -19,11 +19,12 @@ namespace af {
 namespace {
 
 TEST(Attention, OutputShape) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(1);
   MultiHeadAttention mha(8, 2, rng);
   Tensor q = Tensor::randn({2, 3, 8}, rng);
   Tensor kv = Tensor::randn({2, 5, 8}, rng);
-  Tensor y = mha.forward(q, kv, false);
+  Tensor y = mha.forward(q, kv, false, nullptr, train);
   EXPECT_EQ(y.shape(), (Shape{2, 3, 8}));
   mha.backward(Tensor(y.shape()));
 }
@@ -34,16 +35,17 @@ TEST(Attention, HeadsMustDivide) {
 }
 
 TEST(Attention, CausalMaskBlocksFuture) {
+  ExecutionContext train{.training = true};
   // With a causal mask, output at position 0 must not depend on inputs at
   // later positions.
   Pcg32 rng(3);
   MultiHeadAttention mha(8, 2, rng);
   Tensor x = Tensor::randn({1, 4, 8}, rng);
-  Tensor y1 = mha.forward(x, x, /*causal=*/true);
+  Tensor y1 = mha.forward(x, x, /*causal=*/true, nullptr, train);
   mha.backward(Tensor(y1.shape()));
   Tensor x2 = x;
   for (std::int64_t j = 0; j < 8; ++j) x2.at({0, 3, j}) += 5.0f;  // poke t=3
-  Tensor y2 = mha.forward(x2, x2, true);
+  Tensor y2 = mha.forward(x2, x2, true, nullptr, train);
   mha.backward(Tensor(y2.shape()));
   for (std::int64_t j = 0; j < 8; ++j) {
     EXPECT_NEAR(y1.at({0, 0, j}), y2.at({0, 0, j}), 1e-5f);
@@ -58,27 +60,29 @@ TEST(Attention, CausalMaskBlocksFuture) {
 }
 
 TEST(Attention, CausalRequiresSquare) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(4);
   MultiHeadAttention mha(8, 2, rng);
   Tensor q = Tensor::randn({1, 3, 8}, rng);
   Tensor kv = Tensor::randn({1, 5, 8}, rng);
-  EXPECT_THROW(mha.forward(q, kv, true), Error);
+  EXPECT_THROW(mha.forward(q, kv, true, nullptr, train), Error);
 }
 
 TEST(Attention, KvLengthMasksPaddedKeys) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(5);
   MultiHeadAttention mha(8, 2, rng);
   Tensor q = Tensor::randn({1, 2, 8}, rng);
   Tensor kv = Tensor::randn({1, 4, 8}, rng);
   std::vector<std::int64_t> len = {2};
-  Tensor y1 = mha.forward(q, kv, false, &len);
+  Tensor y1 = mha.forward(q, kv, false, &len, train);
   mha.backward(Tensor(y1.shape()));
   // Mutating masked keys (positions 2, 3) must not change the output.
   Tensor kv2 = kv;
   for (std::int64_t t = 2; t < 4; ++t) {
     for (std::int64_t j = 0; j < 8; ++j) kv2.at({0, t, j}) = 99.0f;
   }
-  Tensor y2 = mha.forward(q, kv2, false, &len);
+  Tensor y2 = mha.forward(q, kv2, false, &len, train);
   mha.backward(Tensor(y2.shape()));
   for (std::int64_t i = 0; i < y1.numel(); ++i) {
     EXPECT_NEAR(y1[i], y2[i], 1e-5f);
@@ -86,15 +90,16 @@ TEST(Attention, KvLengthMasksPaddedKeys) {
 }
 
 TEST(Attention, GradCheckCrossAttention) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(6);
   MultiHeadAttention mha(4, 2, rng);
   Tensor q = Tensor::randn({2, 2, 4}, rng);
   Tensor kv = Tensor::randn({2, 3, 4}, rng);
   Tensor dy = Tensor::randn({2, 2, 4}, rng);
-  mha.forward(q, kv, false);
+  mha.forward(q, kv, false, nullptr, train);
   auto [dq, dkv] = mha.backward(dy);
   auto loss = [&] {
-    Tensor y = mha.forward(q, kv, false);
+    Tensor y = mha.forward(q, kv, false, nullptr, train);
     double l = dot_all(y, dy);
     mha.backward(dy);
     return l;
@@ -104,30 +109,32 @@ TEST(Attention, GradCheckCrossAttention) {
 }
 
 TEST(Attention, GradCheckParameters) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(7);
   MultiHeadAttention mha(4, 1, rng);
   Tensor x = Tensor::randn({1, 3, 4}, rng);
   Tensor dy = Tensor::randn({1, 3, 4}, rng);
   auto loss = [&] {
-    Tensor y = mha.forward(x, x, true);
+    Tensor y = mha.forward(x, x, true, nullptr, train);
     double l = dot_all(y, dy);
     mha.backward(dy);
     return l;
   };
   for (Parameter* p : mha.parameters()) {
     mha.zero_grad();
-    mha.forward(x, x, true);
+    mha.forward(x, x, true, nullptr, train);
     mha.backward(dy);
     expect_grad_matches(p->value, p->grad, loss, 1e-3f, 3e-2f);
   }
 }
 
 TEST(LstmCell, ForwardGatesBehave) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(8);
   LstmCell cell(3, 4, rng);
   auto st = cell.initial_state(2);
   Tensor x = Tensor::randn({2, 3}, rng);
-  auto next = cell.forward(x, st);
+  auto next = cell.forward(x, st, train);
   EXPECT_EQ(next.h.shape(), (Shape{2, 4}));
   EXPECT_EQ(next.c.shape(), (Shape{2, 4}));
   // h = o * tanh(c) implies |h| <= 1 and |h| <= |tanh(c)|.
@@ -139,6 +146,7 @@ TEST(LstmCell, ForwardGatesBehave) {
 }
 
 TEST(LstmCell, GradCheckAllInputs) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(9);
   LstmCell cell(3, 2, rng);
   Tensor x = Tensor::randn({2, 3}, rng);
@@ -146,32 +154,33 @@ TEST(LstmCell, GradCheckAllInputs) {
   Tensor dh = Tensor::randn({2, 2}, rng);
   Tensor dc = Tensor::randn({2, 2}, rng);
   auto loss = [&] {
-    auto out = cell.forward(x, st);
+    auto out = cell.forward(x, st, train);
     double l = dot_all(out.h, dh) + dot_all(out.c, dc);
     cell.backward(Tensor({2, 2}), Tensor({2, 2}));
     return l;
   };
   // Loss includes both outputs; feed (dh, dc) to backward for analytics.
   cell.zero_grad();
-  cell.forward(x, st);
+  cell.forward(x, st, train);
   auto [dx, dprev] = cell.backward(dh, dc);
   expect_grad_matches(x, dx, loss, 1e-3f);
   expect_grad_matches(st.h, dprev.h, loss, 1e-3f);
   expect_grad_matches(st.c, dprev.c, loss, 1e-3f);
   for (Parameter* p : cell.parameters()) {
     cell.zero_grad();
-    cell.forward(x, st);
+    cell.forward(x, st, train);
     cell.backward(dh, dc);
     expect_grad_matches(p->value, p->grad, loss, 1e-3f, 3e-2f);
   }
 }
 
 TEST(Lstm, SequenceShapesAndFinalState) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(10);
   Lstm lstm(3, 5, 2, rng);
   Tensor x = Tensor::randn({7, 2, 3}, rng);
   std::vector<LstmState> fin;
-  Tensor out = lstm.forward(x, &fin);
+  Tensor out = lstm.forward(x, train, &fin);
   EXPECT_EQ(out.shape(), (Shape{7, 2, 5}));
   ASSERT_EQ(fin.size(), 2u);
   // Final hidden of the top layer equals the last output row.
@@ -184,25 +193,26 @@ TEST(Lstm, SequenceShapesAndFinalState) {
 }
 
 TEST(Lstm, GradCheckThroughTime) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(11);
   Lstm lstm(2, 3, 2, rng);
   Tensor x = Tensor::randn({4, 2, 2}, rng);
   Tensor dy = Tensor::randn({4, 2, 3}, rng);
   auto loss = [&] {
-    Tensor y = lstm.forward(x);
+    Tensor y = lstm.forward(x, train);
     double l = dot_all(y, dy);
     lstm.backward(dy);
     return l;
   };
   lstm.zero_grad();
-  lstm.forward(x);
+  lstm.forward(x, train);
   Tensor dx = lstm.backward(dy);
   expect_grad_matches(x, dx, loss, 1e-3f, 3e-2f);
   // Check one parameter per layer (full sweep is covered by the cell test).
   for (std::size_t l = 0; l < 2; ++l) {
     Parameter* p = lstm.cell(l).parameters()[0];
     lstm.zero_grad();
-    lstm.forward(x);
+    lstm.forward(x, train);
     lstm.backward(dy);
     expect_grad_matches(p->value, p->grad, loss, 1e-3f, 3e-2f);
   }
@@ -293,6 +303,7 @@ TEST(AttentionIncremental, CrossAttentionMatchesMonolithicBitExact) {
 }
 
 TEST(AttentionIncremental, MalformedShapesThrowTypedNotAbort) {
+  ExecutionContext train{.training = true};
   // Satellite: the monolithic forward's shape aborts are typed FaultErrors
   // a serving layer can catch — including the causal Tq != Tk case.
   Pcg32 rng(7);
@@ -300,15 +311,15 @@ TEST(AttentionIncremental, MalformedShapesThrowTypedNotAbort) {
   Tensor q = Tensor::randn({1, 3, 8}, rng);
   Tensor kv = Tensor::randn({1, 5, 8}, rng);
   try {
-    mha.forward(q, kv, /*causal=*/true);
+    mha.forward(q, kv, /*causal=*/true, nullptr, train);
     FAIL() << "causal Tq != Tk must throw";
   } catch (const FaultError& e) {
     EXPECT_EQ(e.kind(), FaultKind::kMalformedInput);
   }
   Tensor flat = Tensor::randn({3, 8}, rng);
-  EXPECT_THROW(mha.forward(flat, flat, false), FaultError);
+  EXPECT_THROW(mha.forward(flat, flat, false, nullptr, train), FaultError);
   std::vector<std::int64_t> bad_lengths = {1, 2};  // batch is 1
-  EXPECT_THROW(mha.forward(q, q, false, &bad_lengths), FaultError);
+  EXPECT_THROW(mha.forward(q, q, false, &bad_lengths, train), FaultError);
 }
 
 // ----- KvState ---------------------------------------------------------------
@@ -458,10 +469,11 @@ TEST(KvCache, AppendBlockMatchesPerStepAppends) {
 }
 
 TEST(Lstm, LongSequenceGradientsStayFinite) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(12);
   Lstm lstm(4, 8, 1, rng);
   Tensor x = Tensor::randn({50, 1, 4}, rng);
-  Tensor y = lstm.forward(x);
+  Tensor y = lstm.forward(x, train);
   Tensor dy = Tensor::randn(y.shape(), rng);
   Tensor dx = lstm.backward(dy);
   for (std::int64_t i = 0; i < dx.numel(); ++i) {

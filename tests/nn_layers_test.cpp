@@ -8,45 +8,49 @@
 #include "src/nn/embedding.hpp"
 #include "src/nn/layernorm.hpp"
 #include "src/nn/linear.hpp"
+#include "src/runtime/execution_context.hpp"
 #include "src/util/check.hpp"
+#include "src/util/fault.hpp"
 #include "tests/grad_check.hpp"
 
 namespace af {
 namespace {
 
 TEST(Linear, ForwardKnownValues) {
+  ExecutionContext eval;
   Pcg32 rng(1);
   Linear lin(2, 2, rng);
   lin.weight().value = Tensor({2, 2}, {1, 2, 3, 4});
   lin.bias().value = Tensor({2}, {10, 20});
   Tensor x({1, 2}, {1, 1});
-  Tensor y = lin.forward(x);
+  Tensor y = lin.forward(x, eval);
   EXPECT_FLOAT_EQ(y[0], 13.0f);  // 1*1+2*1+10
   EXPECT_FLOAT_EQ(y[1], 27.0f);  // 3*1+4*1+20
 }
 
 TEST(Linear, GradCheckInputAndParams) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(2);
   Linear lin(4, 3, rng);
   Tensor x = Tensor::randn({5, 4}, rng);
   Tensor dy = Tensor::randn({5, 3}, rng);
   auto loss_of = [&] {
-    Tensor y = lin.forward(x);
+    Tensor y = lin.forward(x, train);
     double l = dot_all(y, dy);
     lin.backward(dy);  // keep cache stack balanced
     return l;
   };
   lin.zero_grad();
-  lin.forward(x);
+  lin.forward(x, train);
   Tensor dx = lin.backward(dy);
   expect_grad_matches(x, dx, loss_of);
   // Re-zero before each parameter check: loss_of() evaluations accumulate.
   lin.zero_grad();
-  lin.forward(x);
+  lin.forward(x, train);
   lin.backward(dy);
   expect_grad_matches(lin.weight().value, lin.weight().grad, loss_of);
   lin.zero_grad();
-  lin.forward(x);
+  lin.forward(x, train);
   lin.backward(dy);
   expect_grad_matches(lin.bias().value, lin.bias().grad, loss_of);
 }
@@ -58,12 +62,13 @@ TEST(Linear, BackwardWithoutForwardThrows) {
 }
 
 TEST(Linear, StackCachePairsInReverseOrder) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(4);
   Linear lin(2, 2, rng);
   Tensor x1 = Tensor::randn({1, 2}, rng);
   Tensor x2 = Tensor::randn({3, 2}, rng);
-  lin.forward(x1);
-  lin.forward(x2);
+  lin.forward(x1, train);
+  lin.forward(x2, train);
   // Reverse order: the second backward must match x2's batch size.
   Tensor dx2 = lin.backward(Tensor::randn({3, 2}, rng));
   EXPECT_EQ(dx2.dim(0), 3);
@@ -72,25 +77,27 @@ TEST(Linear, StackCachePairsInReverseOrder) {
 }
 
 TEST(Linear, NoBiasVariant) {
+  ExecutionContext eval;
   Pcg32 rng(5);
   Linear lin(3, 2, rng, /*has_bias=*/false);
   EXPECT_EQ(lin.parameters().size(), 1u);
   Tensor x({1, 3});
-  Tensor y = lin.forward(x);
+  Tensor y = lin.forward(x, eval);
   EXPECT_EQ(y[0], 0.0f);
   EXPECT_EQ(y[1], 0.0f);
 }
 
 template <typename Act>
 void check_activation_grad(float lo, float hi) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(6);
   Act act;
   Tensor x = Tensor::rand_uniform({4, 5}, rng, lo, hi);
   Tensor dy = Tensor::randn({4, 5}, rng);
-  Tensor y = act.forward(x);
+  Tensor y = act.forward(x, train);
   Tensor dx = act.backward(dy);
   expect_grad_matches(x, dx, [&] {
-    Tensor yy = act.forward(x);
+    Tensor yy = act.forward(x, train);
     double l = dot_all(yy, dy);
     act.backward(dy);
     return l;
@@ -98,9 +105,10 @@ void check_activation_grad(float lo, float hi) {
 }
 
 TEST(Activations, ReluForward) {
+  ExecutionContext train{.training = true};
   ReLU relu;
   Tensor x({4}, {-1, 0, 2, -3});
-  Tensor y = relu.forward(x);
+  Tensor y = relu.forward(x, train);
   EXPECT_TRUE(y.equals(Tensor({4}, {0, 0, 2, 0})));
   relu.backward(Tensor({4}, {1, 1, 1, 1}));
 }
@@ -111,9 +119,10 @@ TEST(Activations, TanhGradCheck) { check_activation_grad<Tanh>(-2.0f, 2.0f); }
 TEST(Activations, SigmoidGradCheck) { check_activation_grad<Sigmoid>(-3.0f, 3.0f); }
 
 TEST(Activations, GeluKnownValues) {
+  ExecutionContext train{.training = true};
   GELU g;
   Tensor x({3}, {0.0f, 1.0f, -1.0f});
-  Tensor y = g.forward(x);
+  Tensor y = g.forward(x, train);
   EXPECT_NEAR(y[0], 0.0f, 1e-6f);
   EXPECT_NEAR(y[1], 0.8412f, 1e-3f);
   EXPECT_NEAR(y[2], -0.1588f, 1e-3f);
@@ -127,9 +136,10 @@ TEST(Activations, SigmoidStableAtExtremes) {
 }
 
 TEST(LayerNorm, NormalizesRows) {
+  ExecutionContext train{.training = true};
   LayerNorm ln(4);
   Tensor x({2, 4}, {1, 2, 3, 4, 10, 10, 10, 10});
-  Tensor y = ln.forward(x);
+  Tensor y = ln.forward(x, train);
   // Row 0: mean 2.5, zero-mean unit-var output.
   float mean = 0, var = 0;
   for (int j = 0; j < 4; ++j) mean += y.at({0, j});
@@ -142,6 +152,7 @@ TEST(LayerNorm, NormalizesRows) {
 }
 
 TEST(LayerNorm, GradCheckInputGammaBeta) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(7);
   LayerNorm ln(6);
   // Perturb gamma/beta away from the identity initialization.
@@ -150,32 +161,33 @@ TEST(LayerNorm, GradCheckInputGammaBeta) {
   Tensor x = Tensor::randn({3, 6}, rng);
   Tensor dy = Tensor::randn({3, 6}, rng);
   ln.zero_grad();
-  ln.forward(x);
+  ln.forward(x, train);
   Tensor dx = ln.backward(dy);
   auto loss = [&] {
-    Tensor yy = ln.forward(x);
+    Tensor yy = ln.forward(x, train);
     double l = dot_all(yy, dy);
     ln.backward(dy);
     return l;
   };
   expect_grad_matches(x, dx, loss, 1e-3f);
   ln.zero_grad();
-  ln.forward(x);
+  ln.forward(x, train);
   ln.backward(dy);
   expect_grad_matches(ln.parameters()[0]->value, ln.parameters()[0]->grad,
                       loss, 1e-3f);
   ln.zero_grad();
-  ln.forward(x);
+  ln.forward(x, train);
   ln.backward(dy);
   expect_grad_matches(ln.parameters()[1]->value, ln.parameters()[1]->grad,
                       loss, 1e-3f);
 }
 
 TEST(BatchNorm2d, TrainingNormalizesPerChannel) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(8);
   BatchNorm2d bn(2);
   Tensor x = Tensor::randn({4, 2, 3, 3}, rng, 3.0f);
-  Tensor y = bn.forward(x, /*training=*/true);
+  Tensor y = bn.forward(x, train);
   for (int ch = 0; ch < 2; ++ch) {
     double mean = 0, var = 0;
     for (int n = 0; n < 4; ++n) {
@@ -198,34 +210,37 @@ TEST(BatchNorm2d, TrainingNormalizesPerChannel) {
 }
 
 TEST(BatchNorm2d, EvalUsesRunningStats) {
+  ExecutionContext train{.training = true};
+  ExecutionContext eval;
   Pcg32 rng(9);
   BatchNorm2d bn(1);
   // Feed several training batches so running stats converge near (5, 4).
   for (int it = 0; it < 200; ++it) {
     Tensor x = Tensor::randn({8, 1, 2, 2}, rng, 2.0f);
     for (std::int64_t i = 0; i < x.numel(); ++i) x[i] += 5.0f;
-    bn.forward(x, true);
+    bn.forward(x, train);
     bn.backward(Tensor({8, 1, 2, 2}));
   }
   EXPECT_NEAR(bn.running_mean()[0], 5.0f, 0.3f);
   EXPECT_NEAR(bn.running_var()[0], 4.0f, 0.6f);
   // Eval mode: a constant input at the running mean maps near beta (0).
   Tensor x = Tensor::full({1, 1, 2, 2}, 5.0f);
-  Tensor y = bn.forward(x, false);
+  Tensor y = bn.forward(x, eval);
   EXPECT_NEAR(y[0], 0.0f, 0.2f);
 }
 
 TEST(BatchNorm2d, GradCheckInput) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(10);
   BatchNorm2d bn(2);
   Tensor x = Tensor::randn({3, 2, 2, 2}, rng);
   Tensor dy = Tensor::randn({3, 2, 2, 2}, rng);
   // Freeze running-stat updates' effect by re-running forward in loss_of —
   // batch statistics are recomputed each call so the check is consistent.
-  bn.forward(x, true);
+  bn.forward(x, train);
   Tensor dx = bn.backward(dy);
   expect_grad_matches(x, dx, [&] {
-    Tensor yy = bn.forward(x, true);
+    Tensor yy = bn.forward(x, train);
     double l = dot_all(yy, dy);
     bn.backward(dy);
     return l;
@@ -233,10 +248,11 @@ TEST(BatchNorm2d, GradCheckInput) {
 }
 
 TEST(Conv2d, ForwardMatchesDirectConvolution) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(11);
   Conv2d conv(2, 3, 3, 1, 1, rng);
   Tensor x = Tensor::randn({2, 2, 5, 5}, rng);
-  Tensor y = conv.forward(x);
+  Tensor y = conv.forward(x, train);
   ASSERT_EQ(y.shape(), (Shape{2, 3, 5, 5}));
   // Direct (naive) convolution reference at a few positions.
   const Tensor& w = conv.parameters()[0]->value;
@@ -260,35 +276,37 @@ TEST(Conv2d, ForwardMatchesDirectConvolution) {
 }
 
 TEST(Conv2d, GradCheckInputAndWeight) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(12);
   Conv2d conv(1, 2, 3, 2, 1, rng);
   Tensor x = Tensor::randn({1, 1, 4, 4}, rng);
-  Tensor y = conv.forward(x);
+  Tensor y = conv.forward(x, train);
   Tensor dy = Tensor::randn(y.shape(), rng);
   conv.zero_grad();
   conv.backward(dy);  // rebalance: cache now empty
   auto loss = [&] {
-    Tensor yy = conv.forward(x);
+    Tensor yy = conv.forward(x, train);
     double l = dot_all(yy, dy);
     conv.backward(dy);
     return l;
   };
   conv.zero_grad();
-  conv.forward(x);
+  conv.forward(x, train);
   Tensor dx = conv.backward(dy);
   expect_grad_matches(x, dx, loss, 1e-3f);
   conv.zero_grad();
-  conv.forward(x);
+  conv.forward(x, train);
   conv.backward(dy);
   expect_grad_matches(conv.parameters()[0]->value, conv.parameters()[0]->grad,
                       loss, 1e-3f);
 }
 
 TEST(Embedding, LookupAndScatterGrad) {
+  ExecutionContext train{.training = true};
   Pcg32 rng(13);
   Embedding emb(10, 4, rng);
   std::vector<std::int64_t> ids = {3, 7, 3};
-  Tensor y = emb.forward(ids);
+  Tensor y = emb.forward(ids, train);
   ASSERT_EQ(y.shape(), (Shape{3, 4}));
   for (int j = 0; j < 4; ++j) {
     EXPECT_EQ(y.at({0, j}), emb.table().value.at({3, j}));
@@ -305,10 +323,11 @@ TEST(Embedding, LookupAndScatterGrad) {
 }
 
 TEST(Embedding, OutOfVocabThrows) {
+  ExecutionContext eval;
   Pcg32 rng(14);
   Embedding emb(5, 2, rng);
-  EXPECT_THROW(emb.forward({5}), Error);
-  EXPECT_THROW(emb.forward({-1}), Error);
+  EXPECT_THROW(emb.forward({5}, eval), FaultError);
+  EXPECT_THROW(emb.forward({-1}, eval), FaultError);
 }
 
 TEST(Module, CollectAndCount) {

@@ -6,6 +6,7 @@
 #include "src/nn/loss.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/nn/optimizer.hpp"
+#include "src/runtime/execution_context.hpp"
 #include "src/util/check.hpp"
 #include "tests/grad_check.hpp"
 
@@ -133,12 +134,13 @@ TEST(Training, LinearRegressionEndToEnd) {
   Pcg32 rng(2);
   Linear lin(1, 1, rng);
   Sgd opt(lin.parameters(), 0.05f);
+  ExecutionContext train{.training = true};
   for (int it = 0; it < 400; ++it) {
     Tensor x = Tensor::rand_uniform({8, 1}, rng, -1.0f, 1.0f);
     Tensor target({8, 1});
     for (int i = 0; i < 8; ++i) target[i] = 2.0f * x[i] + 1.0f;
     lin.zero_grad();
-    Tensor y = lin.forward(x);
+    Tensor y = lin.forward(x, train);
     Tensor diff = sub(y, target);
     lin.backward(scale(diff, 2.0f / 8.0f));
     opt.step();

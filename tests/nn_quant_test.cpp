@@ -7,6 +7,7 @@
 #include "src/nn/quant.hpp"
 #include "src/numerics/registry.hpp"
 #include "src/tensor/ops.hpp"
+#include "src/runtime/execution_context.hpp"
 #include "src/util/check.hpp"
 
 namespace af {
@@ -57,7 +58,8 @@ TEST(WeightQuantScope, SteTrainingStep) {
   lin.zero_grad();
   {
     WeightQuantScope scope(lin.parameters(), *q);
-    lin.forward(x);
+    ExecutionContext train{.training = true};
+    lin.forward(x, train);
     lin.backward(dy);
   }
   opt.step();

@@ -1,13 +1,16 @@
 // Inference runtime: Arena bump allocation, arena-backed Tensors,
-// ExecutionContext dispatch bit-equality against the legacy per-layer
-// entry points, and InferenceSession zero-steady-state-allocation.
+// ExecutionContext dispatch bit-equality against the training-context
+// forward (the cache-pushing, heap-allocating comparator), and
+// InferenceSession zero-steady-state-allocation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/models/quantized_mlp.hpp"
@@ -15,10 +18,15 @@
 #include "src/models/seq2seq.hpp"
 #include "src/models/trainer.hpp"
 #include "src/models/transformer.hpp"
+#include "src/kernels/gemm_packed.hpp"
 #include "src/runtime/batch.hpp"
 #include "src/runtime/decode.hpp"
 #include "src/nn/activations.hpp"
+#include "src/nn/attention.hpp"
+#include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
+#include "src/nn/embedding.hpp"
+#include "src/nn/layernorm.hpp"
 #include "src/nn/linear.hpp"
 #include "src/nn/lstm.hpp"
 #include "src/nn/quant.hpp"
@@ -27,6 +35,7 @@
 #include "src/resilience/guard.hpp"
 #include "src/runtime/execution_context.hpp"
 #include "src/runtime/session.hpp"
+#include "src/serve/server.hpp"
 #include "src/tensor/arena.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/tensor/tensor.hpp"
@@ -188,6 +197,10 @@ TEST(ArenaTensor, CopyFromEscapesTheArena) {
 }
 
 // ----- Context dispatch bit-equality ----------------------------------------
+//
+// The reference arm is a training-context forward followed by clear_cache():
+// the unplanned, heap-allocating, cache-pushing path. Inference contexts
+// must reproduce its bits under every resilience policy and thread count.
 
 struct TinyMlp {
   Linear fc1;
@@ -206,8 +219,9 @@ struct TinyMlp {
     return Linear(32, 10, rng, true, "fc2");
   }
 
-  Tensor forward_legacy(const Tensor& x) {
-    Tensor y = fc2.forward(relu.forward(fc1.forward(x)));
+  Tensor forward_reference(const Tensor& x) {
+    ExecutionContext train{.training = true};
+    Tensor y = forward(x, train);
     fc1.clear_cache();
     relu.clear_cache();
     fc2.clear_cache();
@@ -226,7 +240,7 @@ TEST(ContextDispatch, MlpMatchesLegacyAcrossPoliciesAndThreads) {
   TinyMlp model(31);
   Tensor x = random_tensor({6, 24}, 32);
   set_num_threads(1);
-  Tensor golden = model.forward_legacy(x);
+  Tensor golden = model.forward_reference(x);
 
   LayerGuard guard("mlp", {RecoveryPolicy::kDegradeToZero, 1, 0.0f});
   const ResiliencePolicy policies[] = {
@@ -234,7 +248,7 @@ TEST(ContextDispatch, MlpMatchesLegacyAcrossPoliciesAndThreads) {
       ResiliencePolicy::kAbft, ResiliencePolicy::kAbftGuard};
   for (int threads : {1, 4}) {
     set_num_threads(threads);
-    ASSERT_TRUE(bit_equal(model.forward_legacy(x), golden));
+    ASSERT_TRUE(bit_equal(model.forward_reference(x), golden));
     for (ResiliencePolicy policy : policies) {
       ExecutionContext ctx;
       ctx.resilience = policy;
@@ -256,7 +270,8 @@ TEST(ContextDispatch, QuantizedLinearNumericPolicies) {
   QuantizedLinear qfc(fc, 8, 3);
   Tensor x = random_tensor({5, 20}, 42);
   set_num_threads(1);
-  Tensor golden_lut = qfc.forward(x);  // fused packed GEMM
+  Tensor golden_lut = matmul_packed(x, qfc.packed_weight());  // fused GEMM
+  add_row_bias_inplace(golden_lut, qfc.bias());
   Tensor golden_fp32 = matmul(x, qfc.decoded_weight(), false, true);
   add_row_bias_inplace(golden_fp32, qfc.bias());
 
@@ -286,7 +301,8 @@ TEST(ContextDispatch, LstmMatchesLegacyAcrossThreads) {
   Lstm lstm(10, 14, 2, rng);
   Tensor x = random_tensor({5, 3, 10}, 52);
   set_num_threads(1);
-  Tensor golden = lstm.forward(x);
+  ExecutionContext train{.training = true};
+  Tensor golden = lstm.forward(x, train);
   lstm.clear_cache();
 
   LayerGuard guard("lstm", {RecoveryPolicy::kDegradeToZero, 1, 0.0f});
@@ -312,7 +328,8 @@ TEST(ContextDispatch, Conv2dAbftMatchesPlainAcrossThreads) {
   Conv2d conv(3, 5, 3, 1, 1, rng);
   Tensor x = random_tensor({4, 3, 8, 8}, 62);
   set_num_threads(1);
-  Tensor golden = conv.forward(x);
+  ExecutionContext train{.training = true};
+  Tensor golden = conv.forward(x, train);
   conv.clear_cache();
 
   for (int threads : {1, 4}) {
@@ -341,12 +358,27 @@ TEST(ContextDispatch, Seq2SeqGreedyDecodeMatchesLegacy) {
   Tensor frames = random_tensor({6, 1, 8}, 72);
 
   set_num_threads(1);
-  TokenSeq golden = model.greedy_decode(frames, 1, 2);
+  ExecutionContext ctx;
+  TokenSeq golden = model.greedy_decode(frames, 1, 2, ctx);
+
+  // Reference: one teacher-forced training-context forward over BOS + the
+  // decoded tokens. Each step's argmax must be the token greedy emitted
+  // next (and EOS after the last one, unless the length cap stopped it).
+  ExecutionContext train{.training = true};
+  TokenSeq tgt_in = {1};
+  tgt_in.insert(tgt_in.end(), golden.begin(), golden.end());
+  const std::vector<std::int64_t> next =
+      argmax_rows(model.forward(frames, {tgt_in}, train));
   model.clear_caches();
+  for (std::size_t t = 0; t < golden.size(); ++t) {
+    EXPECT_EQ(next[t], golden[t]) << "step " << t;
+  }
+  if (static_cast<std::int64_t>(golden.size()) < cfg.max_decode_len) {
+    EXPECT_EQ(next.back(), 2);
+  }
 
   for (int threads : {1, 4}) {
     set_num_threads(threads);
-    ExecutionContext ctx;
     TokenSeq toks = model.greedy_decode(frames, 1, 2, ctx);
     EXPECT_EQ(toks, golden) << "threads=" << threads;
     EXPECT_EQ(model.cache_depth(), 0);
@@ -365,13 +397,15 @@ TEST(ContextDispatch, ResNetMatchesLegacyAcrossThreads) {
   ResNetClassifier model(cfg, 81);
   Tensor x = random_tensor({2, 2, 8, 8}, 82);
 
+  // A training context switches BatchNorm to batch statistics, so eval
+  // logits have no training-context reference: pin the single-thread
+  // heap forward instead.
   set_num_threads(1);
-  Tensor golden = model.forward(x, /*training=*/false);
-  model.clear_caches();
+  ExecutionContext ctx;
+  Tensor golden = model.forward(x, ctx);
 
   for (int threads : {1, 4}) {
     set_num_threads(threads);
-    ExecutionContext ctx;
     Tensor y = model.forward(x, ctx);
     EXPECT_TRUE(bit_equal(y, golden)) << "threads=" << threads;
     EXPECT_EQ(model.cache_depth(), 0);
@@ -389,16 +423,126 @@ TEST(ContextDispatch, BaseModuleWithoutContextEntryFails) {
   EXPECT_THROW(legacy.forward(x, ctx), Error);
 }
 
-TEST(ContextDispatch, TrainingContextStillCaches) {
+// One layer of the contract below: its forward under a given context, the
+// adjoint fed an all-zero output gradient, and the module whose cache
+// depth is probed.
+struct LayerCase {
+  std::string name;
+  std::function<Tensor(ExecutionContext&)> forward;
+  std::function<void(const Tensor& dy)> backward;
+  std::shared_ptr<Module> module;
+  /// Expected inference output when it differs from the training output by
+  /// design (BatchNorm's running vs batch statistics); empty = training's.
+  std::function<Tensor()> inference_reference;
+};
+
+std::vector<LayerCase> layer_contract_cases() {
+  std::vector<LayerCase> cases;
   Pcg32 rng(91);
-  Linear fc(6, 4, rng);
-  Tensor x = random_tensor({2, 6}, 92);
-  ExecutionContext ctx;
-  ctx.training = true;
-  fc.forward(x, ctx);
-  EXPECT_EQ(fc.cache_depth(), 1);
-  fc.clear_cache();
-  EXPECT_EQ(fc.cache_depth(), 0);
+  {
+    auto m = std::make_shared<Linear>(6, 4, rng);
+    Tensor x = random_tensor({3, 6}, 92);
+    cases.push_back({"Linear", [m, x](ExecutionContext& c) {
+                       return m->forward(x, c);
+                     },
+                     [m](const Tensor& dy) { m->backward(dy); }, m, {}});
+  }
+  {
+    auto m = std::make_shared<Conv2d>(2, 3, 3, 1, 1, rng);
+    Tensor x = random_tensor({2, 2, 5, 5}, 93);
+    cases.push_back({"Conv2d", [m, x](ExecutionContext& c) {
+                       return m->forward(x, c);
+                     },
+                     [m](const Tensor& dy) { m->backward(dy); }, m, {}});
+  }
+  {
+    auto m = std::make_shared<LayerNorm>(6);
+    Tensor x = random_tensor({3, 6}, 94, 3.0f);
+    cases.push_back({"LayerNorm", [m, x](ExecutionContext& c) {
+                       return m->forward(x, c);
+                     },
+                     [m](const Tensor& dy) { m->backward(dy); }, m, {}});
+  }
+  {
+    // Fresh running statistics (mean 0, var 1) make the inference map
+    // y = g * x + 0 with g = 1 / sqrt(1 + eps), in the layer's own float
+    // expression order.
+    auto m = std::make_shared<BatchNorm2d>(3);
+    Tensor x = random_tensor({2, 3, 2, 2}, 95, 2.0f);
+    auto reference = [x] {
+      const float g = 1.0f / std::sqrt(1.0f + 1e-5f);
+      Tensor y(x.shape());
+      for (std::int64_t i = 0; i < x.numel(); ++i) y[i] = g * x[i] + 0.0f;
+      return y;
+    };
+    cases.push_back({"BatchNorm2d", [m, x](ExecutionContext& c) {
+                       return m->forward(x, c);
+                     },
+                     [m](const Tensor& dy) { m->backward(dy); }, m,
+                     reference});
+  }
+  {
+    auto m = std::make_shared<ReLU>();
+    Tensor x = random_tensor({3, 5}, 96);
+    cases.push_back({"ReLU", [m, x](ExecutionContext& c) {
+                       return m->forward(x, c);
+                     },
+                     [m](const Tensor& dy) { m->backward(dy); }, m, {}});
+  }
+  {
+    auto m = std::make_shared<GELU>();
+    Tensor x = random_tensor({3, 5}, 97, 3.0f);
+    cases.push_back({"GELU", [m, x](ExecutionContext& c) {
+                       return m->forward(x, c);
+                     },
+                     [m](const Tensor& dy) { m->backward(dy); }, m, {}});
+  }
+  {
+    auto m = std::make_shared<Embedding>(10, 4, rng);
+    const std::vector<std::int64_t> ids = {3, 7, 3, 0};
+    cases.push_back({"Embedding", [m, ids](ExecutionContext& c) {
+                       return m->forward(ids, c);
+                     },
+                     [m](const Tensor& dy) { m->backward(dy); }, m, {}});
+  }
+  {
+    auto m = std::make_shared<Lstm>(3, 5, 2, rng);
+    Tensor x = random_tensor({4, 2, 3}, 98);
+    cases.push_back({"Lstm", [m, x](ExecutionContext& c) {
+                       return m->forward(x, c);
+                     },
+                     [m](const Tensor& dy) { m->backward(dy); }, m, {}});
+  }
+  {
+    auto m = std::make_shared<MultiHeadAttention>(8, 2, rng);
+    Tensor x = random_tensor({2, 3, 8}, 99);
+    cases.push_back({"MultiHeadAttention", [m, x](ExecutionContext& c) {
+                       return m->forward(x, x, /*causal=*/true, nullptr, c);
+                     },
+                     [m](const Tensor& dy) { m->backward(dy); }, m, {}});
+  }
+  return cases;
+}
+
+TEST(ContextDispatch, TrainingContextStillCaches) {
+  // The one-forward layer contract: the inference context reproduces the
+  // training context's bits and pushes nothing; the training context pushes
+  // records that exactly one backward consumes.
+  for (const LayerCase& c : layer_contract_cases()) {
+    SCOPED_TRACE(c.name);
+    ExecutionContext infer;
+    Tensor y_infer = c.forward(infer);
+    EXPECT_EQ(c.module->cache_depth(), 0);
+
+    ExecutionContext train{.training = true};
+    Tensor y_train = c.forward(train);
+    EXPECT_GT(c.module->cache_depth(), 0);
+    EXPECT_TRUE(bit_equal(y_infer, c.inference_reference
+                                       ? c.inference_reference()
+                                       : y_train));
+    c.backward(Tensor(y_train.shape()));
+    EXPECT_EQ(c.module->cache_depth(), 0);
+  }
 }
 
 // ----- InferenceSession -----------------------------------------------------
@@ -415,7 +559,7 @@ TEST(Session, SteadyStateRunsAllocateNothing) {
       cfg);
   Tensor x = random_tensor({8, 24}, 102);
   set_num_threads(1);
-  Tensor golden = model->forward_legacy(x);
+  Tensor golden = model->forward_reference(x);
 
   session.run(x);  // planning pass: allocations expected
   EXPECT_GT(session.arena_stats().peak_bytes, 0);
@@ -439,7 +583,7 @@ TEST(Session, MatchesLegacyForEveryPolicyAndThreadCount) {
   auto model = std::make_shared<TinyMlp>(111);
   Tensor x = random_tensor({4, 24}, 112);
   set_num_threads(1);
-  Tensor golden = model->forward_legacy(x);
+  Tensor golden = model->forward_reference(x);
 
   LayerGuard guard("mlp", {RecoveryPolicy::kDegradeToZero, 1, 0.0f});
   for (int threads : {1, 4}) {
@@ -472,7 +616,8 @@ TEST(Session, QuantizedModelZeroAllocSteadyState) {
   auto qfc = std::make_shared<QuantizedLinear>(*fc, 8, 3);
   Tensor x = random_tensor({6, 24}, 122);
   set_num_threads(1);
-  Tensor golden = qfc->forward(x);
+  Tensor golden = matmul_packed(x, qfc->packed_weight());
+  add_row_bias_inplace(golden, qfc->bias());
 
   InferenceSession session(
       [qfc](const Tensor& in, ExecutionContext& ctx) {
@@ -514,7 +659,8 @@ TEST(Session, LstmSessionZeroAllocSteadyState) {
   auto lstm = std::make_shared<Lstm>(8, 12, 2, rng);
   Tensor x = random_tensor({5, 2, 8}, 142);
   set_num_threads(1);
-  Tensor golden = lstm->forward(x);
+  ExecutionContext train{.training = true};
+  Tensor golden = lstm->forward(x, train);
   lstm->clear_cache();
 
   SessionConfig cfg;
@@ -542,8 +688,8 @@ TEST(Session, ResNetSessionZeroAllocSteadyState) {
   auto model = std::make_shared<ResNetClassifier>(rcfg, 151);
   Tensor x = random_tensor({2, 2, 8, 8}, 152);
   set_num_threads(1);
-  Tensor golden = model->forward(x, /*training=*/false);
-  model->clear_caches();
+  ExecutionContext eval;
+  Tensor golden = model->forward(x, eval);
 
   SessionConfig cfg;
   cfg.cache_probe = [model] { return model->cache_depth(); };
@@ -1002,6 +1148,98 @@ TEST(DecodeSession, MalformedConfigurationThrowsTyped) {
   // Bare DecodeSession misconfiguration.
   EXPECT_THROW(DecodeSession(DecodeHooks{}, DecodeSessionConfig{}),
                FaultError);
+}
+
+void expect_malformed(const std::function<void()>& fn, const char* what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << " must throw";
+  } catch (const FaultError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kMalformedInput) << what;
+  }
+}
+
+TEST(DecodeSession, OutOfVocabTokensThrowTypedMalformed) {
+  // A client token outside the vocabulary is a malformed request, rejected
+  // before any KV append: the stream stays decodable afterwards.
+  TransformerBundle b(465, tiny_transformer_config());
+  auto make = [&b] {
+    return TransformerStreamDecoder(b.model, TransformerDecoder::Options{},
+                                    TranslationTask::kPad,
+                                    TranslationTask::kBos,
+                                    TranslationTask::kEos);
+  };
+  TransformerStreamDecoder dec = make();
+  const std::int64_t src_vocab = b.cfg.src_vocab;
+  const std::int64_t tgt_vocab = b.cfg.tgt_vocab;
+  expect_malformed([&] { dec.open({3, src_vocab}); }, "open, id == vocab");
+  expect_malformed([&] { dec.open({-1, 3}); }, "open, negative id");
+
+  Pcg32 rng(466);
+  const TokenSeq src = b.task.sample(rng).source;
+  dec.open(src);
+  expect_malformed([&] { dec.step(tgt_vocab); }, "step, token == vocab");
+  expect_malformed([&] { dec.step(-5); }, "step, negative token");
+
+  TransformerStreamDecoder fresh = make();
+  fresh.open(src);
+  EXPECT_EQ(dec.step(TranslationTask::kBos), fresh.step(TranslationTask::kBos));
+}
+
+TEST(DecodeSession, ServeStreamRejectsOutOfVocabWithoutDegrading) {
+  // Through the server, an out-of-vocab token fails its own ticket as
+  // kMalformedInput and never feeds the tenant's breaker: more rejections
+  // than the step-down threshold still leave the tenant at level 0.
+  TransformerBundle b(475, tiny_transformer_config());
+  ServerConfig cfg;
+  cfg.workers = 1;
+  TransformerMT* model = &b.model;
+  cfg.decoder_factory = [model]() -> std::unique_ptr<StreamDecoder> {
+    return std::make_unique<TransformerStreamDecoder>(
+        *model, TransformerDecoder::Options{}, TranslationTask::kPad,
+        TranslationTask::kBos, TranslationTask::kEos);
+  };
+  InferenceServer server(
+      [](int) -> InferenceSession::ForwardFn {
+        return [](const Tensor& x, ExecutionContext&) { return x; };
+      },
+      cfg);
+  TenantConfig tenant;
+  tenant.name = "t";
+  tenant.ladder = {ResiliencePolicy::kNone, ResiliencePolicy::kGuard};
+  server.add_tenant(tenant);
+
+  Pcg32 rng(476);
+  const TokenSeq src = b.task.sample(rng).source;
+  auto submit = [&](DecodeOp op, std::vector<std::int64_t> ids,
+                    std::int64_t last) {
+    DecodeRequest req;
+    req.tenant = "t";
+    req.stream = "s";
+    req.op = op;
+    req.src = std::move(ids);
+    req.last_token = last;
+    return server.submit_decode(std::move(req)).get();
+  };
+  for (int i = 0; i < 2 * tenant.breaker.fault_threshold; ++i) {
+    Response bad_open =
+        submit(DecodeOp::kOpen, {3, b.cfg.src_vocab + i}, -1);
+    EXPECT_FALSE(bad_open.ok);
+    EXPECT_EQ(bad_open.error_kind, FaultKind::kMalformedInput) << i;
+    EXPECT_EQ(bad_open.breaker_level, 0) << i;
+
+    ASSERT_TRUE(submit(DecodeOp::kOpen, src, -1).ok) << i;
+    Response bad_step = submit(DecodeOp::kStep, {}, b.cfg.tgt_vocab + i);
+    EXPECT_FALSE(bad_step.ok);
+    EXPECT_EQ(bad_step.error_kind, FaultKind::kMalformedInput) << i;
+    EXPECT_EQ(bad_step.breaker_level, 0) << i;
+  }
+  ASSERT_TRUE(submit(DecodeOp::kOpen, src, -1).ok);
+  Response good = submit(DecodeOp::kStep, {}, TranslationTask::kBos);
+  EXPECT_TRUE(good.ok) << good.error;
+  EXPECT_EQ(good.breaker_level, 0);
+  EXPECT_FALSE(good.degraded);
+  server.shutdown();
 }
 
 }  // namespace
