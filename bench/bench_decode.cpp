@@ -13,16 +13,19 @@
 // (default 3x) at full sequence length.
 //
 // Modes:
-//   bench_decode            — trains the shared baseline, times both paths,
-//                             sweeps KV widths {fp32, 8, 6, 4} across all
-//                             five formats for BLEU + bytes/token, writes
-//                             BENCH_decode.json.
+//   bench_decode            — trains the shared baseline, times both paths
+//                             (and incremental over an 8-bit AdaptivFloat
+//                             KV cache), sweeps KV widths {fp32, 8, 6, 4}
+//                             across all five formats for BLEU +
+//                             bytes/token, writes BENCH_decode.json.
 //   bench_decode --verify   — tiny untrained model under the *current*
 //                             AF_THREADS: prints full/incremental/quantized
-//                             token-stream digests (CI diffs across thread
-//                             counts) and enforces bit-equality plus the
-//                             zero-alloc contract. Exits nonzero on any
-//                             violation.
+//                             token-stream digests plus a digest of every
+//                             fp32-KV incremental step's logits (CI diffs
+//                             across thread counts and against
+//                             tests/golden/bench_decode.scalar.verify) and
+//                             enforces bit-equality plus the zero-alloc
+//                             contract. Exits nonzero on any violation.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -99,15 +102,23 @@ TokenSeq full_recompute_greedy(TransformerMT& model, const TokenSeq& src,
 
 /// Greedy decode through a (reusable) TransformerDecoder — the same loop
 /// TransformerMT::greedy_decode runs, but against a caller-owned decoder so
-/// one KV plan serves a whole evaluation sweep.
+/// one KV plan serves a whole evaluation sweep. A non-null `logits_digest`
+/// folds every step's logits bytes into the running FNV-1a digest, which
+/// pins the step bits that an argmax alone could hide.
 TokenSeq incremental_greedy(TransformerDecoder& dec, const TokenSeq& src,
-                            std::int64_t eos, std::int64_t max_steps) {
+                            std::int64_t eos, std::int64_t max_steps,
+                            std::uint64_t* logits_digest = nullptr) {
   dec.begin(src, kPad);
   TokenSeq out;
   std::vector<std::int64_t> last = {kBos};
   std::int64_t tgt_len = 1;
   for (std::int64_t step = 0; step < max_steps; ++step) {
     const Tensor& logits = dec.step(last);
+    if (logits_digest != nullptr) {
+      const std::size_t bytes =
+          static_cast<std::size_t>(logits.numel()) * sizeof(float);
+      *logits_digest = fnv1a64(logits.data(), bytes, *logits_digest);
+    }
     const std::int64_t next = argmax_rows(logits)[0];
     if (next == eos) break;
     out.push_back(next);
@@ -151,6 +162,7 @@ int run_verify_only() {
   // token-for-token (eos = -1 forces full-length streams so the equality
   // covers every position, ~150 steps total across the sources).
   std::vector<TokenSeq> full, inc;
+  std::uint64_t logits_dig = kFnvOffset;
   for (const TokenSeq& src : srcs) {
     full.push_back(full_recompute_greedy(b.model, src, /*eos=*/-1,
                                          cfg.max_len));
@@ -158,7 +170,8 @@ int run_verify_only() {
   {
     TransformerDecoder dec(b.model);
     for (const TokenSeq& src : srcs) {
-      inc.push_back(incremental_greedy(dec, src, /*eos=*/-1, cfg.max_len));
+      inc.push_back(incremental_greedy(dec, src, /*eos=*/-1, cfg.max_len,
+                                       &logits_dig));
     }
   }
   const std::uint64_t full_dig = digest_tokens(full);
@@ -166,6 +179,10 @@ int run_verify_only() {
   ok = ok && full_dig == inc_dig;
   std::printf("decode fp32       full %s incremental %s\n",
               digest_hex(full_dig).c_str(), digest_hex(inc_dig).c_str());
+  // Every fp32-KV incremental step's logits: CI diffs this line against a
+  // golden recorded under AF_BACKEND=scalar, so a 1-ulp drift in any
+  // projection shows even when the argmax tokens do not move.
+  std::printf("decode fp32       logits %s\n", digest_hex(logits_dig).c_str());
 
   // Quantized KV across every format at 8 bits: digests must be stable
   // across AF_THREADS (CI diffs this output), and steady-state decoding —
@@ -238,10 +255,21 @@ int run_bench(const char* json_path) {
             1, incremental_greedy(timing_dec, timing_src, -1, cfg.max_len));
       },
       kReps);
+  // The same stream over an 8-bit AdaptivFloat KV cache: the per-step KV
+  // decode cost quantized attention pays on top of the fp32-KV path.
+  TransformerDecoder::Options af8_opts;
+  af8_opts.kv.quantized = true;
+  af8_opts.kv.kind = FormatKind::kAdaptivFloat;
+  af8_opts.kv.bits = 8;
+  TransformerDecoder af8_dec(b.model, af8_opts);
+  const double af8_ms = time_ms(
+      [&] { incremental_greedy(af8_dec, timing_src, -1, cfg.max_len); },
+      kReps);
   const bool streams_equal = full_stream == inc_stream;
   const double speedup = full_ms / inc_ms;
   const double full_tps = 1000.0 * static_cast<double>(steps_per_seq) / full_ms;
   const double inc_tps = 1000.0 * static_cast<double>(steps_per_seq) / inc_ms;
+  const double af8_tps = 1000.0 * static_cast<double>(steps_per_seq) / af8_ms;
 
   double speedup_min = 3.0;
   if (const char* env = std::getenv("AF_DECODE_SPEEDUP_MIN")) {
@@ -255,6 +283,8 @@ int run_bench(const char* json_path) {
                   fmt_fixed(full_tps, 1), "-"});
   timing.add_row({"incremental fp32", fmt_fixed(inc_ms, 2),
                   fmt_fixed(inc_tps, 1), streams_equal ? "yes" : "NO"});
+  timing.add_row({"incremental af8 KV", fmt_fixed(af8_ms, 2),
+                  fmt_fixed(af8_tps, 1), "-"});
   timing.print();
   std::printf("speedup %.2fx (gate: >= %.2fx)\n\n", speedup, speedup_min);
 
@@ -311,10 +341,12 @@ int run_bench(const char* json_path) {
                 "\"incremental_ms\": %.3f, \"speedup\": %.3f, "
                 "\"full_tokens_per_sec\": %.1f, "
                 "\"incremental_tokens_per_sec\": %.1f, "
-                "\"bit_equal\": %s, \"speedup_min\": %.2f},\n",
+                "\"bit_equal\": %s, \"speedup_min\": %.2f, "
+                "\"incremental_af8_kv_ms\": %.3f, "
+                "\"incremental_af8_kv_tokens_per_sec\": %.1f},\n",
                 static_cast<long long>(cfg.max_len), full_ms, inc_ms, speedup,
                 full_tps, inc_tps, streams_equal ? "true" : "false",
-                speedup_min);
+                speedup_min, af8_ms, af8_tps);
   json += buf;
   json += "  \"bleu_vs_kv_bits\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {

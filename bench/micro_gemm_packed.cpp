@@ -42,6 +42,7 @@
 #include "src/core/bitpack.hpp"
 #include "src/kernels/backend.hpp"
 #include "src/kernels/gemm_packed.hpp"
+#include "src/tensor/gemm_kernel.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/parallel.hpp"
@@ -207,7 +208,7 @@ struct Measurement {
   double ulp;  // norm-scaled ULPs vs the 1-thread scalar reference
 };
 
-// ----- M-sweep: decode amortization vs batch rows ---------------------------
+// ----- M-sweep: per-call cost vs batch rows ---------------------------------
 //
 // matmul_packed decodes each weight panel once per *call*, so the decode
 // cost is amortized over however many activation rows the call carries.
@@ -217,67 +218,96 @@ struct Measurement {
 // 512x512 weight per backend and reports GFLOP/s plus the throughput
 // ratio vs M=1 — the kernel-layer ceiling on batching speedup.
 //
+// The fp32 arm times matmul(x, W, false, true) — the x*W^T every fp32
+// Linear runs — at M in {1, 2, 4, 8, 16, 64}, on both sides of the
+// kMatmulDotRows cutoff: at or below it the product is one dot product per
+// output over W's rows, above it W is repacked into k-major tiles.
+//
 // Row-independence is enforced while we're here: the first M rows of the
 // full 512-row product must be byte-identical to the M-row run (the
-// contract the serving scatter depends on).
-void append_m_sweep(const Workload& w, std::string& json, bool& all_ok) {
-  struct SweepBackend {
-    const char* name;
-    const KernelBackend* be;
-  };
-  std::vector<SweepBackend> backends = {{"scalar", &scalar_backend()}};
-  if (const KernelBackend* avx2 = avx2_backend()) {
-    backends.push_back({"avx2", avx2});
-  }
-  const std::vector<std::int64_t> ms_rows = {1, 4, 16, 64};
+// contract the serving scatter depends on — and, for the fp32 arm, the
+// proof that both sides of the cutoff compute the same bits).
+struct SweepArm {
+  const char* name;
+  std::vector<std::int64_t> rows;
+  std::function<Tensor(const Tensor&)> run;
+};
 
-  TextTable table("m_sweep: matmul_packed rows vs decode amortization "
-                  "(8-bit, 1 thread)");
+/// Runs one arm of the sweep at 1 thread; returns its JSON "points" array
+/// body and adds its rows to `table`.
+std::string sweep_points(const Workload& w, const SweepArm& arm,
+                         TextTable& table, bool& all_ok) {
+  // Full-width reference run: rows sliced out of this must match the
+  // narrow runs byte-for-byte.
+  const Tensor full = arm.run(w.x);
+  double gflops_m1 = 0.0;
+  std::string json;
+  for (std::size_t mi = 0; mi < arm.rows.size(); ++mi) {
+    const std::int64_t m = arm.rows[mi];
+    Tensor xm({m, w.k});
+    std::memcpy(xm.data(), w.x.data(),
+                sizeof(float) * static_cast<std::size_t>(m * w.k));
+    const Tensor y = arm.run(xm);
+    const bool rows_ok =
+        std::memcmp(y.data(), full.data(),
+                    sizeof(float) * static_cast<std::size_t>(m * w.n)) == 0;
+    all_ok = all_ok && rows_ok;
+    // Small-M calls are fast; take best-of over more reps for stability.
+    const int reps = m >= 64 ? kReps : 10;
+    const double t = time_ms([&] { arm.run(xm); }, reps);
+    const double gflops = 2.0 * static_cast<double>(m) *
+                          static_cast<double>(w.n) *
+                          static_cast<double>(w.k) / (t * 1e6);
+    if (m == 1) gflops_m1 = gflops;
+    table.add_row({arm.name, std::to_string(m), fmt_fixed(t, 3),
+                   fmt_fixed(gflops, 2),
+                   fmt_fixed(gflops / gflops_m1, 2) + "x",
+                   rows_ok ? "bit-equal" : "DIVERGED"});
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "      {\"m\": %lld, \"ms\": %.4f, \"gflops\": %.3f, "
+                  "\"vs_m1\": %.3f, \"rows_bit_equal\": %s}%s\n",
+                  static_cast<long long>(m), t, gflops, gflops / gflops_m1,
+                  rows_ok ? "true" : "false",
+                  mi + 1 < arm.rows.size() ? "," : "");
+    json += buf;
+  }
+  return json;
+}
+
+void append_m_sweep(const Workload& w, std::string& json, bool& all_ok) {
+  const std::vector<std::int64_t> packed_rows = {1, 4, 16, 64};
+  std::vector<SweepArm> packed = {
+      {"scalar", packed_rows, [&](const Tensor& x) {
+         return matmul_packed(x, w.w, scalar_backend());
+       }}};
+  if (const KernelBackend* avx2 = avx2_backend()) {
+    packed.push_back({"avx2", packed_rows, [&w, avx2](const Tensor& x) {
+                        return matmul_packed(x, w.w, *avx2);
+                      }});
+  }
+  const Tensor wf = w.w.unpack();
+  const SweepArm fp32 = {"fp32", {1, 2, 4, 8, 16, 64}, [&](const Tensor& x) {
+                           return matmul(x, wf, false, /*trans_b=*/true);
+                         }};
+
+  TextTable table("m_sweep: rows per call, matmul_packed per backend and "
+                  "fp32 matmul x*W^T (8-bit weight, 1 thread)");
   table.set_header({"Backend", "M", "ms", "GF/s", "vs M=1", "Rows"});
 
   set_num_threads(1);
   json += "  \"m_sweep\": [\n";
-  for (std::size_t bi = 0; bi < backends.size(); ++bi) {
-    const SweepBackend& b = backends[bi];
-    // Full-width reference run: rows sliced out of this must match the
-    // narrow runs byte-for-byte.
-    const Tensor full = matmul_packed(w.x, w.w, *b.be);
-    double gflops_m1 = 0.0;
-    json += "    {\"backend\": \"" + std::string(b.name) +
+  for (std::size_t bi = 0; bi < packed.size(); ++bi) {
+    json += "    {\"backend\": \"" + std::string(packed[bi].name) +
             "\", \"points\": [\n";
-    for (std::size_t mi = 0; mi < ms_rows.size(); ++mi) {
-      const std::int64_t m = ms_rows[mi];
-      Tensor xm({m, w.k});
-      std::memcpy(xm.data(), w.x.data(),
-                  sizeof(float) * static_cast<std::size_t>(m * w.k));
-      const Tensor y = matmul_packed(xm, w.w, *b.be);
-      const bool rows_ok =
-          std::memcmp(y.data(), full.data(),
-                      sizeof(float) * static_cast<std::size_t>(m * w.n)) == 0;
-      all_ok = all_ok && rows_ok;
-      // Small-M calls are fast; take best-of over more reps for stability.
-      const int reps = m >= 64 ? kReps : 10;
-      const double t = time_ms([&] { matmul_packed(xm, w.w, *b.be); }, reps);
-      const double gflops = 2.0 * static_cast<double>(m) *
-                            static_cast<double>(w.n) *
-                            static_cast<double>(w.k) / (t * 1e6);
-      if (m == 1) gflops_m1 = gflops;
-      table.add_row({b.name, std::to_string(m), fmt_fixed(t, 3),
-                     fmt_fixed(gflops, 2),
-                     fmt_fixed(gflops / gflops_m1, 2) + "x",
-                     rows_ok ? "bit-equal" : "DIVERGED"});
-      char buf[192];
-      std::snprintf(buf, sizeof(buf),
-                    "      {\"m\": %lld, \"ms\": %.4f, \"gflops\": %.3f, "
-                    "\"vs_m1\": %.3f, \"rows_bit_equal\": %s}%s\n",
-                    static_cast<long long>(m), t, gflops, gflops / gflops_m1,
-                    rows_ok ? "true" : "false",
-                    mi + 1 < ms_rows.size() ? "," : "");
-      json += buf;
-    }
-    json += bi + 1 < backends.size() ? "    ]},\n" : "    ]}\n";
+    json += sweep_points(w, packed[bi], table, all_ok);
+    json += bi + 1 < packed.size() ? "    ]},\n" : "    ]}\n";
   }
-  json += "  ]\n";
+  json += "  ],\n";
+  json += "  \"m_sweep_fp32\": {\"dot_rows\": " +
+          std::to_string(detail::kMatmulDotRows) + ", \"points\": [\n";
+  json += sweep_points(w, fp32, table, all_ok);
+  json += "  ]}\n";
   set_num_threads(0);
 
   table.print();
@@ -444,7 +474,7 @@ int run_bench(const char* json_path) {
   table.print();
   std::printf("\n");
 
-  // Batch-rows sweep on the 8-bit workload (new top-level key; the trend
+  // Batch-rows sweep on the 8-bit workload (new top-level keys; the trend
   // script's "workloads" iteration is unaffected).
   append_m_sweep(workloads[0], json, all_ok);
   json += "}\n";

@@ -4,20 +4,11 @@
 
 #include "src/kernels/backend.hpp"
 #include "src/kernels/decode_lut.hpp"
+#include "src/tensor/gemm_kernel.hpp"
 #include "src/util/check.hpp"
 #include "src/util/parallel.hpp"
 
 namespace af {
-namespace {
-
-// Must mirror the constants in src/tensor/ops.cpp: the row grain and
-// k-block define the accumulation-chain association both kernels share
-// (the j-tile width only affects which reads are grouped, not the chain).
-constexpr std::int64_t kMatmulRowGrain = 16;
-constexpr std::int64_t kMatmulKBlock = 256;
-constexpr std::int64_t kMatmulJTile = 64;
-
-}  // namespace
 
 Tensor matmul_packed(const Tensor& x, const PackedAdaptivFloatTensor& w,
                      const KernelBackend& backend) {
@@ -46,11 +37,11 @@ Tensor matmul_packed(const Tensor& x, const PackedAdaptivFloatTensor& w,
   // inside gemm_panel_accumulate) is unchanged, so results stay bit-identical
   // to the row-chunk-local decode — and row i of a batched call is
   // bit-identical to the same row run solo (rows never interact).
-  float tile[kMatmulKBlock * kMatmulJTile];
-  for (std::int64_t k0 = 0; k0 < k; k0 += kMatmulKBlock) {
-    const std::int64_t k1 = std::min(k, k0 + kMatmulKBlock);
-    for (std::int64_t j0 = 0; j0 < n; j0 += kMatmulJTile) {
-      const std::int64_t j1 = std::min(n, j0 + kMatmulJTile);
+  float tile[detail::kMatmulKBlock * detail::kMatmulJTile];
+  for (std::int64_t k0 = 0; k0 < k; k0 += detail::kMatmulKBlock) {
+    const std::int64_t k1 = std::min(k, k0 + detail::kMatmulKBlock);
+    for (std::int64_t j0 = 0; j0 < n; j0 += detail::kMatmulJTile) {
+      const std::int64_t j1 = std::min(n, j0 + detail::kMatmulJTile);
       const std::int64_t jt = j1 - j0;
       // Decode W[j0:j1, k0:k1) once into a k-major tile. Weight row j is
       // a contiguous bit run starting at element j*k + k0; its decoded
@@ -59,10 +50,12 @@ Tensor matmul_packed(const Tensor& x, const PackedAdaptivFloatTensor& w,
         backend.unpack_decode_strided(bytes, nbytes, bits, jj * k + k0,
                                       k1 - k0, table, tile + (jj - j0), jt);
       }
-      parallel_for(0, m, kMatmulRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-        backend.gemm_panel_accumulate(pc + j0, n, pa, k, /*trans_a=*/false,
-                                      tile, jt, jt, i0, i1, k0, k1);
-      });
+      parallel_for(0, m, detail::kMatmulRowGrain,
+                   [&](std::int64_t i0, std::int64_t i1) {
+                     backend.gemm_panel_accumulate(pc + j0, n, pa, k,
+                                                   /*trans_a=*/false, tile, jt,
+                                                   jt, i0, i1, k0, k1);
+                   });
     }
   }
   return c;

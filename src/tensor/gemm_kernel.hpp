@@ -11,12 +11,31 @@
 //    has one fixed association regardless of threading;
 //  * exact-zero A values are skipped before the multiply — part of the
 //    observable accumulation order, so every caller shares the rule.
+//
+// Each step is one float multiply then one float add into c[i][j] (no FMA,
+// no reassociation), so any loop that walks the whole k range ascending
+// with the same zero skip computes the same bits. matmul_acc's small-M
+// x*W^T path (ops.cpp) is such a loop: one dot product per output over the
+// contiguous A and B rows, with no k-blocks and no repacked tile.
 #pragma once
 
 #include <cstdint>
 
 namespace af {
 namespace detail {
+
+// Fixed GEMM grains, shared by matmul_acc and matmul_packed. They are part
+// of the determinism contract: chunk boundaries depend only on (range,
+// grain), never on the thread count. The row grain and k-block fix where
+// the row-parallel chunks and k-windows fall; the j-tile width only groups
+// reads of B, never the chain.
+constexpr std::int64_t kMatmulRowGrain = 16;  // C rows per chunk
+constexpr std::int64_t kMatmulKBlock = 256;   // k-panel kept hot in cache
+constexpr std::int64_t kMatmulJTile = 64;     // pack-tile columns
+// x*W^T products with at most this many rows take the dot-product path
+// instead of repacking W into tiles. Chosen from m alone, a property of
+// the input, so it is not a tuning knob: both paths compute the same bits.
+constexpr std::int64_t kMatmulDotRows = 4;
 
 /// Accumulates C[i0:i1, 0:n] += A[:, k0:k1] * Bt over one k-window, where
 /// Bt is a row-major [k1 - k0, ldbt] tile holding op(B)[k0:k1, 0:n]

@@ -10,14 +10,50 @@
 namespace af {
 namespace {
 
+using detail::kMatmulDotRows;
+using detail::kMatmulJTile;
+using detail::kMatmulKBlock;
+using detail::kMatmulRowGrain;
+
 // Fixed parallel grains. These are part of the determinism contract: chunk
 // boundaries depend only on (range, grain), so the constants may be tuned
-// but must never be derived from the thread count.
-constexpr std::int64_t kMatmulRowGrain = 16;  // C rows per chunk
-constexpr std::int64_t kMatmulKBlock = 256;   // k-panel kept hot in cache
-constexpr std::int64_t kMatmulJTile = 64;     // trans_b pack-tile columns
+// but must never be derived from the thread count. (The GEMM grains live in
+// gemm_kernel.hpp beside the chain contract they define.)
 constexpr std::int64_t kElemGrain = 1 << 13;  // elements per chunk
 constexpr std::int64_t kRowGrain = 16;        // matrix rows per chunk
+
+/// crow[0:W] += arow * B[0:W, :]^T for W consecutive rows of B (row t at
+/// bj + t*k): W independent scalar chains, so the k loop is not bound by
+/// add latency. Each chain is the shared one of gemm_kernel.hpp — start
+/// from c[i][j], k ascending over the whole range, skip a[i][k] == 0
+/// before the multiply, one multiply then one add — which is the panel
+/// path's chain with its ascending k-windows concatenated.
+template <std::int64_t W>
+void dot_cols(float* crow, const float* arow, const float* bj,
+              std::int64_t k) {
+  float s[W];
+  for (std::int64_t t = 0; t < W; ++t) s[t] = crow[t];
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float av = arow[kk];
+    if (av == 0.0f) continue;
+    for (std::int64_t t = 0; t < W; ++t) s[t] += av * bj[t * k + kk];
+  }
+  for (std::int64_t t = 0; t < W; ++t) crow[t] = s[t];
+}
+
+/// Small-M C[m, n] += A[m, k] * B[n, k]^T, one dot product per output over
+/// the contiguous A row and B row: bit-identical to the panel path, with
+/// no repacked tile. Eight columns at a time, then a one-column tail.
+void matmul_dot_rows(float* c, const float* a, const float* b, std::int64_t m,
+                     std::int64_t n, std::int64_t k) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    std::int64_t j = 0;
+    for (; j + 8 <= n; j += 8) dot_cols<8>(crow + j, arow, b + j * k, k);
+    for (; j < n; ++j) dot_cols<1>(crow + j, arow, b + j * k, k);
+  }
+}
 
 void check_rank2(const Tensor& t, const char* name) {
   AF_CHECK(t.rank() == 2,
@@ -50,6 +86,14 @@ void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
   float* pc = c.data();
   const std::int64_t lda = a.dim(1);
   const std::int64_t ldb = b.dim(1);
+
+  // A decode step's x*W^T has one row: repacking all of W into tiles would
+  // cost more than the product itself, so small-M trans_b calls run the
+  // bit-identical dot-product form instead (see matmul_dot_rows).
+  if (!trans_a && trans_b && m <= kMatmulDotRows) {
+    matmul_dot_rows(pc, pa, pb, m, n, k);
+    return;
+  }
 
   // Cache-blocked i-k-j kernel, parallel over row panels of C. Each chunk
   // owns a disjoint panel of output rows, and for a fixed row the k index

@@ -16,6 +16,16 @@ namespace af {
 
 /// C = op(A) * op(B). op is transpose when the corresponding flag is set.
 /// A is [m,k] (or [k,m] when trans_a), B is [k,n] (or [n,k] when trans_b).
+///
+/// Every c[i][j] is one fixed chain (src/tensor/gemm_kernel.hpp): k
+/// ascending, exact-zero A values skipped, one multiply then one add, no
+/// FMA — on every backend and for any AF_THREADS. Most calls run the
+/// cache-blocked panel kernel (B^T repacked into k-major tiles); an x*W^T
+/// call with m <= kMatmulDotRows (4) rows runs one dot product per output
+/// over the contiguous rows instead, which skips the repack a decode step
+/// would otherwise pay per call. Both forms compute the same bits, so the
+/// choice follows m alone and is not configurable; row i of any product
+/// equals that row run solo.
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/tensor/ops.hpp"
 #include "src/util/check.hpp"
@@ -39,14 +40,59 @@ TEST(Matmul, TransposeFlagsAgreeWithExplicitTranspose) {
   }
 }
 
+bool same_bits(const float* x, const float* y, std::int64_t n) {
+  return std::memcmp(x, y, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+// x*W^T must equal the non-transposed panel product bit for bit on both
+// sides of the small-M cutoff (kMatmulDotRows): m straddles it, k crosses
+// the 256-wide k-block, n has an 8-column tail, C starts nonzero, and a
+// column of signed-zero A meets infinite B (the zero skip keeps 0*inf out).
 TEST(Matmul, TransBAgreesWithExplicitTranspose) {
   Pcg32 rng(2);
-  Tensor a = Tensor::randn({3, 4}, rng);
-  Tensor b = Tensor::randn({5, 4}, rng);
-  Tensor expect = matmul(a, transpose2d(b));
-  Tensor got = matmul(a, b, false, /*trans_b=*/true);
-  for (std::int64_t i = 0; i < got.numel(); ++i) {
-    EXPECT_NEAR(got[i], expect[i], 1e-5f);
+  for (std::int64_t m = 1; m <= 9; ++m) {
+    for (std::int64_t k : {1, 7, 64, 256, 300, 600}) {
+      for (std::int64_t n : {1, 7, 8, 24, 67}) {
+        Tensor a = Tensor::randn({m, k}, rng);
+        Tensor b = Tensor::randn({n, k}, rng);
+        const std::int64_t kz = k / 2;
+        for (std::int64_t i = 0; i < m; ++i) {
+          a[i * k + kz] = i % 2 == 0 ? 0.0f : -0.0f;
+          if (k > 1) a[i * k + (i * 5 + 1) % k] = 0.0f;
+        }
+        for (std::int64_t j = 0; j < n; ++j) {
+          b[j * k + kz] = j % 2 == 0 ? INFINITY : -INFINITY;
+        }
+        const Tensor c0 = Tensor::randn({m, n}, rng);
+        Tensor got = c0;
+        Tensor expect = c0;
+        matmul_acc(got, a, b, false, /*trans_b=*/true);
+        matmul_acc(expect, a, transpose2d(b));
+        EXPECT_TRUE(same_bits(got.data(), expect.data(), got.numel()))
+            << "m=" << m << " k=" << k << " n=" << n;
+        for (std::int64_t i = 0; i < got.numel(); ++i) {
+          ASSERT_FALSE(std::isnan(got[i])) << "zero skip lost at " << i;
+        }
+        const Tensor fresh = matmul(a, b, false, /*trans_b=*/true);
+        const Tensor fresh_expect = matmul(a, transpose2d(b));
+        EXPECT_TRUE(same_bits(fresh.data(), fresh_expect.data(),
+                              fresh.numel()))
+            << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+  // Row i of an 8-row product (panel path) equals the same row run solo
+  // (dot path): what makes incremental decode equal full recompute.
+  const std::int64_t k = 300, n = 67;
+  const Tensor a = Tensor::randn({8, k}, rng);
+  const Tensor b = Tensor::randn({n, k}, rng);
+  const Tensor full = matmul(a, b, false, /*trans_b=*/true);
+  for (std::int64_t i = 0; i < 8; ++i) {
+    Tensor row({1, k});
+    std::memcpy(row.data(), a.data() + i * k,
+                static_cast<std::size_t>(k) * sizeof(float));
+    const Tensor solo = matmul(row, b, false, /*trans_b=*/true);
+    EXPECT_TRUE(same_bits(solo.data(), full.data() + i * n, n)) << "row " << i;
   }
 }
 
