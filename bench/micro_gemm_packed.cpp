@@ -31,10 +31,8 @@
 //                                 counts and against the pinned scalar
 //                                 goldens (tests/golden/).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -50,27 +48,16 @@
 #include "src/util/table.hpp"
 #include "src/util/ulp.hpp"
 
+#include "bench_util.hpp"
+
 namespace af {
 namespace {
 
+using bench::tensor_digest;
+using bench::time_ms;
+
 constexpr int kParallelThreads = 4;
 constexpr int kReps = 3;
-
-double time_ms(const std::function<void()>& fn, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
-std::uint64_t digest(const Tensor& t) {
-  return fnv1a64(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
-}
 
 Tensor abs_of(const Tensor& t) {
   Tensor out(t.shape());
@@ -338,7 +325,7 @@ int run_verify_only() {
     for (const VerifyPath& p : paths) {
       const Tensor y = p.run(w);
       std::printf("%-22s %-12s %s\n", w.name.c_str(), p.name,
-                  digest_hex(digest(y)).c_str());
+                  digest_hex(tensor_digest(y)).c_str());
     }
   }
   return 0;
@@ -349,7 +336,7 @@ int run_bench(const char* json_path) {
   const std::vector<Path> paths = make_paths();
 
   bool all_ok = true;
-  std::string json = "{\n  \"bench\": \"micro_gemm_packed\",\n"
+  std::string json = "  \"bench\": \"micro_gemm_packed\",\n"
                      "  \"workloads\": [\n";
 
   TextTable table("micro_gemm_packed: y = x * W^T, W packed AdaptivFloat");
@@ -377,13 +364,13 @@ int run_bench(const char* json_path) {
           ref = y;
           norms = matmul(abs_of(w.x), abs_of(unpack_scalar(w.w)), false,
                          /*trans_b=*/true);
-          ref_digest = digest(y);
+          ref_digest = tensor_digest(y);
           scalar_t1 = t;
         }
         const double ulp =
             p.tol == Tolerance::kUlpBound ? max_scaled_ulp(y, ref, norms) : 0;
         ms.push_back({p.name, p.backend, threads, t, flops / (t * 1e6),
-                      digest(y), ulp});
+                      tensor_digest(y), ulp});
         if (p.name == "fused[scalar]" && threads == 1) fused_scalar_t1 = t;
         if (p.name == "fused[avx2]" && threads == 1) fused_avx2_t1 = t;
       }
@@ -474,15 +461,10 @@ int run_bench(const char* json_path) {
   table.print();
   std::printf("\n");
 
-  // Batch-rows sweep on the 8-bit workload (new top-level keys; the trend
-  // script's "workloads" iteration is unaffected).
+  // Batch-rows sweep on the 8-bit workload (top-level keys beside
+  // "workloads", which is all bench_gate.py reads).
   append_m_sweep(workloads[0], json, all_ok);
-  json += "}\n";
-
-  std::ofstream out(json_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", json_path);
+  const bool wrote = bench::write_artifact(json_path, json);
 
   if (!all_ok) {
     std::fprintf(stderr,
@@ -492,19 +474,13 @@ int run_bench(const char* json_path) {
                  "across thread counts\n");
     return 1;
   }
-  return 0;
+  return wrote ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace af
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_gemm.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verify") == 0) return af::run_verify_only();
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
-  }
-  return af::run_bench(json_path);
+  return af::bench::bench_main(argc, argv, "BENCH_gemm.json",
+                               af::run_verify_only, af::run_bench);
 }

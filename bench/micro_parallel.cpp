@@ -10,10 +10,7 @@
 //                               output under the *current* AF_THREADS
 //                               setting. CI runs this under AF_THREADS=1
 //                               and AF_THREADS=4 and diffs the output.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -26,26 +23,15 @@
 #include "src/util/rng.hpp"
 #include "src/util/table.hpp"
 
+#include "bench_util.hpp"
+
 namespace af {
 namespace {
 
+using bench::tensor_digest;
+using bench::time_ms;
+
 constexpr int kParallelThreads = 4;
-
-double time_ms(const std::function<void()>& fn, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
-std::uint64_t digest(const Tensor& t) {
-  return fnv1a64(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
-}
 
 struct Kernel {
   std::string name;
@@ -100,7 +86,8 @@ int run_verify_only() {
   // thread counts, so nothing here may depend on it.
   for (const Kernel& k : make_kernels()) {
     const Tensor out = k.run();
-    std::printf("%-40s %s\n", k.name.c_str(), digest_hex(digest(out)).c_str());
+    std::printf("%-40s %s\n", k.name.c_str(),
+                digest_hex(tensor_digest(out)).c_str());
   }
   return 0;
 }
@@ -124,7 +111,7 @@ int run_bench() {
     const double par_ms = time_ms([&] { k.run(); }, k.reps);
 
     const bool equal = serial_out.equals(par_out) &&
-                       digest(serial_out) == digest(par_out);
+                       tensor_digest(serial_out) == tensor_digest(par_out);
     all_equal = all_equal && equal;
     table.add_row({k.name, fmt_fixed(serial_ms, 2), fmt_fixed(par_ms, 2),
                    fmt_fixed(serial_ms / par_ms, 2) + "x",
@@ -146,8 +133,7 @@ int run_bench() {
 }  // namespace af
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verify") == 0) return af::run_verify_only();
-  }
-  return af::run_bench();
+  return af::bench::bench_main(argc, argv, /*default_json=*/nullptr,
+                               af::run_verify_only,
+                               [](const char*) { return af::run_bench(); });
 }

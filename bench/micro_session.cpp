@@ -23,11 +23,7 @@
 //                             AF_THREADS setting; CI diffs this across
 //                             thread counts. Exits nonzero on a digest
 //                             mismatch or a nonzero steady-state alloc.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -49,27 +45,16 @@
 #include "src/util/rng.hpp"
 #include "src/util/table.hpp"
 
+#include "bench_util.hpp"
+
 namespace af {
 namespace {
 
+using bench::tensor_digest;
+using bench::time_ms;
+
 constexpr int kParallelThreads = 4;
 constexpr int kReps = 3;
-
-double time_ms(const std::function<void()>& fn, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
-std::uint64_t digest(const Tensor& t) {
-  return fnv1a64(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
-}
 
 // A model benched both ways. The closures own their model via shared_ptr,
 // so a Case is self-contained and copyable.
@@ -248,7 +233,7 @@ struct SteadyState {
 SteadyState settle(Case& c) {
   c.session->run(c.input);  // planning pass (allocations expected)
   const Tensor& y = c.session->run(c.input);
-  return {digest(y), c.session->last_run_heap_allocs()};
+  return {tensor_digest(y), c.session->last_run_heap_allocs()};
 }
 
 // ----- modes ----------------------------------------------------------------
@@ -257,7 +242,7 @@ int run_verify_only() {
   // Ambient AF_THREADS only — CI diffs this output across thread counts.
   bool ok = true;
   for (Case& c : make_cases()) {
-    const std::uint64_t reference_dig = digest(c.reference());
+    const std::uint64_t reference_dig = tensor_digest(c.reference());
     const SteadyState ss = settle(c);
     const bool equal = ss.dig == reference_dig && ss.allocs == 0;
     ok = ok && equal;
@@ -286,7 +271,7 @@ struct Measurement {
 
 int run_bench(const char* json_path) {
   bool all_ok = true;
-  std::string json = "{\n  \"bench\": \"micro_session\",\n  \"cases\": [\n";
+  std::string json = "  \"bench\": \"micro_session\",\n  \"cases\": [\n";
 
   TextTable table("micro_session: training-context reference vs arena session");
   table.set_header({"Case", "1 thr reference (ms)", "1 thr session (ms)",
@@ -303,7 +288,7 @@ int run_bench(const char* json_path) {
       const SteadyState ss = settle(c);
       Measurement m;
       m.threads = threads;
-      m.reference_dig = digest(reference);
+      m.reference_dig = tensor_digest(reference);
       m.session_dig = ss.dig;
       m.steady_allocs = ss.allocs;
       m.reference_ms = time_ms([&] { c.reference(); }, kReps);
@@ -348,15 +333,11 @@ int run_bench(const char* json_path) {
     json += "      ]\n";
     json += ci + 1 < cases.size() ? "    },\n" : "    }\n";
   }
-  json += "  ]\n}\n";
+  json += "  ]\n";
 
   table.print();
   std::printf("\n");
-
-  std::ofstream out(json_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", json_path);
+  const bool wrote = bench::write_artifact(json_path, json);
 
   if (!all_ok) {
     std::fprintf(stderr,
@@ -364,19 +345,13 @@ int run_bench(const char* json_path) {
                  "between the reference path and the session\n");
     return 1;
   }
-  return 0;
+  return wrote ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace af
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_session.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verify") == 0) return af::run_verify_only();
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
-  }
-  return af::run_bench(json_path);
+  return af::bench::bench_main(argc, argv, "BENCH_session.json",
+                               af::run_verify_only, af::run_bench);
 }

@@ -21,11 +21,7 @@
 //                              under the current AF_THREADS; CI diffs this
 //                              across thread counts. Exits nonzero on any
 //                              bit-equality or repair-exactness violation.
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,30 +36,19 @@
 #include "src/util/rng.hpp"
 #include "src/util/table.hpp"
 
+#include "bench_util.hpp"
+
 namespace af {
 namespace {
+
+using bench::tensor_digest;
+using bench::time_ms;
 
 constexpr std::int64_t kIn = 256, kHidden = 512, kOut = 64;
 constexpr std::uint64_t kSeed = 61;
 constexpr int kReps = 3;
 
 const char* scratch_path() { return "micro_snapshot_scratch.afsnap"; }
-
-double time_ms(const std::function<void()>& fn, int reps) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
-
-std::uint64_t digest(const Tensor& t) {
-  return fnv1a64(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
-}
 
 struct Fp32Source {
   Linear fc1;
@@ -88,7 +73,7 @@ Tensor bench_input() {
 std::uint64_t rebuild_and_forward(Fp32Source& src, const Tensor& x) {
   QuantizedMlp model(src.fc1, src.fc2, 8, 3);
   ExecutionContext ctx;
-  return digest(model.forward(x, ctx));
+  return tensor_digest(model.forward(x, ctx));
 }
 
 // mmap boot: open, wrap, first forward — the packed bytes come straight
@@ -97,7 +82,7 @@ std::uint64_t load_and_forward(const std::string& path, const Tensor& x) {
   const MappedSnapshot snap = MappedSnapshot::open(path);
   QuantizedMlp model(snap);
   ExecutionContext ctx;
-  return digest(model.forward(x, ctx));
+  return tensor_digest(model.forward(x, ctx));
 }
 
 struct CampaignRow {
@@ -238,7 +223,7 @@ int run_bench(const char* json_path) {
   camp.print();
   std::printf("\n");
 
-  std::string json = "{\n  \"bench\": \"micro_snapshot\",\n";
+  std::string json = "  \"bench\": \"micro_snapshot\",\n";
   json += "  \"image_digest\": \"" + digest_hex(f.image_digest) + "\",\n";
   json += "  \"image_bytes\": " + std::to_string(f.image.size()) + ",\n";
   char buf[256];
@@ -264,12 +249,9 @@ int run_bench(const char* json_path) {
         i + 1 < rows.size() ? "," : "");
     json += buf;
   }
-  json += "  ]\n}\n";
+  json += "  ]\n";
 
-  std::ofstream out(json_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", json_path);
+  const bool wrote = bench::write_artifact(json_path, json);
   std::remove(scratch_path());
 
   if (!boot_equal || !campaigns_ok) {
@@ -278,19 +260,13 @@ int run_bench(const char* json_path) {
                  "VIOLATION\n");
     return 1;
   }
-  return 0;
+  return wrote ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace af
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_snapshot.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verify") == 0) return af::run_verify_only();
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
-  }
-  return af::run_bench(json_path);
+  return af::bench::bench_main(argc, argv, "BENCH_snapshot.json",
+                               af::run_verify_only, af::run_bench);
 }

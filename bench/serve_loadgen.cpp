@@ -8,7 +8,7 @@
 // replays the same traffic with a seeded FaultInjector wired into every
 // worker's MACs, showing the breaker ladder absorbing a fault storm while
 // the server keeps answering. A closed-loop drain arm (burst-submit, then
-// drain) gives the saturation throughput the CI perf-trend step tracks.
+// drain) gives the saturation throughput bench_gate.py trends and floors.
 //
 // Modes:
 //   serve_loadgen            — all arms, prints tables, writes
@@ -30,9 +30,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -49,9 +46,12 @@
 #include "src/util/rng.hpp"
 #include "src/util/table.hpp"
 
+#include "bench_util.hpp"
+
 namespace af {
 namespace {
 
+using bench::tensor_digest;
 using Clock = std::chrono::steady_clock;
 
 // ----- model ----------------------------------------------------------------
@@ -85,10 +85,6 @@ std::vector<Tensor> make_inputs(std::size_t n, std::uint64_t seed) {
     pool.push_back(Tensor::randn({kBatch, kIn}, rng));
   }
   return pool;
-}
-
-std::uint64_t digest(const Tensor& t) {
-  return fnv1a64(t.data(), static_cast<std::size_t>(t.numel()) * sizeof(float));
 }
 
 double percentile(std::vector<double>& sorted_us, double q) {
@@ -146,7 +142,7 @@ std::vector<std::uint64_t> serve_verify_pass(int max_batch, bool* all_ok,
   for (auto& f : futs) {
     Response r = f.get();
     if (!r.ok || r.degraded) *all_ok = false;
-    digests.push_back(r.ok ? digest(r.output) : 0);
+    digests.push_back(r.ok ? tensor_digest(r.output) : 0);
   }
   server.shutdown();
   *steady_allocs = std::max(*steady_allocs, server.max_steady_state_allocs());
@@ -323,9 +319,9 @@ ArmResult run_arm(const std::string& name, const TrafficConfig& t) {
 // chew through a full queue — the perf-trend throughput metric (open-loop
 // throughput only echoes the offered rate). With max_batch > 1 the workers
 // coalesce the full queue into packed forwards, amortizing the LUT decode
-// of the weight panels across batch rows — the micro-batching speedup the
-// CI gate tracks ("drain" stays batch=1 for baseline continuity; the
-// drain_bN arms sweep the batch sizes).
+// of the weight panels across batch rows — the micro-batching speedup
+// bench_gate.py's batch-8 floor holds ("drain" stays batch=1 for baseline
+// continuity; the drain_bN arms sweep the batch sizes).
 ArmResult run_drain_arm(const std::string& name, int requests,
                         int max_batch) {
   ServerConfig cfg;
@@ -417,7 +413,7 @@ int run_bench(const char* json_path) {
   table.print();
   std::printf("\n");
 
-  std::string json = "{\n  \"bench\": \"serve_loadgen\",\n  \"arms\": [\n";
+  std::string json = "  \"bench\": \"serve_loadgen\",\n  \"arms\": [\n";
   for (std::size_t i = 0; i < arms.size(); ++i) {
     const ArmResult& a = arms[i];
     const double mean_occupancy =
@@ -457,23 +453,16 @@ int run_bench(const char* json_path) {
         a.throughput_rps, a.speedup_vs_b1, i + 1 < arms.size() ? "," : "");
     json += buf;
   }
-  json += "  ]\n}\n";
-
-  std::ofstream out(json_path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", json_path);
+  json += "  ]\n";
+  const bool wrote = bench::write_artifact(json_path, json);
 
   // The no-fault arms must not fail a single request; the storm arm must
-  // keep completing (the whole point of the ladder).
+  // keep completing (the whole point of the ladder). The batch-8 drain
+  // speedup floor is checked on the artifact by bench_gate.py.
   const ArmResult& steady = arms[0];
   const ArmResult& faults = arms[1];
-  const ArmResult* drain_b1 = nullptr;
-  const ArmResult* drain_b8 = nullptr;
   bool drain_failed = false;
   for (const ArmResult& a : arms) {
-    if (a.name == "drain") drain_b1 = &a;
-    if (a.name == "drain_b8") drain_b8 = &a;
     if (a.name.rfind("drain", 0) == 0 && a.stats.failed > 0) {
       drain_failed = true;
     }
@@ -487,41 +476,13 @@ int run_bench(const char* json_path) {
                  "under faults\n");
     return 1;
   }
-
-  // Batching acceptance gate: batch 8 must beat batch 1 drain throughput
-  // by AF_BATCH_SPEEDUP_MIN (default 1.5x — the decode-amortization win
-  // the micro-batching layer exists for).
-  double min_speedup = 1.5;
-  if (const char* env = std::getenv("AF_BATCH_SPEEDUP_MIN")) {
-    min_speedup = std::atof(env);
-  }
-  const double speedup =
-      (drain_b1 != nullptr && drain_b8 != nullptr &&
-       drain_b1->throughput_rps > 0.0)
-          ? drain_b8->throughput_rps / drain_b1->throughput_rps
-          : 0.0;
-  std::printf("drain batch-8 speedup vs batch-1: %.2fx (gate %.2fx)\n",
-              speedup, min_speedup);
-  if (speedup < min_speedup) {
-    std::fprintf(stderr,
-                 "serve_loadgen: batch-8 drain speedup %.2fx below the "
-                 "%.2fx gate\n",
-                 speedup, min_speedup);
-    return 1;
-  }
-  return 0;
+  return wrote ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace af
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_serve.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verify") == 0) return af::run_verify_only();
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
-  }
-  return af::run_bench(json_path);
+  return af::bench::bench_main(argc, argv, "BENCH_serve.json",
+                               af::run_verify_only, af::run_bench);
 }
