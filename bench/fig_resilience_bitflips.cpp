@@ -236,6 +236,20 @@ const char* compute_arm_name(ComputeArm arm) {
 
 const std::vector<double> kComputeRates = {1e-6, 1e-5, 1e-4};
 
+// The eval set as one activation matrix [images, pixels].
+Tensor eval_matrix() {
+  const auto batch = static_cast<std::int64_t>(g_mlp->eval_set.inputs.size());
+  const std::int64_t in_dim = g_mlp->weights.front().dim(1);
+  Tensor x({batch, in_dim});
+  for (std::int64_t i = 0; i < batch; ++i) {
+    const Tensor& input = g_mlp->eval_set.inputs[static_cast<std::size_t>(i)];
+    for (std::int64_t j = 0; j < in_dim; ++j) x[i * in_dim + j] = input[j];
+  }
+  return x;
+}
+
+// MLP Top-1 with every layer product through abft_matmul under the cell's
+// upset stream, the whole eval set batched into one GEMM per layer.
 double compute_fault_cell(FormatKind kind, int bits, double rate,
                           ComputeArm arm, int trial, AbftReport* totals) {
   FaultConfig fcfg;
@@ -245,21 +259,21 @@ double compute_fault_cell(FormatKind kind, int bits, double rate,
   fcfg.seed = cell_seed(0xc0de, bits, rate, trial);
   FaultInjector injector(fcfg);
 
-  // Weights quantized cleanly to the format: this arm targets the compute,
-  // not storage (the sweeps above already cover data at rest).
-  WeightTransform quantize = [&](const Tensor& w, int) {
-    auto codec = make_codec(kind, bits, w.max_abs());
-    return codec->decode_tensor(codec->encode_tensor(w), w.shape(),
-                                /*hardened=*/false);
-  };
-
   AbftConfig acfg;
   acfg.policy = arm == ComputeArm::kNone ? RecoveryPolicy::kDetect
                                          : RecoveryPolicy::kDegradeToZero;
   AbftReport report;
-  MatmulFn mm = [&](const Tensor& x, const Tensor& w, int layer) -> Tensor {
-    acfg.layer = "mlp_fc" + std::to_string(layer);
-    Tensor y = abft_matmul(x, w, false, /*trans_b=*/true, acfg, &report,
+  const std::vector<Tensor>& weights = g_mlp->weights;
+  Tensor act = eval_matrix();
+  for (std::size_t l = 0; l < weights.size(); ++l) {
+    // Weights quantized cleanly to the format: this arm targets the
+    // compute, not storage (the sweeps above already cover data at rest).
+    auto codec = make_codec(kind, bits, weights[l].max_abs());
+    const Tensor w = codec->decode_tensor(codec->encode_tensor(weights[l]),
+                                          weights[l].shape(),
+                                          /*hardened=*/false);
+    acfg.layer = "mlp_fc" + std::to_string(l);
+    Tensor y = abft_matmul(act, w, false, /*trans_b=*/true, acfg, &report,
                            rate > 0.0 ? &injector : nullptr);
     if (arm == ComputeArm::kAbftGuard) {
       auto q = make_quantizer(kind, bits);
@@ -267,14 +281,17 @@ double compute_fault_cell(FormatKind kind, int bits, double rate,
       LayerGuard guard(acfg.layer, {RecoveryPolicy::kDegradeToZero, 1, 0.0f});
       // Worst-case accumulation gain of the product: fan-in times the
       // activation magnitude; the quantizer supplies the weight range.
-      guard.calibrate(*q, static_cast<double>(w.dim(1)) * x.max_abs());
+      guard.calibrate(*q, static_cast<double>(w.dim(1)) * act.max_abs());
       guard.apply(y, nullptr);
     }
-    return y;
-  };
-  const double top1 = eval_mlp_top1(*g_mlp, quantize, mm);
+    if (g_mlp->biases[l].numel() > 0) add_row_bias_inplace(y, g_mlp->biases[l]);
+    if (l + 1 < weights.size()) {
+      for (std::int64_t i = 0; i < y.numel(); ++i) y[i] = std::max(y[i], 0.0f);
+    }
+    act = std::move(y);
+  }
   if (totals != nullptr) totals->merge(report);
-  return top1;
+  return top1_accuracy(g_mlp->eval_set.labels, argmax_rows(act));
 }
 
 void run_compute_fault_sweep() {
@@ -317,15 +334,8 @@ void run_compute_fault_sweep() {
 // Timing is machine-dependent, so it goes to stderr (the determinism diff
 // reads stdout only); EXPERIMENTS.md records a reference measurement.
 void time_abft_overhead() {
-  const auto batch = static_cast<std::int64_t>(g_mlp->eval_set.inputs.size());
   const Tensor& w = g_mlp->weights[0];
-  Tensor x({batch, w.dim(1)});
-  for (std::int64_t i = 0; i < batch; ++i) {
-    const Tensor& input = g_mlp->eval_set.inputs[static_cast<std::size_t>(i)];
-    for (std::int64_t j = 0; j < w.dim(1); ++j) {
-      x[i * w.dim(1) + j] = input[j];
-    }
-  }
+  const Tensor x = eval_matrix();
   const int reps = 40;
   using Clock = std::chrono::steady_clock;
   float sink = 0.0f;

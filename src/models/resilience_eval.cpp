@@ -11,8 +11,6 @@
 #include "src/nn/lstm.hpp"
 #include "src/nn/optimizer.hpp"
 #include "src/runtime/execution_context.hpp"
-#include "src/tensor/arena.hpp"
-#include "src/tensor/ops.hpp"
 #include "src/util/check.hpp"
 #include "src/util/rng.hpp"
 
@@ -139,41 +137,13 @@ MlpEvalModel make_mlp_eval_model(std::uint64_t seed, int train_steps,
 }
 
 std::vector<std::int64_t> mlp_predict(const MlpEvalModel& m,
-                                      const WeightTransform& transform,
-                                      const MatmulFn& matmul_fn) {
+                                      const WeightTransform& transform) {
   std::vector<Tensor> w(m.weights.size());
   for (std::size_t l = 0; l < m.weights.size(); ++l) {
     w[l] = apply_transform(transform, m.weights[l], static_cast<int>(l));
   }
   std::vector<std::int64_t> preds;
   preds.reserve(m.eval_set.inputs.size());
-
-  if (matmul_fn) {
-    // Batched path: all eval inputs as one activation matrix, every layer
-    // product through the caller's GEMM (the compute-fault sweep's seam).
-    // The activation tensors live in a call-local arena: sweep trials run
-    // concurrently on worker threads, so the arena must not be shared.
-    Arena arena;
-    ArenaScope scope(&arena);
-    const auto batch = static_cast<std::int64_t>(m.eval_set.inputs.size());
-    const std::int64_t in_dim = w.front().dim(1);
-    Tensor act({batch, in_dim});
-    for (std::int64_t i = 0; i < batch; ++i) {
-      const Tensor& input = m.eval_set.inputs[static_cast<std::size_t>(i)];
-      for (std::int64_t j = 0; j < in_dim; ++j) act[i * in_dim + j] = input[j];
-    }
-    for (std::size_t l = 0; l < w.size(); ++l) {
-      act = matmul_fn(act, w[l], static_cast<int>(l));
-      if (m.biases[l].numel() > 0) add_row_bias_inplace(act, m.biases[l]);
-      if (l + 1 < w.size()) {
-        for (std::int64_t i = 0; i < act.numel(); ++i) {
-          if (act[i] < 0.0f) act[i] = 0.0f;
-        }
-      }
-    }
-    return argmax_rows(act);
-  }
-
   for (const Tensor& input : m.eval_set.inputs) {
     std::vector<float> act = input.vec();
     for (std::size_t l = 0; l < w.size(); ++l) {
@@ -187,9 +157,8 @@ std::vector<std::int64_t> mlp_predict(const MlpEvalModel& m,
   return preds;
 }
 
-double eval_mlp_top1(const MlpEvalModel& m, const WeightTransform& transform,
-                     const MatmulFn& matmul_fn) {
-  return top1_accuracy(m.eval_set.labels, mlp_predict(m, transform, matmul_fn));
+double eval_mlp_top1(const MlpEvalModel& m, const WeightTransform& transform) {
+  return top1_accuracy(m.eval_set.labels, mlp_predict(m, transform));
 }
 
 // ----- LSTM -----------------------------------------------------------------

@@ -23,15 +23,6 @@ namespace af {
 /// empty function means "use the trained weights unchanged".
 using WeightTransform = std::function<Tensor(const Tensor& w, int layer)>;
 
-/// Per-layer product substitution for the MLP: receives the activation
-/// matrix x [n, in], the (already transformed) weight w [out, in] and the
-/// layer index, and returns x * w^T [n, out]. The compute-fault sweep slots
-/// an ABFT-protected (or deliberately fault-injected) GEMM in here. An
-/// empty function selects the built-in per-vector double-accumulation path,
-/// bit-identical to the historical evaluator.
-using MatmulFn =
-    std::function<Tensor(const Tensor& x, const Tensor& w, int layer)>;
-
 /// Fixed held-out evaluation set (inputs are model-specific layouts).
 struct EvalSet {
   std::vector<Tensor> inputs;
@@ -55,16 +46,13 @@ struct MlpEvalModel {
 MlpEvalModel make_mlp_eval_model(std::uint64_t seed, int train_steps = 400,
                                  int eval_images = 240);
 
-/// Argmax predictions on the eval set under the transform, multiplying via
-/// `matmul_fn` when provided.
+/// Argmax predictions on the eval set under the transform.
 std::vector<std::int64_t> mlp_predict(const MlpEvalModel& m,
-                                      const WeightTransform& transform = {},
-                                      const MatmulFn& matmul_fn = {});
+                                      const WeightTransform& transform = {});
 
 /// Top-1 accuracy (%) on the eval set under the transform.
 double eval_mlp_top1(const MlpEvalModel& m,
-                     const WeightTransform& transform = {},
-                     const MatmulFn& matmul_fn = {});
+                     const WeightTransform& transform = {});
 
 // ----- LSTM on a synthetic sequence task -------------------------------------
 

@@ -39,11 +39,10 @@ struct InferenceServer::Ticket {
   Tensor input;
   TenantState* tenant = nullptr;
   std::uint64_t id = 0;
-  int level = 0;
+  int level = 0;  ///< breaker level; indexes the tenant's policy ladder
   bool probe = false;
   Clock::time_point submit_tp;
-  Clock::time_point deadline_tp = Clock::time_point::max();
-  bool has_deadline = false;
+  Clock::time_point deadline_tp = Clock::time_point::max();  ///< max = none
   /// Set by the worker when execution starts (guarded by the slot mutex
   /// that also publishes the ticket to the watchdog).
   Clock::time_point exec_tp;
@@ -132,13 +131,17 @@ void InferenceServer::add_tenant(TenantConfig cfg) {
   tenants_.push_back(std::make_unique<TenantState>(std::move(cfg)));
 }
 
-InferenceServer::TenantState* InferenceServer::find_tenant(
+InferenceServer::TenantState& InferenceServer::submitted_tenant(
     const std::string& name) {
-  std::lock_guard<std::mutex> lk(tenants_mu_);
-  for (const auto& t : tenants_) {
-    if (t->cfg.name == name) return t.get();
+  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lk(tenants_mu_);
+    for (const auto& t : tenants_) {
+      if (t->cfg.name == name) return *t;
+    }
   }
-  return nullptr;
+  throw FaultError("serve", FaultKind::kMalformedInput,
+                   "unknown tenant '" + name + "'");
 }
 
 bool InferenceServer::complete(const std::shared_ptr<Ticket>& ticket,
@@ -146,6 +149,13 @@ bool InferenceServer::complete(const std::shared_ptr<Ticket>& ticket,
   bool expected = false;
   if (!ticket->completed.compare_exchange_strong(expected, true)) {
     return false;  // someone (the watchdog) already responded
+  }
+  // A failed decode ticket frees its stream before the client can see the
+  // error. Only the winner of the gate unlinks, so a loser finishing late
+  // never evicts a stream the client has since reopened.
+  if (!r.ok && ticket->is_decode && evict_stream(ticket->stream_key)) {
+    stats_.decode_evicted.fetch_add(1, std::memory_order_relaxed);
+    r.error += "; stream '" + ticket->stream_key + "' evicted";
   }
   r.id = ticket->id;
   r.probe = ticket->probe;
@@ -161,44 +171,45 @@ bool InferenceServer::complete(const std::shared_ptr<Ticket>& ticket,
   return true;
 }
 
-std::future<Response> InferenceServer::submit(Request req) {
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
+void InferenceServer::fail(const std::shared_ptr<Ticket>& ticket,
+                           FaultKind kind, std::string error,
+                           std::atomic<std::int64_t>* extra, Response r) {
+  r.ok = false;
+  r.error_kind = kind;
+  r.error = std::move(error);
+  if (!complete(ticket, std::move(r))) return;
+  if (extra != nullptr) extra->fetch_add(1, std::memory_order_relaxed);
+  stats_.count_failure(kind);
+}
 
-  TenantState* tenant = find_tenant(req.tenant);
-  if (tenant == nullptr) {
-    throw FaultError("serve", FaultKind::kMalformedInput,
-                     "unknown tenant '" + req.tenant + "'");
-  }
+std::future<Response> InferenceServer::enqueue(
+    TenantState& tenant, std::chrono::microseconds deadline,
+    std::shared_ptr<Ticket> ticket) {
   if (!accepting_.load(std::memory_order_acquire)) {
     stats_.rejected_shutdown.fetch_add(1, std::memory_order_relaxed);
     throw FaultError("serve", FaultKind::kShutdown,
                      "server is draining; request rejected");
   }
 
-  const CircuitBreaker::Decision d = tenant->breaker.admit();
+  const CircuitBreaker::Decision d = tenant.breaker.admit();
   if (!d.admit) {
     stats_.rejected_open.fetch_add(1, std::memory_order_relaxed);
     throw FaultError(
-        "serve/" + tenant->cfg.name, FaultKind::kCircuitOpen,
+        "serve/" + tenant.cfg.name, FaultKind::kCircuitOpen,
         "tenant breaker open; request rejected without execution");
   }
 
-  auto ticket = std::make_shared<Ticket>();
-  ticket->input = std::move(req.input);
-  ticket->tenant = tenant;
+  ticket->tenant = &tenant;
   ticket->id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  ticket->level = d.level;
+  ticket->level =
+      std::min(d.level, static_cast<int>(tenant.cfg.ladder.size()) - 1);
   ticket->probe = d.probe;
   ticket->submit_tp = Clock::now();
-  const auto deadline =
-      req.deadline.count() > 0 ? req.deadline : tenant->cfg.default_deadline;
-  if (deadline.count() > 0) {
-    ticket->has_deadline = true;
-    ticket->deadline_tp = ticket->submit_tp + deadline;
-  }
+  if (deadline.count() <= 0) deadline = tenant.cfg.default_deadline;
+  if (deadline.count() > 0) ticket->deadline_tp = ticket->submit_tp + deadline;
 
   std::future<Response> fut = ticket->promise.get_future();
-  if (!queue_.try_push(ticket)) {
+  if (!queue_.try_push(std::move(ticket))) {
     stats_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
     throw FaultError("serve", FaultKind::kOverloaded,
                      "request queue at capacity (" +
@@ -209,14 +220,15 @@ std::future<Response> InferenceServer::submit(Request req) {
   return fut;
 }
 
-std::future<Response> InferenceServer::submit_decode(DecodeRequest req) {
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
+std::future<Response> InferenceServer::submit(Request req) {
+  TenantState& tenant = submitted_tenant(req.tenant);
+  auto ticket = std::make_shared<Ticket>();
+  ticket->input = std::move(req.input);
+  return enqueue(tenant, req.deadline, std::move(ticket));
+}
 
-  TenantState* tenant = find_tenant(req.tenant);
-  if (tenant == nullptr) {
-    throw FaultError("serve", FaultKind::kMalformedInput,
-                     "unknown tenant '" + req.tenant + "'");
-  }
+std::future<Response> InferenceServer::submit_decode(DecodeRequest req) {
+  TenantState& tenant = submitted_tenant(req.tenant);
   if (!cfg_.decoder_factory) {
     throw FaultError("serve", FaultKind::kMalformedInput,
                      "server has no decoder_factory; decode rejected");
@@ -225,48 +237,13 @@ std::future<Response> InferenceServer::submit_decode(DecodeRequest req) {
     throw FaultError("serve", FaultKind::kMalformedInput,
                      "decode request needs a stream id");
   }
-  if (!accepting_.load(std::memory_order_acquire)) {
-    stats_.rejected_shutdown.fetch_add(1, std::memory_order_relaxed);
-    throw FaultError("serve", FaultKind::kShutdown,
-                     "server is draining; request rejected");
-  }
-
-  const CircuitBreaker::Decision d = tenant->breaker.admit();
-  if (!d.admit) {
-    stats_.rejected_open.fetch_add(1, std::memory_order_relaxed);
-    throw FaultError(
-        "serve/" + tenant->cfg.name, FaultKind::kCircuitOpen,
-        "tenant breaker open; request rejected without execution");
-  }
-
   auto ticket = std::make_shared<Ticket>();
   ticket->is_decode = true;
   ticket->op = req.op;
   ticket->stream_key = req.tenant + "#" + req.stream;
   ticket->src = std::move(req.src);
   ticket->last_token = req.last_token;
-  ticket->tenant = tenant;
-  ticket->id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  ticket->level = d.level;
-  ticket->probe = d.probe;
-  ticket->submit_tp = Clock::now();
-  const auto deadline =
-      req.deadline.count() > 0 ? req.deadline : tenant->cfg.default_deadline;
-  if (deadline.count() > 0) {
-    ticket->has_deadline = true;
-    ticket->deadline_tp = ticket->submit_tp + deadline;
-  }
-
-  std::future<Response> fut = ticket->promise.get_future();
-  if (!queue_.try_push(ticket)) {
-    stats_.rejected_overload.fetch_add(1, std::memory_order_relaxed);
-    throw FaultError("serve", FaultKind::kOverloaded,
-                     "request queue at capacity (" +
-                         std::to_string(queue_.capacity()) +
-                         "); request rejected");
-  }
-  stats_.admitted.fetch_add(1, std::memory_order_relaxed);
-  return fut;
+  return enqueue(tenant, req.deadline, std::move(ticket));
 }
 
 bool InferenceServer::evict_stream(const std::string& key) {
@@ -278,10 +255,10 @@ bool InferenceServer::evict_stream(const std::string& key) {
     victim = std::move(it->second);
     streams_.erase(it);
   }
-  // Destroy the decoder (and its KV arenas) outside the map mutex, after
-  // any in-flight step on it has finished.
-  std::lock_guard<std::mutex> lk(victim->mu);
-  victim->decoder.reset();
+  // Unlink only, never wait on the entry mutex (the watchdog evicts the
+  // stream of a step wedged inside it). The decoder and its KV arenas are
+  // destroyed with the last reference, outside the map mutex: here, or
+  // when a step still running on it lets go.
   return true;
 }
 
@@ -318,12 +295,12 @@ void InferenceServer::worker_main(std::shared_ptr<WorkerSlot> slot) {
     slot->heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
     std::shared_ptr<Ticket> ticket;
     if (queue_.pop(ticket, std::chrono::milliseconds(2))) {
-      if (ticket->is_decode) {
+      std::vector<std::shared_ptr<Ticket>> batch{std::move(ticket)};
+      if (batch.front()->is_decode) {
         // Stateful and stream-ordered: a decode request always runs solo.
-        process_decode(*slot, ticket);
+        process_decode(*slot, batch);
       } else {
-        std::vector<std::shared_ptr<Ticket>> batch;
-        batch.push_back(std::move(ticket));
+        plan(*slot, batch.front());
         std::chrono::microseconds waited{0};
         if (cfg_.batch.max_batch > 1) waited = coalesce(*slot, batch);
         process(*slot, batch, waited);
@@ -341,8 +318,44 @@ void InferenceServer::worker_main(std::shared_ptr<WorkerSlot> slot) {
   slot->alive.store(false, std::memory_order_release);
 }
 
+void InferenceServer::plan(WorkerSlot& slot,
+                           const std::shared_ptr<Ticket>& lead) {
+  // Eager pre-plan (BatchConfig::plan_rows): before the first counted run
+  // at this policy, grow the arena with a zero-input forward at the
+  // configured peak row count, so every real batch at or below it replays
+  // alloc-free from its first execution. It runs before the coalesce wait,
+  // so its cost never eats into the deadline margin the wait keeps.
+  const std::int64_t rows = cfg_.batch.plan_rows;
+  const Tensor& x = lead->input;
+  const TenantConfig& tcfg = lead->tenant->cfg;
+  const ResiliencePolicy policy =
+      tcfg.ladder[static_cast<std::size_t>(lead->level)];
+  std::int64_t& planned = slot.planned_rows[static_cast<std::size_t>(policy)];
+  if (rows <= 0 || planned != 0 || x.rank() != 2 || x.dim(0) >= rows) return;
+  {
+    std::lock_guard<std::mutex> lk(slot.mu);
+    slot.inflight = {lead};  // a wedged planning run fails the lead typed
+  }
+  ExecutionContext& ctx = slot.session->context();
+  ctx.resilience = policy;
+  ctx.guard = tcfg.guard;
+  ctx.report = nullptr;
+  ctx.mac_hook = nullptr;
+  ctx.threads = 0;
+  try {
+    slot.session->plan(Tensor({rows, x.dim(1)}));
+    planned = rows;
+  } catch (...) {
+    // Planning is best-effort (a strict guard could flag the zero
+    // exemplar); fall back to lazy shape-driven planning in process().
+  }
+}
+
 std::chrono::microseconds InferenceServer::coalesce(
     WorkerSlot& slot, std::vector<std::shared_ptr<Ticket>>& batch) {
+  // Budget kept between the wait's release and the tightest member
+  // deadline: it covers pack + forward + scatter.
+  constexpr std::chrono::microseconds kDeadlineMargin{1000};
   const BatchConfig& bc = cfg_.batch;
   const std::shared_ptr<Ticket> lead = batch.front();
   // A half-open probe is the breaker's isolated health check and runs
@@ -370,12 +383,10 @@ std::chrono::microseconds InferenceServer::coalesce(
     if (static_cast<int>(batch.size()) >= bc.max_batch) break;
     const Clock::time_point now = Clock::now();
     // Wait bound: the coalesce window, tightened so the batch never holds
-    // a member past the point it could still complete on time — the
-    // margin budgets pack + forward + scatter.
+    // a member past the point it could still complete on time.
     Clock::time_point bound = window_end;
     for (const auto& t : batch) {
-      if (!t->has_deadline) continue;
-      bound = std::min(bound, t->deadline_tp - bc.deadline_margin);
+      bound = std::min(bound, t->deadline_tp - kDeadlineMargin);
     }
     if (now >= bound) break;
     slot.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
@@ -385,48 +396,47 @@ std::chrono::microseconds InferenceServer::coalesce(
   return since(t0, Clock::now());
 }
 
-void InferenceServer::process(WorkerSlot& slot,
-                              std::vector<std::shared_ptr<Ticket>>& batch,
-                              std::chrono::microseconds coalesce_us) {
-  // Per-member shed before packing: already-completed tickets drop
-  // silently; members past their deadline are shed typed without
-  // execution — queue expiry is a per-request fault, never the batch's
-  // (running an expired member could only produce a result its client
-  // must not use).
+std::vector<std::shared_ptr<InferenceServer::Ticket>>
+InferenceServer::start_execution(
+    WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& batch) {
+  // Already-completed tickets drop silently; members past their deadline
+  // are shed typed without execution — queue expiry is a per-request
+  // fault, never the batch's (running an expired member could only
+  // produce a result its client must not use).
+  const Clock::time_point now = Clock::now();
   std::vector<std::shared_ptr<Ticket>> live;
   live.reserve(batch.size());
-  for (auto& ticket : batch) {
+  for (const auto& ticket : batch) {
     if (ticket->completed.load(std::memory_order_acquire)) continue;
-    if (ticket->has_deadline && Clock::now() > ticket->deadline_tp) {
-      Response r;
-      r.error_kind = FaultKind::kDeadlineExceeded;
-      r.error = "deadline expired in queue; request shed before execution";
-      if (complete(ticket, std::move(r))) {
-        stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-        stats_.count_failure(FaultKind::kDeadlineExceeded);
-      }
+    if (now > ticket->deadline_tp) {
+      fail(ticket, FaultKind::kDeadlineExceeded,
+           "deadline expired in queue; request shed before execution",
+           &stats_.shed_deadline);
       continue;
     }
     live.push_back(ticket);
   }
-  if (live.empty()) return;
-
-  const TenantConfig& tcfg = live.front()->tenant->cfg;
-  CircuitBreaker& breaker = live.front()->tenant->breaker;
-
   {
     std::lock_guard<std::mutex> lk(slot.mu);
-    const Clock::time_point start = Clock::now();
     for (const auto& ticket : live) {
-      ticket->exec_tp = start;
+      ticket->exec_tp = now;
       ticket->executing = true;
     }
     slot.inflight = live;
   }
   slot.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
+  return live;
+}
 
-  const int level = std::min(live.front()->level,
-                             static_cast<int>(tcfg.ladder.size()) - 1);
+void InferenceServer::process(WorkerSlot& slot,
+                              const std::vector<std::shared_ptr<Ticket>>& batch,
+                              std::chrono::microseconds coalesce_us) {
+  const auto live = start_execution(slot, batch);
+  if (live.empty()) return;
+
+  const TenantConfig& tcfg = live.front()->tenant->cfg;
+  CircuitBreaker& breaker = live.front()->tenant->breaker;
+  const int level = live.front()->level;
   const ResiliencePolicy policy = tcfg.ladder[static_cast<std::size_t>(level)];
   const std::size_t pidx = static_cast<std::size_t>(policy);
   const int batch_size = static_cast<int>(live.size());
@@ -450,29 +460,17 @@ void InferenceServer::process(WorkerSlot& slot,
   stats_.count_batch(batch_size, coalesce_us.count());
 
   InferenceSession& session = *slot.session;
-
-  // Eager pre-plan (BatchConfig::plan_rows): before the first counted run
-  // at this policy, grow the arena with a zero-input forward at the
-  // configured peak row count, so every real batch at or below it replays
-  // alloc-free from its first execution.
-  if (cfg_.batch.plan_rows > 0 && slot.planned_rows[pidx] == 0 &&
-      input->rank() == 2 && input->dim(0) < cfg_.batch.plan_rows) {
-    ExecutionContext& ctx = session.context();
-    ctx.resilience = policy;
-    ctx.guard = tcfg.guard;
-    ctx.report = nullptr;
-    ctx.mac_hook = nullptr;
-    ctx.threads = 0;
-    try {
-      session.plan(Tensor({cfg_.batch.plan_rows, input->dim(1)}));
-      slot.planned_rows[pidx] = cfg_.batch.plan_rows;
-    } catch (...) {
-      // Planning is best-effort (a strict guard could flag the zero
-      // exemplar); fall back to lazy shape-driven planning below.
-    }
-  }
-
   int attempt = 0;
+  // What every member's response carries, whatever its outcome.
+  const auto response = [&] {
+    Response r;
+    r.retries = attempt;
+    r.breaker_level = level;
+    r.policy = policy;
+    r.batch_size = batch_size;
+    r.coalesce_us = coalesce_us;
+    return r;
+  };
   for (;;) {
     ResilienceReport report;
     ExecutionContext& ctx = session.context();
@@ -513,8 +511,7 @@ void InferenceServer::process(WorkerSlot& slot,
       // the serial path would have.
       const Clock::time_point done = Clock::now();
       for (const auto& ticket : live) {
-        const bool late = ticket->has_deadline && done > ticket->deadline_tp;
-        if (late || report.clean()) {
+        if (done > ticket->deadline_tp || report.clean()) {
           // A late result means the tenant is numerically healthy —
           // lateness is load, not a fault; probes still recover the
           // breaker under pressure.
@@ -526,19 +523,11 @@ void InferenceServer::process(WorkerSlot& slot,
 
       for (std::size_t i = 0; i < live.size(); ++i) {
         const auto& ticket = live[i];
-        Response r;
-        r.retries = attempt;
-        r.breaker_level = level;
-        r.policy = policy;
-        r.batch_size = batch_size;
-        r.coalesce_us = coalesce_us;
-        if (ticket->has_deadline && done > ticket->deadline_tp) {
-          r.error_kind = FaultKind::kDeadlineExceeded;
-          r.error = "completed after deadline; stale result withheld";
-          if (complete(ticket, std::move(r))) {
-            stats_.deadline_missed.fetch_add(1, std::memory_order_relaxed);
-            stats_.count_failure(FaultKind::kDeadlineExceeded);
-          }
+        Response r = response();
+        if (done > ticket->deadline_tp) {
+          fail(ticket, FaultKind::kDeadlineExceeded,
+               "completed after deadline; stale result withheld",
+               &stats_.deadline_missed, std::move(r));
           continue;
         }
         r.ok = true;
@@ -561,24 +550,25 @@ void InferenceServer::process(WorkerSlot& slot,
         }
       }
       return;
-    } catch (const FaultError& err) {
+    } catch (const std::exception& err) {
+      // A FaultError keeps its kind. Anything else (even a programmer-error
+      // Error from deep inside a kernel) is contained as kUncorrectable and
+      // never retried — typed failed responses, never a dead server.
+      const auto* fault = dynamic_cast<const FaultError*>(&err);
+      const FaultKind kind =
+          fault != nullptr ? fault->kind() : FaultKind::kUncorrectable;
       // Fault attribution: a compute fault surfaced by the batched forward
       // cannot be pinned on one member, so the WHOLE batch retries (and,
       // when retries exhaust, fails) together through the breaker ladder.
-      const bool recoverable = fault_kind_recoverable(err.kind());
-      if (recoverable && attempt < tcfg.retry.max_retries) {
+      if (fault != nullptr && fault_kind_recoverable(kind) &&
+          attempt < tcfg.retry.max_retries) {
         const auto backoff = std::chrono::microseconds(
             tcfg.retry.backoff_base.count() << attempt);
         Clock::time_point tightest = Clock::time_point::max();
-        bool any_deadline = false;
         for (const auto& ticket : live) {
-          if (!ticket->has_deadline) continue;
-          any_deadline = true;
           tightest = std::min(tightest, ticket->deadline_tp);
         }
-        const bool budget_left =
-            !any_deadline || Clock::now() + backoff < tightest;
-        if (budget_left) {
+        if (Clock::now() + backoff < tightest) {
           ++attempt;
           stats_.retries.fetch_add(1, std::memory_order_relaxed);
           if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
@@ -588,81 +578,29 @@ void InferenceServer::process(WorkerSlot& slot,
       }
       // Malformed requests are the client's defect, not the tenant's
       // compute health — they never walk the breaker ladder.
-      if (err.kind() != FaultKind::kMalformedInput) {
+      if (kind != FaultKind::kMalformedInput) {
         for (const auto& ticket : live) breaker.on_fault(ticket->probe);
       }
       for (const auto& ticket : live) {
-        Response r;
-        r.error_kind = err.kind();
-        r.error = err.what();
-        r.retries = attempt;
-        r.breaker_level = level;
-        r.policy = policy;
-        r.batch_size = batch_size;
-        r.coalesce_us = coalesce_us;
-        if (complete(ticket, std::move(r))) {
-          stats_.count_failure(err.kind());
-        }
-      }
-      return;
-    } catch (const std::exception& err) {
-      // Fault containment backstop: even a programmer-error Error from
-      // deep inside a kernel becomes typed failed responses, never a
-      // dead server.
-      for (const auto& ticket : live) breaker.on_fault(ticket->probe);
-      for (const auto& ticket : live) {
-        Response r;
-        r.error_kind = FaultKind::kUncorrectable;
-        r.error = err.what();
-        r.retries = attempt;
-        r.breaker_level = level;
-        r.policy = policy;
-        r.batch_size = batch_size;
-        r.coalesce_us = coalesce_us;
-        if (complete(ticket, std::move(r))) {
-          stats_.count_failure(FaultKind::kUncorrectable);
-        }
+        fail(ticket, kind, err.what(), nullptr, response());
       }
       return;
     }
   }
 }
 
-void InferenceServer::process_decode(WorkerSlot& slot,
-                                     const std::shared_ptr<Ticket>& ticket) {
-  if (ticket->completed.load(std::memory_order_acquire)) return;
+void InferenceServer::process_decode(
+    WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& batch) {
+  // A shed step evicts its whole stream (fail() does): the sequence now
+  // has a hole no later step could fill, so holding the KV cache would
+  // only leak it.
+  if (start_execution(slot, batch).empty()) return;
+  const std::shared_ptr<Ticket>& ticket = batch.front();
   const TenantConfig& tcfg = ticket->tenant->cfg;
   CircuitBreaker& breaker = ticket->tenant->breaker;
-
-  // Deadline shed before execution. A shed step evicts its whole stream:
-  // the sequence now has a hole no later step could fill, so holding the
-  // KV cache would only leak it.
-  if (ticket->has_deadline && Clock::now() > ticket->deadline_tp) {
-    if (evict_stream(ticket->stream_key)) {
-      stats_.decode_evicted.fetch_add(1, std::memory_order_relaxed);
-    }
-    Response r;
-    r.error_kind = FaultKind::kDeadlineExceeded;
-    r.error = "deadline expired in queue; decode request shed and stream '" +
-              ticket->stream_key + "' evicted";
-    if (complete(ticket, std::move(r))) {
-      stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-      stats_.count_failure(FaultKind::kDeadlineExceeded);
-    }
-    return;
-  }
-
-  {
-    std::lock_guard<std::mutex> lk(slot.mu);
-    ticket->exec_tp = Clock::now();
-    ticket->executing = true;
-    slot.inflight = {ticket};
-  }
-  slot.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-
-  const int level = std::min(ticket->level,
-                             static_cast<int>(tcfg.ladder.size()) - 1);
-  const ResiliencePolicy policy = tcfg.ladder[static_cast<std::size_t>(level)];
+  Response r;
+  r.breaker_level = ticket->level;
+  r.policy = tcfg.ladder[static_cast<std::size_t>(ticket->level)];
 
   try {
     std::int64_t token = -1;
@@ -677,7 +615,11 @@ void InferenceServer::process_decode(WorkerSlot& slot,
         token = entry->decoder->bos_token();
         {
           std::lock_guard<std::mutex> lk(streams_mu_);
-          streams_[ticket->stream_key] = std::move(entry);
+          // A ticket the watchdog already failed stays unpublished: its
+          // error told the client the stream is gone.
+          if (!ticket->completed.load(std::memory_order_acquire)) {
+            streams_[ticket->stream_key] = std::move(entry);
+          }
         }
         stats_.decode_opened.fetch_add(1, std::memory_order_relaxed);
         break;
@@ -695,12 +637,6 @@ void InferenceServer::process_decode(WorkerSlot& slot,
                                "' (never opened, or already evicted)");
         }
         std::lock_guard<std::mutex> lk(entry->mu);
-        if (entry->decoder == nullptr) {
-          // Evicted between lookup and lock.
-          throw FaultError("serve/" + tcfg.name, FaultKind::kMalformedInput,
-                           "unknown decode stream '" + ticket->stream_key +
-                               "' (never opened, or already evicted)");
-        }
         token = entry->decoder->step(ticket->last_token);
         stats_.decode_steps.fetch_add(1, std::memory_order_relaxed);
         break;
@@ -713,61 +649,32 @@ void InferenceServer::process_decode(WorkerSlot& slot,
       }
     }
 
-    const Clock::time_point done = Clock::now();
     // Lateness is load, not a compute fault (same rule as process()).
     breaker.on_success(ticket->probe);
-    Response r;
-    r.breaker_level = level;
-    r.policy = policy;
-    if (ticket->has_deadline && done > ticket->deadline_tp) {
-      if (evict_stream(ticket->stream_key)) {
-        stats_.decode_evicted.fetch_add(1, std::memory_order_relaxed);
-      }
-      r.error_kind = FaultKind::kDeadlineExceeded;
-      r.error = "decode completed after deadline; stale token withheld and "
-                "stream evicted";
-      if (complete(ticket, std::move(r))) {
-        stats_.deadline_missed.fetch_add(1, std::memory_order_relaxed);
-        stats_.count_failure(FaultKind::kDeadlineExceeded);
-      }
+    if (Clock::now() > ticket->deadline_tp) {
+      fail(ticket, FaultKind::kDeadlineExceeded,
+           "decode completed after deadline; stale token withheld",
+           &stats_.deadline_missed, std::move(r));
       return;
     }
     r.ok = true;
     r.token = token;
-    r.degraded = level > 0;
+    r.degraded = ticket->level > 0;
     if (complete(ticket, std::move(r))) {
       stats_.completed.fetch_add(1, std::memory_order_relaxed);
-      if (r.degraded) stats_.degraded.fetch_add(1, std::memory_order_relaxed);
+      if (ticket->level > 0) {
+        stats_.degraded.fetch_add(1, std::memory_order_relaxed);
+      }
     }
-  } catch (const FaultError& err) {
+  } catch (const std::exception& err) {
     // Never retried: a step is stateful (it appended to the KV cache), so
     // re-executing after a fault could double-append — the stream is
-    // evicted instead and the client reopens from scratch.
-    if (evict_stream(ticket->stream_key)) {
-      stats_.decode_evicted.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (err.kind() != FaultKind::kMalformedInput) {
-      breaker.on_fault(ticket->probe);
-    }
-    Response r;
-    r.error_kind = err.kind();
-    r.error = err.what();
-    r.breaker_level = level;
-    r.policy = policy;
-    if (complete(ticket, std::move(r))) stats_.count_failure(err.kind());
-  } catch (const std::exception& err) {
-    if (evict_stream(ticket->stream_key)) {
-      stats_.decode_evicted.fetch_add(1, std::memory_order_relaxed);
-    }
-    breaker.on_fault(ticket->probe);
-    Response r;
-    r.error_kind = FaultKind::kUncorrectable;
-    r.error = err.what();
-    r.breaker_level = level;
-    r.policy = policy;
-    if (complete(ticket, std::move(r))) {
-      stats_.count_failure(FaultKind::kUncorrectable);
-    }
+    // evicted instead (fail() does) and the client reopens from scratch.
+    const auto* fault = dynamic_cast<const FaultError*>(&err);
+    const FaultKind kind =
+        fault != nullptr ? fault->kind() : FaultKind::kUncorrectable;
+    if (kind != FaultKind::kMalformedInput) breaker.on_fault(ticket->probe);
+    fail(ticket, kind, err.what(), nullptr, std::move(r));
   }
 }
 
@@ -800,20 +707,17 @@ void InferenceServer::watchdog_main() {
       if (stuck.empty()) continue;  // idle worker; stale heartbeat is harmless
 
       // The worker has been silent past the wedge budget with work in
-      // flight: fail EVERY member of its batch typed and replace the
-      // worker. The wedged thread retires itself when (if) its forward
-      // ever returns; its late results lose the completion race and are
-      // discarded.
+      // flight: fail EVERY member of its batch typed (a decode member's
+      // stream is unlinked first, never waiting on the wedged step) and
+      // replace the worker. The wedged thread retires itself when (if) its
+      // forward ever returns; its late results lose the completion race
+      // and are discarded.
       slot->wedged.store(true, std::memory_order_release);
       for (const auto& ticket : stuck) {
-        Response r;
-        r.error_kind = FaultKind::kWorkerWedged;
-        r.error = "worker " + std::to_string(slot->index) +
-                  " heartbeat stalled past wedge timeout; request failed";
-        if (complete(ticket, std::move(r))) {
-          stats_.watchdog_failed.fetch_add(1, std::memory_order_relaxed);
-          stats_.count_failure(FaultKind::kWorkerWedged);
-        }
+        fail(ticket, FaultKind::kWorkerWedged,
+             "worker " + std::to_string(slot->index) +
+                 " heartbeat stalled past wedge timeout; request failed",
+             &stats_.watchdog_failed);
       }
       {
         std::lock_guard<std::mutex> lk(workers_mu_);

@@ -139,25 +139,24 @@ struct DecodeRequest {
 /// keeps coalescing same-tenant, shape-compatible requests until the batch
 /// is full, the coalesce window closes, or waiting any longer would risk a
 /// member's deadline — the wait bound is
-///   min(pop_time + coalesce_window, tightest member deadline - margin)
-/// so coalescing never converts an on-time request into a late one. The
-/// batch runs as ONE packed forward; rows are independent in every kernel
-/// on the path, so each member's response is bit-identical to its serial
-/// single-request execution (enforced in tests and serve_loadgen --verify).
+///   min(pop_time + coalesce_window, tightest member deadline - 1 ms)
+/// (the fixed margin covers pack + forward + scatter), so coalescing never
+/// converts an on-time request into a late one. The batch runs as ONE
+/// packed forward; rows are independent in every kernel on the path, so
+/// each member's response is bit-identical to its serial single-request
+/// execution (enforced in tests and serve_loadgen --verify).
 struct BatchConfig {
   /// Max requests coalesced into one forward. 1 disables batching: the
   /// worker loop is then byte-for-byte the PR-8 single-request path.
   int max_batch = 1;
   /// How long a worker holding a non-full batch waits for more work.
   std::chrono::microseconds coalesce_window{0};
-  /// Safety margin subtracted from the tightest member deadline when
-  /// bounding the coalesce wait (covers pack + forward + scatter time).
-  std::chrono::microseconds deadline_margin{1000};
   /// Activation rows to pre-plan each worker session at per resilience
   /// policy (typically max_batch * rows-per-request): the planning forward
-  /// runs on a zero tensor at this row count, so every subsequent batch at
-  /// or below it replays through the consolidated arena with zero
-  /// steady-state heap allocations. 0 = plan lazily from observed shapes.
+  /// runs on a zero tensor at this row count, before the first coalesce
+  /// wait at that policy, so every subsequent batch at or below it replays
+  /// through the consolidated arena with zero steady-state heap
+  /// allocations. 0 = plan lazily from observed shapes.
   std::int64_t plan_rows = 0;
 };
 
@@ -278,21 +277,45 @@ class InferenceServer {
 
   void worker_main(std::shared_ptr<WorkerSlot> slot);
   void watchdog_main();
+  /// Counts one submission and resolves its tenant; an unknown name is
+  /// rejected typed (kMalformedInput).
+  TenantState& submitted_tenant(const std::string& name);
+  /// The one admission body behind submit() and submit_decode(): shutdown
+  /// check, breaker admit, id/level/probe/deadline stamping, bounded push.
+  std::future<Response> enqueue(TenantState& tenant,
+                                std::chrono::microseconds deadline,
+                                std::shared_ptr<Ticket> ticket);
   /// Executes one decode ticket (always solo — never coalesced).
-  void process_decode(WorkerSlot& slot, const std::shared_ptr<Ticket>& t);
-  /// Frees one stream's cache state; returns whether it existed.
+  void process_decode(WorkerSlot& slot,
+                      const std::vector<std::shared_ptr<Ticket>>& batch);
+  /// Unlinks one stream from the map (never waiting on its entry mutex);
+  /// returns whether it existed.
   bool evict_stream(const std::string& key);
+  /// Runs the BatchConfig::plan_rows planning forward for the lead's policy
+  /// once per worker, before the coalesce wait.
+  void plan(WorkerSlot& slot, const std::shared_ptr<Ticket>& lead);
   /// Widens `batch` (seeded with one popped ticket) with predicate-matching
   /// queue entries until full / window closed / tightest-deadline bound hit.
   /// Returns the time spent waiting.
   std::chrono::microseconds coalesce(
       WorkerSlot& slot, std::vector<std::shared_ptr<Ticket>>& batch);
+  /// Sheds the expired members of `batch` typed and publishes the rest to
+  /// the watchdog as executing; returns the members still to run.
+  std::vector<std::shared_ptr<Ticket>> start_execution(
+      WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& batch);
   void process(WorkerSlot& slot,
-               std::vector<std::shared_ptr<Ticket>>& batch,
+               const std::vector<std::shared_ptr<Ticket>>& batch,
                std::chrono::microseconds coalesce_us);
   void spawn_worker_locked();
-  TenantState* find_tenant(const std::string& name);
+  /// Single-completion gate: stamps and delivers `r` unless the ticket was
+  /// already completed. A failed decode ticket's stream is unlinked before
+  /// delivery, so a client that sees the error never finds it live.
   bool complete(const std::shared_ptr<Ticket>& ticket, Response&& r);
+  /// The one failure path: completes `ticket` with a typed `kind` error on
+  /// top of `r` and counts it in `failed`, `failed_by_kind` and `extra`.
+  void fail(const std::shared_ptr<Ticket>& ticket, FaultKind kind,
+            std::string error, std::atomic<std::int64_t>* extra = nullptr,
+            Response r = {});
 
   ForwardFactory factory_;
   ServerConfig cfg_;

@@ -12,6 +12,7 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -233,11 +234,32 @@ TEST(ServeBreaker, TransitionLogRecordsTheWalk) {
 struct Knobs {
   std::atomic<int> fail_next{0};
   std::atomic<int> fail_kind{static_cast<int>(FaultKind::kChecksumMismatch)};
+  /// Injected faults throw std::runtime_error instead of a FaultError.
+  std::atomic<bool> foreign{false};
   std::atomic<bool> block{false};
+  /// Planning runs (BatchConfig::plan_rows) seen, and how long each takes.
+  std::atomic<int> plans{0};
+  std::atomic<int> plan_delay_ms{0};
 };
 
 constexpr std::uint64_t kSeed = 404;
 constexpr std::int64_t kDim = 8;
+
+// Takes the next injected fault, if one is armed.
+bool take_fault(std::atomic<int>& fail_next) {
+  int n = fail_next.load(std::memory_order_relaxed);
+  while (n > 0 && !fail_next.compare_exchange_weak(n, n - 1)) {
+  }
+  return n > 0;
+}
+
+// The server plans on an all-zero exemplar; requests are random normals.
+bool is_plan_exemplar(const Tensor& x) {
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    if (x[i] != 0.0f) return false;
+  }
+  return x.numel() > 0;
+}
 
 // Every worker's replica is built from the same seed, so any worker serves
 // any request with identical bits.
@@ -251,10 +273,13 @@ InferenceServer::ForwardFactory test_factory(std::shared_ptr<Knobs> knobs) {
       while (knobs->block.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(1ms);
       }
-      int n = knobs->fail_next.load(std::memory_order_relaxed);
-      while (n > 0 && !knobs->fail_next.compare_exchange_weak(n, n - 1)) {
-      }
-      if (n > 0) {
+      // Injected faults target served requests, never the planning run.
+      if (is_plan_exemplar(x)) {
+        knobs->plans.fetch_add(1);
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(knobs->plan_delay_ms.load()));
+      } else if (take_fault(knobs->fail_next)) {
+        if (knobs->foreign.load()) throw std::runtime_error("injected error");
         throw FaultError("test", static_cast<FaultKind>(knobs->fail_kind.load()),
                          "injected fault");
       }
@@ -481,6 +506,27 @@ TEST(ServeRetry, MalformedInputIsNeverRetried) {
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.error_kind, FaultKind::kMalformedInput);
   EXPECT_EQ(r.retries, 0);
+  server.shutdown();
+  EXPECT_EQ(server.stats().retries, 0);
+}
+
+TEST(ServeRetry, ForeignExceptionFailsUncorrectableUnretriedAndFeedsBreaker) {
+  auto knobs = std::make_shared<Knobs>();
+  InferenceServer server(test_factory(knobs), ServerConfig{});
+  TenantConfig t = plain_tenant("t");
+  t.retry.max_retries = 2;        // kUncorrectable is a recoverable kind...
+  t.breaker.fault_threshold = 1;  // ...yet one breaker fault opens it
+  server.add_tenant(t);
+
+  knobs->foreign.store(true);
+  knobs->fail_next.store(1);
+  Response r = server.submit(make_request("t")).get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error_kind, FaultKind::kUncorrectable);
+  EXPECT_EQ(r.retries, 0) << "a non-FaultError is never retried";
+  EXPECT_EQ(submit_expecting_rejection(server, make_request("t")),
+            FaultKind::kCircuitOpen)
+      << "a non-FaultError always counts against the breaker";
   server.shutdown();
   EXPECT_EQ(server.stats().retries, 0);
 }
@@ -823,6 +869,26 @@ TEST(ServeBatch, CoalesceNeverOutwaitsTheTightestDeadline) {
   EXPECT_EQ(s.shed_deadline, 0);
 }
 
+TEST(ServeBatch, EagerPlanRunsBeforeTheCoalesceWait) {
+  // The coalesce wait releases the lone request 1 ms before its deadline.
+  // A 5 ms planning forward run after the wait would spend that margin
+  // and make it late; run before the wait, it only shortens the wait.
+  auto knobs = std::make_shared<Knobs>();
+  knobs->plan_delay_ms.store(5);
+  ServerConfig cfg = batching_config(8);
+  cfg.batch.coalesce_window = 2000ms;
+  InferenceServer server(test_factory(knobs), cfg);
+  server.add_tenant(plain_tenant("t"));
+
+  Request req = make_request("t", 610);
+  req.deadline = std::chrono::microseconds(150000);  // 150ms
+  Response r = server.submit(std::move(req)).get();
+  server.shutdown();
+  EXPECT_EQ(knobs->plans.load(), 1);
+  EXPECT_EQ(server.stats().deadline_missed, 0)
+      << "the planning forward ran inside the deadline margin: " << r.error;
+}
+
 TEST(ServeBatch, ComputeFaultRetriesTheWholeBatchToSuccess) {
   auto knobs = std::make_shared<Knobs>();
   knobs->block.store(true);
@@ -910,6 +976,8 @@ TEST(ServeBatch, HealthReportShowsQueueWaitPercentilesAndOccupancy) {
 
 struct DecodeKnobs {
   std::atomic<int> fail_next{0};
+  /// Injected faults throw std::runtime_error instead of a FaultError.
+  std::atomic<bool> foreign{false};
   std::atomic<bool> block{false};
   /// Decoders currently alive — eviction must free the KV-holding object.
   std::atomic<int> live{0};
@@ -937,10 +1005,8 @@ class FakeStreamDecoder : public StreamDecoder {
     while (knobs_->block.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(1ms);
     }
-    int n = knobs_->fail_next.load(std::memory_order_relaxed);
-    while (n > 0 && !knobs_->fail_next.compare_exchange_weak(n, n - 1)) {
-    }
-    if (n > 0) {
+    if (take_fault(knobs_->fail_next)) {
+      if (knobs_->foreign.load()) throw std::runtime_error("injected error");
       throw FaultError("decode-test", FaultKind::kNonFinite,
                        "injected step fault");
     }
@@ -1088,8 +1154,107 @@ TEST(ServeDecode, StepFaultEvictsTheStreamAndFreesItsCache) {
       server.submit_decode(make_decode("t", "s", DecodeOp::kStep, 1)).get();
   EXPECT_FALSE(gone.ok);
   EXPECT_EQ(gone.error_kind, FaultKind::kMalformedInput);
+
+  // Any other exception out of a step is contained the same way, typed
+  // kUncorrectable.
+  ASSERT_TRUE(
+      server.submit_decode(make_decode("t", "s", DecodeOp::kOpen)).get().ok);
+  knobs->foreign.store(true);
+  knobs->fail_next.store(1);
+  Response foreign =
+      server.submit_decode(make_decode("t", "s", DecodeOp::kStep, 1)).get();
+  EXPECT_EQ(foreign.error_kind, FaultKind::kUncorrectable);
+  EXPECT_EQ(server.decode_streams(), 0);
+  EXPECT_EQ(knobs->live.load(), 0);
   server.shutdown();
-  EXPECT_GE(server.stats().decode_evicted, 1);
+  EXPECT_GE(server.stats().decode_evicted, 2);
+}
+
+TEST(ServeDecode, WedgedStepEvictsTheStream) {
+  auto knobs = std::make_shared<DecodeKnobs>();
+  ServerConfig cfg = decode_config(knobs);
+  cfg.workers = 1;
+  cfg.watchdog.check_interval = 2ms;
+  cfg.watchdog.wedge_timeout = 25ms;
+  InferenceServer server(test_factory(std::make_shared<Knobs>()), cfg);
+  server.add_tenant(plain_tenant("t"));
+
+  ASSERT_TRUE(
+      server.submit_decode(make_decode("t", "s", DecodeOp::kOpen)).get().ok);
+  knobs->block.store(true);
+  Response r =
+      server.submit_decode(make_decode("t", "s", DecodeOp::kStep, 1)).get();
+  EXPECT_EQ(r.error_kind, FaultKind::kWorkerWedged);
+  // The watchdog unlinked the stream without waiting on the wedged step,
+  // which still holds the decoder.
+  EXPECT_EQ(server.decode_streams(), 0)
+      << "a client that sees the error must not find the stream live";
+  EXPECT_EQ(knobs->live.load(), 1);
+
+  knobs->block.store(false);
+  for (int i = 0; i < 2000 && knobs->live.load() != 0; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(knobs->live.load(), 0)
+      << "the decoder is freed when the returning step lets go of it";
+  server.shutdown();
+  EXPECT_EQ(server.stats().watchdog_failed, 1);
+  EXPECT_EQ(server.stats().decode_evicted, 1);
+}
+
+TEST(ServeDecode, BreakerOpenRejectsTyped) {
+  auto knobs = std::make_shared<DecodeKnobs>();
+  InferenceServer server(test_factory(std::make_shared<Knobs>()),
+                         decode_config(knobs));
+  TenantConfig t = plain_tenant("t");
+  t.breaker.fault_threshold = 1;
+  server.add_tenant(t);
+
+  ASSERT_TRUE(
+      server.submit_decode(make_decode("t", "s", DecodeOp::kOpen)).get().ok);
+  knobs->fail_next.store(1);
+  EXPECT_FALSE(
+      server.submit_decode(make_decode("t", "s", DecodeOp::kStep, 1)).get().ok);
+  try {
+    server.submit_decode(make_decode("t", "s", DecodeOp::kOpen));
+    ADD_FAILURE() << "an open breaker must reject decode requests";
+  } catch (const FaultError& err) {
+    EXPECT_EQ(err.kind(), FaultKind::kCircuitOpen);
+  }
+  server.shutdown();
+  EXPECT_EQ(server.stats().rejected_open, 1);
+}
+
+TEST(ServeDecode, OverloadRejectsTyped) {
+  auto knobs = std::make_shared<DecodeKnobs>();
+  ServerConfig cfg = decode_config(knobs);
+  cfg.workers = 1;
+  cfg.queue_capacity = 2;
+  cfg.watchdog.enabled = false;
+  InferenceServer server(test_factory(std::make_shared<Knobs>()), cfg);
+  server.add_tenant(plain_tenant("t"));
+
+  ASSERT_TRUE(
+      server.submit_decode(make_decode("t", "s", DecodeOp::kOpen)).get().ok);
+  knobs->block.store(true);
+  auto parked = server.submit_decode(make_decode("t", "s", DecodeOp::kStep, 1));
+  std::this_thread::sleep_for(20ms);  // the lone worker parks in the step
+  auto second = server.submit_decode(make_decode("t", "a", DecodeOp::kOpen));
+  auto third = server.submit_decode(make_decode("t", "b", DecodeOp::kOpen));
+  try {
+    server.submit_decode(make_decode("t", "c", DecodeOp::kOpen));
+    ADD_FAILURE() << "a full queue must reject decode requests";
+  } catch (const FaultError& err) {
+    EXPECT_EQ(err.kind(), FaultKind::kOverloaded);
+  }
+
+  knobs->block.store(false);
+  EXPECT_TRUE(parked.get().ok);
+  EXPECT_TRUE(second.get().ok);
+  EXPECT_TRUE(third.get().ok);
+  server.shutdown();
+  EXPECT_EQ(server.stats().rejected_overload, 1);
+  EXPECT_EQ(server.stats().admitted, 4);
 }
 
 TEST(ServeDecode, ReopeningAStreamIdReplacesAndFreesTheOldStream) {
