@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "src/kernels/backend.hpp"
 #include "src/kernels/gemm_packed.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/linear.hpp"
@@ -169,10 +168,8 @@ std::vector<Case> make_cases() {
   }
 
   // Quantized MLP under the full protection ladder (ABFT + layer guard).
-  // The clean protected path decodes to FP32 and runs the checksummed
-  // scalar GEMM, so it is bit-identical to the unprotected forward *under
-  // the scalar backend* — the reference comparator pins scalar to keep that
-  // invariant independent of the ambient AF_BACKEND selection.
+  // The clean protected path checks the same packed GEMM the unprotected
+  // forward runs, so the two are bit-identical under every backend.
   {
     auto m = std::make_shared<QuantMlp>(41, 256, 512, 64);
     Tensor x = random_input({32, 256}, 42);
@@ -188,11 +185,8 @@ std::vector<Case> make_cases() {
         },
         cfg);
     cases.push_back({"mlp abft+guard",
-                     [m, x] {
-                       ScopedKernelBackend pin(scalar_backend());
-                       return m->reference_forward(x);
-                     },
-                     session, x});
+                     [m, x] { return m->reference_forward(x); }, session,
+                     x});
   }
 
   // 2-layer LSTM over a [24, 8, 64] sequence.

@@ -42,19 +42,24 @@ QuantizedLinear::QuantizedLinear(PackedAdaptivFloatTensor weight, Tensor bias)
 
 Tensor QuantizedLinear::forward(const Tensor& x, ExecutionContext& ctx) {
   check_forward_input(x, in_);
+  // The product the numeric policy picks; an ABFT request checks it.
+  // Called with [1, in] row slices too when a repair recomputes one row.
+  auto product = [&](const Tensor& a, bool /*trans_a: always false*/) {
+    return ctx.numeric == NumericPolicy::kFp32
+               ? matmul(a, decoded_weight(), false, /*trans_b=*/true)
+               : matmul_packed(a, weight_, ctx.kernel_backend());
+  };
   auto compute = [&]() -> Tensor {
     Tensor y;
     if (ctx.wants_abft()) {
-      const Tensor& w = decoded_weight();
       AbftReport abft;
-      y = abft_matmul(x, w, false, /*trans_b=*/true,
-                      ctx.abft_config("quantized_linear"), &abft,
-                      ctx.mac_hook);
+      y = abft_checked_product(x, decoded_weight(), false, /*trans_b=*/true,
+                               weight_sums(), product,
+                               ctx.abft_config("quantized_linear"), &abft,
+                               ctx.mac_hook);
       if (ctx.report != nullptr) ctx.report->abft.merge(abft);
-    } else if (ctx.numeric == NumericPolicy::kFp32) {
-      y = matmul(x, decoded_weight(), false, /*trans_b=*/true);
     } else {
-      y = matmul_packed(x, weight_, ctx.kernel_backend());
+      y = product(x, false);
     }
     if (bias_.numel() == out_) add_row_bias_inplace(y, bias_);
     return y;
@@ -74,6 +79,14 @@ const Tensor& QuantizedLinear::decoded_weight() const {
     ++decode_count_;
   }
   return decoded_;
+}
+
+const AbftWeightSums& QuantizedLinear::weight_sums() const {
+  if (!weight_sums_valid_) {
+    weight_sums_ = abft_weight_sums(decoded_weight(), /*trans_b=*/true);
+    weight_sums_valid_ = true;
+  }
+  return weight_sums_;
 }
 
 }  // namespace af

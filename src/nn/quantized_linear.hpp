@@ -11,6 +11,7 @@
 
 #include "src/core/bitpack.hpp"
 #include "src/nn/linear.hpp"
+#include "src/resilience/abft.hpp"
 
 namespace af {
 
@@ -28,26 +29,30 @@ class QuantizedLinear final : public Module {
   /// codes are served as stored.
   QuantizedLinear(PackedAdaptivFloatTensor weight, Tensor bias);
 
-  /// x: [m, in] -> [m, out]. Numeric policy picks the kernel:
-  /// kQuantizedLut runs the fused packed GEMM, whose weight panels are
-  /// decoded by table into cache-resident tiles inside the kernel, so the
-  /// full FP32 weight matrix is never materialized (bit-identical to
-  /// matmul(x, unpack(), false, true) for every AF_THREADS value); kFp32
-  /// multiplies against the decoded weight cache. A checksummed (ABFT)
-  /// request also uses the decoded weights — the checksums are computed
-  /// over the full matrix — and a guard request wraps the compute,
-  /// reproducing the retired guarded_forward exactly. Inference-only: the
-  /// layer has no adjoint, so ctx.training caches nothing.
+  /// x: [m, in] -> [m, out]. Numeric policy picks the product:
+  /// kQuantizedLut runs the fused packed GEMM on ctx.kernel_backend(),
+  /// whose weight panels are decoded by table into cache-resident tiles
+  /// inside the kernel, so the full FP32 weight matrix is never
+  /// materialized (bit-identical to matmul(x, unpack(), false, true) under
+  /// the scalar backend, for every AF_THREADS value); kFp32 multiplies
+  /// against the decoded weight cache. Resilience is orthogonal to that
+  /// choice: a checksummed (ABFT) request runs the same product through
+  /// abft_checked_product, predicting its sums from the decoded weights
+  /// and the cached weight-side sums, so a clean protected forward has the
+  /// bits of the unprotected one on every backend. A guard request wraps
+  /// the compute. Inference-only: the layer has no adjoint, so
+  /// ctx.training caches nothing.
   Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
 
   std::int64_t in_features() const { return in_; }
   std::int64_t out_features() const { return out_; }
   const PackedAdaptivFloatTensor& packed_weight() const { return weight_; }
 
-  /// The packed weights decoded to [out, in] FP32 — what the ABFT route
-  /// needs (its checksums are computed over the full weight matrix).
+  /// The packed weights decoded to [out, in] FP32 — the kFp32 product's
+  /// operand and the values the ABFT route predicts its checksums from.
   /// Decoded once and cached: the packed payload is immutable, so repeated
-  /// guarded forwards reuse the same tensor. Lazy-init is not thread-safe
+  /// forwards reuse the same tensor, and the ABFT weight-side sums are
+  /// built once from it beside it. Lazy-init of both is not thread-safe
   /// against concurrent first calls on the same layer (the pre-existing
   /// constraint of every lazily-calibrated path here); it is never invoked
   /// from inside a parallel body.
@@ -55,7 +60,7 @@ class QuantizedLinear final : public Module {
   const Tensor& bias() const { return bias_; }
 
   /// How many times the cache actually decoded (test seam: the second
-  /// guarded forward must not re-decode).
+  /// protected forward must not re-decode).
   int decode_count() const { return decode_count_; }
 
   /// Storage for the weights in bytes (vs 4 bytes/element FP32).
@@ -66,9 +71,15 @@ class QuantizedLinear final : public Module {
   std::int64_t out_;
   PackedAdaptivFloatTensor weight_;
   Tensor bias_;
+  /// abft_weight_sums(decoded_weight(), /*trans_b=*/true), built lazily
+  /// under the same constraints as the decode cache.
+  const AbftWeightSums& weight_sums() const;
+
   mutable Tensor decoded_;  // empty until decoded_weight() first runs
   mutable bool decoded_valid_ = false;
   mutable int decode_count_ = 0;
+  mutable AbftWeightSums weight_sums_;  // empty until weight_sums() runs
+  mutable bool weight_sums_valid_ = false;
 };
 
 }  // namespace af

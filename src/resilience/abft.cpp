@@ -39,20 +39,6 @@ struct MatView {
   }
 };
 
-// Recomputes one output element in exactly the kernel's accumulation order
-// (ascending k, zero-weight terms skipped), so a repaired element is
-// bit-identical to what a clean multiply would have stored.
-float recompute_element(const MatView& a, const MatView& b, std::int64_t k,
-                        std::int64_t i, std::int64_t j) {
-  float acc = 0.0f;
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float aval = a(i, kk);
-    if (aval == 0.0f) continue;
-    acc += aval * b(kk, j);
-  }
-  return acc;
-}
-
 // Offers every freshly computed output value to the hook as a 32-bit
 // accumulator register (the FP32 image *is* the writeback register of the
 // software datapath). Runs serially so the Bernoulli fault stream is
@@ -177,18 +163,85 @@ bool GemmChecksums::correct(Tensor& c, const Verify& v) const {
 
 // ----- algebraic sums --------------------------------------------------------
 
+namespace {
+
+// out[o + w] = sum_kk v(o + w, kk) * y[kk] and mag[o + w] = sum_kk
+// |v(o + w, kk)| * yabs[kk] for w < W: W independent ascending-kk chains
+// sharing each y load, so every output has the bits of its own plain loop.
+template <int W, typename View>
+void dot_chains(const View& v, const double* y, const double* yabs,
+                std::int64_t k, std::int64_t o, double* out, double* mag) {
+  double s[W] = {}, g[W] = {};
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    for (int w = 0; w < W; ++w) {
+      const double x = v(o + w, kk);
+      s[w] += x * y[kk];
+      g[w] += std::fabs(x) * yabs[kk];
+    }
+  }
+  for (int w = 0; w < W; ++w) {
+    out[o + w] = s[w];
+    mag[o + w] = g[w];
+  }
+}
+
+// dot_chains over every output in [0, count), four at a time.
+template <typename View>
+void predict_sums(const View& v, const double* y, const double* yabs,
+                  std::int64_t count, std::int64_t k, std::vector<double>& out,
+                  std::vector<double>& mag) {
+  out.assign(static_cast<std::size_t>(count), 0.0);
+  mag.assign(static_cast<std::size_t>(count), 0.0);
+  parallel_for(0, count, kRowGrain, [&](std::int64_t o0, std::int64_t o1) {
+    std::int64_t o = o0;
+    for (; o + 4 <= o1; o += 4) {
+      dot_chains<4>(v, y, yabs, k, o, out.data(), mag.data());
+    }
+    for (; o < o1; ++o) dot_chains<1>(v, y, yabs, k, o, out.data(), mag.data());
+  });
+}
+
+}  // namespace
+
+
 AlgebraicSums abft_actual_sums(const Tensor& c) {
   check_rank2(c, "abft_actual_sums");
   const std::int64_t m = c.dim(0), n = c.dim(1);
   AlgebraicSums sums;
   sums.row.assign(static_cast<std::size_t>(m), 0.0);
   // Column partials are doubles, so combine order matters: parallel_reduce
-  // folds them in ascending chunk order — one fixed association.
+  // folds them in ascending chunk order — one fixed association. Inside a
+  // chunk four rows run as independent chains, and each column partial
+  // still adds its rows in ascending order.
   sums.col = parallel_reduce(
       0, m, kRowGrain, std::vector<double>(static_cast<std::size_t>(n)),
       [&](std::int64_t i0, std::int64_t i1) {
         std::vector<double> part(static_cast<std::size_t>(n), 0.0);
-        for (std::int64_t i = i0; i < i1; ++i) {
+        std::int64_t i = i0;
+        for (; i + 4 <= i1; i += 4) {
+          const float* c0 = c.data() + i * n;
+          const float* c1 = c0 + n;
+          const float* c2 = c1 + n;
+          const float* c3 = c2 + n;
+          double r0 = 0.0, r1 = 0.0, r2 = 0.0, r3 = 0.0;
+          for (std::int64_t j = 0; j < n; ++j) {
+            r0 += c0[j];
+            r1 += c1[j];
+            r2 += c2[j];
+            r3 += c3[j];
+            double& p = part[static_cast<std::size_t>(j)];
+            p += c0[j];
+            p += c1[j];
+            p += c2[j];
+            p += c3[j];
+          }
+          const auto r = static_cast<std::size_t>(i);
+          sums.row[r] = r0;
+          sums.row[r + 1] = r1;
+          sums.row[r + 2] = r2;
+          sums.row[r + 3] = r3;
+        }
+        for (; i < i1; ++i) {
           const float* crow = c.data() + i * n;
           double rsum = 0.0;
           for (std::int64_t j = 0; j < n; ++j) {
@@ -206,22 +259,14 @@ AlgebraicSums abft_actual_sums(const Tensor& c) {
   return sums;
 }
 
-PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
-                                  bool trans_a, bool trans_b) {
-  check_rank2(a, "abft a");
+AbftWeightSums abft_weight_sums(const Tensor& b, bool trans_b) {
   check_rank2(b, "abft b");
-  const std::int64_t m = trans_a ? a.dim(1) : a.dim(0);
-  const std::int64_t k = trans_a ? a.dim(0) : a.dim(1);
-  const std::int64_t kb = trans_b ? b.dim(1) : b.dim(0);
+  const std::int64_t k = trans_b ? b.dim(1) : b.dim(0);
   const std::int64_t n = trans_b ? b.dim(0) : b.dim(1);
-  AF_CHECK(k == kb, "abft inner dimensions disagree");
-  const MatView va{a.data(), a.dim(1), trans_a};
   const MatView vb{b.data(), b.dim(1), trans_b};
-
-  // bsum[kk] = sum_j opB[kk][j]; asum[kk] = sum_i opA[i][kk]; plus the
-  // magnitude analogues that scale the roundoff tolerance.
-  std::vector<double> bsum(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> babs(static_cast<std::size_t>(k), 0.0);
+  AbftWeightSums ws;
+  ws.sum.assign(static_cast<std::size_t>(k), 0.0);
+  ws.abs.assign(static_cast<std::size_t>(k), 0.0);
   parallel_for(0, k, kRowGrain, [&](std::int64_t k0, std::int64_t k1) {
     for (std::int64_t kk = k0; kk < k1; ++kk) {
       double s = 0.0, sa = 0.0;
@@ -230,58 +275,55 @@ PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
         s += v;
         sa += std::fabs(v);
       }
-      bsum[static_cast<std::size_t>(kk)] = s;
-      babs[static_cast<std::size_t>(kk)] = sa;
+      ws.sum[static_cast<std::size_t>(kk)] = s;
+      ws.abs[static_cast<std::size_t>(kk)] = sa;
     }
   });
+  return ws;
+}
+
+PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
+                                  bool trans_a, bool trans_b,
+                                  const AbftWeightSums& weight_sums) {
+  check_rank2(a, "abft a");
+  check_rank2(b, "abft b");
+  const std::int64_t m = trans_a ? a.dim(1) : a.dim(0);
+  const std::int64_t k = trans_a ? a.dim(0) : a.dim(1);
+  const std::int64_t kb = trans_b ? b.dim(1) : b.dim(0);
+  const std::int64_t n = trans_b ? b.dim(0) : b.dim(1);
+  AF_CHECK(k == kb, "abft inner dimensions disagree");
+  AF_CHECK(weight_sums.sum.size() == static_cast<std::size_t>(k) &&
+               weight_sums.abs.size() == static_cast<std::size_t>(k),
+           "abft weight sums do not match the inner dimension");
+  const MatView va{a.data(), a.dim(1), trans_a};
+  const MatView vb{b.data(), b.dim(1), trans_b};
+
+  // asum[kk] = sum_i opA[i][kk] and its magnitude analogue. Rows are the
+  // outer loop, so a chunk's k entries advance as independent chains, each
+  // still adding the rows in ascending order.
   std::vector<double> asum(static_cast<std::size_t>(k), 0.0);
   std::vector<double> aabs(static_cast<std::size_t>(k), 0.0);
   parallel_for(0, k, kRowGrain, [&](std::int64_t k0, std::int64_t k1) {
-    for (std::int64_t kk = k0; kk < k1; ++kk) {
-      double s = 0.0, sa = 0.0;
-      for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t kk = k0; kk < k1; ++kk) {
         const double v = va(i, kk);
-        s += v;
-        sa += std::fabs(v);
+        asum[static_cast<std::size_t>(kk)] += v;
+        aabs[static_cast<std::size_t>(kk)] += std::fabs(v);
       }
-      asum[static_cast<std::size_t>(kk)] = s;
-      aabs[static_cast<std::size_t>(kk)] = sa;
     }
   });
 
+  // pred.row from op(A)'s rows against bsum, pred.col from op(B)'s columns
+  // against asum, four outputs per loop.
   PredictedSums pred;
-  pred.row.assign(static_cast<std::size_t>(m), 0.0);
-  pred.row_mag.assign(static_cast<std::size_t>(m), 0.0);
-  parallel_for(0, m, kRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      double s = 0.0, mag = 0.0;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const double av = va(i, kk);
-        s += av * bsum[static_cast<std::size_t>(kk)];
-        mag += std::fabs(av) * babs[static_cast<std::size_t>(kk)];
-      }
-      pred.row[static_cast<std::size_t>(i)] = s;
-      pred.row_mag[static_cast<std::size_t>(i)] = mag;
-    }
-  });
-  pred.col.assign(static_cast<std::size_t>(n), 0.0);
-  pred.col_mag.assign(static_cast<std::size_t>(n), 0.0);
-  parallel_for(0, n, kRowGrain, [&](std::int64_t j0, std::int64_t j1) {
-    for (std::int64_t j = j0; j < j1; ++j) {
-      double s = 0.0, mag = 0.0;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const double bv = vb(kk, j);
-        s += asum[static_cast<std::size_t>(kk)] * bv;
-        mag += aabs[static_cast<std::size_t>(kk)] * std::fabs(bv);
-      }
-      pred.col[static_cast<std::size_t>(j)] = s;
-      pred.col_mag[static_cast<std::size_t>(j)] = mag;
-    }
-  });
+  predict_sums(va, weight_sums.sum.data(), weight_sums.abs.data(), m, k,
+               pred.row, pred.row_mag);
+  predict_sums([&](std::int64_t j, std::int64_t kk) { return vb(kk, j); },
+               asum.data(), aabs.data(), n, k, pred.col, pred.col_mag);
   return pred;
 }
 
-// ----- abft_matmul -----------------------------------------------------------
+// ----- the checked product ---------------------------------------------------
 
 namespace {
 
@@ -317,19 +359,28 @@ AlgebraicVerify algebraic_verify(const AlgebraicSums& act,
   return v;
 }
 
+// Row r of op(A) as a [1, k] tensor: the slice a single-element repair
+// recomputes.
+Tensor op_a_row(const Tensor& a, bool trans_a, std::int64_t r) {
+  const std::int64_t k = trans_a ? a.dim(0) : a.dim(1);
+  const MatView va{a.data(), a.dim(1), trans_a};
+  Tensor row({1, k});
+  for (std::int64_t kk = 0; kk < k; ++kk) row[kk] = va(r, kk);
+  return row;
+}
+
 }  // namespace
 
-Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_a,
-                   bool trans_b, const AbftConfig& cfg, AbftReport* report,
-                   PeFaultHook* mac_hook) {
+Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_a,
+                            bool trans_b, const AbftWeightSums& weight_sums,
+                            const AbftProduct& product, const AbftConfig& cfg,
+                            AbftReport* report, PeFaultHook* mac_hook) {
   AF_CHECK(cfg.max_recomputes >= 0, "negative recompute budget");
+  const PredictedSums pred =
+      abft_predicted_sums(a, b, trans_a, trans_b, weight_sums);
   const std::int64_t m = trans_a ? a.dim(1) : a.dim(0);
   const std::int64_t k = trans_a ? a.dim(0) : a.dim(1);
   const std::int64_t n = trans_b ? b.dim(0) : b.dim(1);
-  const MatView va{a.data(), a.dim(1), trans_a};
-  const MatView vb{b.data(), b.dim(1), trans_b};
-
-  const PredictedSums pred = abft_predicted_sums(a, b, trans_a, trans_b);
   const double eps = static_cast<double>(std::numeric_limits<float>::epsilon());
   const double row_tol = cfg.rel_tolerance > 0.0
                              ? cfg.rel_tolerance
@@ -343,7 +394,9 @@ Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_a,
   Tensor c;
   int attempt = 0;
   for (;;) {
-    c = matmul(a, b, trans_a, trans_b);
+    c = product(a, trans_a);
+    AF_CHECK(c.rank() == 2 && c.dim(0) == m && c.dim(1) == n,
+             "abft product returned " + shape_str(c.shape()));
     if (mac_hook != nullptr) inject_mac_faults(c, mac_hook);
     ++local.verifies;
     AlgebraicVerify v = algebraic_verify(abft_actual_sums(c), pred, row_tol,
@@ -353,10 +406,12 @@ Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_a,
 
     if (v.single() && cfg.policy >= RecoveryPolicy::kCorrect) {
       // Single-error correct path: the (row, col) mismatch pair localizes
-      // one output; recompute just that element (the repair unit is assumed
-      // scrubbed, so no re-injection) and confirm the sums close.
+      // one output. Its row is recomputed alone through the same product
+      // (the repair unit is assumed scrubbed, so no re-injection); rows
+      // never interact, so the element gets exactly the bits a clean
+      // multiply stores. Then confirm the sums close.
       const std::int64_t r = v.rows[0], s = v.cols[0];
-      c[r * n + s] = recompute_element(va, vb, k, r, s);
+      c[r * n + s] = product(op_a_row(a, trans_a, r), false)[s];
       ++local.verifies;
       v = algebraic_verify(abft_actual_sums(c), pred, row_tol, col_tol);
       if (v.clean()) {
@@ -411,6 +466,17 @@ Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_a,
   }
   if (report != nullptr) report->merge(local);
   return c;
+}
+
+Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_a,
+                   bool trans_b, const AbftConfig& cfg, AbftReport* report,
+                   PeFaultHook* mac_hook) {
+  return abft_checked_product(
+      a, b, trans_a, trans_b, abft_weight_sums(b, trans_b),
+      [&](const Tensor& x, bool trans_x) {
+        return matmul(x, b, trans_x, trans_b);
+      },
+      cfg, report, mac_hook);
 }
 
 }  // namespace af

@@ -14,15 +14,21 @@
 //    cross-check. This is the classic Huang-Abraham row/column scheme
 //    applied to the stored image of C.
 //
-//  * Algebraic verification (inside abft_matmul): predicted row sums
+//  * Algebraic verification (abft_checked_product): predicted row sums
 //    sum_j C[i][j] = sum_k opA[i][k] * bsum[k] and the symmetric column
-//    form, accumulated in double with parallel_reduce's fixed chunk order
-//    (bit-deterministic across thread counts). Predicted and recomputed
-//    sums differ by kernel roundoff, so comparison uses a rigorous
-//    O((k+n)*eps) magnitude-scaled tolerance: a fault during the multiply
-//    itself (an accumulator upset inside a MAC) is detected whenever it
-//    moves an output by more than the roundoff floor — faults below that
-//    floor are indistinguishable from rounding and equally harmless.
+//    form, accumulated in double with fixed chunk grains (bit-deterministic
+//    across thread counts). Predicted and recomputed sums differ by kernel
+//    roundoff, so comparison uses a rigorous O((k+n)*eps) magnitude-scaled
+//    tolerance: a fault during the multiply itself (an accumulator upset
+//    inside a MAC) is detected whenever it moves an output by more than the
+//    roundoff floor — faults below that floor are indistinguishable from
+//    rounding and equally harmless.
+//
+// The check comes in three steps: weight-side sums (abft_weight_sums,
+// depending on B alone, so a layer with fixed weights builds them once),
+// the input-side prediction (abft_predicted_sums), and the recovery ladder
+// around a caller-supplied product (abft_checked_product). abft_matmul is
+// the three over matmul() with fresh weight sums.
 //
 // Recovery follows the RecoveryPolicy ladder: detect -> correct (exact
 // single-element repair) -> recompute (bounded retry budget with modeled
@@ -30,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -109,14 +116,24 @@ class GemmChecksums {
   std::uint64_t total_ = 0;
 };
 
-/// Double-precision row/column sums of a rank-2 tensor, accumulated in
-/// parallel_reduce's fixed chunk order — bit-identical for any AF_THREADS.
-/// Exposed for the determinism tests; abft_matmul uses them internally.
+/// Double-precision row/column sums of a rank-2 tensor: each output is one
+/// ascending-index chain, and column partials fold in fixed chunk order —
+/// bit-identical for any AF_THREADS. Exposed for the determinism tests;
+/// the checked product uses them internally.
 struct AlgebraicSums {
   std::vector<double> row;  ///< [m] sums over each row
   std::vector<double> col;  ///< [n] sums over each column
 };
 AlgebraicSums abft_actual_sums(const Tensor& c);
+
+/// Weight-side checksum vectors of op(B): sum[kk] = sum_j opB[kk][j] and
+/// abs[kk] = sum_j |opB[kk][j]|. They depend on B alone, so a layer whose
+/// weights never change builds them once and reuses them on every call.
+struct AbftWeightSums {
+  std::vector<double> sum;  ///< [k]
+  std::vector<double> abs;  ///< [k]
+};
+AbftWeightSums abft_weight_sums(const Tensor& b, bool trans_b);
 
 /// The ABFT-predicted row/column sums of op(A) * op(B), computed from the
 /// inputs alone (never from C), plus the magnitude sums that scale the
@@ -127,18 +144,37 @@ struct PredictedSums {
   std::vector<double> row_mag;  ///< sum_j sum_k |a||b| per row
   std::vector<double> col_mag;  ///< sum_i sum_k |a||b| per column
 };
+/// `weight_sums` must be abft_weight_sums(b, trans_b).
 PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
-                                  bool trans_a, bool trans_b);
+                                  bool trans_a, bool trans_b,
+                                  const AbftWeightSums& weight_sums);
 
-/// ABFT-guarded matrix product. Computes C = op(A) * op(B) with the same
-/// kernel as matmul(), verifies it against the input-predicted checksums,
-/// and walks the recovery ladder on mismatch. `mac_hook`, when non-null,
-/// models accumulator-resident MAC upsets: every freshly computed output
-/// value is offered to the hook (serially, so the fault stream is
-/// thread-count invariant) before verification — including recompute
-/// attempts, which therefore retry under fire. Throws FaultError
-/// (kUncorrectable) only when the policy forbids degradation and the retry
-/// budget is exhausted.
+/// The product a checked multiply verifies. Called as product(a, trans_a)
+/// for all of C, and as product(row, false) with one row of op(A) ([1, k])
+/// to repair a single output. Rows must not interact — row i of a full
+/// call bit-equal to that row computed alone, as on every matmul and
+/// matmul_packed path — so the repair stores exactly what a clean multiply
+/// would have.
+using AbftProduct = std::function<Tensor(const Tensor& a, bool trans_a)>;
+
+/// ABFT-checked product: runs `product`, verifies C = op(A) * op(B)
+/// against the sums predicted from a, b and `weight_sums` (which must be
+/// abft_weight_sums(b, trans_b)), and walks the recovery ladder on
+/// mismatch. b holds the FP32 values the product multiplies by; the
+/// product itself may take another route to them (the packed LUT kernel).
+/// `mac_hook`, when non-null, models accumulator-resident MAC upsets:
+/// every freshly computed output value is offered to the hook (serially,
+/// so the fault stream is thread-count invariant) before verification —
+/// including recompute attempts, which therefore retry under fire. Throws
+/// FaultError (kUncorrectable) only when the policy forbids degradation
+/// and the retry budget is exhausted.
+Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_a,
+                            bool trans_b, const AbftWeightSums& weight_sums,
+                            const AbftProduct& product, const AbftConfig& cfg,
+                            AbftReport* report, PeFaultHook* mac_hook);
+
+/// ABFT-guarded matmul(): abft_checked_product over matmul(a, b, trans_a,
+/// trans_b) with weight sums built for this call.
 Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
                    bool trans_b = false, const AbftConfig& cfg = {},
                    AbftReport* report = nullptr,

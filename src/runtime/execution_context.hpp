@@ -15,8 +15,9 @@
 //  * the thread count a session should pin (0 = ambient AF_THREADS).
 //
 // Every policy is value-preserving on a clean (fault-free) run: the guard
-// only observes, and abft_matmul computes C with the same kernel as
-// matmul(). Dispatching through a context therefore never changes bits —
+// only observes, and an ABFT-checked GEMM stores the product of the very
+// kernel the layer runs unprotected. Dispatching through a context
+// therefore never changes bits —
 // the runtime tests pin every policy against a training-context forward
 // (the cache-pushing comparator) followed by clear_cache().
 #pragma once
@@ -40,7 +41,7 @@ enum class NumericPolicy {
 enum class ResiliencePolicy {
   kNone,       ///< bare kernels
   kGuard,      ///< LayerGuard::run around the layer (NaN/range monitor)
-  kAbft,       ///< checksummed GEMMs (abft_matmul) where the layer has one
+  kAbft,       ///< checksummed GEMMs where the layer has one
   kAbftGuard,  ///< abft inside, guard outside — the full protected path
 };
 

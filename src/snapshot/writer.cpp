@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 
 #include "src/resilience/protection.hpp"
@@ -194,12 +195,21 @@ void SnapshotWriter::write(const std::string& path) const {
 
 void atomic_write_file(const std::string& path,
                        const std::vector<std::uint8_t>& bytes) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  // A unique temp name in the target directory: concurrent writers of one
+  // path each fill their own file, so whichever rename lands last
+  // publishes one whole image, never a mix of two.
+  std::string tmp = path + ".XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
   AF_CHECK(fd >= 0, "cannot create '" + tmp + "': " + std::strerror(errno));
 
   bool ok = true;
   std::string err;
+  // mkstemp creates the file 0600; published snapshots keep the 0644 an
+  // open(O_CREAT, 0644) would give them.
+  if (::fchmod(fd, 0644) != 0) {
+    ok = false;
+    err = std::strerror(errno);
+  }
   std::size_t done = 0;
   while (ok && done < bytes.size()) {
     const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);

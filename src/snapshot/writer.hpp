@@ -67,9 +67,11 @@ class SnapshotWriter {
   std::vector<PendingSection> sections_;
 };
 
-/// Durable atomic file replacement: writes `bytes` to `path + ".tmp"`,
-/// fsyncs, renames over `path`, fsyncs the parent directory. Throws
-/// af::Error (and unlinks the temp file) on any I/O failure.
+/// Durable atomic file replacement: writes `bytes` to a fresh mkstemp file
+/// beside `path`, fsyncs, renames over `path`, fsyncs the parent directory.
+/// Safe against concurrent writers of the same path: each reader sees one
+/// writer's complete image. Throws af::Error (and unlinks the temp file)
+/// on any I/O failure.
 void atomic_write_file(const std::string& path,
                        const std::vector<std::uint8_t>& bytes);
 

@@ -147,14 +147,89 @@ TEST(PredictedSums, ThreadCountInvariant) {
   Tensor a = random_tensor(33, 21, 5);
   Tensor b = random_tensor(27, 21, 6);
   set_num_threads(1);
-  PredictedSums p1 = abft_predicted_sums(a, b, false, true);
+  PredictedSums p1 =
+      abft_predicted_sums(a, b, false, true, abft_weight_sums(b, true));
   set_num_threads(4);
-  PredictedSums p4 = abft_predicted_sums(a, b, false, true);
+  PredictedSums p4 =
+      abft_predicted_sums(a, b, false, true, abft_weight_sums(b, true));
   set_num_threads(0);
   EXPECT_EQ(std::memcmp(p1.row.data(), p4.row.data(),
                         p1.row.size() * sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(p1.col.data(), p4.col.data(),
                         p1.col.size() * sizeof(double)), 0);
+}
+
+TEST(PredictedSums, InterleavedChainsMatchOneChainPerOutput) {
+  // The passes run several outputs per loop; each output must still be the
+  // plain ascending-index chain. Ragged sizes exercise the remainder loops.
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      const std::int64_t m = 23, k = 19, n = 14;
+      Tensor a = ta ? random_tensor(k, m, 71) : random_tensor(m, k, 71);
+      Tensor b = tb ? random_tensor(n, k, 72) : random_tensor(k, n, 72);
+      auto av = [&](std::int64_t i, std::int64_t kk) -> double {
+        return ta ? a[kk * m + i] : a[i * k + kk];
+      };
+      auto bv = [&](std::int64_t kk, std::int64_t j) -> double {
+        return tb ? b[j * k + kk] : b[kk * n + j];
+      };
+      std::vector<double> bsum(k), babs(k), asum(k), aabs(k);
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          bsum[kk] += bv(kk, j);
+          babs[kk] += std::fabs(bv(kk, j));
+        }
+        for (std::int64_t i = 0; i < m; ++i) {
+          asum[kk] += av(i, kk);
+          aabs[kk] += std::fabs(av(i, kk));
+        }
+      }
+      const AbftWeightSums ws = abft_weight_sums(b, tb);
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        EXPECT_EQ(ws.sum[kk], bsum[kk]) << "k " << kk;
+        EXPECT_EQ(ws.abs[kk], babs[kk]) << "k " << kk;
+      }
+      const PredictedSums p = abft_predicted_sums(a, b, ta, tb, ws);
+      for (std::int64_t i = 0; i < m; ++i) {
+        double s = 0.0, g = 0.0;
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          s += av(i, kk) * bsum[kk];
+          g += std::fabs(av(i, kk)) * babs[kk];
+        }
+        EXPECT_EQ(p.row[i], s) << "row " << i << " ta=" << ta << " tb=" << tb;
+        EXPECT_EQ(p.row_mag[i], g) << "row " << i;
+      }
+      for (std::int64_t j = 0; j < n; ++j) {
+        double s = 0.0, g = 0.0;
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          s += asum[kk] * bv(kk, j);
+          g += aabs[kk] * std::fabs(bv(kk, j));
+        }
+        EXPECT_EQ(p.col[j], s) << "col " << j << " ta=" << ta << " tb=" << tb;
+        EXPECT_EQ(p.col_mag[j], g) << "col " << j;
+      }
+    }
+  }
+  // Actual sums: one chain per row, column partials folded per 16-row
+  // chunk in ascending order.
+  const Tensor c = random_tensor(37, 11, 73);
+  const AlgebraicSums act = abft_actual_sums(c);
+  for (std::int64_t i = 0; i < 37; ++i) {
+    double s = 0.0;
+    for (std::int64_t j = 0; j < 11; ++j) s += c[i * 11 + j];
+    EXPECT_EQ(act.row[i], s) << "row " << i;
+  }
+  for (std::int64_t j = 0; j < 11; ++j) {
+    double total = 0.0;
+    for (std::int64_t i0 = 0; i0 < 37; i0 += 16) {
+      double part = 0.0;
+      for (std::int64_t i = i0; i < std::min<std::int64_t>(37, i0 + 16); ++i) {
+        part += c[i * 11 + j];
+      }
+      total += part;
+    }
+    EXPECT_EQ(act.col[j], total) << "col " << j;
+  }
 }
 
 // ----- abft_matmul: the guarded multiply -------------------------------------
@@ -199,6 +274,30 @@ TEST(AbftMatmul, SingleUpsetIsCorrectedExactly) {
   // The repair recomputes the element with the kernel's own arithmetic, so
   // the output is bit-identical to the clean product.
   EXPECT_TRUE(bit_equal(c, clean));
+}
+
+TEST(AbftMatmul, SingleUpsetRepairIsExactForEveryTransposeVariant) {
+  // The repair recomputes one row of op(A); with trans_a that row is a
+  // column of the stored A.
+  Tensor a = random_tensor(12, 20, 10);
+  Tensor b = random_tensor(20, 9, 11);
+  const Tensor at = transpose2d(a);
+  const Tensor bt = transpose2d(b);
+  const Tensor clean = matmul(a, b);
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      FlipNth hook;
+      hook.target = 7 * 9 + 4;  // element (7, 4)
+      hook.mask = 1u << 30;
+      AbftConfig cfg;
+      cfg.policy = RecoveryPolicy::kCorrect;
+      AbftReport report;
+      const Tensor c = abft_matmul(ta ? at : a, tb ? bt : b, ta, tb, cfg,
+                                   &report, &hook);
+      EXPECT_EQ(report.corrected, 1) << ta << tb;
+      EXPECT_TRUE(bit_equal(c, clean)) << ta << tb;
+    }
+  }
 }
 
 TEST(AbftMatmul, DetectPolicyObservesButLeavesFault) {

@@ -284,14 +284,20 @@ TEST(ContextDispatch, QuantizedLinearNumericPolicies) {
     fp32_ctx.numeric = NumericPolicy::kFp32;
     EXPECT_TRUE(bit_equal(qfc.forward(x, fp32_ctx), golden_fp32));
 
-    // ABFT also multiplies against the decoded weights: same bits as fp32.
+    // ABFT checks the product the numeric policy picks, so a clean
+    // protected forward has the LUT forward's bits on every backend ...
     ExecutionContext abft_ctx;
     abft_ctx.resilience = ResiliencePolicy::kAbft;
     ResilienceReport report;
     abft_ctx.report = &report;
-    EXPECT_TRUE(bit_equal(qfc.forward(x, abft_ctx), golden_fp32));
+    EXPECT_TRUE(bit_equal(qfc.forward(x, abft_ctx), golden_lut));
     EXPECT_EQ(report.abft.detected, 0);
     EXPECT_GT(report.abft.multiplies, 0);
+    // ... and the fp32 bits under the scalar backend, where the packed
+    // GEMM reproduces matmul over the decoded weights.
+    ScopedKernelBackend pin(scalar_backend());
+    EXPECT_TRUE(bit_equal(qfc.forward(x, abft_ctx), golden_fp32));
+    EXPECT_EQ(report.abft.detected, 0);
   }
 }
 

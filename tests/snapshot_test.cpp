@@ -6,9 +6,13 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/bitpack.hpp"
@@ -23,6 +27,19 @@ namespace {
 
 std::string temp_path(const char* name) {
   return testing::TempDir() + "/" + name;
+}
+
+// Leftover temp files of atomic writes to `path` (its "<name>.XXXXXX"
+// siblings).
+int temp_files_of(const std::string& path) {
+  const std::filesystem::path p(path);
+  const std::string prefix = p.filename().string() + ".";
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(p.parent_path())) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+  }
+  return count;
 }
 
 std::vector<std::uint16_t> random_codes(std::size_t count, int bits,
@@ -215,8 +232,49 @@ TEST(AtomicWrite, ReplacesExistingFileAndLeavesNoTemp) {
   struct stat st{};
   ASSERT_EQ(::stat(path.c_str(), &st), 0);
   EXPECT_EQ(st.st_size, 4);
-  EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0)
-      << "temp file left behind";
+  EXPECT_EQ(temp_files_of(path), 0) << "temp file left behind";
+}
+
+TEST(AtomicWrite, ConcurrentWritersOfOnePathNeverTearIt) {
+  // Every writer publishes its own complete image; each open, whichever
+  // writer won the last rename, must see exactly one of them intact.
+  constexpr int kWriters = 8;
+  constexpr int kRounds = 20;
+  const std::string path = temp_path("concurrent.afsnap");
+  std::vector<std::vector<std::uint16_t>> codes;
+  std::vector<std::vector<std::uint8_t>> images;
+  for (int w = 0; w < kWriters; ++w) {
+    codes.push_back(random_codes(96, 8, 100 + static_cast<std::uint64_t>(w)));
+    SnapshotWriter writer;
+    writer.add_codes("w", FormatKind::kAdaptivFloat, 8, 3, -4, 1.0f,
+                     Shape{96}, codes.back());
+    images.push_back(writer.serialize());
+  }
+  std::atomic<int> throws{0}, torn{0}, opened{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        try {
+          atomic_write_file(path, images[static_cast<std::size_t>(w)]);
+          const std::vector<std::uint16_t> seen =
+              MappedSnapshot::open(path, {RecoveryPolicy::kDetect})
+                  .codes("w");
+          if (std::find(codes.begin(), codes.end(), seen) == codes.end()) {
+            ++torn;
+          }
+          ++opened;
+        } catch (const Error&) {
+          ++throws;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(throws.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(opened.load(), kWriters * kRounds);
+  EXPECT_EQ(temp_files_of(path), 0) << "temp file left behind";
 }
 
 TEST(AtomicWrite, FailureThrowsAfError) {
