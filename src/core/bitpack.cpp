@@ -33,11 +33,8 @@ std::vector<std::uint8_t> pack_codes(const std::vector<std::uint16_t>& codes,
   std::size_t bitpos = 0;
   for (std::uint16_t code : codes) {
     AF_CHECK(code < (1u << bits), "code wider than declared width");
-    for (int b = 0; b < bits; ++b, ++bitpos) {
-      if ((code >> b) & 1u) {
-        out[bitpos >> 3] |= static_cast<std::uint8_t>(1u << (bitpos & 7));
-      }
-    }
+    store_packed_code(out.data(), out.size(), bitpos, bits, code);
+    bitpos += static_cast<std::size_t>(bits);
   }
   return out;
 }
@@ -60,14 +57,8 @@ std::vector<std::uint16_t> unpack_codes(const std::uint8_t* bytes,
   }
   std::vector<std::uint16_t> out(count, 0);
   std::size_t bitpos = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint16_t code = 0;
-    for (int b = 0; b < bits; ++b, ++bitpos) {
-      if ((bytes[bitpos >> 3] >> (bitpos & 7)) & 1u) {
-        code |= static_cast<std::uint16_t>(1u << b);
-      }
-    }
-    out[i] = code;
+  for (std::size_t i = 0; i < count; ++i, bitpos += bits) {
+    out[i] = packed_code_at(bytes, nbytes, bitpos, bits);
   }
   return out;
 }
@@ -181,22 +172,12 @@ Tensor PackedAdaptivFloatTensor::unpack() const {
   return out;
 }
 
-std::uint16_t PackedAdaptivFloatTensor::code_at(std::int64_t index) const {
+float PackedAdaptivFloatTensor::value_at(std::int64_t index) const {
   AF_CHECK(index >= 0 && index < numel(), "packed index out of range");
   const int bits = format_.bits();
-  std::size_t bitpos =
-      static_cast<std::size_t>(index) * static_cast<std::size_t>(bits);
-  std::uint16_t code = 0;
-  for (int b = 0; b < bits; ++b, ++bitpos) {
-    if ((data_[bitpos >> 3] >> (bitpos & 7)) & 1u) {
-      code |= static_cast<std::uint16_t>(1u << b);
-    }
-  }
-  return code;
-}
-
-float PackedAdaptivFloatTensor::value_at(std::int64_t index) const {
-  return (*lut_)[code_at(index)];
+  return (*lut_)[packed_code_at(
+      data_, size_,
+      static_cast<std::size_t>(index) * static_cast<std::size_t>(bits), bits)];
 }
 
 }  // namespace af

@@ -125,8 +125,6 @@ class PackedAdaptivFloatTensor {
                            const std::uint8_t* data, std::size_t len,
                            std::shared_ptr<const void> keepalive);
 
-  std::uint16_t code_at(std::int64_t index) const;
-
   AdaptivFloatFormat format_;
   Shape shape_;
   std::vector<std::uint8_t> bytes_;     ///< owned storage; empty for views

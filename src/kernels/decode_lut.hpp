@@ -1,4 +1,9 @@
-// Table-driven decode of packed low-precision codes.
+// The packed-code layout and its table-driven decode.
+//
+// n-bit codes are packed back-to-back, LSB-first, into a byte stream.
+// packed_code_at reads one code of that layout and store_packed_code writes
+// one; pack_codes/unpack_codes, the KV cache and the LUT decoders below all
+// go through this pair.
 //
 // An n-bit format has at most 2^n distinct codes, so decode is a table
 // lookup: build the code -> FP32 table once per (format, calibration) and
@@ -66,6 +71,29 @@ inline std::uint16_t packed_code_at(const std::uint8_t* bytes,
   return static_cast<std::uint16_t>((window >> shift) & mask);
 }
 
+/// Read-modify-write of one n-bit code at `bitpos` of an LSB-first packed
+/// stream — the encode-side mirror of packed_code_at. Because every write
+/// preserves the neighbouring bits, appending over stale codes left by a
+/// reset() needs no re-zeroing pass.
+inline void store_packed_code(std::uint8_t* bytes, std::size_t nbytes,
+                              std::size_t bitpos, int bits,
+                              std::uint16_t code) {
+  const std::size_t byte = bitpos >> 3;
+  const unsigned shift = static_cast<unsigned>(bitpos & 7u);
+  const std::uint32_t mask = ((std::uint32_t{1} << bits) - 1u) << shift;
+  std::uint32_t window = bytes[byte];
+  if (byte + 1 < nbytes) window |= std::uint32_t{bytes[byte + 1]} << 8;
+  if (byte + 2 < nbytes) window |= std::uint32_t{bytes[byte + 2]} << 16;
+  window = (window & ~mask) | ((std::uint32_t{code} << shift) & mask);
+  bytes[byte] = static_cast<std::uint8_t>(window & 0xffu);
+  if (byte + 1 < nbytes) {
+    bytes[byte + 1] = static_cast<std::uint8_t>((window >> 8) & 0xffu);
+  }
+  if (byte + 2 < nbytes) {
+    bytes[byte + 2] = static_cast<std::uint8_t>((window >> 16) & 0xffu);
+  }
+}
+
 /// Fused unpack+decode over a raw 2^bits-entry table: decodes `count`
 /// consecutive codes starting at element `first` of the packed stream into
 /// out[0..count). Stray high bits in the final partial byte are masked off
@@ -97,13 +125,6 @@ inline void unpack_decode_strided_scalar(const std::uint8_t* bytes,
   for (std::int64_t i = 0; i < count; ++i, bitpos += bits) {
     out[i * out_stride] = table[packed_code_at(bytes, nbytes, bitpos, bits)];
   }
-}
-
-/// DecodeLut convenience wrapper kept for existing call sites.
-inline void unpack_decode(const std::uint8_t* bytes, std::size_t nbytes,
-                          int bits, std::int64_t first, std::int64_t count,
-                          const DecodeLut& lut, float* out) {
-  unpack_decode_scalar(bytes, nbytes, bits, first, count, lut.data(), out);
 }
 
 }  // namespace af

@@ -157,6 +157,31 @@ Tensor MultiHeadAttention::forward(const Tensor& q_in, const Tensor& kv_in,
   return out;
 }
 
+Tensor MultiHeadAttention::attend_cached(
+    const Tensor& q, const KvState& kv,
+    const std::vector<std::int64_t>* kv_lengths, ExecutionContext& ec) {
+  const std::int64_t b = kv.batch(), len = kv.len();
+  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(d_head_));
+  const KernelBackend& be = ec.kernel_backend();
+
+  Tensor ctx({b, d_model_});
+  Tensor srow({len});
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    const std::int64_t valid =
+        kv_lengths ? (*kv_lengths)[static_cast<std::size_t>(bi)] : len;
+    // rows() may decode into lane-shared scratch — consume the lane fully
+    // before asking for the next one.
+    const KvState::Rows rows = kv.rows(bi, be);
+    for (std::int64_t h = 0; h < heads_; ++h) {
+      const std::int64_t col = h * d_head_;
+      attend_row(q.data() + bi * d_model_ + col, rows.k + col, rows.v + col,
+                 rows.stride, len, len, valid, d_head_, inv_sqrt_dh,
+                 srow.data(), ctx.data() + bi * d_model_ + col);
+    }
+  }
+  return wo_.forward(ctx, ec);
+}
+
 Tensor MultiHeadAttention::decode_self_step(const Tensor& x, KvState& kv,
                                             ExecutionContext& ec) {
   if (!kv.initialized() || kv.dim() != d_model_) {
@@ -171,27 +196,9 @@ Tensor MultiHeadAttention::decode_self_step(const Tensor& x, KvState& kv,
   }
   Tensor q = wq_.forward(x, ec);
   kv.append(wk_.forward(x, ec), wv_.forward(x, ec));
-
-  const std::int64_t b = kv.batch(), len = kv.len();
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  const KernelBackend& be = ec.kernel_backend();
-
-  Tensor ctx({b, d_model_});
-  Tensor srow({len});
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    // rows() may decode into lane-shared scratch — consume the lane fully
-    // before asking for the next one.
-    const KvState::Rows rows = kv.rows(bi, be);
-    for (std::int64_t h = 0; h < heads_; ++h) {
-      const std::int64_t col = h * d_head_;
-      // The newest key IS the query's own position: the cached prefix is
-      // exactly the causally visible window, so nothing is masked.
-      attend_row(q.data() + bi * d_model_ + col, rows.k + col, rows.v + col,
-                 rows.stride, len, len, len, d_head_, inv_sqrt_dh,
-                 srow.data(), ctx.data() + bi * d_model_ + col);
-    }
-  }
-  return wo_.forward(ctx, ec);
+  // The newest key IS the query's own position: the cached prefix is
+  // exactly the causally visible window, so nothing is masked.
+  return attend_cached(q, kv, nullptr, ec);
 }
 
 void MultiHeadAttention::prefill_cross(const Tensor& enc, KvState& kv,
@@ -229,26 +236,7 @@ Tensor MultiHeadAttention::decode_cross_step(
     throw FaultError("attention", FaultKind::kMalformedInput,
                      "kv_lengths must have one entry per batch");
   }
-  Tensor q = wq_.forward(x, ec);
-
-  const std::int64_t b = kv.batch(), len = kv.len();
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(d_head_));
-  const KernelBackend& be = ec.kernel_backend();
-
-  Tensor ctx({b, d_model_});
-  Tensor srow({len});
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    const std::int64_t valid =
-        kv_lengths ? (*kv_lengths)[static_cast<std::size_t>(bi)] : len;
-    const KvState::Rows rows = kv.rows(bi, be);
-    for (std::int64_t h = 0; h < heads_; ++h) {
-      const std::int64_t col = h * d_head_;
-      attend_row(q.data() + bi * d_model_ + col, rows.k + col, rows.v + col,
-                 rows.stride, len, len, valid, d_head_, inv_sqrt_dh,
-                 srow.data(), ctx.data() + bi * d_model_ + col);
-    }
-  }
-  return wo_.forward(ctx, ec);
+  return attend_cached(wq_.forward(x, ec), kv, kv_lengths, ec);
 }
 
 std::pair<Tensor, Tensor> MultiHeadAttention::backward(const Tensor& dy) {

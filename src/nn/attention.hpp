@@ -104,6 +104,13 @@ class MultiHeadAttention final : public Module {
   void check_inputs(const Tensor& q_in, const Tensor& kv_in, bool causal,
                     const std::vector<std::int64_t>* kv_lengths) const;
 
+  /// Shared tail of both decode steps: attends the projected queries
+  /// q [B, D] over `kv`'s cached rows, masking keys at positions >= the
+  /// lane's kv_length (null = all visible), then applies wo_.
+  Tensor attend_cached(const Tensor& q, const KvState& kv,
+                       const std::vector<std::int64_t>* kv_lengths,
+                       ExecutionContext& ctx);
+
   std::int64_t d_model_;
   std::int64_t heads_;
   std::int64_t d_head_;

@@ -2,38 +2,17 @@
 
 #include <cstring>
 
+#include "src/kernels/decode_lut.hpp"
 #include "src/util/fault.hpp"
 
 namespace af {
 
 namespace {
 
-// Read-modify-write of one n-bit code at `bitpos` of an LSB-first packed
-// region — the encode-side mirror of packed_code_at. Because every write
-// preserves the neighbouring bits, appending over stale codes left by a
-// reset() needs no re-zeroing pass.
-void write_code(std::uint8_t* bytes, std::size_t nbytes, std::size_t bitpos,
-                int bits, std::uint16_t code) {
-  const std::size_t byte = bitpos >> 3;
-  const unsigned shift = static_cast<unsigned>(bitpos & 7u);
-  const std::uint32_t mask = ((std::uint32_t{1} << bits) - 1u) << shift;
-  std::uint32_t window = bytes[byte];
-  if (byte + 1 < nbytes) window |= std::uint32_t{bytes[byte + 1]} << 8;
-  if (byte + 2 < nbytes) window |= std::uint32_t{bytes[byte + 2]} << 16;
-  window = (window & ~mask) | ((std::uint32_t{code} << shift) & mask);
-  bytes[byte] = static_cast<std::uint8_t>(window & 0xffu);
-  if (byte + 1 < nbytes) {
-    bytes[byte + 1] = static_cast<std::uint8_t>((window >> 8) & 0xffu);
-  }
-  if (byte + 2 < nbytes) {
-    bytes[byte + 2] = static_cast<std::uint8_t>((window >> 16) & 0xffu);
-  }
-}
-
 std::uint8_t* region_base(Tensor& codes, std::int64_t bi,
                           std::size_t region_bytes) {
-  // Packed codes live byte-aliased inside float tensor storage so they ride
-  // the same arena planning as every other decode-session buffer.
+  // Codes live byte-aliased inside float tensor storage so they ride the
+  // same arena planning as every other decode-session buffer.
   return reinterpret_cast<std::uint8_t*>(codes.data()) +
          static_cast<std::size_t>(bi) * region_bytes;
 }
@@ -49,6 +28,11 @@ std::int64_t floats_for_bytes(std::size_t bytes) {
                                    sizeof(float));
 }
 
+// Bytes `n` codes of `bits` width occupy at the start of a lane region.
+std::size_t code_bytes(std::int64_t n, int bits) {
+  return static_cast<std::size_t>((n * bits + 7) / 8);
+}
+
 }  // namespace
 
 void KvState::init(std::int64_t b, std::int64_t capacity, std::int64_t d,
@@ -61,23 +45,22 @@ void KvState::init(std::int64_t b, std::int64_t capacity, std::int64_t d,
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
                      "KvState quantization needs both K and V codecs");
   }
+  if (quant.enabled() && quant.v_codec->bits() != quant.k_codec->bits()) {
+    throw FaultError("kv_cache", FaultKind::kMalformedInput,
+                     "KvState K/V codecs must share one code width");
+  }
   b_ = b;
   cap_ = capacity;
   d_ = d;
   len_ = 0;
   quant_ = std::move(quant);
+  bits_ = quant_.enabled() ? quant_.k_codec->bits() : 32;
+  region_bytes_ = code_bytes(cap_ * d_, bits_);
+  const std::int64_t code_floats =
+      floats_for_bytes(static_cast<std::size_t>(b_) * region_bytes_);
+  k_codes_ = Tensor({code_floats});
+  v_codes_ = Tensor({code_floats});
   if (quant_.enabled()) {
-    bits_ = quant_.k_codec->bits();
-    if (quant_.v_codec->bits() != bits_) {
-      throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                       "KvState K/V codecs must share one code width");
-    }
-    region_bytes_ = static_cast<std::size_t>(
-        (cap_ * d_ * bits_ + 7) / 8);
-    const std::int64_t code_floats =
-        floats_for_bytes(static_cast<std::size_t>(b_) * region_bytes_);
-    k_codes_ = Tensor({code_floats});
-    v_codes_ = Tensor({code_floats});
     k_scratch_ = Tensor({cap_, d_});
     v_scratch_ = Tensor({cap_, d_});
     // Force both decode LUTs now: the lazy first build is not thread-safe,
@@ -85,29 +68,31 @@ void KvState::init(std::int64_t b, std::int64_t capacity, std::int64_t d,
     k_table_ = quant_.k_codec->decode_lut(false).data();
     v_table_ = quant_.v_codec->decode_lut(false).data();
   } else {
-    bits_ = 0;
-    region_bytes_ = 0;
     k_table_ = v_table_ = nullptr;
-    k_ = Tensor({b_ * cap_, d_});
-    v_ = Tensor({b_ * cap_, d_});
   }
-  if (b_ > 1) {
-    // One staging buffer big enough for either mode's full payload makes a
-    // beam reorder a gather through preallocated memory, never an alloc.
-    const std::int64_t stage = quant_.enabled()
-                                   ? floats_for_bytes(static_cast<std::size_t>(
-                                         b_) * region_bytes_)
-                                   : b_ * cap_ * d_;
-    reorder_tmp_ = Tensor({stage});
-  }
+  // A staging copy of every lane region makes a beam reorder a gather
+  // through preallocated memory, never an alloc.
+  if (b_ > 1) reorder_tmp_ = Tensor({code_floats});
 }
 
-void KvState::encode_row(const FormatCodec& codec, const float* src,
-                         std::uint8_t* region, std::int64_t j) {
+void KvState::write_row(const float* k_row, const float* v_row,
+                        std::int64_t bi, std::int64_t j) {
+  std::uint8_t* kr = region_base(k_codes_, bi, region_bytes_);
+  std::uint8_t* vr = region_base(v_codes_, bi, region_bytes_);
+  if (!quant_.enabled()) {
+    // An fp32 row is its own 32-bit code: the region holds the row verbatim.
+    const std::size_t off = static_cast<std::size_t>(j * d_) * sizeof(float);
+    std::memcpy(kr + off, k_row, static_cast<std::size_t>(d_) * sizeof(float));
+    std::memcpy(vr + off, v_row, static_cast<std::size_t>(d_) * sizeof(float));
+    return;
+  }
   std::size_t bitpos = static_cast<std::size_t>(j * d_) *
                        static_cast<std::size_t>(bits_);
   for (std::int64_t col = 0; col < d_; ++col, bitpos += bits_) {
-    write_code(region, region_bytes_, bitpos, bits_, codec.encode(src[col]));
+    store_packed_code(kr, region_bytes_, bitpos, bits_,
+                      quant_.k_codec->encode(k_row[col]));
+    store_packed_code(vr, region_bytes_, bitpos, bits_,
+                      quant_.v_codec->encode(v_row[col]));
   }
 }
 
@@ -126,21 +111,8 @@ void KvState::append(const Tensor& k_step, const Tensor& v_step) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
                      "KvState::append expects [B, D] K/V steps matching init");
   }
-  const std::int64_t j = len_;
-  if (quant_.enabled()) {
-    for (std::int64_t bi = 0; bi < b_; ++bi) {
-      encode_row(*quant_.k_codec, k_step.data() + bi * d_,
-                 region_base(k_codes_, bi, region_bytes_), j);
-      encode_row(*quant_.v_codec, v_step.data() + bi * d_,
-                 region_base(v_codes_, bi, region_bytes_), j);
-    }
-  } else {
-    for (std::int64_t bi = 0; bi < b_; ++bi) {
-      std::memcpy(k_.data() + (bi * cap_ + j) * d_, k_step.data() + bi * d_,
-                  static_cast<std::size_t>(d_) * sizeof(float));
-      std::memcpy(v_.data() + (bi * cap_ + j) * d_, v_step.data() + bi * d_,
-                  static_cast<std::size_t>(d_) * sizeof(float));
-    }
+  for (std::int64_t bi = 0; bi < b_; ++bi) {
+    write_row(k_step.data() + bi * d_, v_step.data() + bi * d_, bi, len_);
   }
   ++len_;
 }
@@ -163,21 +135,10 @@ void KvState::append_block(const Tensor& k, const Tensor& v, std::int64_t t) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
                      "KvState::append_block expects [B*t, D] K/V projections");
   }
-  if (quant_.enabled()) {
-    for (std::int64_t bi = 0; bi < b_; ++bi) {
-      std::uint8_t* kr = region_base(k_codes_, bi, region_bytes_);
-      std::uint8_t* vr = region_base(v_codes_, bi, region_bytes_);
-      for (std::int64_t j = 0; j < t; ++j) {
-        encode_row(*quant_.k_codec, k.data() + (bi * t + j) * d_, kr, j);
-        encode_row(*quant_.v_codec, v.data() + (bi * t + j) * d_, vr, j);
-      }
-    }
-  } else {
-    for (std::int64_t bi = 0; bi < b_; ++bi) {
-      std::memcpy(k_.data() + bi * cap_ * d_, k.data() + bi * t * d_,
-                  static_cast<std::size_t>(t * d_) * sizeof(float));
-      std::memcpy(v_.data() + bi * cap_ * d_, v.data() + bi * t * d_,
-                  static_cast<std::size_t>(t * d_) * sizeof(float));
+  for (std::int64_t bi = 0; bi < b_; ++bi) {
+    for (std::int64_t j = 0; j < t; ++j) {
+      write_row(k.data() + (bi * t + j) * d_, v.data() + (bi * t + j) * d_,
+                bi, j);
     }
   }
   len_ = t;
@@ -188,16 +149,21 @@ KvState::Rows KvState::rows(std::int64_t bi, const KernelBackend& be) const {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
                      "KvState::rows lane out of range");
   }
+  const std::uint8_t* kr = region_base(k_codes_, bi, region_bytes_);
+  const std::uint8_t* vr = region_base(v_codes_, bi, region_bytes_);
   if (!quant_.enabled()) {
-    return {k_.data() + bi * cap_ * d_, v_.data() + bi * cap_ * d_, d_};
+    // fp32 regions are 4-byte aligned (region_bytes_ = 4·cap·d) and hold
+    // the float rows write_row copied in.
+    return {reinterpret_cast<const float*>(kr),
+            reinterpret_cast<const float*>(vr), d_};
   }
   const std::int64_t count = len_ * d_;
   if (count > 0) {
-    be.unpack_decode(region_base(k_codes_, bi, region_bytes_), region_bytes_,
-                     bits_, 0, count, k_table_, k_scratch_.data());
+    be.unpack_decode(kr, region_bytes_, bits_, 0, count, k_table_,
+                     k_scratch_.data());
     count_backend_dispatch(be);
-    be.unpack_decode(region_base(v_codes_, bi, region_bytes_), region_bytes_,
-                     bits_, 0, count, v_table_, v_scratch_.data());
+    be.unpack_decode(vr, region_bytes_, bits_, 0, count, v_table_,
+                     v_scratch_.data());
     count_backend_dispatch(be);
   }
   return {k_scratch_.data(), v_scratch_.data(), d_};
@@ -220,48 +186,27 @@ void KvState::reorder(const std::vector<std::size_t>& parents) {
   }
   if (b_ == 1) return;  // single lane: parents can only be {0}
   // Gather through the staging buffer so lanes may repeat parents freely.
-  if (quant_.enabled()) {
-    std::uint8_t* tmp = reinterpret_cast<std::uint8_t*>(reorder_tmp_.data());
-    for (Tensor* codes : {&k_codes_, &v_codes_}) {
-      for (std::size_t r = 0; r < parents.size(); ++r) {
-        std::memcpy(tmp + r * region_bytes_,
-                    region_base(*codes, static_cast<std::int64_t>(parents[r]),
-                                region_bytes_),
-                    region_bytes_);
-      }
-      std::memcpy(codes->data(), tmp, parents.size() * region_bytes_);
+  std::uint8_t* tmp = reinterpret_cast<std::uint8_t*>(reorder_tmp_.data());
+  for (Tensor* codes : {&k_codes_, &v_codes_}) {
+    for (std::size_t r = 0; r < parents.size(); ++r) {
+      std::memcpy(tmp + r * region_bytes_,
+                  region_base(*codes, static_cast<std::int64_t>(parents[r]),
+                              region_bytes_),
+                  region_bytes_);
     }
-  } else {
-    const std::size_t lane = static_cast<std::size_t>(cap_ * d_);
-    for (Tensor* full : {&k_, &v_}) {
-      float* tmp = reorder_tmp_.data();
-      for (std::size_t r = 0; r < parents.size(); ++r) {
-        std::memcpy(tmp + r * lane, full->data() + parents[r] * lane,
-                    lane * sizeof(float));
-      }
-      std::memcpy(full->data(), tmp, parents.size() * lane * sizeof(float));
-    }
+    std::memcpy(codes->data(), tmp, parents.size() * region_bytes_);
   }
 }
 
 std::size_t KvState::payload_bytes() const {
-  if (!initialized() || len_ == 0) return 0;
-  if (quant_.enabled()) {
-    // Bits actually occupied by cached codes, rounded up per lane.
-    const std::size_t lane_bytes = static_cast<std::size_t>(
-        (len_ * d_ * bits_ + 7) / 8);
-    return 2 * static_cast<std::size_t>(b_) * lane_bytes;
-  }
-  return 2 * static_cast<std::size_t>(b_ * len_ * d_) * sizeof(float);
+  if (!initialized()) return 0;
+  // Bytes actually occupied by cached codes, rounded up per lane.
+  return 2 * static_cast<std::size_t>(b_) * code_bytes(len_ * d_, bits_);
 }
 
 std::size_t KvState::bytes_per_step() const {
   if (!initialized()) return 0;
-  if (quant_.enabled()) {
-    return 2 * static_cast<std::size_t>(b_) *
-           static_cast<std::size_t>((d_ * bits_ + 7) / 8);
-  }
-  return 2 * static_cast<std::size_t>(b_ * d_) * sizeof(float);
+  return 2 * static_cast<std::size_t>(b_) * code_bytes(d_, bits_);
 }
 
 }  // namespace af

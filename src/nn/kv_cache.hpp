@@ -1,25 +1,26 @@
 // Per-layer key/value cache state for incremental attention decoding.
 //
 // A KvState holds the projected K/V rows an attention layer has already
-// seen, one slot per (batch lane, timestep). Two storage modes:
+// seen, one slot per (batch lane, timestep). One storage layout serves
+// both modes: each lane owns a byte-aligned region of ceil(cap*D*bits/8)
+// bytes holding its rows as LSB-first codes, so a beam-search lane
+// reorder is a region copy and a lane decode never straddles another
+// lane's bits. The modes differ only in the code width and in how a row
+// is written and read back:
 //
-//  * fp32 — K and V live as plain [B*cap, D] tensors; rows() hands the
-//    attend core the cached rows directly. This mode is bit-identical to
-//    the monolithic forward (the rows ARE the projections the monolithic
-//    path would have computed), which is what makes the fp32-KV decode
-//    path verifiable against full recompute before quantization enters.
+//  * fp32 — a row is stored as 32-bit codes, i.e. the float row itself
+//    (memcpy in, direct pointer out). This mode is bit-identical to the
+//    monolithic forward (the rows ARE the projections the monolithic path
+//    would have computed), which is what makes the fp32-KV decode path
+//    verifiable against full recompute before quantization enters.
 //
-//  * quantized — each appended row is encoded element-by-element through a
+//  * quantized — each row is encoded element-by-element through a
 //    FormatCodec (per-layer exp_bias recalibrated from calibration-time
-//    K/V ranges; see DESIGN.md §15) into an LSB-first packed payload, and
-//    rows() decodes a lane's rows into a preallocated scratch through the
-//    kernel backend's fused unpack_decode (the PR-4 LUT). At 4-bit this is
-//    an 8x cache-footprint cut — the KV cache, not the weights, dominates
+//    K/V ranges; see DESIGN.md §15) into the lane region, and rows()
+//    decodes a lane's rows into a preallocated scratch through the kernel
+//    backend's fused LUT unpack_decode (DESIGN.md §9). At 4-bit this is an
+//    8x cache-footprint cut — the KV cache, not the weights, dominates
 //    serving memory at scale.
-//
-// Packed payloads are laid out one byte-aligned region per batch lane
-// (region = ceil(cap*D*bits/8) bytes), so a beam-search lane reorder is a
-// region copy and a lane decode never straddles another lane's bits.
 //
 // All storage is allocated once in init() under the caller's ambient
 // ArenaScope (a DecodeSession's never-reset KV arena); append/rows/reorder
@@ -89,25 +90,27 @@ class KvState {
   bool initialized() const { return cap_ > 0; }
   bool quantized() const { return quant_.enabled(); }
 
-  /// Bytes the currently cached K+V payload occupies (packed bits for the
-  /// quantized mode, 4 bytes/element for fp32).
+  /// Bytes the currently cached K+V payload occupies: len*D codes per lane
+  /// rounded up to whole bytes (4 bytes/element for fp32).
   std::size_t payload_bytes() const;
   /// Payload bytes one appended timestep adds across all lanes.
   std::size_t bytes_per_step() const;
 
  private:
-  void encode_row(const FormatCodec& codec, const float* src,
-                  std::uint8_t* region, std::int64_t j);
+  // The only writer: stores K/V row `j` of lane `bi` (memcpy in fp32 mode,
+  // codec encode otherwise). Overwrites stale codes in place, so appends
+  // after a reset() need no zeroing pass.
+  void write_row(const float* k_row, const float* v_row, std::int64_t bi,
+                 std::int64_t j);
 
   std::int64_t b_ = 0, cap_ = 0, d_ = 0, len_ = 0;
   KvQuantConfig quant_;
-  int bits_ = 0;                      // quantized mode code width
-  std::size_t region_bytes_ = 0;      // packed bytes per lane
+  int bits_ = 0;                      // code width: 32 in fp32 mode
+  std::size_t region_bytes_ = 0;      // ceil(cap*D*bits/8) bytes per lane
   const float* k_table_ = nullptr;    // decode LUTs (owned by the codecs)
   const float* v_table_ = nullptr;
 
-  Tensor k_, v_;                // fp32 mode: [B*cap, D]
-  Tensor k_codes_, v_codes_;    // quantized mode: packed bytes (float storage)
+  Tensor k_codes_, v_codes_;    // B lane regions of codes (float storage)
   mutable Tensor k_scratch_, v_scratch_;  // quantized mode: [cap, D] decode
   Tensor reorder_tmp_;          // beam shuffle staging (allocated when B > 1)
 };

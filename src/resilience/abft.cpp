@@ -382,12 +382,9 @@ Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_a,
   const std::int64_t k = trans_a ? a.dim(0) : a.dim(1);
   const std::int64_t n = trans_b ? b.dim(0) : b.dim(1);
   const double eps = static_cast<double>(std::numeric_limits<float>::epsilon());
-  const double row_tol = cfg.rel_tolerance > 0.0
-                             ? cfg.rel_tolerance
-                             : 4.0 * eps * static_cast<double>(k + n);
-  const double col_tol = cfg.rel_tolerance > 0.0
-                             ? cfg.rel_tolerance
-                             : 4.0 * eps * static_cast<double>(k + m);
+  // Roundoff bounds, relative to each row/column magnitude sum.
+  const double row_tol = 4.0 * eps * static_cast<double>(k + n);
+  const double col_tol = 4.0 * eps * static_cast<double>(k + m);
 
   AbftReport local;
   local.multiplies = 1;

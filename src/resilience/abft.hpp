@@ -50,10 +50,6 @@ namespace af {
 struct AbftConfig {
   RecoveryPolicy policy = RecoveryPolicy::kDegradeToZero;
   int max_recomputes = 2;  ///< full-recompute retry budget per multiply
-  /// Relative tolerance of the algebraic check, as a multiple of the
-  /// magnitude sum of each row/column. 0 selects the automatic roundoff
-  /// bound 4 * eps_f * (k + n).
-  double rel_tolerance = 0.0;
   std::string layer = "abft_matmul";  ///< site name carried into FaultError
 };
 

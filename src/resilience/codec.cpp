@@ -159,7 +159,12 @@ class PositCodec final : public FormatCodec {
 
   std::uint16_t encode(float x) const override {
     if (x == 0.0f || std::isnan(x)) return 0;
-    // Posit saturation: nonzero magnitudes clamp at minpos/maxpos.
+    // Round to the nearest entry of the decoded grid, zero included:
+    // |x| <= ~minpos/2 flushes to code 0 (no minpos saturation), |x| beyond
+    // maxpos saturates at +-maxpos, and an exact tie takes the lower
+    // neighbour (toward -inf, so +1.75 -> 1.5 but -1.75 -> -2 at
+    // posit<4,0>). PositQuantizer instead saturates at +-minpos and breaks
+    // ties toward zero; see ROADMAP.
     auto it = std::lower_bound(
         table_.begin(), table_.end(), x,
         [](const auto& entry, float v) { return entry.first < v; });

@@ -389,24 +389,110 @@ TEST(KvCache, CapacityExhaustionThrowsTypedNeverAborts) {
   EXPECT_EQ(kv.len(), 1);
 }
 
-TEST(KvCache, ReorderGathersLaneHistories) {
-  KvState kv;
-  kv.init(3, 4, 2);
-  for (int step = 0; step < 2; ++step) {
-    Tensor k({3, 2}), v({3, 2});
-    for (std::int64_t bi = 0; bi < 3; ++bi) {
-      k.at({bi, 0}) = static_cast<float>(10 * bi + step);
-      k.at({bi, 1}) = 0.5f;
-      v.at({bi, 0}) = static_cast<float>(100 * bi + step);
-      v.at({bi, 1}) = -0.5f;
+// The three storage modes the lane-region layout serves: fp32 (32-bit
+// codes), AF8 (byte-aligned codes) and a 6-bit codec, whose rows end
+// mid-byte for the odd widths the tests below use.
+struct KvMode {
+  const char* name;
+  KvQuantConfig quant;
+  int bits;
+};
+
+std::vector<KvMode> kv_modes() {
+  KvQuantConfig af6;
+  af6.k_codec = std::shared_ptr<const FormatCodec>(
+      make_codec(FormatKind::kAdaptivFloat, 6, 2.0f));
+  af6.v_codec = std::shared_ptr<const FormatCodec>(
+      make_codec(FormatKind::kAdaptivFloat, 6, 3.0f));
+  return {{"fp32", KvQuantConfig{}, 32},
+          {"af8", af8_quant(2.0f, 3.0f), 8},
+          {"af6", af6, 6}};
+}
+
+// What a mode's rows() must return for an appended value.
+float kv_stored(const std::shared_ptr<const FormatCodec>& codec, float x) {
+  return codec ? codec->decode(codec->encode(x)) : x;
+}
+
+// Checks lane `bi` of `kv` holds rows[j][src_lane] for every cached j.
+void expect_lane_rows(const KvState& kv, const KvQuantConfig& q,
+                      std::int64_t bi, const std::vector<Tensor>& ks,
+                      const std::vector<Tensor>& vs, std::int64_t src_lane) {
+  const KvState::Rows rows = kv.rows(bi, active_backend());
+  for (std::int64_t j = 0; j < kv.len(); ++j) {
+    const Tensor& k = ks[static_cast<std::size_t>(j)];
+    const Tensor& v = vs[static_cast<std::size_t>(j)];
+    for (std::int64_t c = 0; c < kv.dim(); ++c) {
+      EXPECT_EQ(rows.k[j * rows.stride + c],
+                kv_stored(q.k_codec, k.at({src_lane, c})))
+          << "lane " << bi << " step " << j << " col " << c;
+      EXPECT_EQ(rows.v[j * rows.stride + c],
+                kv_stored(q.v_codec, v.at({src_lane, c})))
+          << "lane " << bi << " step " << j << " col " << c;
     }
-    kv.append(k, v);
   }
-  kv.reorder({2, 2, 0});
-  const KernelBackend& be = active_backend();
-  EXPECT_EQ(kv.rows(0, be).k[0], 20.0f);  // lane 0 now carries old lane 2
-  EXPECT_EQ(kv.rows(1, be).k[2], 21.0f);  // step 1 of old lane 2
-  EXPECT_EQ(kv.rows(2, be).v[0], 0.0f);   // old lane 0
+}
+
+TEST(KvCache, ReorderGathersLaneHistories) {
+  // B=3 lanes of up to 4 steps of D=3 (an 18-bit row at 6 bits).
+  for (const KvMode& mode : kv_modes()) {
+    SCOPED_TRACE(mode.name);
+    KvState kv;
+    kv.init(3, 4, 3, mode.quant);
+    EXPECT_EQ(kv.quantized(), mode.quant.enabled());
+    Pcg32 rng(41);
+    std::vector<Tensor> ks, vs;
+    for (int step = 0; step < 3; ++step) {
+      ks.push_back(Tensor::randn({3, 3}, rng));
+      vs.push_back(Tensor::randn({3, 3}, rng));
+      kv.append(ks.back(), vs.back());
+    }
+    kv.reorder({2, 2, 0});
+    EXPECT_EQ(kv.len(), 3);
+    expect_lane_rows(kv, mode.quant, 0, ks, vs, 2);  // lane 0: old lane 2
+    expect_lane_rows(kv, mode.quant, 1, ks, vs, 2);  // repeated parent
+    expect_lane_rows(kv, mode.quant, 2, ks, vs, 0);  // lane 2: old lane 0
+
+    // K+V, 3 lanes, 3 rows of 3 codes each, rounded up per lane.
+    const std::size_t per_step = mode.bits == 32 ? 72 : 18;
+    const std::size_t payload = mode.bits == 32 ? 216
+                                : mode.bits == 8 ? 54
+                                                 : 42;  // ceil(54/8)=7
+    EXPECT_EQ(kv.bytes_per_step(), per_step);
+    EXPECT_EQ(kv.payload_bytes(), payload);
+  }
+}
+
+TEST(KvCache, ResetThenReappendOverwritesStaleCodes) {
+  // Appends after reset() write over the previous history's codes in
+  // place; no zeroing pass runs, so any bit the writer fails to clear
+  // shows up in the re-read rows. The first fill saturates every code
+  // (most bits set); the second writes zeros (the all-zero code) and
+  // small randoms, each row straddling byte boundaries at 6 bits.
+  for (const KvMode& mode : kv_modes()) {
+    SCOPED_TRACE(mode.name);
+    KvState kv;
+    kv.init(2, 5, 5, mode.quant);
+    Tensor full({2, 5});
+    for (std::int64_t i = 0; i < full.numel(); ++i) full[i] = -1e3f;
+    for (int step = 0; step < 5; ++step) kv.append(full, full);
+    kv.reset();
+    EXPECT_EQ(kv.len(), 0);
+    EXPECT_EQ(kv.payload_bytes(), 0u);
+
+    Pcg32 rng(43);
+    std::vector<Tensor> ks, vs;
+    for (int step = 0; step < 4; ++step) {
+      ks.push_back(step % 2 == 0 ? Tensor({2, 5})
+                                 : Tensor::randn({2, 5}, rng, 0.1f));
+      vs.push_back(step % 2 == 0 ? Tensor::randn({2, 5}, rng, 0.1f)
+                                 : Tensor({2, 5}));
+      kv.append(ks.back(), vs.back());
+    }
+    for (std::int64_t bi = 0; bi < 2; ++bi) {
+      expect_lane_rows(kv, mode.quant, bi, ks, vs, bi);
+    }
+  }
 }
 
 TEST(KvCache, MisuseThrowsTypedMalformed) {
@@ -430,40 +516,52 @@ TEST(KvCache, MisuseThrowsTypedMalformed) {
 
 TEST(KvCache, AppendBlockMatchesPerStepAppends) {
   // prefill_cross uses append_block; it must land rows exactly where
-  // per-step appends would.
+  // per-step appends would, in every storage mode. B=2, T=3, D=5 (a 30-bit
+  // row at 6 bits), with capacity 4 so a lane region is longer than T rows.
   Pcg32 rng(77);
-  Tensor k({2 * 3, 4});  // [B*T, D] with B=2, T=3
-  Tensor v({2 * 3, 4});
+  Tensor k({2 * 3, 5});  // [B*T, D]
+  Tensor v({2 * 3, 5});
   for (std::int64_t i = 0; i < k.numel(); ++i) {
     k[i] = rng.uniform(-1.0f, 1.0f);
     v[i] = rng.uniform(-1.0f, 1.0f);
   }
-  KvState block;
-  block.init(2, 3, 4);
-  block.append_block(k, v, 3);
+  for (const KvMode& mode : kv_modes()) {
+    SCOPED_TRACE(mode.name);
+    KvState block;
+    block.init(2, 4, 5, mode.quant);
+    block.append_block(k, v, 3);
 
-  KvState steps;
-  steps.init(2, 3, 4);
-  for (std::int64_t t = 0; t < 3; ++t) {
-    Tensor ks({2, 4}), vs({2, 4});
-    for (std::int64_t bi = 0; bi < 2; ++bi) {
-      for (std::int64_t c = 0; c < 4; ++c) {
-        ks.at({bi, c}) = k.at({bi * 3 + t, c});
-        vs.at({bi, c}) = v.at({bi * 3 + t, c});
+    KvState steps;
+    steps.init(2, 4, 5, mode.quant);
+    std::vector<Tensor> ks, vs;
+    for (std::int64_t t = 0; t < 3; ++t) {
+      Tensor kt({2, 5}), vt({2, 5});
+      for (std::int64_t bi = 0; bi < 2; ++bi) {
+        for (std::int64_t c = 0; c < 5; ++c) {
+          kt.at({bi, c}) = k.at({bi * 3 + t, c});
+          vt.at({bi, c}) = v.at({bi * 3 + t, c});
+        }
       }
+      steps.append(kt, vt);
+      ks.push_back(kt);
+      vs.push_back(vt);
     }
-    steps.append(ks, vs);
-  }
 
-  const KernelBackend& be = active_backend();
-  for (std::int64_t bi = 0; bi < 2; ++bi) {
-    KvState::Rows a = block.rows(bi, be);
-    KvState::Rows b = steps.rows(bi, be);
-    for (std::int64_t j = 0; j < 3; ++j) {
-      for (std::int64_t c = 0; c < 4; ++c) {
-        EXPECT_EQ(a.k[j * a.stride + c], b.k[j * b.stride + c]);
-        EXPECT_EQ(a.v[j * a.stride + c], b.v[j * b.stride + c]);
-      }
+    ASSERT_EQ(block.len(), steps.len());
+    for (std::int64_t bi = 0; bi < 2; ++bi) {
+      expect_lane_rows(block, mode.quant, bi, ks, vs, bi);
+      expect_lane_rows(steps, mode.quant, bi, ks, vs, bi);
+    }
+    // K+V, 2 lanes, 3 rows of 5 codes each, rounded up per lane.
+    const std::size_t per_step = mode.bits == 32 ? 80
+                                 : mode.bits == 8 ? 20
+                                                  : 16;  // ceil(30/8)=4
+    const std::size_t payload = mode.bits == 32 ? 240
+                                : mode.bits == 8 ? 60
+                                                 : 48;  // ceil(90/8)=12
+    for (const KvState* kv : {&block, &steps}) {
+      EXPECT_EQ(kv->bytes_per_step(), per_step);
+      EXPECT_EQ(kv->payload_bytes(), payload);
     }
   }
 }
