@@ -15,14 +15,9 @@ AdaptivFloatFormat::AdaptivFloatFormat(int bits, int exp_bits, int exp_bias)
   AF_CHECK(bits >= 2 && bits <= 16, "AdaptivFloat width must be in [2,16]");
   AF_CHECK(exp_bits >= 0 && exp_bits <= bits - 1,
            "exponent width must leave room for the sign bit");
-}
-
-float AdaptivFloatFormat::value_min() const {
-  return std::ldexp(1.0f + std::ldexp(1.0f, -mant_bits_), exp_bias_);
-}
-
-float AdaptivFloatFormat::value_max() const {
-  return std::ldexp(2.0f - std::ldexp(1.0f, -mant_bits_), exp_max());
+  value_min_ = std::ldexp(1.0f + std::ldexp(1.0f, -mant_bits_), exp_bias_);
+  value_max_ = std::ldexp(2.0f - std::ldexp(1.0f, -mant_bits_), exp_max());
+  mant_scale_ = std::ldexp(1.0f, mant_bits_);
 }
 
 std::uint16_t AdaptivFloatFormat::make_code(std::uint16_t sign,
@@ -50,8 +45,8 @@ std::uint16_t AdaptivFloatFormat::encode(float x) const {
   const std::uint16_t sign = x < 0.0f ? 1 : 0;
   float a = std::fabs(x);
 
-  const float vmin = value_min();
-  const float vmax = value_max();
+  const float vmin = value_min_;
+  const float vmax = value_max_;
 
   // Sub-minimum values round to 0 below the halfway threshold and to
   // value_min above it (paper Algorithm 1, "Handle unrepresentable values").
@@ -73,9 +68,9 @@ std::uint16_t AdaptivFloatFormat::encode(float x) const {
   float mant = 2.0f * frac;
 
   // Round the mantissa to m fractional bits, ties to even (the default
-  // FE_TONEAREST behaviour of nearbyint).
-  auto q = static_cast<std::int64_t>(
-      std::nearbyint(std::ldexp(mant, mant_bits_)));
+  // FE_TONEAREST behaviour of nearbyint). mant * 2^m is exact: a power-of-2
+  // scale of a value in [1, 2) with m <= 15 stays a normal float.
+  auto q = static_cast<std::int64_t>(std::nearbyint(mant * mant_scale_));
   if (q == (std::int64_t{1} << (mant_bits_ + 1))) {
     q >>= 1;  // mantissa rounded up to 2.0: carry into the exponent
     ++exp;

@@ -37,10 +37,10 @@ class AdaptivFloatFormat {
 
   /// Smallest positive representable magnitude after the zero rule:
   /// 2^exp_bias * (1 + 2^-m)   (paper Algorithm 1, value_min).
-  float value_min() const;
+  float value_min() const { return value_min_; }
 
   /// Largest representable magnitude: 2^exp_max * (2 - 2^-m).
-  float value_max() const;
+  float value_max() const { return value_max_; }
 
   /// Number of distinct bit patterns (2^bits).
   int num_codes() const { return 1 << bits_; }
@@ -98,6 +98,10 @@ class AdaptivFloatFormat {
   int exp_bits_;
   int mant_bits_;
   int exp_bias_;
+  // Derived once in the constructor: encode() reads them per element.
+  float value_min_;
+  float value_max_;
+  float mant_scale_;  // 2^mant_bits
 };
 
 }  // namespace af

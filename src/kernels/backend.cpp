@@ -25,6 +25,11 @@ void scalar_gemm_panel_accumulate(float* c, std::int64_t ldc, const float* a,
                                 k0, k1);
 }
 
+void scalar_gemm_dot_rows(float* c, const float* a, const float* b,
+                          std::int64_t m, std::int64_t n, std::int64_t k) {
+  detail::gemm_dot_rows(c, a, b, m, n, k);
+}
+
 void scalar_nearest_indices(const NearestLutView& lut, const float* x,
                             std::uint32_t* idx, std::int64_t count) {
   // Exactly NearestLut::index_of, per element.
@@ -46,6 +51,7 @@ const KernelBackend kScalarBackend = {
     "scalar",
     BackendKind::kScalar,
     &scalar_gemm_panel_accumulate,
+    &scalar_gemm_dot_rows,
     &unpack_decode_scalar,
     &unpack_decode_strided_scalar,
     &scalar_nearest_indices,

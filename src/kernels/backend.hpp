@@ -1,12 +1,12 @@
 // Runtime-dispatched SIMD kernel backends.
 //
-// The LUT-fused kernels (decode tables, packed-panel GEMM, nearest-boundary
-// search) are pure inner loops over flat arrays — exactly the shape SIMD
-// wants. This module is the seam between "which loop body runs" and
-// "what the loop computes": a KernelBackend is a table of function pointers
-// for the three hot primitives, selected once at startup (cpuid + the
-// AF_BACKEND env override) and threaded through ExecutionContext so a
-// session can pin a backend explicitly.
+// The GEMM microkernels and the LUT-fused kernels (decode tables,
+// nearest-boundary search) are pure inner loops over flat arrays — exactly
+// the shape SIMD wants. This module is the seam between "which loop body
+// runs" and "what the loop computes": a KernelBackend is a table of
+// function pointers for the hot primitives, selected once at startup
+// (cpuid + the AF_BACKEND env override) and threaded through
+// ExecutionContext so a session can pin a backend explicitly.
 //
 // Determinism contract (see DESIGN.md §12):
 //  * Within a backend, every primitive has one fixed accumulation /
@@ -16,9 +16,12 @@
 //    code paths (CI pins its digests against the recorded goldens).
 //  * Decode (`unpack_decode*`) and the NearestLut boundary search are pure
 //    integer/table maps, so they are bit-identical across *all* backends.
-//  * The AVX2 GEMM accumulates with FMA (one rounding per multiply-add
-//    instead of two), so cross-backend bit-equality is NOT promised for
-//    FP accumulation — divergence is bounded by kGemmBackendUlpTol and
+//  * The small-M dot path (`gemm_dot_rows`) runs the scalar chain — one
+//    rounded multiply, then one rounded add, per k — in every lane, so it
+//    too is bit-identical across all backends.
+//  * The AVX2 panel GEMM accumulates with FMA (one rounding per
+//    multiply-add instead of two), so cross-backend bit-equality is NOT
+//    promised there — divergence is bounded by kGemmBackendUlpTol and
 //    asserted in tests.
 #pragma once
 
@@ -57,6 +60,15 @@ struct KernelBackend {
                                 std::int64_t i1, std::int64_t k0,
                                 std::int64_t k1);
 
+  /// Small-M C[m, n] += A[m, k] * B[n, k]^T over contiguous row-major
+  /// operands (m <= detail::kMatmulDotRows); same contract as
+  /// detail::gemm_dot_rows (src/tensor/gemm_kernel.hpp). Every backend runs
+  /// that exact chain per output — start from C, k ascending over the whole
+  /// range, exact-zero A skipped, one rounded multiply then one rounded
+  /// add — so the result is bit-identical across backends.
+  void (*gemm_dot_rows)(float* c, const float* a, const float* b,
+                        std::int64_t m, std::int64_t n, std::int64_t k);
+
   /// Fused unpack+decode of `count` consecutive codes starting at element
   /// `first` of an LSB-first packed stream, through the 2^bits-entry FP32
   /// table. Bit-identical across backends (pure table map).
@@ -78,7 +90,7 @@ struct KernelBackend {
                           std::uint32_t* idx, std::int64_t count);
 };
 
-/// Documented cross-backend tolerance for the FMA GEMM, in ULPs *at the
+/// Documented cross-backend tolerance for the FMA panel GEMM, in ULPs *at the
 /// scale of the dot product*: for every output element,
 ///
 ///   |avx2 - scalar|  <=  kGemmBackendUlpTol * 2^-24 * sum_k |A_ik * B_jk|

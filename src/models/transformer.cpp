@@ -372,9 +372,10 @@ TransformerDecoder::TransformerDecoder(TransformerMT& model, Options opts)
   hooks.prefill = [this](ExecutionContext& c) { prefill(c); };
   hooks.step = [this](const std::vector<std::int64_t>& t,
                       ExecutionContext& c) { return decode_step(t, c); };
+  modules_ = model_.all_modules();
   hooks.cache_probe = [this] {
     std::int64_t depth = 0;
-    for (Module* m : model_.all_modules()) depth += m->cache_depth();
+    for (Module* m : modules_) depth += m->cache_depth();
     return depth;
   };
   DecodeSessionConfig scfg;

@@ -206,6 +206,9 @@ class TransformerDecoder {
   std::vector<KvState> self_kv_, cross_kv_;
   std::vector<TokenSeq> src_batch_;
   std::vector<std::int64_t> src_lengths_;
+  // The model's modules, listed once: the session's cache probe walks them
+  // after every step, and rebuilding the list there would allocate.
+  std::vector<Module*> modules_;
   std::int64_t pos_ = 0;
   std::unique_ptr<DecodeSession> session_;  // last: its ctor runs setup()
 };

@@ -43,7 +43,8 @@ Tensor Linear::forward(const Tensor& x, ExecutionContext& ctx) {
                       ctx.abft_config(weight_.name), &abft, ctx.mac_hook);
       if (ctx.report != nullptr) ctx.report->abft.merge(abft);
     } else {
-      y = matmul(x, weight_.value, false, /*trans_b=*/true);
+      y = matmul(x, weight_.value, false, /*trans_b=*/true,
+                 &ctx.kernel_backend());
     }
     if (has_bias_) add_row_bias_inplace(y, bias_.value);
     return y;

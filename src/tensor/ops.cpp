@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "src/kernels/backend.hpp"
 #include "src/tensor/gemm_kernel.hpp"
 #include "src/util/parallel.hpp"
 
@@ -22,39 +23,6 @@ using detail::kMatmulRowGrain;
 constexpr std::int64_t kElemGrain = 1 << 13;  // elements per chunk
 constexpr std::int64_t kRowGrain = 16;        // matrix rows per chunk
 
-/// crow[0:W] += arow * B[0:W, :]^T for W consecutive rows of B (row t at
-/// bj + t*k): W independent scalar chains, so the k loop is not bound by
-/// add latency. Each chain is the shared one of gemm_kernel.hpp — start
-/// from c[i][j], k ascending over the whole range, skip a[i][k] == 0
-/// before the multiply, one multiply then one add — which is the panel
-/// path's chain with its ascending k-windows concatenated.
-template <std::int64_t W>
-void dot_cols(float* crow, const float* arow, const float* bj,
-              std::int64_t k) {
-  float s[W];
-  for (std::int64_t t = 0; t < W; ++t) s[t] = crow[t];
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float av = arow[kk];
-    if (av == 0.0f) continue;
-    for (std::int64_t t = 0; t < W; ++t) s[t] += av * bj[t * k + kk];
-  }
-  for (std::int64_t t = 0; t < W; ++t) crow[t] = s[t];
-}
-
-/// Small-M C[m, n] += A[m, k] * B[n, k]^T, one dot product per output over
-/// the contiguous A row and B row: bit-identical to the panel path, with
-/// no repacked tile. Eight columns at a time, then a one-column tail.
-void matmul_dot_rows(float* c, const float* a, const float* b, std::int64_t m,
-                     std::int64_t n, std::int64_t k) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8) dot_cols<8>(crow + j, arow, b + j * k, k);
-    for (; j < n; ++j) dot_cols<1>(crow + j, arow, b + j * k, k);
-  }
-}
-
 void check_rank2(const Tensor& t, const char* name) {
   AF_CHECK(t.rank() == 2,
            std::string(name) + " must be rank-2, got " + shape_str(t.shape()));
@@ -69,7 +37,7 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
 }  // namespace
 
 void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
-                bool trans_b) {
+                bool trans_b, const KernelBackend* backend) {
   check_rank2(a, "matmul a");
   check_rank2(b, "matmul b");
   check_rank2(c, "matmul c");
@@ -89,9 +57,13 @@ void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
 
   // A decode step's x*W^T has one row: repacking all of W into tiles would
   // cost more than the product itself, so small-M trans_b calls run the
-  // bit-identical dot-product form instead (see matmul_dot_rows).
+  // bit-identical dot-product form instead (detail::gemm_dot_rows), on the
+  // backend in force — every backend computes the same bits here.
   if (!trans_a && trans_b && m <= kMatmulDotRows) {
-    matmul_dot_rows(pc, pa, pb, m, n, k);
+    const KernelBackend& be =
+        backend != nullptr ? *backend : active_backend();
+    count_backend_dispatch(be);
+    be.gemm_dot_rows(pc, pa, pb, m, n, k);
     return;
   }
 
@@ -130,13 +102,14 @@ void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
   });
 }
 
-Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b,
+              const KernelBackend* backend) {
   check_rank2(a, "matmul a");
   check_rank2(b, "matmul b");
   const std::int64_t m = trans_a ? a.dim(1) : a.dim(0);
   const std::int64_t n = trans_b ? b.dim(0) : b.dim(1);
   Tensor c({m, n});
-  matmul_acc(c, a, b, trans_a, trans_b);
+  matmul_acc(c, a, b, trans_a, trans_b, backend);
   return c;
 }
 

@@ -12,6 +12,8 @@
 
 namespace af {
 
+struct KernelBackend;
+
 // ----- matrix products -----------------------------------------------------
 
 /// C = op(A) * op(B). op is transpose when the corresponding flag is set.
@@ -25,13 +27,16 @@ namespace af {
 /// over the contiguous rows instead, which skips the repack a decode step
 /// would otherwise pay per call. Both forms compute the same bits, so the
 /// choice follows m alone and is not configurable; row i of any product
-/// equals that row run solo.
+/// equals that row run solo. The dot form runs on `backend`'s
+/// gemm_dot_rows entry (nullptr = active_backend()), which is
+/// bit-identical on every backend, so the pin moves speed, never bits.
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
-              bool trans_b = false);
+              bool trans_b = false, const KernelBackend* backend = nullptr);
 
 /// C += op(A) * op(B) — accumulating form used by backward passes.
 void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b,
-                bool trans_a = false, bool trans_b = false);
+                bool trans_a = false, bool trans_b = false,
+                const KernelBackend* backend = nullptr);
 
 // ----- elementwise ---------------------------------------------------------
 

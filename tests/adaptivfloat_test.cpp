@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "src/core/adaptivfloat.hpp"
 #include "src/util/check.hpp"
@@ -126,6 +127,49 @@ TEST(AdaptivFloatFormat, RoundsToNearestWithTiesToEven) {
   // Just off the midpoints rounds to the nearer value.
   EXPECT_FLOAT_EQ(f.quantize(2.51f), 3.0f);
   EXPECT_FLOAT_EQ(f.quantize(2.49f), 2.0f);
+}
+
+TEST(AdaptivFloatFormat, RoundingBoundariesPinnedAcrossFormats) {
+  // Every boundary between adjacent positive representable values, over
+  // bits 4-16, exp_bits 0-4 and several biases: the exact midpoint (it has
+  // one more significant bit than either side, so it is a float) rounds
+  // ties-to-even, and each float neighbour of it rounds to its own side.
+  // With mantissa bits, the even side is the even code; without them
+  // (m = 0) the significands are 1 and 2, so a tie always goes up. The
+  // 0 | value_min boundary follows the sub-minimum rule instead: the
+  // midpoint goes to value_min. Both signs are checked.
+  for (int bits = 4; bits <= 16; ++bits) {
+    for (int e = 0; e <= 4 && e <= bits - 1; ++e) {
+      for (const int bias : {-12, -7, -1, 0, 3}) {
+        const AdaptivFloatFormat f(bits, e, bias);
+        std::vector<float> pos;
+        for (const float v : f.representable_values()) {
+          if (v > 0.0f) pos.push_back(v);
+        }
+        const auto check = [&](float x, float want, const char* what) {
+          EXPECT_EQ(f.encode(x), f.encode(want))
+              << f.to_string() << " " << what << " x=" << x;
+          EXPECT_EQ(f.encode(-x), f.encode(-want))
+              << f.to_string() << " " << what << " x=-" << x;
+        };
+        const float half_min = 0.5f * pos.front();
+        check(half_min, pos.front(), "sub-minimum midpoint");
+        check(std::nextafter(half_min, 0.0f), 0.0f, "below sub-minimum");
+        for (std::size_t t = 0; t + 1 < pos.size(); ++t) {
+          const float lo = pos[t];
+          const float hi = pos[t + 1];
+          const float mid = 0.5f * (lo + hi);
+          ASSERT_EQ(static_cast<double>(mid),
+                    0.5 * (static_cast<double>(lo) + hi))
+              << f.to_string() << " midpoint of " << lo << " and " << hi;
+          const bool lo_even = (f.encode(lo) & 1u) == 0;
+          check(mid, f.mant_bits() > 0 && lo_even ? lo : hi, "midpoint");
+          check(std::nextafter(mid, lo), lo, "below midpoint");
+          check(std::nextafter(mid, hi), hi, "above midpoint");
+        }
+      }
+    }
+  }
 }
 
 TEST(AdaptivFloatFormat, MantissaCarryBumpsExponent) {

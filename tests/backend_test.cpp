@@ -21,6 +21,7 @@
 #include "src/nn/quantized_linear.hpp"
 #include "src/resilience/codec.hpp"
 #include "src/runtime/execution_context.hpp"
+#include "src/tensor/gemm_kernel.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/fault.hpp"
 #include "src/util/parallel.hpp"
@@ -119,6 +120,32 @@ TEST(KernelBackendDispatch, ContextPinOverridesAmbientBackend) {
   EXPECT_EQ(backend_dispatch_count(BackendKind::kAvx2), avx20 + 1);
 }
 
+TEST(KernelBackendDispatch, LinearDotPathFollowsContextPin) {
+  // An fp32 Linear forward with m <= kMatmulDotRows runs matmul's dot path
+  // on the context's backend: exactly one dispatch per call, and the
+  // ambient backend's counter stays flat under a pin.
+  Pcg32 rng(9);
+  Linear fc(48, 24, rng);
+  const Tensor x = Tensor::randn({3, 48}, rng);
+
+  ExecutionContext ctx;
+  ctx.numeric = NumericPolicy::kFp32;
+  ctx.backend = &scalar_backend();
+  const std::uint64_t scalar0 = backend_dispatch_count(BackendKind::kScalar);
+  const std::uint64_t avx20 = backend_dispatch_count(BackendKind::kAvx2);
+  const Tensor ref = fc.forward(x, ctx);
+  EXPECT_EQ(backend_dispatch_count(BackendKind::kScalar), scalar0 + 1);
+  EXPECT_EQ(backend_dispatch_count(BackendKind::kAvx2), avx20);
+
+  const KernelBackend* avx2 = avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  ctx.backend = avx2;
+  const Tensor got = fc.forward(x, ctx);
+  EXPECT_EQ(backend_dispatch_count(BackendKind::kAvx2), avx20 + 1);
+  EXPECT_EQ(backend_dispatch_count(BackendKind::kScalar), scalar0 + 1);
+  EXPECT_TRUE(bit_equal(ref, got));
+}
+
 TEST(KernelBackendDispatch, ScopedPinRestoresPreviousSelection) {
   const KernelBackend& before = active_backend();
   {
@@ -179,6 +206,72 @@ TEST(KernelBackendNumerics, Avx2GemmBitStableAcrossThreadCounts) {
         << "threads=" << threads;
   }
   set_num_threads(0);
+}
+
+TEST(KernelBackendNumerics, DotRowsBitIdenticalToScalar) {
+  // The small-M dot path runs the scalar chain in every lane: bit-equal
+  // outputs, not a ULP bound. The shapes cover each row count up to the
+  // cutoff, the 8-column blocks and their pairing with an n % 8 tail, and
+  // the 8-k transpose with a k % 8 tail; C starts nonzero. The probes put
+  // signed zeros (skipped), NaN, infinities and denormals in A and in B.
+  // Where two NaNs meet in one add (a propagated NaN and inf - inf, say),
+  // IEEE 754 leaves open which one the result carries, and the compiler
+  // may commute the operands, so a NaN output need only be NaN on both
+  // sides; every other output is compared bit for bit.
+  static_assert(detail::kMatmulDotRows == 4);
+  const KernelBackend* avx2 = avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const float probes[] = {0.0f, -0.0f, nan, inf, -inf, den, -den, 3e-39f};
+  constexpr std::uint32_t kProbes = sizeof(probes) / sizeof(probes[0]);
+  Pcg32 rng(36);
+  std::int64_t outputs = 0;
+  std::int64_t nan_outputs = 0;
+  for (std::int64_t m = 1; m <= detail::kMatmulDotRows; ++m) {
+    for (const std::int64_t n : {1, 7, 8, 9, 24, 67}) {
+      for (const std::int64_t k : {1, 7, 8, 9, 64, 300}) {
+        std::vector<float> a(static_cast<std::size_t>(m * k));
+        std::vector<float> b(static_cast<std::size_t>(n * k));
+        for (auto& v : a) v = rng.normal();
+        for (auto& v : b) v = rng.normal();
+        // One probe per row of A and of B at a random k (with k = 1 the
+        // whole row is the probe): enough for every kind to meet every
+        // lane and tail, sparse enough that most outputs stay finite.
+        for (std::int64_t r = 0; r < m; ++r) {
+          a[static_cast<std::size_t>(r * k + rng.next_u32() % k)] =
+              probes[rng.next_u32() % kProbes];
+        }
+        for (std::int64_t r = 0; r < n; ++r) {
+          b[static_cast<std::size_t>(r * k + rng.next_u32() % k)] =
+              probes[rng.next_u32() % kProbes];
+        }
+        std::vector<float> c0(static_cast<std::size_t>(m * n));
+        for (auto& v : c0) v = rng.normal();
+        std::vector<float> ref = c0;
+        std::vector<float> got = c0;
+        outputs += static_cast<std::int64_t>(ref.size());
+        scalar_backend().gemm_dot_rows(ref.data(), a.data(), b.data(), m, n,
+                                       k);
+        avx2->gemm_dot_rows(got.data(), a.data(), b.data(), m, n, k);
+        for (std::size_t e = 0; e < ref.size(); ++e) {
+          if (std::isnan(ref[e])) {
+            ++nan_outputs;
+            EXPECT_TRUE(std::isnan(got[e]))
+                << "m=" << m << " n=" << n << " k=" << k << " e=" << e;
+            continue;
+          }
+          EXPECT_EQ(0, std::memcmp(&ref[e], &got[e], sizeof(float)))
+              << "m=" << m << " n=" << n << " k=" << k << " e=" << e << ": "
+              << ref[e] << " vs " << got[e];
+        }
+      }
+    }
+  }
+  // NaN outputs occur, but most outputs carry comparable bits.
+  EXPECT_GT(nan_outputs, 0);
+  EXPECT_LT(2 * nan_outputs, outputs);
 }
 
 TEST(KernelBackendNumerics, UnpackDecodeBitIdenticalToScalar) {
