@@ -40,7 +40,6 @@
 #include "src/core/bitpack.hpp"
 #include "src/kernels/backend.hpp"
 #include "src/kernels/gemm_packed.hpp"
-#include "src/tensor/gemm_kernel.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/parallel.hpp"
@@ -206,14 +205,12 @@ struct Measurement {
 // ratio vs M=1 — the kernel-layer ceiling on batching speedup.
 //
 // The fp32 arm times matmul(x, W, false, true) — the x*W^T every fp32
-// Linear runs — at M in {1, 2, 4, 8, 16, 64}, on both sides of the
-// kMatmulDotRows cutoff: at or below it the product is one dot product per
-// output over W's rows, above it W is repacked into k-major tiles.
+// Linear runs, one dot product per output over W's rows on the active
+// backend — at M in {1, 2, 4, 8, 16, 64}.
 //
 // Row-independence is enforced while we're here: the first M rows of the
 // full 512-row product must be byte-identical to the M-row run (the
-// contract the serving scatter depends on — and, for the fp32 arm, the
-// proof that both sides of the cutoff compute the same bits).
+// contract the serving scatter depends on).
 struct SweepArm {
   const char* name;
   std::vector<std::int64_t> rows;
@@ -291,8 +288,7 @@ void append_m_sweep(const Workload& w, std::string& json, bool& all_ok) {
     json += bi + 1 < packed.size() ? "    ]},\n" : "    ]}\n";
   }
   json += "  ],\n";
-  json += "  \"m_sweep_fp32\": {\"dot_rows\": " +
-          std::to_string(detail::kMatmulDotRows) + ", \"points\": [\n";
+  json += "  \"m_sweep_fp32\": {\"points\": [\n";
   json += sweep_points(w, fp32, table, all_ok);
   json += "  ]}\n";
   set_num_threads(0);

@@ -16,7 +16,7 @@
 //    code paths (CI pins its digests against the recorded goldens).
 //  * Decode (`unpack_decode*`) and the NearestLut boundary search are pure
 //    integer/table maps, so they are bit-identical across *all* backends.
-//  * The small-M dot path (`gemm_dot_rows`) runs the scalar chain — one
+//  * The x*W^T dot chain (`gemm_dot_rows`) runs the scalar chain — one
 //    rounded multiply, then one rounded add, per k — in every lane, so it
 //    too is bit-identical across all backends.
 //  * The AVX2 panel GEMM accumulates with FMA (one rounding per
@@ -60,9 +60,9 @@ struct KernelBackend {
                                 std::int64_t i1, std::int64_t k0,
                                 std::int64_t k1);
 
-  /// Small-M C[m, n] += A[m, k] * B[n, k]^T over contiguous row-major
-  /// operands (m <= detail::kMatmulDotRows); same contract as
-  /// detail::gemm_dot_rows (src/tensor/gemm_kernel.hpp). Every backend runs
+  /// C[m, n] += A[m, k] * B[n, k]^T over contiguous row-major operands,
+  /// any m; same contract as detail::gemm_dot_rows
+  /// (src/tensor/gemm_kernel.hpp). Every backend runs
   /// that exact chain per output — start from C, k ascending over the whole
   /// range, exact-zero A skipped, one rounded multiply then one rounded
   /// add — so the result is bit-identical across backends.

@@ -18,10 +18,10 @@
 //    alignment, but NOT to the scalar backend (FMA rounds once per step
 //    where mul+add rounds twice; bounded by kGemmBackendUlpTol at the
 //    product-norm scale — see backend.hpp).
-//  * gemm_dot_rows — the small-M x*W^T path, bit-identical to the scalar
-//    backend: 8 output columns per block, their W rows transposed in
-//    registers 8 k at a time, and each lane runs the scalar chain exactly
-//    (k ascending, exact-zero A skipped, rounded multiply then rounded add).
+//  * gemm_dot_rows — every fp32 x*W^T, bit-identical to the scalar backend:
+//    4 rows × 8 output columns per block, W rows transposed in registers
+//    8 k at a time, each lane running the scalar chain exactly (k
+//    ascending, exact-zero A skipped, rounded multiply then rounded add).
 //  * unpack_decode / unpack_decode_strided — vectorized 3-byte-window code
 //    extraction: 8 codes per iteration via a 32-bit gather on the byte
 //    stream, per-lane variable shift + mask, then a gathered LUT decode.
@@ -165,7 +165,7 @@ void avx2_gemm_panel_accumulate(float* c, std::int64_t ldc, const float* a,
   }
 }
 
-// ----- small-M dot products ------------------------------------------------
+// ----- x*W^T dot products --------------------------------------------------
 
 // Transposes the 8x8 block W[j:j+8, kk:kk+8) (row t at bj + t*k) in
 // registers: on return col[u] = W[j:j+8][kk + u], the B operands of step
@@ -258,15 +258,15 @@ void dot_rows_m(float* c, const float* a, const float* b, std::int64_t n,
   }
 }
 
-static_assert(detail::kMatmulDotRows == 4,
-              "avx2_gemm_dot_rows instantiates one accumulator set per row "
-              "count 1..4; extend its switch with kMatmulDotRows");
+constexpr int kDotRowBlock = 4;  // A rows sharing each transposed W block
 
 void avx2_gemm_dot_rows(float* c, const float* a, const float* b,
                         std::int64_t m, std::int64_t n, std::int64_t k) {
-  // Row counts above the cutoff never reach this entry; runs of four keep
-  // it total anyway.
-  for (; m >= 4; m -= 4, a += 4 * k, c += 4 * n) dot_rows_m<4>(c, a, b, n, k);
+  for (; m >= kDotRowBlock;
+       m -= kDotRowBlock, a += kDotRowBlock * k, c += kDotRowBlock * n) {
+    dot_rows_m<kDotRowBlock>(c, a, b, n, k);
+  }
+  static_assert(kDotRowBlock == 4, "the switch below covers rows 1..3");
   switch (m) {
     case 3: dot_rows_m<3>(c, a, b, n, k); break;
     case 2: dot_rows_m<2>(c, a, b, n, k); break;

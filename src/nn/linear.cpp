@@ -36,15 +36,22 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Pcg32& rng,
 Tensor Linear::forward(const Tensor& x, ExecutionContext& ctx) {
   check_forward_input(x, in_, weight_.name);
   auto compute = [&]() -> Tensor {
+    // The x*W^T on the context's backend; an ABFT request checks it, with
+    // weight sums built per call (training may have moved the weights).
+    auto product = [&](const Tensor& a, bool /*trans_a: always false*/) {
+      return matmul(a, weight_.value, false, /*trans_b=*/true,
+                    &ctx.kernel_backend());
+    };
     Tensor y;
     if (ctx.wants_abft()) {
       AbftReport abft;
-      y = abft_matmul(x, weight_.value, false, /*trans_b=*/true,
-                      ctx.abft_config(weight_.name), &abft, ctx.mac_hook);
+      y = abft_checked_product(
+          x, weight_.value, false, /*trans_b=*/true,
+          abft_weight_sums(weight_.value, /*trans_b=*/true), product,
+          ctx.abft_config(weight_.name), &abft, ctx.mac_hook);
       if (ctx.report != nullptr) ctx.report->abft.merge(abft);
     } else {
-      y = matmul(x, weight_.value, false, /*trans_b=*/true,
-                 &ctx.kernel_backend());
+      y = product(x, false);
     }
     if (has_bias_) add_row_bias_inplace(y, bias_.value);
     return y;

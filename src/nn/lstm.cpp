@@ -36,8 +36,9 @@ LstmState LstmCell::forward(const Tensor& x, const LstmState& state,
            "LstmCell state shape mismatch");
 
   // z = x Wx^T + h Wh^T + b, split into the four gates.
-  Tensor z = matmul(x, wx_.value, false, true);
-  matmul_acc(z, state.h, wh_.value, false, true);
+  const KernelBackend* be = &ctx.kernel_backend();
+  Tensor z = matmul(x, wx_.value, false, true, be);
+  matmul_acc(z, state.h, wh_.value, false, true, be);
   add_row_bias_inplace(z, b_.value);
 
   Cache* c = nullptr;

@@ -46,7 +46,8 @@ Tensor QuantizedLinear::forward(const Tensor& x, ExecutionContext& ctx) {
   // Called with [1, in] row slices too when a repair recomputes one row.
   auto product = [&](const Tensor& a, bool /*trans_a: always false*/) {
     return ctx.numeric == NumericPolicy::kFp32
-               ? matmul(a, decoded_weight(), false, /*trans_b=*/true)
+               ? matmul(a, decoded_weight(), false, /*trans_b=*/true,
+                        &ctx.kernel_backend())
                : matmul_packed(a, weight_, ctx.kernel_backend());
   };
   auto compute = [&]() -> Tensor {

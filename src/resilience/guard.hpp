@@ -12,9 +12,9 @@
 // Layers compose with guards through the ExecutionContext dispatch
 // (src/runtime/execution_context.hpp): a context with a resilience policy
 // of kGuard wraps the layer's compute in LayerGuard::run, and kAbftGuard
-// additionally routes the matrix product through abft_matmul — the full
-// protected compute path. (This replaced the per-layer guarded_forward()
-// overloads that used to live here.)
+// additionally routes the matrix product through abft_checked_product —
+// the full protected compute path. (This replaced the per-layer
+// guarded_forward() overloads that used to live here.)
 #pragma once
 
 #include <cstdint>

@@ -15,8 +15,8 @@
 // Each step is one float multiply then one float add into c[i][j] (no FMA,
 // no reassociation), so any loop that walks the whole k range ascending
 // with the same zero skip computes the same bits. gemm_dot_rows is such a
-// loop: matmul_acc's small-M x*W^T path, one dot product per output over
-// the contiguous A and B rows, with no k-blocks and no repacked tile. Both
+// loop: matmul_acc's x*W^T form, one dot product per output over the
+// contiguous A and B rows, with no k-blocks and no repacked tile. Both
 // kernels are the scalar KernelBackend's entries (src/kernels/backend.hpp);
 // the AVX2 dot-rows entry runs the same chain in 8 lanes and is therefore
 // bit-identical to this one.
@@ -30,15 +30,11 @@ namespace detail {
 // Fixed GEMM grains, shared by matmul_acc and matmul_packed. They are part
 // of the determinism contract: chunk boundaries depend only on (range,
 // grain), never on the thread count. The row grain and k-block fix where
-// the row-parallel chunks and k-windows fall; the j-tile width only groups
-// reads of B, never the chain.
+// the row-parallel chunks and k-windows fall; the j-tile width (used by
+// matmul_packed's decoded tiles) only groups reads of B, never the chain.
 constexpr std::int64_t kMatmulRowGrain = 16;  // C rows per chunk
 constexpr std::int64_t kMatmulKBlock = 256;   // k-panel kept hot in cache
 constexpr std::int64_t kMatmulJTile = 64;     // pack-tile columns
-// x*W^T products with at most this many rows take the dot-product path
-// instead of repacking W into tiles. Chosen from m alone, a property of
-// the input, so it is not a tuning knob: both paths compute the same bits.
-constexpr std::int64_t kMatmulDotRows = 4;
 
 /// Accumulates C[i0:i1, 0:n] += A[:, k0:k1] * Bt over one k-window, where
 /// Bt is a row-major [k1 - k0, ldbt] tile holding op(B)[k0:k1, 0:n]
@@ -81,10 +77,10 @@ inline void dot_cols(float* crow, const float* arow, const float* bj,
   for (std::int64_t t = 0; t < W; ++t) crow[t] = s[t];
 }
 
-/// Small-M C[m, n] += A[m, k] * B[n, k]^T, all three contiguous row-major,
-/// one dot product per output over the A row and B row: bit-identical to
-/// the panel path, with no repacked tile. Eight columns at a time, then a
-/// one-column tail.
+/// C[m, n] += A[m, k] * B[n, k]^T, all three contiguous row-major, one dot
+/// product per output over the A row and B row: bit-identical to the panel
+/// path over op(B), with no repacked tile. Any m; eight columns at a time,
+/// then a one-column tail.
 inline void gemm_dot_rows(float* c, const float* a, const float* b,
                           std::int64_t m, std::int64_t n, std::int64_t k) {
   for (std::int64_t i = 0; i < m; ++i) {

@@ -11,8 +11,6 @@
 namespace af {
 namespace {
 
-using detail::kMatmulDotRows;
-using detail::kMatmulJTile;
 using detail::kMatmulKBlock;
 using detail::kMatmulRowGrain;
 
@@ -55,15 +53,18 @@ void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
   const std::int64_t lda = a.dim(1);
   const std::int64_t ldb = b.dim(1);
 
-  // A decode step's x*W^T has one row: repacking all of W into tiles would
-  // cost more than the product itself, so small-M trans_b calls run the
-  // bit-identical dot-product form instead (detail::gemm_dot_rows), on the
-  // backend in force — every backend computes the same bits here.
-  if (!trans_a && trans_b && m <= kMatmulDotRows) {
+  // x*W^T: one dot product per output over the contiguous A and B rows, on
+  // the backend in force (every backend computes the same bits), in row
+  // chunks that own disjoint rows of C. With trans_a the rows of op(A) are
+  // made contiguous first; the copy reorders reads only.
+  if (trans_b) {
+    if (trans_a) return matmul_acc(c, transpose2d(a), b, false, true, backend);
     const KernelBackend& be =
         backend != nullptr ? *backend : active_backend();
     count_backend_dispatch(be);
-    be.gemm_dot_rows(pc, pa, pb, m, n, k);
+    parallel_for(0, m, kMatmulRowGrain, [&](std::int64_t i0, std::int64_t i1) {
+      be.gemm_dot_rows(pc + i0 * n, pa + i0 * k, pb, i1 - i0, n, k);
+    });
     return;
   }
 
@@ -72,32 +73,12 @@ void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
   // still advances in ascending order across the k-blocks, so every c[i][j]
   // accumulates in exactly the serial order — results are bit-identical for
   // any thread count. The k-blocking keeps a [kc, n] panel of B hot in
-  // cache while the rows of the panel stream over it. When B is transposed
-  // its [j0:j1, k0:k1) window is first repacked into a k-major stack tile —
-  // the inner loop then streams contiguously instead of striding by ldb —
-  // which reorders only *reads* of B, never the per-element accumulation
-  // chain, so the result stays bit-identical to the unpacked walk.
+  // cache while the rows of the panel stream over it.
   parallel_for(0, m, kMatmulRowGrain, [&](std::int64_t i0, std::int64_t i1) {
-    float tile[kMatmulKBlock * kMatmulJTile];
     for (std::int64_t k0 = 0; k0 < k; k0 += kMatmulKBlock) {
       const std::int64_t k1 = std::min(k, k0 + kMatmulKBlock);
-      if (!trans_b) {
-        detail::gemm_panel_accumulate(pc, n, pa, lda, trans_a, pb + k0 * ldb,
-                                      ldb, n, i0, i1, k0, k1);
-        continue;
-      }
-      for (std::int64_t j0 = 0; j0 < n; j0 += kMatmulJTile) {
-        const std::int64_t j1 = std::min(n, j0 + kMatmulJTile);
-        const std::int64_t jt = j1 - j0;
-        for (std::int64_t jj = j0; jj < j1; ++jj) {
-          const float* bcol = pb + jj * ldb;
-          for (std::int64_t kk = k0; kk < k1; ++kk) {
-            tile[(kk - k0) * jt + (jj - j0)] = bcol[kk];
-          }
-        }
-        detail::gemm_panel_accumulate(pc + j0, n, pa, lda, trans_a, tile, jt,
-                                      jt, i0, i1, k0, k1);
-      }
+      detail::gemm_panel_accumulate(pc, n, pa, lda, trans_a, pb + k0 * ldb,
+                                    ldb, n, i0, i1, k0, k1);
     }
   });
 }

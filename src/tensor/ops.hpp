@@ -21,15 +21,13 @@ struct KernelBackend;
 ///
 /// Every c[i][j] is one fixed chain (src/tensor/gemm_kernel.hpp): k
 /// ascending, exact-zero A values skipped, one multiply then one add, no
-/// FMA — on every backend and for any AF_THREADS. Most calls run the
-/// cache-blocked panel kernel (B^T repacked into k-major tiles); an x*W^T
-/// call with m <= kMatmulDotRows (4) rows runs one dot product per output
-/// over the contiguous rows instead, which skips the repack a decode step
-/// would otherwise pay per call. Both forms compute the same bits, so the
-/// choice follows m alone and is not configurable; row i of any product
-/// equals that row run solo. The dot form runs on `backend`'s
-/// gemm_dot_rows entry (nullptr = active_backend()), which is
-/// bit-identical on every backend, so the pin moves speed, never bits.
+/// FMA — on every backend and for any AF_THREADS. Two forms compute it: a
+/// trans_b call (x*W^T, every layer forward) runs one dot product per
+/// output over the contiguous rows, on `backend`'s gemm_dot_rows entry
+/// (nullptr = active_backend()), which is bit-identical on every backend,
+/// so the pin moves speed, never bits; any other call (the backward
+/// passes) runs the scalar cache-blocked panel kernel. Either way row i of
+/// any product equals that row run solo.
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
               bool trans_b = false, const KernelBackend* backend = nullptr);
 

@@ -227,8 +227,9 @@ ScopedSerialExecution::~ScopedSerialExecution() {
   tls_serial_pin = previous_;
 }
 
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& body) {
+void parallel_for_chunks(
+    std::int64_t begin, std::int64_t end, std::int64_t grain,
+    const std::function<void(std::int64_t, std::int64_t)>& body) {
   Pool::get().run(begin, end, grain, body);
 }
 

@@ -73,12 +73,23 @@ inline std::int64_t num_chunks(std::int64_t begin, std::int64_t end,
   return (end - begin + grain - 1) / grain;
 }
 
+/// The type-erased pool entry behind parallel_for.
+void parallel_for_chunks(
+    std::int64_t begin, std::int64_t end, std::int64_t grain,
+    const std::function<void(std::int64_t, std::int64_t)>& body);
+
 /// Runs body(chunk_begin, chunk_end) for every chunk of [begin, end).
 /// Chunks may execute on any thread in any order; the body must only write
 /// state disjoint per chunk. Exceptions thrown by the body are rethrown on
 /// the calling thread (first one wins; remaining chunks still drain).
+/// A single chunk runs inline on every path, so it is called directly: a
+/// decode step issues dozens of such calls.
+template <typename Body>
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& body);
+                  Body&& body) {
+  if (num_chunks(begin, end, grain) == 1) return body(begin, end);
+  parallel_for_chunks(begin, end, grain, body);
+}
 
 /// Chunked map-reduce with a deterministic combine order: map(chunk_begin,
 /// chunk_end) produces one partial per chunk, and partials are folded into

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -18,10 +19,10 @@
 #include "src/kernels/gemm_packed.hpp"
 #include "src/kernels/nearest_lut.hpp"
 #include "src/nn/linear.hpp"
+#include "src/nn/lstm.hpp"
 #include "src/nn/quantized_linear.hpp"
 #include "src/resilience/codec.hpp"
 #include "src/runtime/execution_context.hpp"
-#include "src/tensor/gemm_kernel.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/fault.hpp"
 #include "src/util/parallel.hpp"
@@ -121,29 +122,80 @@ TEST(KernelBackendDispatch, ContextPinOverridesAmbientBackend) {
 }
 
 TEST(KernelBackendDispatch, LinearDotPathFollowsContextPin) {
-  // An fp32 Linear forward with m <= kMatmulDotRows runs matmul's dot path
-  // on the context's backend: exactly one dispatch per call, and the
-  // ambient backend's counter stays flat under a pin.
+  // Every fp32 x*W^T a layer runs is matmul's dot chain on the context's
+  // backend, at any row count: exactly one dispatch per product, and the
+  // ambient backend's counter stays flat under a pin. Rounds: Linear at
+  // m = 3 and m = 9 and under ABFT, QuantizedLinear under kFp32, and
+  // LstmCell (two products: x*Wx^T and h*Wh^T). The last three run at
+  // m = 3, so they probe the pin itself, not only the row count.
   Pcg32 rng(9);
   Linear fc(48, 24, rng);
-  const Tensor x = Tensor::randn({3, 48}, rng);
-
-  ExecutionContext ctx;
-  ctx.numeric = NumericPolicy::kFp32;
-  ctx.backend = &scalar_backend();
-  const std::uint64_t scalar0 = backend_dispatch_count(BackendKind::kScalar);
-  const std::uint64_t avx20 = backend_dispatch_count(BackendKind::kAvx2);
-  const Tensor ref = fc.forward(x, ctx);
-  EXPECT_EQ(backend_dispatch_count(BackendKind::kScalar), scalar0 + 1);
-  EXPECT_EQ(backend_dispatch_count(BackendKind::kAvx2), avx20);
-
+  QuantizedLinear qfc(fc, 8, 3);
+  (void)qfc.decoded_weight();  // the one-time decode dispatches ambiently
+  LstmCell cell(48, 16, rng);
+  const Tensor x3 = Tensor::randn({3, 48}, rng);
+  const Tensor x9 = Tensor::randn({9, 48}, rng);
+  LstmState state = cell.initial_state(3);
+  state.h = Tensor::randn({3, 16}, rng);
+  const struct {
+    const char* name;
+    std::uint64_t dispatches;
+    std::function<std::vector<Tensor>(ExecutionContext&)> run;
+    ResiliencePolicy resilience = ResiliencePolicy::kNone;
+  } rounds[] = {
+      {"Linear m=3", 1,
+       [&](ExecutionContext& ctx) {
+         return std::vector<Tensor>{fc.forward(x3, ctx)};
+       }},
+      {"Linear m=9", 1,
+       [&](ExecutionContext& ctx) {
+         return std::vector<Tensor>{fc.forward(x9, ctx)};
+       }},
+      {"Linear ABFT m=3", 1,
+       [&](ExecutionContext& ctx) {
+         return std::vector<Tensor>{fc.forward(x3, ctx)};
+       },
+       ResiliencePolicy::kAbft},
+      {"QuantizedLinear kFp32 m=3", 1,
+       [&](ExecutionContext& ctx) {
+         return std::vector<Tensor>{qfc.forward(x3, ctx)};
+       }},
+      {"LstmCell m=3", 2,
+       [&](ExecutionContext& ctx) {
+         LstmState out = cell.forward(x3, state, ctx);
+         return std::vector<Tensor>{out.h, out.c};
+       }},
+  };
   const KernelBackend* avx2 = avx2_backend();
+  for (const auto& r : rounds) {
+    ExecutionContext ctx;
+    ctx.numeric = NumericPolicy::kFp32;
+    ctx.resilience = r.resilience;
+    ctx.backend = &scalar_backend();
+    const std::uint64_t scalar0 =
+        backend_dispatch_count(BackendKind::kScalar);
+    const std::uint64_t avx20 = backend_dispatch_count(BackendKind::kAvx2);
+    const std::vector<Tensor> ref = r.run(ctx);
+    EXPECT_EQ(backend_dispatch_count(BackendKind::kScalar),
+              scalar0 + r.dispatches)
+        << r.name;
+    EXPECT_EQ(backend_dispatch_count(BackendKind::kAvx2), avx20) << r.name;
+
+    if (avx2 == nullptr) continue;
+    ctx.backend = avx2;
+    const std::vector<Tensor> got = r.run(ctx);
+    EXPECT_EQ(backend_dispatch_count(BackendKind::kAvx2),
+              avx20 + r.dispatches)
+        << r.name;
+    EXPECT_EQ(backend_dispatch_count(BackendKind::kScalar),
+              scalar0 + r.dispatches)
+        << r.name;
+    ASSERT_EQ(ref.size(), got.size());
+    for (std::size_t t = 0; t < ref.size(); ++t) {
+      EXPECT_TRUE(bit_equal(ref[t], got[t])) << r.name << " output " << t;
+    }
+  }
   if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  ctx.backend = avx2;
-  const Tensor got = fc.forward(x, ctx);
-  EXPECT_EQ(backend_dispatch_count(BackendKind::kAvx2), avx20 + 1);
-  EXPECT_EQ(backend_dispatch_count(BackendKind::kScalar), scalar0 + 1);
-  EXPECT_TRUE(bit_equal(ref, got));
 }
 
 TEST(KernelBackendDispatch, ScopedPinRestoresPreviousSelection) {
@@ -209,16 +261,16 @@ TEST(KernelBackendNumerics, Avx2GemmBitStableAcrossThreadCounts) {
 }
 
 TEST(KernelBackendNumerics, DotRowsBitIdenticalToScalar) {
-  // The small-M dot path runs the scalar chain in every lane: bit-equal
-  // outputs, not a ULP bound. The shapes cover each row count up to the
-  // cutoff, the 8-column blocks and their pairing with an n % 8 tail, and
+  // The x*W^T dot chain runs the scalar chain in every lane: bit-equal
+  // outputs, not a ULP bound. The shapes cover every row count the AVX2
+  // entry's 4-row blocks and 1..3-row remainders produce (m = 1..9, 16,
+  // 17), the 8-column blocks and their pairing with an n % 8 tail, and
   // the 8-k transpose with a k % 8 tail; C starts nonzero. The probes put
   // signed zeros (skipped), NaN, infinities and denormals in A and in B.
   // Where two NaNs meet in one add (a propagated NaN and inf - inf, say),
   // IEEE 754 leaves open which one the result carries, and the compiler
   // may commute the operands, so a NaN output need only be NaN on both
   // sides; every other output is compared bit for bit.
-  static_assert(detail::kMatmulDotRows == 4);
   const KernelBackend* avx2 = avx2_backend();
   if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
   const float inf = std::numeric_limits<float>::infinity();
@@ -229,7 +281,7 @@ TEST(KernelBackendNumerics, DotRowsBitIdenticalToScalar) {
   Pcg32 rng(36);
   std::int64_t outputs = 0;
   std::int64_t nan_outputs = 0;
-  for (std::int64_t m = 1; m <= detail::kMatmulDotRows; ++m) {
+  for (const std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}) {
     for (const std::int64_t n : {1, 7, 8, 9, 24, 67}) {
       for (const std::int64_t k : {1, 7, 8, 9, 64, 300}) {
         std::vector<float> a(static_cast<std::size_t>(m * k));

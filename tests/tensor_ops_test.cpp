@@ -5,6 +5,7 @@
 
 #include "src/tensor/ops.hpp"
 #include "src/util/check.hpp"
+#include "src/util/parallel.hpp"
 
 namespace af {
 namespace {
@@ -44,50 +45,58 @@ bool same_bits(const float* x, const float* y, std::int64_t n) {
   return std::memcmp(x, y, static_cast<std::size_t>(n) * sizeof(float)) == 0;
 }
 
-// x*W^T must equal the non-transposed panel product bit for bit on both
-// sides of the small-M cutoff (kMatmulDotRows): m straddles it, k crosses
-// the 256-wide k-block, n has an 8-column tail, C starts nonzero, and a
-// column of signed-zero A meets infinite B (the zero skip keeps 0*inf out).
+// x*W^T (the backend dot chain) must equal the non-transposed panel
+// product bit for bit: m runs from one row past the AVX2 entry's 4-row
+// blocks and across the 16-row parallel chunks (at 1 and 4 threads), k
+// crosses the 256-wide k-block, n has an 8-column tail, C starts nonzero,
+// and a column of signed-zero A meets infinite B (the zero skip keeps
+// 0*inf out).
 TEST(Matmul, TransBAgreesWithExplicitTranspose) {
   Pcg32 rng(2);
-  for (std::int64_t m = 1; m <= 9; ++m) {
-    for (std::int64_t k : {1, 7, 64, 256, 300, 600}) {
-      for (std::int64_t n : {1, 7, 8, 24, 67}) {
-        Tensor a = Tensor::randn({m, k}, rng);
-        Tensor b = Tensor::randn({n, k}, rng);
-        const std::int64_t kz = k / 2;
-        for (std::int64_t i = 0; i < m; ++i) {
-          a[i * k + kz] = i % 2 == 0 ? 0.0f : -0.0f;
-          if (k > 1) a[i * k + (i * 5 + 1) % k] = 0.0f;
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 64}) {
+      for (std::int64_t k : {1, 7, 64, 256, 300, 600}) {
+        for (std::int64_t n : {1, 7, 8, 24, 67}) {
+          Tensor a = Tensor::randn({m, k}, rng);
+          Tensor b = Tensor::randn({n, k}, rng);
+          const std::int64_t kz = k / 2;
+          for (std::int64_t i = 0; i < m; ++i) {
+            a[i * k + kz] = i % 2 == 0 ? 0.0f : -0.0f;
+            if (k > 1) a[i * k + (i * 5 + 1) % k] = 0.0f;
+          }
+          for (std::int64_t j = 0; j < n; ++j) {
+            b[j * k + kz] = j % 2 == 0 ? INFINITY : -INFINITY;
+          }
+          const Tensor c0 = Tensor::randn({m, n}, rng);
+          Tensor got = c0;
+          Tensor expect = c0;
+          matmul_acc(got, a, b, false, /*trans_b=*/true);
+          matmul_acc(expect, a, transpose2d(b));
+          EXPECT_TRUE(same_bits(got.data(), expect.data(), got.numel()))
+              << "threads=" << threads << " m=" << m << " k=" << k
+              << " n=" << n;
+          for (std::int64_t i = 0; i < got.numel(); ++i) {
+            ASSERT_FALSE(std::isnan(got[i])) << "zero skip lost at " << i;
+          }
+          const Tensor fresh = matmul(a, b, false, /*trans_b=*/true);
+          const Tensor fresh_expect = matmul(a, transpose2d(b));
+          EXPECT_TRUE(same_bits(fresh.data(), fresh_expect.data(),
+                                fresh.numel()))
+              << "threads=" << threads << " m=" << m << " k=" << k
+              << " n=" << n;
         }
-        for (std::int64_t j = 0; j < n; ++j) {
-          b[j * k + kz] = j % 2 == 0 ? INFINITY : -INFINITY;
-        }
-        const Tensor c0 = Tensor::randn({m, n}, rng);
-        Tensor got = c0;
-        Tensor expect = c0;
-        matmul_acc(got, a, b, false, /*trans_b=*/true);
-        matmul_acc(expect, a, transpose2d(b));
-        EXPECT_TRUE(same_bits(got.data(), expect.data(), got.numel()))
-            << "m=" << m << " k=" << k << " n=" << n;
-        for (std::int64_t i = 0; i < got.numel(); ++i) {
-          ASSERT_FALSE(std::isnan(got[i])) << "zero skip lost at " << i;
-        }
-        const Tensor fresh = matmul(a, b, false, /*trans_b=*/true);
-        const Tensor fresh_expect = matmul(a, transpose2d(b));
-        EXPECT_TRUE(same_bits(fresh.data(), fresh_expect.data(),
-                              fresh.numel()))
-            << "m=" << m << " k=" << k << " n=" << n;
       }
     }
   }
-  // Row i of an 8-row product (panel path) equals the same row run solo
-  // (dot path): what makes incremental decode equal full recompute.
-  const std::int64_t k = 300, n = 67;
-  const Tensor a = Tensor::randn({8, k}, rng);
+  set_num_threads(0);
+  // Row i of a 33-row product (three row chunks) equals the same row run
+  // solo: what makes incremental decode equal full recompute.
+  const std::int64_t m = 33, k = 300, n = 67;
+  const Tensor a = Tensor::randn({m, k}, rng);
   const Tensor b = Tensor::randn({n, k}, rng);
   const Tensor full = matmul(a, b, false, /*trans_b=*/true);
-  for (std::int64_t i = 0; i < 8; ++i) {
+  for (std::int64_t i = 0; i < m; ++i) {
     Tensor row({1, k});
     std::memcpy(row.data(), a.data() + i * k,
                 static_cast<std::size_t>(k) * sizeof(float));
