@@ -15,19 +15,24 @@
 // Modes:
 //   bench_decode            — trains the shared baseline, times both paths
 //                             (and incremental over an 8-bit AdaptivFloat
-//                             KV cache), sweeps KV widths {fp32, 8, 6, 4}
+//                             KV cache), times a step per KV format at
+//                             T in {16, 48, 128}, sweeps KV widths
+//                             {fp32, 8, 6, 4}
 //                             across all five formats for BLEU +
 //                             bytes/token, writes BENCH_decode.json.
 //   bench_decode --verify   — tiny untrained model under the *current*
 //                             AF_THREADS: prints full/incremental/quantized
 //                             token-stream digests plus a digest of every
-//                             fp32-KV incremental step's logits (CI diffs
-//                             across thread counts and against
+//                             incremental step's logits, fp32 and
+//                             quantized KV (CI diffs across thread counts
+//                             and against
 //                             tests/golden/bench_decode.scalar.verify) and
 //                             enforces bit-equality plus the zero-alloc
 //                             contract. Exits nonzero on any violation.
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/data/metrics.hpp"
@@ -169,24 +174,35 @@ int run_verify_only() {
   // projection shows even when the argmax tokens do not move.
   std::printf("decode fp32       logits %s\n", digest_hex(logits_dig).c_str());
 
-  // Quantized KV across every format at 8 bits: digests must be stable
-  // across AF_THREADS (CI diffs this output), and steady-state decoding —
-  // second sequence onward — must not touch the heap.
+  // Quantized KV across every format at 8 bits, plus AdaptivFloat at 6 and
+  // 4 bits: token and logits digests must be stable across AF_THREADS and
+  // backends (CI diffs this output against the scalar golden), and
+  // steady-state decoding — second sequence onward — must not touch the
+  // heap. The logits line pins every step's attend over packed codes.
   calibrate_transformer_kv(b, 4, bench::kSeed + 11);
+  std::vector<KvCacheFormat> kv_formats;
   for (FormatKind kind : all_format_kinds()) {
+    kv_formats.push_back({true, kind, 8});
+  }
+  kv_formats.push_back({true, FormatKind::kAdaptivFloat, 6});
+  kv_formats.push_back({true, FormatKind::kAdaptivFloat, 4});
+  for (const KvCacheFormat& kv : kv_formats) {
     TransformerDecoder::Options opts;
-    opts.kv.quantized = true;
-    opts.kv.kind = kind;
-    opts.kv.bits = 8;
+    opts.kv = kv;
     TransformerDecoder dec(b.model, opts);
     std::vector<TokenSeq> streams;
     std::int64_t steady_allocs = 0;
+    std::uint64_t kv_logits_dig = kFnvOffset;
     for (std::size_t i = 0; i < srcs.size(); ++i) {
       dec.begin(srcs[i], kPad);
       TokenSeq toks;
       std::vector<std::int64_t> last = {kBos};
       for (std::int64_t step = 0; step + 1 < cfg.max_len; ++step) {
         const Tensor& logits = dec.step(last);
+        kv_logits_dig = fnv1a64(
+            logits.data(),
+            static_cast<std::size_t>(logits.numel()) * sizeof(float),
+            kv_logits_dig);
         last[0] = argmax_rows(logits)[0];
         toks.push_back(last[0]);
         if (i > 0) steady_allocs += dec.session().last_step_heap_allocs();
@@ -196,9 +212,15 @@ int run_verify_only() {
     const std::uint64_t dig = digest_tokens(streams);
     const bool clean = steady_allocs == 0;
     ok = ok && clean;
-    std::printf("decode %-11s digest %s steady_allocs %lld\n",
-                format_kind_name(kind).c_str(), digest_hex(dig).c_str(),
+    // 8-bit rows keep their original label; other widths name the width.
+    const std::string label =
+        format_kind_name(kv.kind) +
+        (kv.bits == 8 ? "" : "/" + std::to_string(kv.bits));
+    std::printf("decode %-11s digest %s steady_allocs %lld\n", label.c_str(),
+                digest_hex(dig).c_str(),
                 static_cast<long long>(steady_allocs));
+    std::printf("decode %-11s logits %s\n", label.c_str(),
+                digest_hex(kv_logits_dig).c_str());
   }
 
   if (!ok) {
@@ -268,6 +290,66 @@ int run_bench(const char* json_path) {
   timing.print();
   std::printf("speedup %.2fx\n\n", speedup);
 
+  // --- per-token step cost vs decoded length, fp32 vs 8-bit KV ---
+  // An untrained seeded model planned for 128 positions (a step's cost does
+  // not depend on the weights' values). Each cell is the best of kReps
+  // greedy streams of T - 1 steps from one source; begin() (encoder and
+  // cross prefill) stays outside the clock.
+  struct LenCell {
+    std::string kv;
+    std::int64_t t;
+    double us_per_token;
+  };
+  std::vector<LenCell> len_cells;
+  {
+    TransformerConfig long_cfg = cfg;
+    long_cfg.max_len = 128;
+    TransformerBundle long_b(bench::kSeed, long_cfg);
+    calibrate_transformer_kv(long_b, 4, bench::kSeed + 11);
+    std::vector<std::pair<std::string, KvCacheFormat>> kv_list = {
+        {"fp32", KvCacheFormat{}}};
+    for (FormatKind kind : all_format_kinds()) {
+      kv_list.push_back({format_kind_name(kind) + "/8", {true, kind, 8}});
+    }
+    for (const std::int64_t t : {16, 48, 128}) {
+      for (const auto& [name, kv] : kv_list) {
+        TransformerDecoder::Options o;
+        o.kv = kv;
+        o.max_steps = t;
+        TransformerDecoder dec(long_b.model, o);
+        double best_ms = 1e300;
+        for (int r = 0; r < kReps; ++r) {
+          dec.begin(timing_src, kPad);
+          std::vector<std::int64_t> last = {kBos};
+          const double ms = time_ms(
+              [&] {
+                for (std::int64_t step = 0; step + 1 < t; ++step) {
+                  last[0] = argmax_rows(dec.step(last))[0];
+                }
+              },
+              1);
+          best_ms = std::min(best_ms, ms);
+        }
+        len_cells.push_back(
+            {name, t, 1000.0 * best_ms / static_cast<double>(t - 1)});
+      }
+    }
+  }
+  TextTable len_table(
+      "bench_decode: step cost vs decoded length (untrained model, "
+      "max_len 128)");
+  len_table.set_header({"KV", "T", "us/token", "vs fp32"});
+  for (const LenCell& c : len_cells) {
+    double fp32_us = c.us_per_token;
+    for (const LenCell& f : len_cells) {
+      if (f.kv == "fp32" && f.t == c.t) fp32_us = f.us_per_token;
+    }
+    len_table.add_row({c.kv, std::to_string(c.t), fmt_fixed(c.us_per_token, 2),
+                       fmt_fixed(c.us_per_token / fp32_us, 2) + "x"});
+  }
+  len_table.print();
+  std::printf("\n");
+
   // --- BLEU + bytes/token across KV widths and formats ---
   struct Cell {
     std::string format;
@@ -328,6 +410,17 @@ int run_bench(const char* json_path) {
                 full_tps, inc_tps, streams_equal ? "true" : "false", af8_ms,
                 af8_tps);
   json += buf;
+  json += "  \"step_us_vs_len\": [\n";
+  for (std::size_t i = 0; i < len_cells.size(); ++i) {
+    const LenCell& c = len_cells[i];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"kv\": \"%s\", \"t\": %lld, "
+                  "\"us_per_token\": %.3f}%s\n",
+                  c.kv.c_str(), static_cast<long long>(c.t), c.us_per_token,
+                  i + 1 < len_cells.size() ? "," : "");
+    json += buf;
+  }
+  json += "  ],\n";
   json += "  \"bleu_vs_kv_bits\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];

@@ -206,7 +206,9 @@ struct Measurement {
 //
 // The fp32 arm times matmul(x, W, false, true) — the x*W^T every fp32
 // Linear runs, one dot product per output over W's rows on the active
-// backend — at M in {1, 2, 4, 8, 16, 64}.
+// backend — at M in {1, 2, 4, 8, 16, 64}. The fp32-relu arm runs the same
+// product on relu(x): about half of A is exactly zero, as in the input of
+// an FFN's second layer, so the chain's exact-zero skip is timed too.
 //
 // Row-independence is enforced while we're here: the first M rows of the
 // full 512-row product must be byte-identical to the M-row run (the
@@ -219,17 +221,17 @@ struct SweepArm {
 
 /// Runs one arm of the sweep at 1 thread; returns its JSON "points" array
 /// body and adds its rows to `table`.
-std::string sweep_points(const Workload& w, const SweepArm& arm,
-                         TextTable& table, bool& all_ok) {
+std::string sweep_points(const Workload& w, const Tensor& x,
+                         const SweepArm& arm, TextTable& table, bool& all_ok) {
   // Full-width reference run: rows sliced out of this must match the
   // narrow runs byte-for-byte.
-  const Tensor full = arm.run(w.x);
+  const Tensor full = arm.run(x);
   double gflops_m1 = 0.0;
   std::string json;
   for (std::size_t mi = 0; mi < arm.rows.size(); ++mi) {
     const std::int64_t m = arm.rows[mi];
     Tensor xm({m, w.k});
-    std::memcpy(xm.data(), w.x.data(),
+    std::memcpy(xm.data(), x.data(),
                 sizeof(float) * static_cast<std::size_t>(m * w.k));
     const Tensor y = arm.run(xm);
     const bool rows_ok =
@@ -271,9 +273,15 @@ void append_m_sweep(const Workload& w, std::string& json, bool& all_ok) {
                       }});
   }
   const Tensor wf = w.w.unpack();
-  const SweepArm fp32 = {"fp32", {1, 2, 4, 8, 16, 64}, [&](const Tensor& x) {
-                           return matmul(x, wf, false, /*trans_b=*/true);
-                         }};
+  const auto fp32_run = [&](const Tensor& x) {
+    return matmul(x, wf, false, /*trans_b=*/true);
+  };
+  const SweepArm fp32 = {"fp32", {1, 2, 4, 8, 16, 64}, fp32_run};
+  const SweepArm fp32_relu = {"fp32-relu", {1, 4, 16, 64}, fp32_run};
+  Tensor x_relu = w.x;
+  for (std::int64_t i = 0; i < x_relu.numel(); ++i) {
+    x_relu[i] = std::max(x_relu[i], 0.0f);
+  }
 
   TextTable table("m_sweep: rows per call, matmul_packed per backend and "
                   "fp32 matmul x*W^T (8-bit weight, 1 thread)");
@@ -284,12 +292,15 @@ void append_m_sweep(const Workload& w, std::string& json, bool& all_ok) {
   for (std::size_t bi = 0; bi < packed.size(); ++bi) {
     json += "    {\"backend\": \"" + std::string(packed[bi].name) +
             "\", \"points\": [\n";
-    json += sweep_points(w, packed[bi], table, all_ok);
+    json += sweep_points(w, w.x, packed[bi], table, all_ok);
     json += bi + 1 < packed.size() ? "    ]},\n" : "    ]}\n";
   }
   json += "  ],\n";
   json += "  \"m_sweep_fp32\": {\"points\": [\n";
-  json += sweep_points(w, fp32, table, all_ok);
+  json += sweep_points(w, w.x, fp32, table, all_ok);
+  json += "  ]},\n";
+  json += "  \"m_sweep_fp32_relu\": {\"points\": [\n";
+  json += sweep_points(w, x_relu, fp32_relu, table, all_ok);
   json += "  ]}\n";
   set_num_threads(0);
 

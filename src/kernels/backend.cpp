@@ -1,6 +1,8 @@
 #include "src/kernels/backend.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -47,6 +49,48 @@ void scalar_nearest_indices(const NearestLutView& lut, const float* x,
   }
 }
 
+// Codes [first, first + n) of `o` as floats: the fp32 row itself at 32 bits,
+// otherwise decoded through the table into `buf`.
+const float* attend_slice(const AttendOperand& o, std::int64_t first,
+                          std::int64_t n, float* buf) {
+  if (o.bits == 32) return reinterpret_cast<const float*>(o.bytes) + first;
+  unpack_decode_scalar(o.bytes, o.nbytes, o.bits, first, n, o.table, buf);
+  return buf;
+}
+
+// The reference attend core: each key's head slice is decoded (in chunks
+// of kSliceChunk codes, so any d_head fits the stack buffer) and consumed
+// in the fixed order the other backends reproduce.
+void scalar_attend_row(const float* q, const AttendOperand& k,
+                       const AttendOperand& v, std::int64_t len,
+                       std::int64_t visible, std::int64_t d_head,
+                       float inv_sqrt_dh, float* srow, float* crow) {
+  constexpr std::int64_t kSliceChunk = 64;
+  float buf[kSliceChunk];
+  for (std::int64_t j = 0; j < visible; ++j) {
+    double dot = 0;
+    for (std::int64_t d0 = 0; d0 < d_head; d0 += kSliceChunk) {
+      const std::int64_t n = std::min(kSliceChunk, d_head - d0);
+      const float* krow =
+          attend_slice(k, j * k.row_codes + k.col + d0, n, buf);
+      for (std::int64_t d = 0; d < n; ++d) dot += double(q[d0 + d]) * krow[d];
+    }
+    srow[j] = static_cast<float>(dot) * inv_sqrt_dh;
+  }
+  for (std::int64_t j = visible; j < len; ++j) srow[j] = kAttendMaskValue;
+  softmax_row_inplace(srow, len);
+  for (std::int64_t j = 0; j < len; ++j) {
+    const float a = srow[j];
+    if (a == 0.0f) continue;
+    for (std::int64_t d0 = 0; d0 < d_head; d0 += kSliceChunk) {
+      const std::int64_t n = std::min(kSliceChunk, d_head - d0);
+      const float* vrow =
+          attend_slice(v, j * v.row_codes + v.col + d0, n, buf);
+      for (std::int64_t d = 0; d < n; ++d) crow[d0 + d] += a * vrow[d];
+    }
+  }
+}
+
 const KernelBackend kScalarBackend = {
     "scalar",
     BackendKind::kScalar,
@@ -55,6 +99,7 @@ const KernelBackend kScalarBackend = {
     &unpack_decode_scalar,
     &unpack_decode_strided_scalar,
     &scalar_nearest_indices,
+    &scalar_attend_row,
 };
 
 // ----- selection -----------------------------------------------------------
@@ -71,6 +116,18 @@ namespace detail {
 const KernelBackend& avx2_backend_impl();
 }
 #endif
+
+void softmax_row_inplace(float* row, std::int64_t n) {
+  float mx = row[0];
+  for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
+  double denom = 0.0;
+  for (std::int64_t j = 0; j < n; ++j) {
+    row[j] = std::exp(row[j] - mx);
+    denom += row[j];
+  }
+  const float inv = static_cast<float>(1.0 / denom);
+  for (std::int64_t j = 0; j < n; ++j) row[j] *= inv;
+}
 
 bool cpu_supports_avx2() {
 #if defined(AF_HAVE_AVX2_BUILD)

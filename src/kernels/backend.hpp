@@ -19,6 +19,10 @@
 //  * The x*W^T dot chain (`gemm_dot_rows`) runs the scalar chain — one
 //    rounded multiply, then one rounded add, per k — in every lane, so it
 //    too is bit-identical across all backends.
+//  * The attention core (`attend_row`) keeps the scalar entry's order —
+//    each key's double dot ascending in d, the shared softmax, each
+//    output's float mix ascending in keys — so it is bit-identical across
+//    backends too; decoding packed K/V codes is an exact table lookup.
 //  * The AVX2 panel GEMM accumulates with FMA (one rounding per
 //    multiply-add instead of two), so cross-backend bit-equality is NOT
 //    promised there — divergence is bounded by kGemmBackendUlpTol and
@@ -42,6 +46,32 @@ struct NearestLutView {
   std::size_t v;                   ///< interval count
   std::uint32_t nan_index;         ///< interval NaN inputs resolve to
 };
+
+/// One lane's cached K or V history as the attend entry reads it: `bits`-wide
+/// codes packed LSB-first (the KV-cache lane-region layout packed_code_at
+/// reads), row j's head slice being codes [j*row_codes + col, ... + d_head).
+/// At 32 bits the codes are the fp32 values themselves (4-byte aligned) and
+/// `table` is unused; narrower codes decode through `table`, 2^bits entries.
+struct AttendOperand {
+  const std::uint8_t* bytes;  ///< lane region base
+  std::size_t nbytes;         ///< region bytes; no read passes them
+  int bits;                   ///< code width, 1..16 or 32
+  const float* table;         ///< code -> FP32 decode table (bits < 32)
+  std::int64_t row_codes;     ///< codes per cached row
+  std::int64_t col;           ///< the head's first code in each row
+};
+
+/// The score a key the query may not see gets: exp(kAttendMaskValue - max)
+/// underflows to an exact 0.0f, so a masked key adds nothing to the
+/// softmax denominator and is skipped by the V mix.
+constexpr float kAttendMaskValue = -1e30f;
+
+/// In-place numerically-stabilized softmax of one row of n floats: row max,
+/// exp(x - max) with a double-precision denominator ascending in j, one
+/// 1/denom multiply. softmax_rows and every backend's attend_row call this
+/// one scalar function, so std::exp's bits are the same everywhere
+/// (DESIGN.md §15).
+void softmax_row_inplace(float* row, std::int64_t n);
 
 /// One kernel implementation set. Plain function pointers (no virtuals):
 /// the table is selected once, the members are hot-loop entry points.
@@ -88,6 +118,19 @@ struct KernelBackend {
   /// Integer search — bit-identical across backends, no tolerance.
   void (*nearest_indices)(const NearestLutView& lut, const float* x,
                           std::uint32_t* idx, std::int64_t count);
+
+  /// The attention core for one query head (DESIGN.md §12.4). Scores `q`
+  /// (d_head floats) against the first `visible` of `len` cached keys —
+  /// srow[j] = float(dot) * inv_sqrt_dh, dot a double chain ascending in d
+  /// — gives keys j >= visible kAttendMaskValue, softmaxes srow in place
+  /// (left holding the weights), then adds weight * V row into `crow`
+  /// (d_head floats) key by key, ascending, with one rounded multiply then
+  /// one rounded add per element and exact-zero weights skipped.
+  /// Bit-identical across backends.
+  void (*attend_row)(const float* q, const AttendOperand& k,
+                     const AttendOperand& v, std::int64_t len,
+                     std::int64_t visible, std::int64_t d_head,
+                     float inv_sqrt_dh, float* srow, float* crow);
 };
 
 /// Documented cross-backend tolerance for the FMA panel GEMM, in ULPs *at the

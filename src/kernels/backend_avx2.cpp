@@ -4,7 +4,7 @@
 // not be entered unless cpu_supports_avx2() returned true (backend.cpp
 // guards that). It is also compiled with -ffp-contract=off: every FMA here
 // is written out (_mm256_fmadd_ps, std::fmaf), and the dot-rows kernel's
-// separate multiply and add must not be fused behind its back. Four
+// separate multiply and add must not be fused behind its back. Five
 // primitives:
 //
 //  * gemm_panel_accumulate — register-blocked FMA accumulation: 4-row ×
@@ -30,6 +30,10 @@
 //    walk the bucketed edge table together (masked gathers, unsigned
 //    compares via sign-bit flip). Integer search — bit-identical to the
 //    scalar backend by construction.
+//  * attend_row — the attention core over fp32 or packed K/V codes,
+//    decoded in-register: scores 8 keys at a time across double lanes
+//    (exact-product FMA), the shared scalar softmax, then the V mix across
+//    8 float lanes of d. Bit-identical to the scalar backend.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -167,20 +171,15 @@ void avx2_gemm_panel_accumulate(float* c, std::int64_t ldc, const float* a,
 
 // ----- x*W^T dot products --------------------------------------------------
 
-// Transposes the 8x8 block W[j:j+8, kk:kk+8) (row t at bj + t*k) in
-// registers: on return col[u] = W[j:j+8][kk + u], the B operands of step
-// kk + u in the eight column chains.
-inline void load_cols8(const float* bj, std::int64_t k, std::int64_t kk,
-                       __m256 col[8]) {
-  __m256 r[8];
-  for (int t = 0; t < 8; ++t) r[t] = _mm256_loadu_ps(bj + t * k + kk);
+// In-register 8x8 transpose: on return col[u][t] = r[t][u].
+inline void transpose8(const __m256 r[8], __m256 col[8]) {
   __m256 lo[4], hi[4];
   for (int p = 0; p < 4; ++p) {
     lo[p] = _mm256_unpacklo_ps(r[2 * p], r[2 * p + 1]);
     hi[p] = _mm256_unpackhi_ps(r[2 * p], r[2 * p + 1]);
   }
-  // s[u] holds k = kk+u (low 128 bits) and kk+u+4 (high) of rows 0-3 for
-  // u < 4, and the same of rows 4-7 at s[u + 4].
+  // s[u] holds u = 0..3 (low 128 bits) and u + 4 (high) of r[0..3] for
+  // u < 4, and the same of r[4..7] at s[u + 4].
   __m256 s[8];
   for (int h = 0; h < 2; ++h) {
     s[4 * h + 0] = _mm256_shuffle_ps(lo[2 * h], lo[2 * h + 1], 0x44);
@@ -194,11 +193,24 @@ inline void load_cols8(const float* bj, std::int64_t k, std::int64_t kk,
   }
 }
 
+// Transposes the 8x8 block W[j:j+8, kk:kk+8) (row t at bj + t*k) in
+// registers: on return col[u] = W[j:j+8][kk + u], the B operands of step
+// kk + u in the eight column chains.
+inline void load_cols8(const float* bj, std::int64_t k, std::int64_t kk,
+                       __m256 col[8]) {
+  __m256 r[8];
+  for (int t = 0; t < 8; ++t) r[t] = _mm256_loadu_ps(bj + t * k + kk);
+  transpose8(r, col);
+}
+
 // acc += a[u] * col[u] for u = 0..7 in order, one rounded multiply then
 // one rounded add, skipping exact-zero a[u] (the same skip in every lane).
 // One vector compare decides whether any of the eight needs the skip, so
 // the common all-nonzero case runs without a branch per step (about a
-// quarter faster at M = 4 on a 4-vCPU Xeon VM).
+// quarter faster at M = 4 on a 4-vCPU Xeon VM). The mixed case branches
+// per step: on post-ReLU A (about half zeros) that beat every branch-free
+// form measured — a blend of the product with -0.0, or of the sum with
+// acc, ran 14-33% slower (EXPERIMENTS.md, "Attend over packed KV codes").
 inline __m256 chain8(__m256 acc, const float* a, const __m256 col[8]) {
   const __m256 zero =
       _mm256_cmp_ps(_mm256_loadu_ps(a), _mm256_setzero_ps(), _CMP_EQ_OQ);
@@ -340,6 +352,193 @@ void avx2_unpack_decode_strided(const std::uint8_t* bytes, std::size_t nbytes,
   }
 }
 
+// ----- attention -----------------------------------------------------------
+
+// Reads an AttendOperand's codes decoded to floats, in-register. kBits is
+// 32 (fp32 rows, plain loads), 8 (a byte load, zero-extended, one table
+// gather) or 0 for any other width (the 3-byte-window extraction of
+// avx2_unpack_decode: one 4-byte gather per lane, variable shift, mask,
+// table gather).
+template <int kBits>
+class CodeReader {
+ public:
+  explicit CodeReader(const AttendOperand& o) : o_(o) {
+    if constexpr (kBits == 0) {
+      lane_bits_ = _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                                      _mm256_set1_epi32(o.bits));
+      mask_ = _mm256_set1_epi32((1 << o.bits) - 1);
+      // Bytes past a group's base byte that its last lane's window reaches.
+      reach_ = static_cast<std::size_t>((7 + 7 * o.bits) / 8 + 4);
+    }
+  }
+
+  // The index of the first code of row j's head slice.
+  std::int64_t row(std::int64_t j) const { return j * o_.row_codes + o_.col; }
+
+  // Codes [first, first + 8).
+  __m256 load8(std::int64_t first) const {
+    if constexpr (kBits == 32) {
+      return _mm256_loadu_ps(reinterpret_cast<const float*>(o_.bytes) + first);
+    } else if constexpr (kBits == 8) {
+      const __m128i b = _mm_loadl_epi64(
+          reinterpret_cast<const __m128i*>(o_.bytes + first));
+      return _mm256_i32gather_ps(o_.table, _mm256_cvtepu8_epi32(b), 4);
+    } else {
+      const std::size_t bit =
+          static_cast<std::size_t>(first) * static_cast<std::size_t>(o_.bits);
+      const std::size_t base = bit >> 3;
+      if (base + reach_ <= o_.nbytes) {
+        const __m256i off = _mm256_add_epi32(
+            lane_bits_, _mm256_set1_epi32(static_cast<int>(bit & 7u)));
+        const __m256i win = _mm256_i32gather_epi32(
+            reinterpret_cast<const int*>(o_.bytes + base),
+            _mm256_srli_epi32(off, 3), 1);
+        const __m256i codes = _mm256_and_si256(
+            _mm256_srlv_epi32(win, _mm256_and_si256(off, _mm256_set1_epi32(7))),
+            mask_);
+        return _mm256_i32gather_ps(o_.table, codes, 4);
+      }
+      // The region's last bytes: the scalar extraction never reads past
+      // nbytes.
+      alignas(32) float out[8];
+      unpack_decode_scalar(o_.bytes, o_.nbytes, o_.bits, first, 8, o_.table,
+                           out);
+      return _mm256_load_ps(out);
+    }
+  }
+
+  // Code i alone.
+  float at(std::int64_t i) const {
+    if constexpr (kBits == 32) {
+      return reinterpret_cast<const float*>(o_.bytes)[i];
+    } else {
+      return o_.table[packed_code_at(
+          o_.bytes, o_.nbytes,
+          static_cast<std::size_t>(i) * static_cast<std::size_t>(o_.bits),
+          o_.bits)];
+    }
+  }
+
+ private:
+  const AttendOperand& o_;
+  __m256i lane_bits_{}, mask_{};
+  std::size_t reach_ = 0;
+};
+
+// srow[j] = float(dot_j) * inv_sqrt_dh for j < visible. Keys run across
+// lanes, eight at a time in two 4-wide double accumulators; each lane's
+// chain is the scalar one, d ascending. A float x float product is exact
+// in a double (24 + 24 significand bits <= 53, and no float product over-
+// or underflows the double range), so fmadd(k, q, acc) rounds once, to the
+// same double as the scalar acc + q*k.
+template <int kBits>
+void attend_scores(const float* q, const AttendOperand& ko,
+                   std::int64_t visible, std::int64_t d_head,
+                   float inv_sqrt_dh, float* srow) {
+  const CodeReader<kBits> k(ko);
+  const std::int64_t d8 = d_head - d_head % 8;
+  const __m256 vinv = _mm256_set1_ps(inv_sqrt_dh);
+  for (std::int64_t j = 0; j < visible; j += 8) {
+    // Lanes past the last visible key re-read it; their scores are dropped.
+    std::int64_t first[8];
+    for (int t = 0; t < 8; ++t) first[t] = k.row(std::min(j + t, visible - 1));
+    __m256d lo = _mm256_setzero_pd();  // keys j..j+3
+    __m256d hi = _mm256_setzero_pd();  // keys j+4..j+7
+    for (std::int64_t d = 0; d < d8; d += 8) {
+      __m256 r[8], c[8];
+      for (int t = 0; t < 8; ++t) r[t] = k.load8(first[t] + d);
+      transpose8(r, c);
+      for (int u = 0; u < 8; ++u) {
+        const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d + u]));
+        lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(c[u])),
+                             qd, lo);
+        hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(c[u], 1)),
+                             qd, hi);
+      }
+    }
+    if (d8 < d_head) {
+      // The d % 8 tail continues each key's chain in scalar.
+      alignas(32) double dot[8];
+      _mm256_store_pd(dot, lo);
+      _mm256_store_pd(dot + 4, hi);
+      for (int t = 0; t < 8; ++t) {
+        for (std::int64_t d = d8; d < d_head; ++d) {
+          dot[t] += static_cast<double>(q[d]) * k.at(first[t] + d);
+        }
+      }
+      lo = _mm256_load_pd(dot);
+      hi = _mm256_load_pd(dot + 4);
+    }
+    const __m256 s = _mm256_mul_ps(
+        _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo)), vinv);
+    if (j + 8 <= visible) {
+      _mm256_storeu_ps(srow + j, s);
+    } else {
+      alignas(32) float tmp[8];
+      _mm256_store_ps(tmp, s);
+      std::memcpy(srow + j, tmp,
+                  static_cast<std::size_t>(visible - j) * sizeof(float));
+    }
+  }
+}
+
+// crow[d] += srow[j] * V[j][d], keys ascending, d across 8 float lanes
+// (16 at a time in two independent chains); exact-zero weights skipped.
+template <int kBits>
+void attend_mix(const AttendOperand& vo, const float* srow, std::int64_t len,
+                std::int64_t d_head, float* crow) {
+  const CodeReader<kBits> v(vo);
+  std::int64_t d = 0;
+  for (; d + 16 <= d_head; d += 16) {
+    __m256 acc0 = _mm256_loadu_ps(crow + d);
+    __m256 acc1 = _mm256_loadu_ps(crow + d + 8);
+    for (std::int64_t j = 0; j < len; ++j) {
+      if (srow[j] == 0.0f) continue;
+      const __m256 a = _mm256_set1_ps(srow[j]);
+      const std::int64_t first = v.row(j) + d;
+      acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(a, v.load8(first)));
+      acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(a, v.load8(first + 8)));
+    }
+    _mm256_storeu_ps(crow + d, acc0);
+    _mm256_storeu_ps(crow + d + 8, acc1);
+  }
+  for (; d + 8 <= d_head; d += 8) {
+    __m256 acc = _mm256_loadu_ps(crow + d);
+    for (std::int64_t j = 0; j < len; ++j) {
+      if (srow[j] == 0.0f) continue;
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(srow[j]),
+                                             v.load8(v.row(j) + d)));
+    }
+    _mm256_storeu_ps(crow + d, acc);
+  }
+  for (; d < d_head; ++d) {
+    float acc = crow[d];
+    for (std::int64_t j = 0; j < len; ++j) {
+      if (srow[j] == 0.0f) continue;
+      acc += srow[j] * v.at(v.row(j) + d);
+    }
+    crow[d] = acc;
+  }
+}
+
+void avx2_attend_row(const float* q, const AttendOperand& k,
+                     const AttendOperand& v, std::int64_t len,
+                     std::int64_t visible, std::int64_t d_head,
+                     float inv_sqrt_dh, float* srow, float* crow) {
+  switch (k.bits) {
+    case 32: attend_scores<32>(q, k, visible, d_head, inv_sqrt_dh, srow); break;
+    case 8: attend_scores<8>(q, k, visible, d_head, inv_sqrt_dh, srow); break;
+    default: attend_scores<0>(q, k, visible, d_head, inv_sqrt_dh, srow); break;
+  }
+  for (std::int64_t j = visible; j < len; ++j) srow[j] = kAttendMaskValue;
+  softmax_row_inplace(srow, len);
+  switch (v.bits) {
+    case 32: attend_mix<32>(v, srow, len, d_head, crow); break;
+    case 8: attend_mix<8>(v, srow, len, d_head, crow); break;
+    default: attend_mix<0>(v, srow, len, d_head, crow); break;
+  }
+}
+
 // ----- NearestLut boundary search ------------------------------------------
 
 void avx2_nearest_indices(const NearestLutView& lut, const float* x,
@@ -414,6 +613,7 @@ const KernelBackend kAvx2Backend = {
     &avx2_unpack_decode,
     &avx2_unpack_decode_strided,
     &avx2_nearest_indices,
+    &avx2_attend_row,
 };
 
 }  // namespace

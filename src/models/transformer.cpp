@@ -203,6 +203,48 @@ void TransformerMT::set_kv_range_recording(bool on) {
     blk.self_attn.set_kv_range_recording(on);
     blk.cross_attn.set_kv_range_recording(on);
   }
+  std::lock_guard<std::mutex> lock(kv_codec_cache_.mu);
+  kv_codec_cache_.entries.clear();
+}
+
+namespace {
+
+std::shared_ptr<const FormatCodec> kv_codec(const KvCacheFormat& fmt,
+                                            float range, const char* what) {
+  if (range <= 0.0f) {
+    throw FaultError("decode", FaultKind::kMalformedInput,
+                     std::string("quantized KV cache requires a calibrated ") +
+                         what + " range (run calibrate_transformer_kv)");
+  }
+  std::shared_ptr<const FormatCodec> codec(
+      make_codec(fmt.kind, fmt.bits, range));
+  // Build the decode table before the codec is shared: the lazy first
+  // build is not thread-safe.
+  codec->decode_lut(false);
+  return codec;
+}
+
+}  // namespace
+
+std::shared_ptr<const TransformerMT::KvCodecs> TransformerMT::kv_codecs(
+    const KvCacheFormat& fmt) {
+  std::lock_guard<std::mutex> lock(kv_codec_cache_.mu);
+  for (const auto& [key, codecs] : kv_codec_cache_.entries) {
+    if (key.kind == fmt.kind && key.bits == fmt.bits) return codecs;
+  }
+  auto codecs = std::make_shared<KvCodecs>();
+  for (std::int64_t i = 0; i < cfg_.dec_layers; ++i) {
+    // Per-layer exp_bias recalibration: each codec is bracketed by the
+    // max-abs its layer's K or V projections reached during calibration
+    // (the paper's AdaptivFloat rule, applied to cache storage).
+    const KvRanges r = dec_kv_ranges(i);
+    codecs->self.push_back({kv_codec(fmt, r.self_k, "self-attention K"),
+                            kv_codec(fmt, r.self_v, "self-attention V")});
+    codecs->cross.push_back({kv_codec(fmt, r.cross_k, "cross-attention K"),
+                             kv_codec(fmt, r.cross_v, "cross-attention V")});
+  }
+  kv_codec_cache_.entries.emplace_back(fmt, codecs);
+  return codecs;
 }
 
 TransformerMT::KvRanges TransformerMT::dec_kv_ranges(std::int64_t layer) const {
@@ -314,21 +356,6 @@ void TransformerMT::clear_caches() {
 
 // ----- TransformerDecoder ----------------------------------------------------
 
-namespace {
-
-std::shared_ptr<const FormatCodec> kv_codec(const KvCacheFormat& fmt,
-                                            float range, const char* what) {
-  if (range <= 0.0f) {
-    throw FaultError("decode", FaultKind::kMalformedInput,
-                     std::string("quantized KV cache requires a calibrated ") +
-                         what + " range (run calibrate_transformer_kv)");
-  }
-  return std::shared_ptr<const FormatCodec>(
-      make_codec(fmt.kind, fmt.bits, range));
-}
-
-}  // namespace
-
 TransformerDecoder::TransformerDecoder(TransformerMT& model)
     : TransformerDecoder(model, Options()) {}
 
@@ -349,21 +376,7 @@ TransformerDecoder::TransformerDecoder(TransformerMT& model, Options opts)
                          std::to_string(cfg.max_len));
   }
   const auto layers = static_cast<std::size_t>(cfg.dec_layers);
-  self_quant_.resize(layers);
-  cross_quant_.resize(layers);
-  if (opts_.kv.quantized) {
-    for (std::size_t i = 0; i < layers; ++i) {
-      // Per-layer exp_bias recalibration: each codec is bracketed by the
-      // max-abs its layer's K or V projections reached during calibration
-      // (the paper's AdaptivFloat rule, applied to cache storage).
-      const TransformerMT::KvRanges r =
-          model_.dec_kv_ranges(static_cast<std::int64_t>(i));
-      self_quant_[i] = {kv_codec(opts_.kv, r.self_k, "self-attention K"),
-                        kv_codec(opts_.kv, r.self_v, "self-attention V")};
-      cross_quant_[i] = {kv_codec(opts_.kv, r.cross_k, "cross-attention K"),
-                         kv_codec(opts_.kv, r.cross_v, "cross-attention V")};
-    }
-  }
+  if (opts_.kv.quantized) kv_codecs_ = model_.kv_codecs(opts_.kv);
   self_kv_.resize(layers);
   cross_kv_.resize(layers);
 
@@ -386,13 +399,14 @@ TransformerDecoder::TransformerDecoder(TransformerMT& model, Options opts)
 }
 
 void TransformerDecoder::setup(ExecutionContext&) {
-  // Runs under the session's KV arena: every byte of cache storage (and the
-  // quantized decode scratch) is planned here, once, to full capacity.
+  // Runs under the session's KV arena: every byte of cache storage is
+  // planned here, once, to full capacity.
   const TransformerConfig& cfg = model_.cfg_;
   for (std::size_t i = 0; i < self_kv_.size(); ++i) {
     self_kv_[i].init(opts_.batch, opts_.max_steps, cfg.d_model,
-                     self_quant_[i]);
-    cross_kv_[i].init(opts_.batch, cfg.max_len, cfg.d_model, cross_quant_[i]);
+                     kv_codecs_ ? kv_codecs_->self[i] : KvQuantConfig{});
+    cross_kv_[i].init(opts_.batch, cfg.max_len, cfg.d_model,
+                      kv_codecs_ ? kv_codecs_->cross[i] : KvQuantConfig{});
   }
 }
 

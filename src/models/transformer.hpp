@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/data/metrics.hpp"
@@ -34,6 +35,13 @@ struct TransformerConfig {
   std::int64_t enc_layers = 2;
   std::int64_t dec_layers = 2;
   std::int64_t max_len = 48;
+};
+
+/// How a TransformerDecoder stores its KV cache.
+struct KvCacheFormat {
+  bool quantized = false;  ///< false = fp32 rows (bit-identical path)
+  FormatKind kind = FormatKind::kAdaptivFloat;
+  int bits = 8;
 };
 
 class TransformerMT {
@@ -72,6 +80,18 @@ class TransformerMT {
   };
   void set_kv_range_recording(bool on);
   KvRanges dec_kv_ranges(std::int64_t layer) const;
+
+  /// The codecs of a quantized KV cache in format `fmt`, one K/V pair per
+  /// decoder layer, each bracketed by its layer's calibrated range and with
+  /// its decode table built. Built on the first request per format and
+  /// shared read-only by every decoder of this model after it; any
+  /// set_kv_range_recording() call drops them, so a recalibrated model
+  /// builds fresh ones. Thread-safe. An uncalibrated layer is a typed
+  /// kMalformedInput error.
+  struct KvCodecs {
+    std::vector<KvQuantConfig> self, cross;
+  };
+  std::shared_ptr<const KvCodecs> kv_codecs(const KvCacheFormat& fmt);
 
  private:
   friend class TransformerDecoder;
@@ -128,19 +148,28 @@ class TransformerMT {
   Tensor pos_table_;  // [max_len, D] sinusoidal encodings
   ActQuant act_quant_;
 
+  // kv_codecs() memo, one entry per (kind, bits). A copied model starts
+  // with an empty one: its ranges may diverge from the original's.
+  struct KvCodecCache {
+    KvCodecCache() = default;
+    KvCodecCache(const KvCodecCache&) {}
+    KvCodecCache& operator=(const KvCodecCache&) {
+      std::lock_guard<std::mutex> lock(mu);
+      entries.clear();
+      return *this;
+    }
+    std::mutex mu;
+    std::vector<std::pair<KvCacheFormat, std::shared_ptr<const KvCodecs>>>
+        entries;
+  };
+  KvCodecCache kv_codec_cache_;
+
   // Saved between forward and backward.
   struct StepCtx {
     std::int64_t b = 0, ts = 0, tt = 0;
     std::vector<std::int64_t> src_lengths;
   };
   std::vector<StepCtx> ctx_;
-};
-
-/// How a TransformerDecoder stores its KV cache.
-struct KvCacheFormat {
-  bool quantized = false;  ///< false = fp32 rows (bit-identical path)
-  FormatKind kind = FormatKind::kAdaptivFloat;
-  int bits = 8;
 };
 
 /// Incremental decoder over a TransformerMT: a DecodeSession whose hooks
@@ -202,7 +231,7 @@ class TransformerDecoder {
 
   TransformerMT& model_;
   Options opts_;
-  std::vector<KvQuantConfig> self_quant_, cross_quant_;
+  std::shared_ptr<const TransformerMT::KvCodecs> kv_codecs_;  // null: fp32
   std::vector<KvState> self_kv_, cross_kv_;
   std::vector<TokenSeq> src_batch_;
   std::vector<std::int64_t> src_lengths_;

@@ -1,5 +1,6 @@
 #include "src/nn/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/runtime/execution_context.hpp"
@@ -9,45 +10,29 @@
 
 namespace af {
 namespace {
-constexpr float kMaskValue = -1e30f;
+// The attend core is the backend's attend_row entry (DESIGN.md §12.4). Both
+// the monolithic [B,T,D] forward and the incremental decode steps run it,
+// over one K/V layout (AttendOperand: fp32 rows are 32-bit codes), which is
+// what makes the fp32-KV incremental path bit-identical to row i of the
+// monolithic forward (DESIGN.md §15): every float op has one fixed order,
+// and the masks only ever hit row tails — keys past `visible` — where
+// exp(kAttendMaskValue - mx) underflows to an exact 0.0f that neither shifts
+// the double-precision denominator prefix nor survives the zero-weight skip.
 
-// The shared per-row attend core: scores one query row against `len` cached
-// K rows, softmaxes in place, and accumulates the weighted V rows into
-// `crow` (pre-zeroed, d_head floats). Both the monolithic [B,T,D] forward
-// and the incremental decode steps run THIS function, which is what makes
-// the fp32-KV incremental path bit-identical to row i of the monolithic
-// forward (DESIGN.md §15):
-//  * masked entries (j > causal_limit or j >= valid) get kMaskValue; since
-//    masks only ever hit row tails, exp(kMaskValue - mx) underflows to an
-//    exact 0.0f that neither shifts the double-precision denominator prefix
-//    nor survives the a == 0.0f accumulation skip;
-//  * every float op (double dot ascending in d, double denominator
-//    ascending in j, one 1/denom divide) has one fixed order.
-// k_rows/v_rows point at the head's column offset of row 0; row j lives at
-// k_rows + j * row_stride. srow is caller scratch of len floats and is left
-// holding the softmax weights (the training path persists it for backward).
-void attend_row(const float* qrow, const float* k_rows, const float* v_rows,
-                std::int64_t row_stride, std::int64_t len,
-                std::int64_t causal_limit, std::int64_t valid,
-                std::int64_t d_head, float inv_sqrt_dh, float* srow,
-                float* crow) {
-  for (std::int64_t j = 0; j < len; ++j) {
-    if (j > causal_limit || j >= valid) {
-      srow[j] = kMaskValue;
-      continue;
-    }
-    const float* krow = k_rows + j * row_stride;
-    double dot = 0;
-    for (std::int64_t d = 0; d < d_head; ++d) dot += double(qrow[d]) * krow[d];
-    srow[j] = static_cast<float>(dot) * inv_sqrt_dh;
-  }
-  softmax_row_inplace(srow, len);
-  for (std::int64_t j = 0; j < len; ++j) {
-    const float a = srow[j];
-    if (a == 0.0f) continue;
-    const float* vrow = v_rows + j * row_stride;
-    for (std::int64_t d = 0; d < d_head; ++d) crow[d] += a * vrow[d];
-  }
+// How many leading keys of `len` a query sees: masked keys are those past
+// its causal limit or the lane's valid length.
+std::int64_t visible_keys(std::int64_t len, std::int64_t causal_limit,
+                          std::int64_t valid) {
+  return std::max<std::int64_t>(
+      0, std::min({len, causal_limit + 1, valid}));
+}
+
+// A row-major fp32 [rows, row_floats] block as an attend operand.
+AttendOperand fp32_operand(const float* rows, std::int64_t n_rows,
+                           std::int64_t row_floats, std::int64_t col) {
+  return {reinterpret_cast<const std::uint8_t*>(rows),
+          static_cast<std::size_t>(n_rows * row_floats) * sizeof(float), 32,
+          nullptr, row_floats, col};
 }
 
 float max_abs(const Tensor& t) {
@@ -130,22 +115,26 @@ Tensor MultiHeadAttention::forward(const Tensor& q_in, const Tensor& kv_in,
   } else {
     srow = Tensor({tk});
   }
+  const KernelBackend& be = ec.kernel_backend();
   Tensor ctx({b * tq, d_model_});
   for (std::int64_t bi = 0; bi < b; ++bi) {
     const std::int64_t valid =
         kv_lengths ? (*kv_lengths)[static_cast<std::size_t>(bi)] : tk;
+    count_backend_dispatch(be);
     for (std::int64_t h = 0; h < heads_; ++h) {
       const std::int64_t col = h * d_head_;
-      const float* k_rows = k.data() + bi * tk * d_model_ + col;
-      const float* v_rows = v.data() + bi * tk * d_model_ + col;
+      const AttendOperand k_op =
+          fp32_operand(k.data() + bi * tk * d_model_, tk, d_model_, col);
+      const AttendOperand v_op =
+          fp32_operand(v.data() + bi * tk * d_model_, tk, d_model_, col);
       if (ec.training) attn.emplace_back(Shape{tq, tk});
       for (std::int64_t i = 0; i < tq; ++i) {
         float* scores =
             ec.training ? attn.back().data() + i * tk : srow.data();
-        attend_row(q.data() + (bi * tq + i) * d_model_ + col, k_rows, v_rows,
-                   d_model_, tk, causal ? i : tk, valid, d_head_,
-                   inv_sqrt_dh, scores,
-                   ctx.data() + (bi * tq + i) * d_model_ + col);
+        be.attend_row(q.data() + (bi * tq + i) * d_model_ + col, k_op, v_op,
+                      tk, visible_keys(tk, causal ? i : tk, valid), d_head_,
+                      inv_sqrt_dh, scores,
+                      ctx.data() + (bi * tq + i) * d_model_ + col);
       }
     }
   }
@@ -169,14 +158,14 @@ Tensor MultiHeadAttention::attend_cached(
   for (std::int64_t bi = 0; bi < b; ++bi) {
     const std::int64_t valid =
         kv_lengths ? (*kv_lengths)[static_cast<std::size_t>(bi)] : len;
-    // rows() may decode into lane-shared scratch — consume the lane fully
-    // before asking for the next one.
-    const KvState::Rows rows = kv.rows(bi, be);
+    const std::int64_t visible = visible_keys(len, len, valid);
+    KvState::Lane lane = kv.lane(bi);
+    count_backend_dispatch(be);
     for (std::int64_t h = 0; h < heads_; ++h) {
-      const std::int64_t col = h * d_head_;
-      attend_row(q.data() + bi * d_model_ + col, rows.k + col, rows.v + col,
-                 rows.stride, len, len, valid, d_head_, inv_sqrt_dh,
-                 srow.data(), ctx.data() + bi * d_model_ + col);
+      lane.k.col = lane.v.col = h * d_head_;
+      be.attend_row(q.data() + bi * d_model_ + lane.k.col, lane.k, lane.v,
+                    len, visible, d_head_, inv_sqrt_dh, srow.data(),
+                    ctx.data() + bi * d_model_ + lane.k.col);
     }
   }
   return wo_.forward(ctx, ec);

@@ -61,10 +61,8 @@ void KvState::init(std::int64_t b, std::int64_t capacity, std::int64_t d,
   k_codes_ = Tensor({code_floats});
   v_codes_ = Tensor({code_floats});
   if (quant_.enabled()) {
-    k_scratch_ = Tensor({cap_, d_});
-    v_scratch_ = Tensor({cap_, d_});
     // Force both decode LUTs now: the lazy first build is not thread-safe,
-    // and rows() must stay allocation-free in steady state.
+    // and reads must stay allocation-free in steady state.
     k_table_ = quant_.k_codec->decode_lut(false).data();
     v_table_ = quant_.v_codec->decode_lut(false).data();
   } else {
@@ -144,29 +142,35 @@ void KvState::append_block(const Tensor& k, const Tensor& v, std::int64_t t) {
   len_ = t;
 }
 
-KvState::Rows KvState::rows(std::int64_t bi, const KernelBackend& be) const {
+KvState::Lane KvState::lane(std::int64_t bi) const {
   if (!initialized() || bi < 0 || bi >= b_) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                     "KvState::rows lane out of range");
+                     "KvState::lane out of range");
   }
-  const std::uint8_t* kr = region_base(k_codes_, bi, region_bytes_);
-  const std::uint8_t* vr = region_base(v_codes_, bi, region_bytes_);
-  if (!quant_.enabled()) {
-    // fp32 regions are 4-byte aligned (region_bytes_ = 4·cap·d) and hold
-    // the float rows write_row copied in.
-    return {reinterpret_cast<const float*>(kr),
-            reinterpret_cast<const float*>(vr), d_};
+  return {{region_base(k_codes_, bi, region_bytes_), region_bytes_, bits_,
+           k_table_, d_, 0},
+          {region_base(v_codes_, bi, region_bytes_), region_bytes_, bits_,
+           v_table_, d_, 0}};
+}
+
+void KvState::read_row(std::int64_t bi, std::int64_t j, float* k_out,
+                       float* v_out) const {
+  if (j < 0 || j >= len_) {
+    throw FaultError("kv_cache", FaultKind::kMalformedInput,
+                     "KvState::read_row step out of range");
   }
-  const std::int64_t count = len_ * d_;
-  if (count > 0) {
-    be.unpack_decode(kr, region_bytes_, bits_, 0, count, k_table_,
-                     k_scratch_.data());
-    count_backend_dispatch(be);
-    be.unpack_decode(vr, region_bytes_, bits_, 0, count, v_table_,
-                     v_scratch_.data());
-    count_backend_dispatch(be);
-  }
-  return {k_scratch_.data(), v_scratch_.data(), d_};
+  const Lane l = lane(bi);
+  const auto read = [&](const AttendOperand& o, float* out) {
+    const auto row_bytes = static_cast<std::size_t>(d_) * sizeof(float);
+    if (bits_ == 32) {
+      std::memcpy(out, o.bytes + static_cast<std::size_t>(j) * row_bytes,
+                  row_bytes);
+    } else {
+      unpack_decode_scalar(o.bytes, o.nbytes, bits_, j * d_, d_, o.table, out);
+    }
+  };
+  read(l.k, k_out);
+  read(l.v, v_out);
 }
 
 void KvState::reorder(const std::vector<std::size_t>& parents) {

@@ -16,14 +16,19 @@
 //
 //  * quantized — each row is encoded element-by-element through a
 //    FormatCodec (per-layer exp_bias recalibrated from calibration-time
-//    K/V ranges; see DESIGN.md §15) into the lane region, and rows()
-//    decodes a lane's rows into a preallocated scratch through the kernel
-//    backend's fused LUT unpack_decode (DESIGN.md §9). At 4-bit this is an
-//    8x cache-footprint cut — the KV cache, not the weights, dominates
+//    K/V ranges; see DESIGN.md §15) into the lane region. At 4-bit this is
+//    an 8x cache-footprint cut — the KV cache, not the weights, dominates
 //    serving memory at scale.
 //
+// Nothing is decoded ahead of use: lane() hands the attend kernel
+// (KernelBackend::attend_row) the lane region itself plus the codecs'
+// decode tables, and the kernel decodes each key's head slice in-register
+// as it scores or mixes it (DESIGN.md §12.4). There is no decode scratch,
+// so lanes and states share nothing mutable and may be read from any
+// number of threads at once.
+//
 // All storage is allocated once in init() under the caller's ambient
-// ArenaScope (a DecodeSession's never-reset KV arena); append/rows/reorder
+// ArenaScope (a DecodeSession's never-reset KV arena); append/lane/reorder
 // allocate nothing, which is what keeps steady-state decode at zero heap
 // allocations per emitted token.
 #pragma once
@@ -51,7 +56,7 @@ class KvState {
   /// Allocates storage for `b` lanes of up to `capacity` timesteps of
   /// d-dim K/V rows (under the ambient ArenaScope, if any). With a codec
   /// pair the cache stores packed codes and eagerly builds both decode
-  /// LUTs, so later rows() calls are lock-free and allocation-free.
+  /// LUTs, so later reads are lock-free and allocation-free.
   void init(std::int64_t b, std::int64_t capacity, std::int64_t d,
             KvQuantConfig quant = {});
 
@@ -67,16 +72,20 @@ class KvState {
   /// sequence). Requires an empty cache.
   void append_block(const Tensor& k, const Tensor& v, std::int64_t t);
 
-  /// Decoded K/V rows of lane `bi`: row j of len() rows starts at
-  /// k + j*stride. fp32 mode returns the cached rows themselves;
-  /// quantized mode decodes the lane into internal scratch through
-  /// `be.unpack_decode` (valid until the next rows() call on this state).
-  struct Rows {
-    const float* k;
-    const float* v;
-    std::int64_t stride;
+  /// Lane `bi`'s K and V histories as the attend kernel reads them, at
+  /// head column 0: row j of len() rows is codes [j*dim(), (j+1)*dim()) of
+  /// the lane region (fp32 rows at 32 bits, otherwise codes decoded
+  /// through the codec's table). Valid until the next init().
+  struct Lane {
+    AttendOperand k;
+    AttendOperand v;
   };
-  Rows rows(std::int64_t bi, const KernelBackend& be) const;
+  Lane lane(std::int64_t bi) const;
+
+  /// Decodes cached row `j` of lane `bi` into k_out/v_out (dim() floats
+  /// each): exactly the values the attend kernel reads.
+  void read_row(std::int64_t bi, std::int64_t j, float* k_out,
+                float* v_out) const;
 
   /// Beam-search lane shuffle: lane r takes the cached history of lane
   /// parents[r] (parents.size() <= batch; lanes past it keep stale data
@@ -110,9 +119,8 @@ class KvState {
   const float* k_table_ = nullptr;    // decode LUTs (owned by the codecs)
   const float* v_table_ = nullptr;
 
-  Tensor k_codes_, v_codes_;    // B lane regions of codes (float storage)
-  mutable Tensor k_scratch_, v_scratch_;  // quantized mode: [cap, D] decode
-  Tensor reorder_tmp_;          // beam shuffle staging (allocated when B > 1)
+  Tensor k_codes_, v_codes_;  // B lane regions of codes (float storage)
+  Tensor reorder_tmp_;        // beam shuffle staging (allocated when B > 1)
 };
 
 }  // namespace af

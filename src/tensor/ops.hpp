@@ -8,11 +8,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/kernels/backend.hpp"
 #include "src/tensor/tensor.hpp"
 
 namespace af {
-
-struct KernelBackend;
 
 // ----- matrix products -----------------------------------------------------
 
@@ -70,23 +69,8 @@ void split_cols(const Tensor& x, std::int64_t n1, Tensor& a, Tensor& b);
 
 // ----- softmax family ------------------------------------------------------
 
-/// In-place numerically-stabilized softmax of one row of n floats. This is
-/// the per-row kernel softmax_rows runs over every row, exposed so the
-/// attention paths (batched forward and incremental decode) share the exact
-/// float-op sequence — the bit-equality contract between an incremental
-/// decode step and row i of the monolithic forward rests on both sides
-/// calling this one function (DESIGN.md §15).
-inline void softmax_row_inplace(float* row, std::int64_t n) {
-  float mx = row[0];
-  for (std::int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-  double denom = 0.0;
-  for (std::int64_t j = 0; j < n; ++j) {
-    row[j] = std::exp(row[j] - mx);
-    denom += row[j];
-  }
-  const float inv = static_cast<float>(1.0 / denom);
-  for (std::int64_t j = 0; j < n; ++j) row[j] *= inv;
-}
+// softmax_row_inplace (the per-row kernel softmax_rows runs, shared with
+// every backend's attend core) is declared in src/kernels/backend.hpp.
 
 /// Row-wise softmax of x[m,n] (numerically stabilized by row max).
 Tensor softmax_rows(const Tensor& x);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <limits>
 #include <vector>
 
@@ -260,17 +261,35 @@ TEST(KernelBackendNumerics, Avx2GemmBitStableAcrossThreadCounts) {
   set_num_threads(0);
 }
 
+// Bit-equality of two float outputs, where any two NaNs match: where two
+// NaNs meet in one operation (a propagated NaN and inf - inf, say), IEEE 754
+// leaves open which one the result carries, and the compiler may commute
+// the operands. Counts the NaN outputs it sees into `nan_outputs`.
+::testing::AssertionResult same_bits_or_both_nan(float ref, float got,
+                                                 std::int64_t& nan_outputs) {
+  if (std::isnan(ref)) {
+    ++nan_outputs;
+    if (std::isnan(got)) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << "NaN vs " << got;
+  }
+  if (std::memcmp(&ref, &got, sizeof(float)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << ref << " vs " << got;
+}
+
 TEST(KernelBackendNumerics, DotRowsBitIdenticalToScalar) {
   // The x*W^T dot chain runs the scalar chain in every lane: bit-equal
   // outputs, not a ULP bound. The shapes cover every row count the AVX2
   // entry's 4-row blocks and 1..3-row remainders produce (m = 1..9, 16,
   // 17), the 8-column blocks and their pairing with an n % 8 tail, and
   // the 8-k transpose with a k % 8 tail; C starts nonzero. The probes put
-  // signed zeros (skipped), NaN, infinities and denormals in A and in B.
-  // Where two NaNs meet in one add (a propagated NaN and inf - inf, say),
-  // IEEE 754 leaves open which one the result carries, and the compiler
-  // may commute the operands, so a NaN output need only be NaN on both
-  // sides; every other output is compared bit for bit.
+  // signed zeros (skipped), NaN, infinities and denormals in A and in B;
+  // a NaN output need only be NaN on both sides (same_bits_or_both_nan),
+  // every other output is compared bit for bit. A second sweep gives A
+  // about half exact zeros of either sign, as post-ReLU activations have,
+  // so 8-k groups mix skipped and taken steps (the blended chain), some are
+  // all zero, and C holds some -0.0 that only an exact skip preserves.
   const KernelBackend* avx2 = avx2_backend();
   if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
   const float inf = std::numeric_limits<float>::infinity();
@@ -279,51 +298,57 @@ TEST(KernelBackendNumerics, DotRowsBitIdenticalToScalar) {
   const float probes[] = {0.0f, -0.0f, nan, inf, -inf, den, -den, 3e-39f};
   constexpr std::uint32_t kProbes = sizeof(probes) / sizeof(probes[0]);
   Pcg32 rng(36);
-  std::int64_t outputs = 0;
-  std::int64_t nan_outputs = 0;
-  for (const std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}) {
-    for (const std::int64_t n : {1, 7, 8, 9, 24, 67}) {
-      for (const std::int64_t k : {1, 7, 8, 9, 64, 300}) {
-        std::vector<float> a(static_cast<std::size_t>(m * k));
-        std::vector<float> b(static_cast<std::size_t>(n * k));
-        for (auto& v : a) v = rng.normal();
-        for (auto& v : b) v = rng.normal();
-        // One probe per row of A and of B at a random k (with k = 1 the
-        // whole row is the probe): enough for every kind to meet every
-        // lane and tail, sparse enough that most outputs stay finite.
-        for (std::int64_t r = 0; r < m; ++r) {
-          a[static_cast<std::size_t>(r * k + rng.next_u32() % k)] =
-              probes[rng.next_u32() % kProbes];
-        }
-        for (std::int64_t r = 0; r < n; ++r) {
-          b[static_cast<std::size_t>(r * k + rng.next_u32() % k)] =
-              probes[rng.next_u32() % kProbes];
-        }
-        std::vector<float> c0(static_cast<std::size_t>(m * n));
-        for (auto& v : c0) v = rng.normal();
-        std::vector<float> ref = c0;
-        std::vector<float> got = c0;
-        outputs += static_cast<std::int64_t>(ref.size());
-        scalar_backend().gemm_dot_rows(ref.data(), a.data(), b.data(), m, n,
-                                       k);
-        avx2->gemm_dot_rows(got.data(), a.data(), b.data(), m, n, k);
-        for (std::size_t e = 0; e < ref.size(); ++e) {
-          if (std::isnan(ref[e])) {
-            ++nan_outputs;
-            EXPECT_TRUE(std::isnan(got[e]))
-                << "m=" << m << " n=" << n << " k=" << k << " e=" << e;
-            continue;
+  for (const bool half_zero : {false, true}) {
+    SCOPED_TRACE(half_zero ? "half-zero A" : "dense A");
+    std::int64_t outputs = 0;
+    std::int64_t nan_outputs = 0;
+    for (const std::int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}) {
+      for (const std::int64_t n : {1, 7, 8, 9, 24, 67}) {
+        for (const std::int64_t k : {1, 7, 8, 9, 64, 300}) {
+          std::vector<float> a(static_cast<std::size_t>(m * k));
+          std::vector<float> b(static_cast<std::size_t>(n * k));
+          for (auto& v : a) v = rng.normal();
+          for (auto& v : b) v = rng.normal();
+          // One probe per row of A and of B at a random k (with k = 1 the
+          // whole row is the probe): enough for every kind to meet every
+          // lane and tail, sparse enough that most outputs stay finite.
+          for (std::int64_t r = 0; r < m; ++r) {
+            a[static_cast<std::size_t>(r * k + rng.next_u32() % k)] =
+                probes[rng.next_u32() % kProbes];
           }
-          EXPECT_EQ(0, std::memcmp(&ref[e], &got[e], sizeof(float)))
-              << "m=" << m << " n=" << n << " k=" << k << " e=" << e << ": "
-              << ref[e] << " vs " << got[e];
+          for (std::int64_t r = 0; r < n; ++r) {
+            b[static_cast<std::size_t>(r * k + rng.next_u32() % k)] =
+                probes[rng.next_u32() % kProbes];
+          }
+          std::vector<float> c0(static_cast<std::size_t>(m * n));
+          for (auto& v : c0) v = rng.normal();
+          if (half_zero) {
+            for (auto& v : a) {
+              if (rng.next_u32() % 2 == 0) {
+                v = rng.next_u32() % 2 == 0 ? 0.0f : -0.0f;
+              }
+            }
+            for (auto& v : c0) {
+              if (rng.next_u32() % 4 == 0) v = -0.0f;
+            }
+          }
+          std::vector<float> ref = c0;
+          std::vector<float> got = c0;
+          outputs += static_cast<std::int64_t>(ref.size());
+          scalar_backend().gemm_dot_rows(ref.data(), a.data(), b.data(), m,
+                                         n, k);
+          avx2->gemm_dot_rows(got.data(), a.data(), b.data(), m, n, k);
+          for (std::size_t e = 0; e < ref.size(); ++e) {
+            EXPECT_TRUE(same_bits_or_both_nan(ref[e], got[e], nan_outputs))
+                << "m=" << m << " n=" << n << " k=" << k << " e=" << e;
+          }
         }
       }
     }
+    // NaN outputs occur, but most outputs carry comparable bits.
+    EXPECT_GT(nan_outputs, 0);
+    EXPECT_LT(2 * nan_outputs, outputs);
   }
-  // NaN outputs occur, but most outputs carry comparable bits.
-  EXPECT_GT(nan_outputs, 0);
-  EXPECT_LT(2 * nan_outputs, outputs);
 }
 
 TEST(KernelBackendNumerics, UnpackDecodeBitIdenticalToScalar) {
@@ -370,6 +395,120 @@ TEST(KernelBackendNumerics, UnpackDecodeBitIdenticalToScalar) {
           << "bits=" << bits << " first=" << first;
     }
   }
+}
+
+TEST(KernelBackendNumerics, AttendBitIdenticalToScalar) {
+  // The attend core keeps the scalar entry's order on every backend, so
+  // scores (srow, left holding the softmax weights) and the mixed context
+  // (crow) must match bit for bit — NaNs aside, as in the dot chain. The
+  // sweep covers every K/V code path of the AVX2 entry: fp32 rows, 8-bit
+  // byte codes and the 3-byte-window extraction at 4 and 6 bits, each
+  // through every format's decode table; key counts that fill 8-key blocks,
+  // leave 1..7-key remainders, or sit below one block; visible < len (the
+  // masked tail) including no visible key at all; d_head with and without
+  // a d % 8 tail; rows of an odd code count, so packed rows straddle
+  // bytes, and a head column offset. The region ends exactly at the last
+  // row's last byte, so the payload-edge decode runs too. Probes (signed
+  // zeros, NaN, infinities, denormals) sit in q, in fp32 rows and in one
+  // entry of half the tables.
+  const KernelBackend* avx2 = avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const float probes[] = {0.0f, -0.0f, nan, inf, -inf, den, -den, 3e-39f};
+  constexpr std::uint32_t kProbes = sizeof(probes) / sizeof(probes[0]);
+  Pcg32 rng(39);
+  std::int64_t calls = 0, outputs = 0, nan_outputs = 0;
+  for (const int bits : {4, 6, 8, 32}) {
+    for (const FormatKind kind : all_format_kinds()) {
+      if (bits == 32 && kind != all_format_kinds().front()) continue;
+      std::vector<float> table;
+      if (bits < 32) {
+        std::unique_ptr<FormatCodec> codec = make_codec(kind, bits, 2.0f);
+        const DecodeLut& lut = codec->decode_lut(false);
+        table.assign(lut.data(), lut.data() + lut.size());
+      }
+      for (const std::int64_t len :
+           {1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 48, 128}) {
+        for (const std::int64_t d_head : {1, 3, 8, 16, 20}) {
+          SCOPED_TRACE(::testing::Message()
+                       << format_kind_name(kind) << " bits=" << bits
+                       << " len=" << len << " d_head=" << d_head);
+          const std::int64_t row_codes = 2 * d_head + 1;
+          const std::int64_t col = d_head + 1;
+          const std::size_t nbytes =
+              static_cast<std::size_t>(len * row_codes * bits + 7) / 8;
+          std::vector<std::uint8_t> kbytes(nbytes), vbytes(nbytes);
+          for (auto* payload : {&kbytes, &vbytes}) {
+            if (bits == 32) {
+              std::vector<float> rows(
+                  static_cast<std::size_t>(len * row_codes));
+              for (auto& x : rows) {
+                x = rng.next_u32() % 64 == 0 ? probes[rng.next_u32() % kProbes]
+                                             : rng.normal();
+              }
+              std::memcpy(payload->data(), rows.data(), nbytes);
+            } else {
+              for (auto& byte : *payload) {
+                byte = static_cast<std::uint8_t>(rng.next_u32());
+              }
+            }
+          }
+          // Half the tables carry one probe entry: dense enough to reach
+          // every path, sparse enough that most rows stay finite.
+          std::vector<float> probed = table;
+          if (!probed.empty() && rng.next_u32() % 2 == 0) {
+            probed[rng.next_u32() % probed.size()] =
+                probes[rng.next_u32() % kProbes];
+          }
+          const float* tab = bits == 32 ? nullptr : probed.data();
+          const AttendOperand k{kbytes.data(), nbytes, bits, tab, row_codes,
+                                col};
+          const AttendOperand v{vbytes.data(), nbytes, bits, tab, row_codes,
+                                col};
+          std::vector<float> q(static_cast<std::size_t>(d_head));
+          for (auto& x : q) {
+            x = rng.next_u32() % 32 == 0 ? probes[rng.next_u32() % kProbes]
+                                         : rng.normal();
+          }
+          const float inv_sqrt_dh =
+              1.0f / std::sqrt(static_cast<float>(d_head));
+          for (const std::int64_t visible :
+               {len, len - 1, static_cast<std::int64_t>(rng.next_u32() % len),
+                std::int64_t{0}}) {
+            std::vector<float> c0(static_cast<std::size_t>(d_head));
+            for (auto& x : c0) x = rng.normal();
+            std::vector<float> ref_s(static_cast<std::size_t>(len));
+            std::vector<float> got_s(ref_s.size());
+            std::vector<float> ref_c = c0, got_c = c0;
+            scalar_backend().attend_row(q.data(), k, v, len, visible, d_head,
+                                        inv_sqrt_dh, ref_s.data(),
+                                        ref_c.data());
+            avx2->attend_row(q.data(), k, v, len, visible, d_head,
+                             inv_sqrt_dh, got_s.data(), got_c.data());
+            ++calls;
+            for (std::size_t j = 0; j < ref_s.size(); ++j) {
+              ++outputs;
+              EXPECT_TRUE(same_bits_or_both_nan(ref_s[j], got_s[j],
+                                                nan_outputs))
+                  << "visible=" << visible << " score " << j;
+            }
+            for (std::size_t d = 0; d < ref_c.size(); ++d) {
+              ++outputs;
+              EXPECT_TRUE(same_bits_or_both_nan(ref_c[d], got_c[d],
+                                                nan_outputs))
+                  << "visible=" << visible << " ctx " << d;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(calls, 4 * 12 * 5 * (3 * 5 + 1));
+  // NaN outputs occur, but most outputs carry comparable bits.
+  EXPECT_GT(nan_outputs, 0);
+  EXPECT_LT(2 * nan_outputs, outputs);
 }
 
 TEST(KernelBackendNumerics, NearestIndicesBitIdenticalAcrossFormats) {

@@ -351,17 +351,15 @@ TEST(KvCache, QuantizedRowsRoundTripThroughCodec) {
   }
   EXPECT_EQ(kv.len(), 4);
 
-  const KernelBackend& be = active_backend();
   for (std::int64_t bi = 0; bi < 2; ++bi) {
-    KvState::Rows rows = kv.rows(bi, be);
     for (std::int64_t j = 0; j < 4; ++j) {
+      float k_row[8], v_row[8];
+      kv.read_row(bi, j, k_row, v_row);
       for (std::int64_t c = 0; c < 8; ++c) {
         const float k_in = ks[static_cast<std::size_t>(j)].at({bi, c});
         const float v_in = vs[static_cast<std::size_t>(j)].at({bi, c});
-        EXPECT_EQ(rows.k[j * rows.stride + c],
-                  q.k_codec->decode(q.k_codec->encode(k_in)));
-        EXPECT_EQ(rows.v[j * rows.stride + c],
-                  q.v_codec->decode(q.v_codec->encode(v_in)));
+        EXPECT_EQ(k_row[c], q.k_codec->decode(q.k_codec->encode(k_in)));
+        EXPECT_EQ(v_row[c], q.v_codec->decode(q.v_codec->encode(v_in)));
       }
     }
   }
@@ -409,7 +407,7 @@ std::vector<KvMode> kv_modes() {
           {"af6", af6, 6}};
 }
 
-// What a mode's rows() must return for an appended value.
+// What a mode's read_row() must return for an appended value.
 float kv_stored(const std::shared_ptr<const FormatCodec>& codec, float x) {
   return codec ? codec->decode(codec->encode(x)) : x;
 }
@@ -418,15 +416,17 @@ float kv_stored(const std::shared_ptr<const FormatCodec>& codec, float x) {
 void expect_lane_rows(const KvState& kv, const KvQuantConfig& q,
                       std::int64_t bi, const std::vector<Tensor>& ks,
                       const std::vector<Tensor>& vs, std::int64_t src_lane) {
-  const KvState::Rows rows = kv.rows(bi, active_backend());
+  std::vector<float> k_row(static_cast<std::size_t>(kv.dim()));
+  std::vector<float> v_row(static_cast<std::size_t>(kv.dim()));
   for (std::int64_t j = 0; j < kv.len(); ++j) {
     const Tensor& k = ks[static_cast<std::size_t>(j)];
     const Tensor& v = vs[static_cast<std::size_t>(j)];
+    kv.read_row(bi, j, k_row.data(), v_row.data());
     for (std::int64_t c = 0; c < kv.dim(); ++c) {
-      EXPECT_EQ(rows.k[j * rows.stride + c],
+      EXPECT_EQ(k_row[static_cast<std::size_t>(c)],
                 kv_stored(q.k_codec, k.at({src_lane, c})))
           << "lane " << bi << " step " << j << " col " << c;
-      EXPECT_EQ(rows.v[j * rows.stride + c],
+      EXPECT_EQ(v_row[static_cast<std::size_t>(c)],
                 kv_stored(q.v_codec, v.at({src_lane, c})))
           << "lane " << bi << " step " << j << " col " << c;
     }
@@ -562,6 +562,108 @@ TEST(KvCache, AppendBlockMatchesPerStepAppends) {
     for (const KvState* kv : {&block, &steps}) {
       EXPECT_EQ(kv->bytes_per_step(), per_step);
       EXPECT_EQ(kv->payload_bytes(), payload);
+    }
+  }
+}
+
+// The attend core as it ran before decode was fused into it: K/V rows
+// already decoded to fp32, row j at k_rows + j * stride.
+void decode_then_attend(const float* q, const float* k_rows,
+                        const float* v_rows, std::int64_t stride,
+                        std::int64_t len, std::int64_t visible,
+                        std::int64_t d_head, float inv_sqrt_dh, float* srow,
+                        float* crow) {
+  for (std::int64_t j = 0; j < len; ++j) {
+    if (j >= visible) {
+      srow[j] = kAttendMaskValue;
+      continue;
+    }
+    double dot = 0;
+    for (std::int64_t d = 0; d < d_head; ++d) {
+      dot += double(q[d]) * k_rows[j * stride + d];
+    }
+    srow[j] = static_cast<float>(dot) * inv_sqrt_dh;
+  }
+  softmax_row_inplace(srow, len);
+  for (std::int64_t j = 0; j < len; ++j) {
+    const float a = srow[j];
+    if (a == 0.0f) continue;
+    for (std::int64_t d = 0; d < d_head; ++d) {
+      crow[d] += a * v_rows[j * stride + d];
+    }
+  }
+}
+
+TEST(KvCache, FusedAttendMatchesDecodeThenAttend) {
+  // attend_row decodes packed codes through the codec's table inside the
+  // kernel. Decoding every cached value through codec->decode first and
+  // attending over those fp32 rows must give the same bits, on every
+  // backend: the table holds codec->decode's own outputs, and the fused
+  // kernel keeps the accumulation order. D = 40 as 5 heads of 8 and as
+  // 2 heads of 20 (the AVX2 mix's 16-wide block plus a d % 8 tail); 37
+  // keys, all visible or the first 29.
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (avx2_backend() != nullptr) backends.push_back(avx2_backend());
+  KvQuantConfig af4;
+  af4.k_codec = std::shared_ptr<const FormatCodec>(
+      make_codec(FormatKind::kAdaptivFloat, 4, 2.0f));
+  af4.v_codec = std::shared_ptr<const FormatCodec>(
+      make_codec(FormatKind::kAdaptivFloat, 4, 3.0f));
+  std::vector<KvMode> modes = kv_modes();
+  modes.push_back({"af4", af4, 4});
+  constexpr std::int64_t kD = 40, kLen = 37;
+  for (const KvMode& mode : modes) {
+    SCOPED_TRACE(mode.name);
+    KvState kv;
+    kv.init(2, 40, kD, mode.quant);
+    Pcg32 rng(83);
+    Tensor dec_k({2, kLen, kD}), dec_v({2, kLen, kD});  // decoded history
+    for (std::int64_t j = 0; j < kLen; ++j) {
+      Tensor k = Tensor::randn({2, kD}, rng);
+      Tensor v = Tensor::randn({2, kD}, rng);
+      kv.append(k, v);
+      for (std::int64_t bi = 0; bi < 2; ++bi) {
+        for (std::int64_t c = 0; c < kD; ++c) {
+          dec_k.at({bi, j, c}) = kv_stored(mode.quant.k_codec, k.at({bi, c}));
+          dec_v.at({bi, j, c}) = kv_stored(mode.quant.v_codec, v.at({bi, c}));
+        }
+      }
+    }
+    const Tensor q = Tensor::randn({2, kD}, rng);
+    for (const KernelBackend* be : backends) {
+      SCOPED_TRACE(be->name);
+      for (const std::int64_t heads : {5, 2}) {
+        const std::int64_t d_head = kD / heads;
+        const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(d_head));
+        for (const std::int64_t visible : {kLen, std::int64_t{29}}) {
+          for (std::int64_t bi = 0; bi < 2; ++bi) {
+            KvState::Lane lane = kv.lane(bi);
+            for (std::int64_t h = 0; h < heads; ++h) {
+              const std::int64_t col = h * d_head;
+              std::vector<float> ref_s(kLen), got_s(kLen);
+              std::vector<float> ref_c(static_cast<std::size_t>(d_head));
+              std::vector<float> got_c(ref_c.size());
+              decode_then_attend(q.data() + bi * kD + col,
+                                 dec_k.data() + bi * kLen * kD + col,
+                                 dec_v.data() + bi * kLen * kD + col, kD,
+                                 kLen, visible, d_head, inv_sqrt_dh,
+                                 ref_s.data(), ref_c.data());
+              lane.k.col = lane.v.col = col;
+              be->attend_row(q.data() + bi * kD + col, lane.k, lane.v, kLen,
+                             visible, d_head, inv_sqrt_dh, got_s.data(),
+                             got_c.data());
+              EXPECT_EQ(0, std::memcmp(ref_s.data(), got_s.data(),
+                                       ref_s.size() * sizeof(float)))
+                  << "heads " << heads << " visible " << visible << " lane "
+                  << bi << " head " << h;
+              EXPECT_EQ(0, std::memcmp(ref_c.data(), got_c.data(),
+                                       ref_c.size() * sizeof(float)))
+                  << "heads " << heads << " visible " << visible << " lane "
+                  << bi << " head " << h;
+            }
+          }
+        }
+      }
     }
   }
 }

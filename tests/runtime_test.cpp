@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/models/quantized_mlp.hpp"
@@ -1095,6 +1096,44 @@ TEST(DecodeSession, QuantizedKvZeroSteadyStateAllocsPerToken) {
   }
   EXPECT_GT(dec.kv_bytes(), 0u);
   EXPECT_EQ(dec.session().sequences(), 3);
+}
+
+TEST(DecodeSession, KvCodecsBuiltOncePerModelAndFormat) {
+  // Every quantized decoder of one model and KV format shares one codec
+  // set, its decode tables built before it is shared. Threads asking at
+  // once (as a server's workers opening streams do) all get the set the
+  // first of them built. Another format gets its own set, and
+  // recalibrating the model drops them.
+  TransformerBundle b(438, tiny_transformer_config());
+  calibrate_transformer_kv(b, 2, 439);
+  const KvCacheFormat af8{true, FormatKind::kAdaptivFloat, 8};
+  std::vector<std::shared_ptr<const TransformerMT::KvCodecs>> seen(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&b, &seen, &af8, t] {
+      seen[t] = b.model.kv_codecs(af8);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const auto shared = b.model.kv_codecs(af8);
+  for (const auto& s : seen) EXPECT_EQ(s, shared);
+  ASSERT_EQ(shared->self.size(),
+            static_cast<std::size_t>(b.cfg.dec_layers));
+  ASSERT_EQ(shared->cross.size(), shared->self.size());
+  EXPECT_EQ(shared->self[0].k_codec->bits(), 8);
+
+  TransformerDecoder::Options opts;
+  opts.kv = af8;
+  TransformerDecoder dec(b.model, opts);
+  EXPECT_EQ(b.model.kv_codecs(af8), shared);
+
+  const auto af6 =
+      b.model.kv_codecs({true, FormatKind::kAdaptivFloat, 6});
+  EXPECT_NE(af6, shared);
+  EXPECT_EQ(af6->self[0].k_codec->bits(), 6);
+
+  calibrate_transformer_kv(b, 2, 440);
+  EXPECT_NE(b.model.kv_codecs(af8), shared);
 }
 
 TEST(DecodeSession, CapacityExhaustionIsTypedAndSessionStaysUsable) {
