@@ -38,9 +38,10 @@ int main(int argc, char** argv) {
   }
   std::printf("\n\n");
 
-  const PositFormat ps(bits, 1);
-  std::printf("%s: minpos %.6g, maxpos %.6g\n", ps.to_string().c_str(),
-              ps.minpos(), ps.maxpos());
+  const PositQuantizer ps(bits, 1);
+  std::printf("%s: minpos %.6g, maxpos %.6g\n",
+              ps.format().to_string().c_str(), ps.format().minpos(),
+              ps.format().maxpos());
   std::printf("non-negative representable values:\n ");
   for (float v : ps.representable_values()) {
     if (v >= 0.0f) std::printf(" %.6g", v);

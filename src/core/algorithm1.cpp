@@ -46,17 +46,8 @@ AdaptivFloatQuantResult adaptivfloat_quantize(const Tensor& w, int bits,
   AdaptivFloatQuantResult out{fmt, Tensor(w.shape()), {}};
   out.codes.resize(static_cast<std::size_t>(w.numel()));
 
-  // Bulk tensors take the table-driven encode: the rounding intervals are
-  // bisected against fmt.encode itself, so lut.code_of(x) == fmt.encode(x)
-  // for every input — the LUT only removes the per-element field
-  // arithmetic. Small tensors keep the scalar encode (the build would
-  // dominate); codes are identical either way.
-  NearestLut enc_lut;
-  if (w.numel() >= kNearestLutMinBuildElems) {
-    enc_lut = build_encode_lut(
-        bits, [&](float x) { return fmt.encode(x); },
-        [&](std::uint16_t c) { return fmt.decode(c); });
-  }
+  // Bulk tensors take the table-driven encode; codes equal fmt.encode's.
+  const BulkEncoder enc(fmt, w.numel());
 
   // Elementwise with disjoint writes per chunk — bit-identical for any
   // AF_THREADS value.
@@ -91,8 +82,7 @@ AdaptivFloatQuantResult adaptivfloat_quantize(const Tensor& w, int bits,
         if (reconstructed > vmax) reconstructed = vmax;
       }
       out.quantized[i] = sign * reconstructed;  // W_sign * 2^W_exp * W_q
-      out.codes[static_cast<std::size_t>(i)] =
-          enc_lut.empty() ? fmt.encode(w[i]) : enc_lut.code_of(w[i]);
+      out.codes[static_cast<std::size_t>(i)] = enc(w[i]);
     }
   });
   return out;

@@ -197,19 +197,12 @@ AcceleratorRun Accelerator::run(const LstmLayerWeights& w,
              "requantization scale does not fit S bits");
   } else {
     // Bulk weight-buffer fills go through the table-driven encode; the
-    // table is bisected against wf.encode itself, so the codes written to
-    // the buffers are identical to the scalar path.
-    NearestLut wf_lut;
-    if (w.wx.numel() + w.wh.numel() >= kNearestLutMinBuildElems) {
-      wf_lut = build_encode_lut(
-          n, [&](float v) { return wf.encode(v); },
-          [&](std::uint16_t c) { return wf.decode(c); });
-    }
+    // codes written to the buffers equal wf.encode's.
+    const BulkEncoder wf_enc(wf, w.wx.numel() + w.wh.numel());
     auto q = [&](const Tensor& t, std::vector<std::uint16_t>& out) {
       out.resize(static_cast<std::size_t>(t.numel()));
       for (std::int64_t i = 0; i < t.numel(); ++i) {
-        out[static_cast<std::size_t>(i)] =
-            wf_lut.empty() ? wf.encode(t[i]) : wf_lut.code_of(t[i]);
+        out[static_cast<std::size_t>(i)] = wf_enc(t[i]);
       }
     };
     q(w.wx, wx_codes);
@@ -264,17 +257,12 @@ AcceleratorRun Accelerator::run(const LstmLayerWeights& w,
     }
   }
 
-  // One activation-encode table covers every timestep (af_act is fixed for
-  // the whole run); only worth building when the summed step inputs
-  // amortize it.
-  NearestLut act_lut;
-  if (cfg_.kind != PeKind::kInt &&
-      static_cast<std::int64_t>(inputs.size()) * in_dim >=
-          kNearestLutMinBuildElems) {
-    act_lut = build_encode_lut(
-        n, [&](float v) { return af_act.encode(v); },
-        [&](std::uint16_t c) { return af_act.decode(c); });
-  }
+  // One activation encoder covers every timestep (af_act is fixed for the
+  // whole run), so its table amortizes over the summed step inputs.
+  const BulkEncoder act_enc(
+      af_act, cfg_.kind == PeKind::kInt
+                  ? 0
+                  : static_cast<std::int64_t>(inputs.size()) * in_dim);
 
   AcceleratorRun run_result;
   for (const Tensor& x : inputs) {
@@ -293,8 +281,7 @@ AcceleratorRun Accelerator::run(const LstmLayerWeights& w,
     } else {
       x_codes.resize(static_cast<std::size_t>(in_dim));
       for (std::int64_t i = 0; i < in_dim; ++i) {
-        x_codes[static_cast<std::size_t>(i)] =
-            act_lut.empty() ? af_act.encode(x[i]) : act_lut.code_of(x[i]);
+        x_codes[static_cast<std::size_t>(i)] = act_enc(x[i]);
       }
     }
     if (fault_hook_ != nullptr) {
@@ -519,21 +506,15 @@ AcceleratorRun Accelerator::run_fc(const std::vector<FcLayer>& layers,
         fault_hook_->on_codes(PeFaultHook::Site::kActivation, act_codes, n);
       }
       const int unit_exp = wf.exp_bias() + af_act.exp_bias() - 2 * m;
-      // The whole layer streams through one format, so the encode table is
+      // The whole layer streams through one format, so the encoder is
       // hoisted out of the per-row (and per-retry) loop.
-      NearestLut fc_lut;
-      if (out_dim * in_dim >= kNearestLutMinBuildElems) {
-        fc_lut = build_encode_lut(
-            n, [&](float v) { return wf.encode(v); },
-            [&](std::uint16_t c) { return wf.decode(c); });
-      }
+      const BulkEncoder fc_enc(wf, out_dim * in_dim);
       for (std::int64_t r = 0; r < out_dim; ++r) {
         auto compute = [&]() -> RowResult {
           std::vector<std::uint16_t> wrow(static_cast<std::size_t>(in_dim));
           for (std::int64_t c = 0; c < in_dim; ++c) {
             wrow[static_cast<std::size_t>(c)] =
-                fc_lut.empty() ? wf.encode(layer.weight[r * in_dim + c])
-                               : fc_lut.code_of(layer.weight[r * in_dim + c]);
+                fc_enc(layer.weight[r * in_dim + c]);
           }
           if (fault_hook_ != nullptr) {
             fault_hook_->on_codes(PeFaultHook::Site::kWeight, wrow, n);

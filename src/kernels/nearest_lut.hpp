@@ -252,4 +252,33 @@ NearestLut build_encode_lut(int bits, EncodeFn&& encode, DecodeFn&& decode) {
       [&](float x) { return decode(encode(x)); });
 }
 
+/// Bulk encoder for any format with bits()/encode()/decode(): when a job
+/// encodes at least kNearestLutMinBuildElems values it builds the encode
+/// LUT once (bisected against fmt.encode itself, so every code equals the
+/// scalar encode's); smaller jobs keep the scalar encode, whose table build
+/// would dominate. `fmt` must outlive the encoder.
+template <typename Format>
+class BulkEncoder {
+ public:
+  BulkEncoder(const Format& fmt, std::int64_t numel) : fmt_(fmt) {
+    if (numel >= kNearestLutMinBuildElems) {
+      lut_ = build_encode_lut(
+          fmt.bits(), [&](float x) { return fmt.encode(x); },
+          [&](std::uint16_t c) { return fmt.decode(c); });
+    }
+  }
+
+  std::uint16_t operator()(float x) const {
+    return lut_.empty() ? fmt_.encode(x) : lut_.code_of(x);
+  }
+
+  /// The table behind operator(); empty on the scalar path. Batched
+  /// callers run its codes_of through a kernel backend.
+  const NearestLut& lut() const { return lut_; }
+
+ private:
+  const Format& fmt_;
+  NearestLut lut_;
+};
+
 }  // namespace af

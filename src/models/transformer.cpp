@@ -216,12 +216,7 @@ std::shared_ptr<const FormatCodec> kv_codec(const KvCacheFormat& fmt,
                      std::string("quantized KV cache requires a calibrated ") +
                          what + " range (run calibrate_transformer_kv)");
   }
-  std::shared_ptr<const FormatCodec> codec(
-      make_codec(fmt.kind, fmt.bits, range));
-  // Build the decode table before the codec is shared: the lazy first
-  // build is not thread-safe.
-  codec->decode_lut(false);
-  return codec;
+  return make_codec(fmt.kind, fmt.bits, range);
 }
 
 }  // namespace

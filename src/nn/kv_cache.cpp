@@ -61,8 +61,6 @@ void KvState::init(std::int64_t b, std::int64_t capacity, std::int64_t d,
   k_codes_ = Tensor({code_floats});
   v_codes_ = Tensor({code_floats});
   if (quant_.enabled()) {
-    // Force both decode LUTs now: the lazy first build is not thread-safe,
-    // and reads must stay allocation-free in steady state.
     k_table_ = quant_.k_codec->decode_lut(false).data();
     v_table_ = quant_.v_codec->decode_lut(false).data();
   } else {

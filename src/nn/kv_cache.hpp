@@ -55,8 +55,8 @@ class KvState {
 
   /// Allocates storage for `b` lanes of up to `capacity` timesteps of
   /// d-dim K/V rows (under the ambient ArenaScope, if any). With a codec
-  /// pair the cache stores packed codes and eagerly builds both decode
-  /// LUTs, so later reads are lock-free and allocation-free.
+  /// pair the cache stores packed codes and reads them through the codecs'
+  /// decode tables, so later reads are lock-free and allocation-free.
   void init(std::int64_t b, std::int64_t capacity, std::int64_t d,
             KvQuantConfig quant = {});
 

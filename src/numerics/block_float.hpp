@@ -8,6 +8,7 @@
 // highlights on wide weight distributions.
 #pragma once
 
+#include <cmath>
 #include <string>
 
 #include "src/numerics/quantizer.hpp"
@@ -16,31 +17,28 @@ namespace af {
 
 /// Self-adaptive BFP<n> quantizer: shared exponent from max-abs, symmetric
 /// (n-1)-bit signed mantissas.
-class BlockFloatQuantizer final : public Quantizer {
+class BlockFloatQuantizer final : public LevelQuantizer {
  public:
-  explicit BlockFloatQuantizer(int bits);
+  explicit BlockFloatQuantizer(int bits) : LevelQuantizer(bits) {}
 
   std::string name() const override { return "BFP"; }
-  int bits() const override { return bits_; }
-  bool self_adaptive() const override { return true; }
-  void calibrate(const Tensor& t) override;
-  void calibrate_max_abs(float max_abs) override;
-  float quantize_value(float x) const override;
-  float value_range() const override {
-    return step_ * static_cast<float>(mant_max_);
-  }
-  std::vector<float> representable_values() const override;
 
-  /// Shared (unbiased) exponent chosen by the last calibration.
-  int shared_exp() const { return shared_exp_; }
+  /// Shared (unbiased) exponent chosen by the last calibration (0 for an
+  /// all-zero block).
+  int shared_exp() const {
+    return step_ == 0.0f ? 0 : std::ilogb(step_) + (bits() - 2);
+  }
   /// Quantization step: 2^(shared_exp - (n - 2)).
   float step() const { return step_; }
 
  private:
-  int bits_;
-  int shared_exp_ = 0;
-  float step_ = 0.0f;   // 0 until calibrated or when the block is all-zero
-  int mant_max_ = 0;    // 2^(n-1) - 1
+  float step_for(float max_abs) const override {
+    // 2^shared_exp <= max_abs < 2^(shared_exp + 1): the max element maps
+    // near the top of the mantissa range, max_abs / step < 2^(n-1).
+    int e = 0;
+    (void)std::frexp(max_abs, &e);
+    return std::ldexp(1.0f, (e - 1) - (bits() - 2));
+  }
 };
 
 }  // namespace af

@@ -94,7 +94,4 @@ std::string FloatFormat::to_string() const {
          ">";
 }
 
-FloatQuantizer::FloatQuantizer(int bits, int exp_bits)
-    : fmt_(bits, exp_bits) {}
-
 }  // namespace af

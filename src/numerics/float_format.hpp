@@ -54,13 +54,15 @@ class FloatFormat {
 /// Quantizer adapter for FloatFormat (non-adaptive).
 class FloatQuantizer final : public Quantizer {
  public:
-  FloatQuantizer(int bits, int exp_bits);
+  FloatQuantizer(int bits, int exp_bits) : fmt_(bits, exp_bits) {}
 
   std::string name() const override { return "Float"; }
   int bits() const override { return fmt_.bits(); }
   bool self_adaptive() const override { return false; }
   void calibrate(const Tensor&) override {}  // fixed range by construction
   float quantize_value(float x) const override { return fmt_.quantize(x); }
+  std::uint16_t encode(float x) const override { return fmt_.encode(x); }
+  float decode(std::uint16_t code) const override { return fmt_.decode(code); }
   float value_range() const override { return fmt_.value_max(); }
   std::vector<float> representable_values() const override {
     return fmt_.representable_values();  // decode never emits -0 (FTZ -> +0)

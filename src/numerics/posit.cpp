@@ -1,6 +1,7 @@
 #include "src/numerics/posit.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "src/util/check.hpp"
@@ -71,37 +72,77 @@ double PositFormat::maxpos() const {
   return decode(static_cast<std::uint16_t>((1u << (bits_ - 1)) - 1u));
 }
 
-std::vector<float> PositFormat::representable_values() const {
-  std::vector<float> vals;
-  vals.reserve((1u << bits_) - 1u);
-  const std::uint32_t nar = 1u << (bits_ - 1);
-  for (std::uint32_t c = 0; c < (1u << bits_); ++c) {
-    if (c == nar) continue;
-    vals.push_back(static_cast<float>(decode(static_cast<std::uint16_t>(c))));
-  }
-  std::sort(vals.begin(), vals.end());
-  return vals;
-}
-
 std::string PositFormat::to_string() const {
   return "Posit<" + std::to_string(bits_) + "," + std::to_string(es_) + ">";
 }
 
 PositQuantizer::PositQuantizer(int bits, int es) : fmt_(bits, es) {
-  for (float v : fmt_.representable_values()) {
-    if (v > 0.0f) positives_.push_back(v);
+  for (std::uint32_t c = 1; c < (1u << (bits - 1)); ++c) {
+    const auto code = static_cast<std::uint16_t>(c);
+    const float v = decode(code);
+    if (!positives_.empty() && v == positives_.back()) continue;
+    positives_.push_back(v);
+    codes_.push_back(code);
   }
+}
+
+float PositQuantizer::decode(std::uint16_t code) const {
+  const double v = fmt_.decode(code);
+  if (v == 0.0 || std::isnan(v)) return static_cast<float>(v);
+  // Wide-es posits reach past FP32 at both ends: saturate rather than
+  // narrow to +/-Inf or flush a nonzero posit to 0.
+  const double a =
+      std::clamp(std::fabs(v),
+                 static_cast<double>(std::numeric_limits<float>::denorm_min()),
+                 static_cast<double>(std::numeric_limits<float>::max()));
+  return static_cast<float>(std::copysign(a, v));
+}
+
+std::size_t PositQuantizer::nearest_index(float a) const {
+  if (a <= positives_.front()) return 0;
+  const std::size_t top = positives_.size() - 1;
+  if (a >= positives_[top]) return top;
+  // Branch-free lower bound: the KV cache encodes every appended element,
+  // and a data-dependent branch per halving mispredicts about half the time.
+  const float* base = positives_.data();
+  for (std::size_t n = top + 1; n > 1;) {
+    const std::size_t half = n / 2;
+    base += static_cast<std::size_t>(base[half - 1] < a) * half;
+    n -= half;
+  }
+  const auto hi = static_cast<std::size_t>(base - positives_.data());
+  const float dh = positives_[hi] - a;
+  const float dl = a - positives_[hi - 1];
+  // Nearer neighbour; an exact tie takes the even-index entry.
+  const bool take_lo = (dl < dh) | ((dl == dh) & ((hi & 1u) != 0));
+  return hi - static_cast<std::size_t>(take_lo);
 }
 
 float PositQuantizer::quantize_value(float x) const {
   if (x == 0.0f || std::isnan(x)) return 0.0f;
-  const float sign = x < 0.0f ? -1.0f : 1.0f;
-  const float a = std::fabs(x);
-  // Posit semantics: nonzero magnitudes saturate at minpos/maxpos instead of
-  // rounding to 0 or overflowing.
-  if (a <= positives_.front()) return sign * positives_.front();
-  if (a >= positives_.back()) return sign * positives_.back();
-  return sign * nearest_in_sorted(positives_, a);
+  const float v = positives_[nearest_index(std::fabs(x))];
+  return x < 0.0f ? -v : v;
+}
+
+std::uint16_t PositQuantizer::encode(float x) const {
+  if (x == 0.0f || std::isnan(x)) return 0;
+  const std::uint32_t code = codes_[nearest_index(std::fabs(x))];
+  if (x > 0.0f) return static_cast<std::uint16_t>(code);
+  // A negative posit is the two's complement of its magnitude's code.
+  return static_cast<std::uint16_t>((~code + 1u) & ((1u << bits()) - 1u));
+}
+
+std::vector<float> PositQuantizer::representable_values() const {
+  // Posit decode is exactly antisymmetric, so the negative entries are the
+  // negations of positives_ — the values quantize_value emits for x < 0.
+  std::vector<float> vals;
+  vals.reserve(2 * positives_.size() + 1);
+  for (auto it = positives_.rbegin(); it != positives_.rend(); ++it) {
+    vals.push_back(-*it);
+  }
+  vals.push_back(0.0f);
+  vals.insert(vals.end(), positives_.begin(), positives_.end());
+  return vals;
 }
 
 }  // namespace af

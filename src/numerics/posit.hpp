@@ -5,9 +5,11 @@
 // a wide dynamic range with fine precision near 1.0, which is why the paper
 // includes it among the floating-point-inspired contenders.
 //
-// The codec here decodes every bit pattern exactly; quantization follows
-// posit semantics: nonzero inputs never round to zero (they saturate at
-// +/-minpos) and overflow saturates at +/-maxpos. NaR is never produced.
+// PositFormat decodes every bit pattern exactly (in double). PositQuantizer
+// is the format's one rounding and one codec: quantization follows posit
+// semantics — nonzero inputs never round to zero (they saturate at
+// +/-minpos) and overflow saturates at +/-maxpos; NaR is never produced —
+// and encode() emits the code of that rounded value.
 #pragma once
 
 #include <cmath>
@@ -36,10 +38,6 @@ class PositFormat {
   double minpos() const;
   double maxpos() const;
 
-  /// All finite representable values sorted ascending (NaR excluded,
-  /// single 0 entry). Size 2^n - 1.
-  std::vector<float> representable_values() const;
-
   std::string to_string() const;
 
  private:
@@ -47,10 +45,10 @@ class PositFormat {
   int es_;
 };
 
-/// Quantizer adapter (non-adaptive). Rounds to the nearest representable
-/// posit value with posit saturation semantics. Non-finite inputs are
-/// well-defined: NaN maps to 0 (NaR is never produced), +/-Inf saturates
-/// to +/-maxpos.
+/// Quantizer and codec for Posit<n,es> (non-adaptive). Its grid is the
+/// FP32 image of the saturating decode(), so wide-es formats whose maxpos
+/// exceeds FP32 stay finite. Non-finite inputs are well-defined: NaN maps
+/// to 0 (NaR is never produced), +/-Inf saturates to +/-value_range().
 class PositQuantizer final : public Quantizer {
  public:
   PositQuantizer(int bits, int es);
@@ -60,19 +58,27 @@ class PositQuantizer final : public Quantizer {
   bool self_adaptive() const override { return false; }
   void calibrate(const Tensor&) override {}
   float quantize_value(float x) const override;
+  std::uint16_t encode(float x) const override;
+  /// PositFormat::decode narrowed to FP32, saturating: a nonzero posit
+  /// never decodes to 0 or +/-Inf (magnitudes clamp into
+  /// [denorm_min, FLT_MAX]); NaR decodes to NaN.
+  float decode(std::uint16_t code) const override;
   float value_range() const override { return positives_.back(); }
-  std::vector<float> representable_values() const override {
-    // Posit decode is exactly antisymmetric, so the negative entries are
-    // bitwise negations of positives_ — the same values sign *
-    // nearest_in_sorted(positives_, |x|) produces.
-    return fmt_.representable_values();
-  }
+  std::vector<float> representable_values() const override;
 
   const PositFormat& format() const { return fmt_; }
 
  private:
+  /// Index into positives_ that |x| (> 0) rounds to: ties go to the even
+  /// index, |x| below minpos saturates at index 0, above maxpos at the top.
+  std::size_t nearest_index(float a) const;
+
   PositFormat fmt_;
-  std::vector<float> positives_;  // sorted positive values
+  // Distinct positive grid values, ascending, and the code of each
+  // (positive codes are monotone in value; where FP32 saturation merges
+  // neighbouring codes, the first one is kept).
+  std::vector<float> positives_;
+  std::vector<std::uint16_t> codes_;
 };
 
 }  // namespace af

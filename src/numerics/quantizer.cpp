@@ -59,21 +59,58 @@ Tensor Quantizer::quantize(const Tensor& t) const {
   return out;
 }
 
-float nearest_in_sorted(const std::vector<float>& sorted, float x) {
-  AF_CHECK(!sorted.empty(), "nearest_in_sorted on empty table");
-  if (std::isnan(x)) return 0.0f;
-  auto it = std::lower_bound(sorted.begin(), sorted.end(), x);
-  if (it == sorted.begin()) return sorted.front();
-  if (it == sorted.end()) return sorted.back();
-  const float hi = *it;
-  const float lo = *(it - 1);
-  const float dh = hi - x;
-  const float dl = x - lo;
-  if (dl < dh) return lo;
-  if (dh < dl) return hi;
-  // Exact tie: pick the even-index entry, mirroring round-half-to-even.
-  const auto hi_idx = static_cast<std::size_t>(it - sorted.begin());
-  return (hi_idx % 2 == 0) ? hi : lo;
+LevelQuantizer::LevelQuantizer(int bits) : bits_(bits) {
+  AF_CHECK(bits >= 2 && bits <= 16, "level-format width must be in [2,16]");
+  level_max_ = (1 << (bits_ - 1)) - 1;
+}
+
+void LevelQuantizer::calibrate_max_abs(float max_abs) {
+  AF_CHECK(max_abs >= 0.0f && std::isfinite(max_abs),
+           "max_abs must be finite and non-negative");
+  step_ = max_abs == 0.0f ? 0.0f : step_for(max_abs);
+  invalidate_round_lut();
+}
+
+double LevelQuantizer::level_of(float x) const {
+  const double q = std::nearbyint(static_cast<double>(x) / step_);
+  return std::clamp(q, -static_cast<double>(level_max_),
+                    static_cast<double>(level_max_));
+}
+
+float LevelQuantizer::quantize_value(float x) const {
+  if (step_ == 0.0f || x == 0.0f || std::isnan(x)) return 0.0f;
+  return static_cast<float>(level_of(x)) * step_;
+}
+
+std::uint16_t LevelQuantizer::encode(float x) const {
+  if (step_ == 0.0f || x == 0.0f || std::isnan(x)) return 0;
+  const std::uint32_t mask = (1u << bits_) - 1u;
+  return static_cast<std::uint16_t>(
+      static_cast<std::uint32_t>(static_cast<std::int32_t>(level_of(x))) &
+      mask);
+}
+
+float LevelQuantizer::decode(std::uint16_t code) const {
+  const std::uint32_t mask = (1u << bits_) - 1u;
+  std::uint32_t word = code & mask;
+  if (word & (1u << (bits_ - 1))) word |= ~mask;  // sign-extend
+  return static_cast<float>(static_cast<std::int32_t>(word)) * step_;
+}
+
+std::vector<float> LevelQuantizer::representable_values() const {
+  if (step_ == 0.0f) return {0.0f};
+  std::vector<float> vals;
+  vals.reserve(2 * static_cast<std::size_t>(level_max_) + 2);
+  for (int q = -level_max_; q < 0; ++q) {
+    vals.push_back(static_cast<float>(q) * step_);
+  }
+  // quantize_value rounds tiny negatives to level -0.0, whose product with
+  // the step is -0.0f — a distinct interval in key order.
+  vals.push_back(-0.0f);
+  for (int q = 0; q <= level_max_; ++q) {
+    vals.push_back(static_cast<float>(q) * step_);
+  }
+  return vals;
 }
 
 }  // namespace af

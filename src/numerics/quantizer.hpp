@@ -5,8 +5,14 @@
 // Three of them ("self-adaptive": AdaptivFloat, BFP, uniform) have
 // per-tensor parameters derived from the tensor's statistics; calibrate()
 // sets those. Float and posit are non-adaptive: calibrate() is a no-op.
+//
+// Each quantizer is also its format's bit-level codec: encode() gives the
+// n-bit storage code of quantize_value(x), decode() reads any code back,
+// corrupted ones included. The fake-quant tables and the bit-flip sweeps
+// (src/resilience/codec.*) therefore measure one rounding per format.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,6 +51,16 @@ class Quantizer {
   /// Non-finite inputs are defined deterministically for every format:
   /// NaN maps to 0, +/-Inf saturates to +/-value_range().
   virtual float quantize_value(float x) const = 0;
+
+  /// The n-bit storage code of quantize_value(x) under the current
+  /// calibration: decode(encode(x)) == quantize_value(x) for every float
+  /// (the level formats' -0.0f comes back as +0.0f).
+  virtual std::uint16_t encode(float x) const = 0;
+
+  /// Raw decode of any n-bit code, a corrupted one included — exactly what
+  /// an unprotected datapath would emit, huge outliers and all (posit NaR
+  /// decodes to NaN).
+  virtual float decode(std::uint16_t code) const = 0;
 
   /// Largest magnitude the format can emit after the last calibration
   /// (value_max / maxpos / level_max * scale). Infinity until a
@@ -104,10 +120,43 @@ class Quantizer {
   mutable std::shared_ptr<const NearestLut> round_lut_;
 };
 
-/// Round-to-nearest against a sorted table of representable values.
-/// Ties resolve toward the entry with even index (the analogue of
-/// ties-to-even for tabulated formats). `sorted` must be non-empty and
-/// strictly increasing.
-float nearest_in_sorted(const std::vector<float>& sorted, float x);
+/// Shared base of the two's-complement level formats, Uniform (full-
+/// precision scale) and BFP (power-of-two step): a value is a signed level
+/// q in [-level_max, level_max] times the calibrated step, and its code is
+/// q's n-bit two's complement. Subclasses supply only the step rule.
+class LevelQuantizer : public Quantizer {
+ public:
+  int bits() const override { return bits_; }
+  bool self_adaptive() const override { return true; }
+  void calibrate(const Tensor& t) override { calibrate_max_abs(t.max_abs()); }
+  void calibrate_max_abs(float max_abs) override;
+  float quantize_value(float x) const override;
+  std::uint16_t encode(float x) const override;
+  float decode(std::uint16_t code) const override;
+  float value_range() const override {
+    return step_ * static_cast<float>(level_max_);
+  }
+  std::vector<float> representable_values() const override;
+
+  /// Largest level: 2^(n-1) - 1.
+  int level_max() const { return level_max_; }
+
+ protected:
+  explicit LevelQuantizer(int bits);
+
+  /// Step for a nonzero max-abs (an all-zero tensor gets step 0, and every
+  /// value then quantizes to 0).
+  virtual float step_for(float max_abs) const = 0;
+
+  float step_ = 0.0f;  // 0 until calibrated
+
+ private:
+  /// round(x / step) clamped to +/-level_max, in the double domain: casting
+  /// an infinite or huge quotient straight to an integer is UB.
+  double level_of(float x) const;
+
+  int bits_;
+  int level_max_;
+};
 
 }  // namespace af

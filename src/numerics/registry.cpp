@@ -70,8 +70,4 @@ void AdaptivFloatQuantizer::calibrate_max_abs(float max_abs) {
   invalidate_round_lut();
 }
 
-float AdaptivFloatQuantizer::quantize_value(float x) const {
-  return fmt_.quantize(x);
-}
-
 }  // namespace af

@@ -44,7 +44,9 @@ class AdaptivFloatQuantizer final : public Quantizer {
   bool self_adaptive() const override { return true; }
   void calibrate(const Tensor& t) override;
   void calibrate_max_abs(float max_abs) override;
-  float quantize_value(float x) const override;
+  float quantize_value(float x) const override { return fmt_.quantize(x); }
+  std::uint16_t encode(float x) const override { return fmt_.encode(x); }
+  float decode(std::uint16_t code) const override { return fmt_.decode(code); }
   float value_range() const override { return fmt_.value_max(); }
   std::vector<float> representable_values() const override {
     return fmt_.representable_values();

@@ -13,30 +13,19 @@
 namespace af {
 
 /// Self-adaptive symmetric uniform quantizer over n-bit signed integers.
-class UniformQuantizer final : public Quantizer {
+class UniformQuantizer final : public LevelQuantizer {
  public:
-  explicit UniformQuantizer(int bits);
+  explicit UniformQuantizer(int bits) : LevelQuantizer(bits) {}
 
   std::string name() const override { return "Uniform"; }
-  int bits() const override { return bits_; }
-  bool self_adaptive() const override { return true; }
-  void calibrate(const Tensor& t) override;
-  void calibrate_max_abs(float max_abs) override;
-  float quantize_value(float x) const override;
-  float value_range() const override {
-    return scale_ * static_cast<float>(level_max_);
-  }
-  std::vector<float> representable_values() const override;
 
   /// Scale chosen by the last calibration (0 for an all-zero tensor).
-  float scale() const { return scale_; }
-  /// Largest integer level: 2^(n-1) - 1.
-  int level_max() const { return level_max_; }
+  float scale() const { return step_; }
 
  private:
-  int bits_;
-  int level_max_ = 0;
-  float scale_ = 0.0f;
+  float step_for(float max_abs) const override {
+    return max_abs / static_cast<float>(level_max());
+  }
 };
 
 }  // namespace af

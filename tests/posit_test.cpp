@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "src/numerics/posit.hpp"
 #include "src/util/check.hpp"
@@ -70,8 +72,8 @@ TEST(PositFormat, ValuesMonotoneInCodeOrder) {
 
 TEST(PositFormat, TaperedPrecisionDenseNearOne) {
   // Posit's defining property: more values per octave near 1.0 than far out.
-  PositFormat p(8, 1);
-  auto vals = p.representable_values();
+  PositQuantizer q(8, 1);
+  auto vals = q.representable_values();
   auto count_in = [&vals](double lo, double hi) {
     int n = 0;
     for (float v : vals) n += (v >= lo && v < hi);
@@ -81,8 +83,8 @@ TEST(PositFormat, TaperedPrecisionDenseNearOne) {
 }
 
 TEST(PositFormat, RepresentableValuesCount) {
-  PositFormat p(8, 1);
-  EXPECT_EQ(p.representable_values().size(), 255u);  // 2^8 - NaR
+  PositQuantizer q(8, 1);
+  EXPECT_EQ(q.representable_values().size(), 255u);  // 2^8 - NaR
 }
 
 TEST(PositQuantizer, NonzeroNeverRoundsToZero) {
@@ -113,6 +115,71 @@ TEST(PositQuantizer, Idempotent) {
     const float x = rng.normal(0.0f, 10.0f);
     const float once = q.quantize_value(x);
     EXPECT_EQ(q.quantize_value(once), once);
+  }
+}
+
+TEST(PositQuantizer, WideEsStaysFiniteAndEncodesItsOwnRounding) {
+  // es up to 4 reaches past FP32 at 12 and 16 bits (maxpos = 2^224 at
+  // posit<16,4>): the grid is the saturating decode, so the range stays
+  // finite, and encode() is the code of quantize_value() everywhere.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Pcg32 rng(32);
+  for (int bits : {12, 16}) {
+    for (int es = 0; es <= 4; ++es) {
+      SCOPED_TRACE(::testing::Message() << "posit<" << bits << "," << es
+                                        << ">");
+      const PositQuantizer q(bits, es);
+      const float range = q.value_range();
+      ASSERT_TRUE(std::isfinite(range));
+      EXPECT_EQ(q.quantize_value(kInf), range);
+      EXPECT_EQ(q.quantize_value(-kInf), -range);
+      const std::vector<float> vals = q.representable_values();
+      EXPECT_EQ(std::count(vals.begin(), vals.end(), 0.0f), 1);
+      EXPECT_TRUE(std::is_sorted(vals.begin(), vals.end()));
+      std::vector<float> probes = {kInf,
+                                   -kInf,
+                                   std::numeric_limits<float>::max(),
+                                   std::numeric_limits<float>::denorm_min(),
+                                   -std::numeric_limits<float>::denorm_min(),
+                                   std::numeric_limits<float>::quiet_NaN(),
+                                   0.0f,
+                                   -0.0f};
+      for (std::size_t i = 0; i < vals.size(); ++i) {
+        probes.push_back(vals[i]);
+        probes.push_back(std::nextafter(vals[i], kInf));
+        probes.push_back(std::nextafter(vals[i], -kInf));
+        if (i + 1 < vals.size()) {
+          probes.push_back(vals[i] + (vals[i + 1] - vals[i]) / 2.0f);
+        }
+      }
+      for (int i = 0; i < 2000; ++i) {
+        const float mag = std::ldexp(1.0f, static_cast<int>(
+                                               rng.next_below(250)) - 125);
+        probes.push_back(rng.uniform(-1.0f, 1.0f) * mag);
+      }
+      // Reference rounding over the positive grid (std::lower_bound, then
+      // the nearer neighbour, ties to the even index), saturating at both
+      // ends; applied below to probes strictly inside the grid.
+      const std::vector<float> pos(vals.begin() + vals.size() / 2 + 1,
+                                   vals.end());
+      const auto reference = [&](float x) {
+        const float a = std::fabs(x);
+        std::size_t i = static_cast<std::size_t>(
+            std::lower_bound(pos.begin(), pos.end(), a) - pos.begin());
+        if (i == 0) return x < 0.0f ? -pos[0] : pos[0];
+        const float dl = a - pos[i - 1];
+        const float dh = pos[i] - a;
+        if (dl < dh || (dl == dh && i % 2 != 0)) --i;
+        return x < 0.0f ? -pos[i] : pos[i];
+      };
+      for (float x : probes) {
+        const float qx = q.quantize_value(x);
+        EXPECT_EQ(q.decode(q.encode(x)), qx) << "x=" << x;
+        if (std::isfinite(x) && x != 0.0f && std::fabs(x) < range) {
+          EXPECT_EQ(qx, reference(x)) << "x=" << x;
+        }
+      }
+    }
   }
 }
 

@@ -382,24 +382,27 @@ TEST(FormatCodec, EncodeDecodeMatchesQuantizerOnCleanData) {
       for (std::int64_t i = 0; i < w.numel(); ++i) {
         const float via_codec = codec->decode(codec->encode(w[i]));
         const float via_quant = q->quantize_value(w[i]);
-        if (kind == FormatKind::kPosit) {
-          // Posit codec and quantizer break exact ties in different
-          // directions and treat |x| < minpos differently (ROADMAP), so
-          // compare *rounding error*, not outputs.
-          EXPECT_LE(std::fabs(via_codec - w[i]),
-                    std::fabs(via_quant - w[i]) * 1.001f + 1e-7f)
-              << codec->name() << " bits=" << bits << " x=" << w[i];
-        } else {
-          // Same grid, same rounding: equal values (BFP and Uniform may
-          // differ in the sign of zero, which == ignores).
-          EXPECT_EQ(via_codec, via_quant)
-              << codec->name() << " bits=" << bits << " x=" << w[i];
-        }
+        // Same grid, same rounding: equal values (BFP and Uniform may
+        // differ in the sign of zero, which == ignores).
+        EXPECT_EQ(via_codec, via_quant)
+            << codec->name() << " bits=" << bits << " x=" << w[i];
         EXPECT_EQ(codec->decode(codec->encode(via_codec)), via_codec)
             << codec->name();
       }
     }
   }
+}
+
+TEST(FormatCodec, PositTiesAreSignSymmetricAndMinposSaturates) {
+  // posit<4,0> (the 4-bit default) has positives 0.25, 0.5, 0.75, 1, 1.5,
+  // 2, 4: 1.75 is an exact tie, and minpos/4 lies far below minpos.
+  auto codec = make_codec(FormatKind::kPosit, 4, 1.0f);
+  EXPECT_EQ(codec->decode(codec->encode(1.75f)), 1.5f);
+  EXPECT_EQ(codec->decode(codec->encode(-1.75f)), -1.5f);
+  const float minpos = codec->decode(1);
+  EXPECT_EQ(minpos, 0.25f);
+  EXPECT_EQ(codec->encode(minpos / 4.0f), 1u);
+  EXPECT_EQ(codec->encode(-minpos / 4.0f), 0xfu);
 }
 
 TEST(FormatCodec, ZeroCodeDecodesToZeroInEveryFormat) {
