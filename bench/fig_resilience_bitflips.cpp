@@ -273,7 +273,7 @@ double compute_fault_cell(FormatKind kind, int bits, double rate,
                                           weights[l].shape(),
                                           /*hardened=*/false);
     acfg.layer = "mlp_fc" + std::to_string(l);
-    Tensor y = abft_matmul(act, w, false, /*trans_b=*/true, acfg, &report,
+    Tensor y = abft_matmul(act, w, /*trans_b=*/true, acfg, &report,
                            rate > 0.0 ? &injector : nullptr);
     if (arm == ComputeArm::kAbftGuard) {
       auto q = make_quantizer(kind, bits);
@@ -345,7 +345,7 @@ void time_abft_overhead() {
   }
   const auto t1 = Clock::now();
   for (int r = 0; r < reps; ++r) {
-    sink += abft_matmul(x, w, false, true)[0];
+    sink += abft_matmul(x, w, /*trans_b=*/true)[0];
   }
   const auto t2 = Clock::now();
   const double plain_ms =

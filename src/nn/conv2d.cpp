@@ -52,7 +52,7 @@ Tensor Conv2d::forward(const Tensor& x, ExecutionContext& ctx) {
         Tensor cols = im2col(img, spec_);
         Tensor yi;
         if (ctx.wants_abft()) {
-          yi = abft_matmul(wflat, cols, false, false,
+          yi = abft_matmul(wflat, cols, /*trans_b=*/false,
                            ctx.abft_config(weight_.name), &abft_local,
                            ctx.mac_hook);
         } else {

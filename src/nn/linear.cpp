@@ -38,7 +38,7 @@ Tensor Linear::forward(const Tensor& x, ExecutionContext& ctx) {
   auto compute = [&]() -> Tensor {
     // The x*W^T on the context's backend; an ABFT request checks it, with
     // weight sums built per call (training may have moved the weights).
-    auto product = [&](const Tensor& a, bool /*trans_a: always false*/) {
+    auto product = [&](const Tensor& a) {
       return matmul(a, weight_.value, false, /*trans_b=*/true,
                     &ctx.kernel_backend());
     };
@@ -46,12 +46,12 @@ Tensor Linear::forward(const Tensor& x, ExecutionContext& ctx) {
     if (ctx.wants_abft()) {
       AbftReport abft;
       y = abft_checked_product(
-          x, weight_.value, false, /*trans_b=*/true,
+          x, weight_.value, /*trans_b=*/true,
           abft_weight_sums(weight_.value, /*trans_b=*/true), product,
           ctx.abft_config(weight_.name), &abft, ctx.mac_hook);
       if (ctx.report != nullptr) ctx.report->abft.merge(abft);
     } else {
-      y = product(x, false);
+      y = product(x);
     }
     if (has_bias_) add_row_bias_inplace(y, bias_.value);
     return y;

@@ -54,7 +54,6 @@ class ActQuant {
 
   /// Installs the number format used in kApply mode. Resets nothing else.
   void set_quantizer(std::unique_ptr<Quantizer> q) { quantizer_ = std::move(q); }
-  bool has_quantizer() const { return quantizer_ != nullptr; }
 
   void set_mode(ActQuantMode mode);
   ActQuantMode mode() const { return mode_; }

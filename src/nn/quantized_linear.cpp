@@ -42,25 +42,22 @@ QuantizedLinear::QuantizedLinear(PackedAdaptivFloatTensor weight, Tensor bias)
 
 Tensor QuantizedLinear::forward(const Tensor& x, ExecutionContext& ctx) {
   check_forward_input(x, in_);
-  // The product the numeric policy picks; an ABFT request checks it.
-  // Called with [1, in] row slices too when a repair recomputes one row.
-  auto product = [&](const Tensor& a, bool /*trans_a: always false*/) {
-    return ctx.numeric == NumericPolicy::kFp32
-               ? matmul(a, decoded_weight(), false, /*trans_b=*/true,
-                        &ctx.kernel_backend())
-               : matmul_packed(a, weight_, ctx.kernel_backend());
+  // The packed product; an ABFT request checks it. Called with [1, in]
+  // row slices too when a repair recomputes one row.
+  auto product = [&](const Tensor& a) {
+    return matmul_packed(a, weight_, ctx.kernel_backend());
   };
   auto compute = [&]() -> Tensor {
     Tensor y;
     if (ctx.wants_abft()) {
       AbftReport abft;
-      y = abft_checked_product(x, decoded_weight(), false, /*trans_b=*/true,
+      y = abft_checked_product(x, decoded_weight(), /*trans_b=*/true,
                                weight_sums(), product,
                                ctx.abft_config("quantized_linear"), &abft,
                                ctx.mac_hook);
       if (ctx.report != nullptr) ctx.report->abft.merge(abft);
     } else {
-      y = product(x, false);
+      y = product(x);
     }
     if (bias_.numel() == out_) add_row_bias_inplace(y, bias_);
     return y;

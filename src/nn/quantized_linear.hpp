@@ -29,14 +29,12 @@ class QuantizedLinear final : public Module {
   /// codes are served as stored.
   QuantizedLinear(PackedAdaptivFloatTensor weight, Tensor bias);
 
-  /// x: [m, in] -> [m, out]. Numeric policy picks the product:
-  /// kQuantizedLut runs the fused packed GEMM on ctx.kernel_backend(),
-  /// whose weight panels are decoded by table into cache-resident tiles
-  /// inside the kernel, so the full FP32 weight matrix is never
-  /// materialized (bit-identical to matmul(x, unpack(), false, true) under
-  /// the scalar backend, for every AF_THREADS value); kFp32 multiplies
-  /// against the decoded weight cache. Resilience is orthogonal to that
-  /// choice: a checksummed (ABFT) request runs the same product through
+  /// x: [m, in] -> [m, out]. The product is always the fused packed GEMM
+  /// on ctx.kernel_backend(), whose weight panels are decoded by table into
+  /// cache-resident tiles inside the kernel, so the full FP32 weight matrix
+  /// is never materialized (bit-identical to matmul(x, unpack(), false,
+  /// true) under the scalar backend, for every AF_THREADS value). A
+  /// checksummed (ABFT) request runs the same product through
   /// abft_checked_product, predicting its sums from the decoded weights
   /// and the cached weight-side sums, so a clean protected forward has the
   /// bits of the unprotected one on every backend. A guard request wraps
@@ -48,8 +46,8 @@ class QuantizedLinear final : public Module {
   std::int64_t out_features() const { return out_; }
   const PackedAdaptivFloatTensor& packed_weight() const { return weight_; }
 
-  /// The packed weights decoded to [out, in] FP32 — the kFp32 product's
-  /// operand and the values the ABFT route predicts its checksums from.
+  /// The packed weights decoded to [out, in] FP32 — the values the ABFT
+  /// route predicts its checksums from; the product itself never reads it.
   /// Decoded once and cached: the packed payload is immutable, so repeated
   /// forwards reuse the same tensor, and the ABFT weight-side sums are
   /// built once from it beside it. Lazy-init of both is not thread-safe

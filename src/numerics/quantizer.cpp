@@ -9,14 +9,6 @@
 
 namespace af {
 
-float Quantizer::harden(float x) const {
-  if (std::isnan(x)) return 0.0f;
-  const float r = value_range();
-  if (x > r) return r;
-  if (x < -r) return -r;
-  return x;
-}
-
 const NearestLut* Quantizer::round_lut(std::int64_t numel) const {
   if (round_lut_state_ == RoundLutState::kBuilt) return round_lut_.get();
   if (round_lut_state_ == RoundLutState::kUnavailable) return nullptr;

@@ -68,11 +68,6 @@ class Quantizer {
   /// intrinsic bound; every implementation here returns a finite value.
   virtual float value_range() const = 0;
 
-  /// Hardened decode guard: clamps a (possibly corrupted) decoded value
-  /// into the calibrated [-value_range, value_range] window and maps NaN
-  /// to 0, so a bit flip can never emit a huge outlier into the network.
-  float harden(float x) const;
-
   /// The exact output set of quantize_value under the current calibration,
   /// in ascending order. Formats whose scalar path can emit a signed zero
   /// (the level formats round tiny negatives to -0.0f) list -0.0f as its

@@ -1,5 +1,6 @@
 #include "src/resilience/abft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -29,7 +30,8 @@ void check_rank2(const Tensor& t, const char* name) {
            std::string(name) + " must be rank-2, got " + shape_str(t.shape()));
 }
 
-// op(A)/op(B) element accessors for the transpose variants.
+// Element accessor of a row-major matrix, transposed when `trans` is set:
+// A is always read plain, op(B) in either layout.
 struct MatView {
   const float* p;
   std::int64_t ld;
@@ -65,100 +67,6 @@ void AbftReport::merge(const AbftReport& other) {
   backoff_units += other.backoff_units;
   degraded += other.degraded;
   uncorrected += other.uncorrected;
-}
-
-// ----- GemmChecksums ---------------------------------------------------------
-
-namespace {
-
-struct BitSums {
-  std::vector<std::uint64_t> row, col;
-  std::uint64_t total = 0;
-};
-
-BitSums bit_sums(const Tensor& c) {
-  const std::int64_t m = c.dim(0), n = c.dim(1);
-  BitSums sums;
-  sums.row.assign(static_cast<std::size_t>(m), 0);
-  // Row sums write disjoint entries per chunk; column sums fold per-chunk
-  // partials. Both are additions mod 2^64 — order-independent, so the
-  // result is bit-identical for any thread count.
-  sums.col = parallel_reduce(
-      0, m, kRowGrain, std::vector<std::uint64_t>(static_cast<std::size_t>(n)),
-      [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<std::uint64_t> part(static_cast<std::size_t>(n), 0);
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const float* crow = c.data() + i * n;
-          std::uint64_t rsum = 0;
-          for (std::int64_t j = 0; j < n; ++j) {
-            const std::uint64_t bits = float_bits(crow[j]);
-            rsum += bits;
-            part[static_cast<std::size_t>(j)] += bits;
-          }
-          sums.row[static_cast<std::size_t>(i)] = rsum;
-        }
-        return part;
-      },
-      [](std::vector<std::uint64_t> acc, std::vector<std::uint64_t> part) {
-        for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += part[j];
-        return acc;
-      });
-  for (std::uint64_t r : sums.row) sums.total += r;
-  return sums;
-}
-
-}  // namespace
-
-GemmChecksums GemmChecksums::of(const Tensor& c) {
-  check_rank2(c, "GemmChecksums");
-  GemmChecksums sums;
-  sums.m_ = c.dim(0);
-  sums.n_ = c.dim(1);
-  BitSums raw = bit_sums(c);
-  sums.row_ = std::move(raw.row);
-  sums.col_ = std::move(raw.col);
-  sums.total_ = raw.total;
-  return sums;
-}
-
-GemmChecksums::Verify GemmChecksums::verify(const Tensor& c) const {
-  check_rank2(c, "GemmChecksums::verify");
-  AF_CHECK(c.dim(0) == m_ && c.dim(1) == n_,
-           "checksum snapshot shape mismatch");
-  const BitSums now = bit_sums(c);
-  Verify v;
-  for (std::int64_t i = 0; i < m_; ++i) {
-    if (now.row[static_cast<std::size_t>(i)] !=
-        row_[static_cast<std::size_t>(i)]) {
-      v.rows.push_back(i);
-    }
-  }
-  for (std::int64_t j = 0; j < n_; ++j) {
-    if (now.col[static_cast<std::size_t>(j)] !=
-        col_[static_cast<std::size_t>(j)]) {
-      v.cols.push_back(j);
-    }
-  }
-  v.total_mismatch = now.total != total_;
-  return v;
-}
-
-bool GemmChecksums::correct(Tensor& c, const Verify& v) const {
-  if (!v.single()) return false;
-  const std::int64_t r = v.rows[0], s = v.cols[0];
-  const BitSums now = bit_sums(c);
-  // The deltas mod 2^64 are exactly (new_bits - old_bits) of the corrupted
-  // element; row and column must agree or more than one element changed.
-  const std::uint64_t row_delta =
-      now.row[static_cast<std::size_t>(r)] - row_[static_cast<std::size_t>(r)];
-  const std::uint64_t col_delta =
-      now.col[static_cast<std::size_t>(s)] - col_[static_cast<std::size_t>(s)];
-  if (row_delta != col_delta) return false;
-  const std::uint64_t cur = float_bits(c[r * n_ + s]);
-  const std::uint64_t old = cur - row_delta;
-  if (old > 0xffffffffULL) return false;  // deltas inconsistent with one word
-  store_bits(&c[r * n_ + s], static_cast<std::uint32_t>(old));
-  return true;
 }
 
 // ----- algebraic sums --------------------------------------------------------
@@ -283,22 +191,22 @@ AbftWeightSums abft_weight_sums(const Tensor& b, bool trans_b) {
 }
 
 PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
-                                  bool trans_a, bool trans_b,
+                                  bool trans_b,
                                   const AbftWeightSums& weight_sums) {
   check_rank2(a, "abft a");
   check_rank2(b, "abft b");
-  const std::int64_t m = trans_a ? a.dim(1) : a.dim(0);
-  const std::int64_t k = trans_a ? a.dim(0) : a.dim(1);
+  const std::int64_t m = a.dim(0);
+  const std::int64_t k = a.dim(1);
   const std::int64_t kb = trans_b ? b.dim(1) : b.dim(0);
   const std::int64_t n = trans_b ? b.dim(0) : b.dim(1);
   AF_CHECK(k == kb, "abft inner dimensions disagree");
   AF_CHECK(weight_sums.sum.size() == static_cast<std::size_t>(k) &&
                weight_sums.abs.size() == static_cast<std::size_t>(k),
            "abft weight sums do not match the inner dimension");
-  const MatView va{a.data(), a.dim(1), trans_a};
+  const MatView va{a.data(), k, false};
   const MatView vb{b.data(), b.dim(1), trans_b};
 
-  // asum[kk] = sum_i opA[i][kk] and its magnitude analogue. Rows are the
+  // asum[kk] = sum_i A[i][kk] and its magnitude analogue. Rows are the
   // outer loop, so a chunk's k entries advance as independent chains, each
   // still adding the rows in ascending order.
   std::vector<double> asum(static_cast<std::size_t>(k), 0.0);
@@ -313,7 +221,7 @@ PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
     }
   });
 
-  // pred.row from op(A)'s rows against bsum, pred.col from op(B)'s columns
+  // pred.row from A's rows against bsum, pred.col from op(B)'s columns
   // against asum, four outputs per loop.
   PredictedSums pred;
   predict_sums(va, weight_sums.sum.data(), weight_sums.abs.data(), m, k,
@@ -359,27 +267,26 @@ AlgebraicVerify algebraic_verify(const AlgebraicSums& act,
   return v;
 }
 
-// Row r of op(A) as a [1, k] tensor: the slice a single-element repair
+// Row r of A as a [1, k] tensor: the slice a single-element repair
 // recomputes.
-Tensor op_a_row(const Tensor& a, bool trans_a, std::int64_t r) {
-  const std::int64_t k = trans_a ? a.dim(0) : a.dim(1);
-  const MatView va{a.data(), a.dim(1), trans_a};
+Tensor a_row(const Tensor& a, std::int64_t r) {
+  const std::int64_t k = a.dim(1);
   Tensor row({1, k});
-  for (std::int64_t kk = 0; kk < k; ++kk) row[kk] = va(r, kk);
+  std::copy_n(a.data() + r * k, k, row.data());
   return row;
 }
 
 }  // namespace
 
-Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_a,
-                            bool trans_b, const AbftWeightSums& weight_sums,
+Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_b,
+                            const AbftWeightSums& weight_sums,
                             const AbftProduct& product, const AbftConfig& cfg,
                             AbftReport* report, PeFaultHook* mac_hook) {
   AF_CHECK(cfg.max_recomputes >= 0, "negative recompute budget");
   const PredictedSums pred =
-      abft_predicted_sums(a, b, trans_a, trans_b, weight_sums);
-  const std::int64_t m = trans_a ? a.dim(1) : a.dim(0);
-  const std::int64_t k = trans_a ? a.dim(0) : a.dim(1);
+      abft_predicted_sums(a, b, trans_b, weight_sums);
+  const std::int64_t m = a.dim(0);
+  const std::int64_t k = a.dim(1);
   const std::int64_t n = trans_b ? b.dim(0) : b.dim(1);
   const double eps = static_cast<double>(std::numeric_limits<float>::epsilon());
   // Roundoff bounds, relative to each row/column magnitude sum.
@@ -391,7 +298,7 @@ Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_a,
   Tensor c;
   int attempt = 0;
   for (;;) {
-    c = product(a, trans_a);
+    c = product(a);
     AF_CHECK(c.rank() == 2 && c.dim(0) == m && c.dim(1) == n,
              "abft product returned " + shape_str(c.shape()));
     if (mac_hook != nullptr) inject_mac_faults(c, mac_hook);
@@ -408,7 +315,7 @@ Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_a,
       // never interact, so the element gets exactly the bits a clean
       // multiply stores. Then confirm the sums close.
       const std::int64_t r = v.rows[0], s = v.cols[0];
-      c[r * n + s] = product(op_a_row(a, trans_a, r), false)[s];
+      c[r * n + s] = product(a_row(a, r))[s];
       ++local.verifies;
       v = algebraic_verify(abft_actual_sums(c), pred, row_tol, col_tol);
       if (v.clean()) {
@@ -465,15 +372,13 @@ Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_a,
   return c;
 }
 
-Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_a,
-                   bool trans_b, const AbftConfig& cfg, AbftReport* report,
+Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_b,
+                   const AbftConfig& cfg, AbftReport* report,
                    PeFaultHook* mac_hook) {
   return abft_checked_product(
-      a, b, trans_a, trans_b, abft_weight_sums(b, trans_b),
-      [&](const Tensor& x, bool trans_x) {
-        return matmul(x, b, trans_x, trans_b);
-      },
-      cfg, report, mac_hook);
+      a, b, trans_b, abft_weight_sums(b, trans_b),
+      [&](const Tensor& x) { return matmul(x, b, false, trans_b); }, cfg,
+      report, mac_hook);
 }
 
 }  // namespace af

@@ -1,28 +1,17 @@
 // Algorithm-based fault tolerance (ABFT) for the GEMM compute path.
 //
-// Two checksum mechanisms protect a matrix product C = op(A) * op(B), each
-// matched to the fault class it can actually catch:
-//
-//  * Integrity checksums (GemmChecksums): per-row / per-column additive
-//    checksums over the *bit patterns* of C, mod 2^64. Addition mod 2^64 is
-//    commutative, so the sums are bit-identical for any AF_THREADS value by
-//    construction, and verification is exact: any storage corruption of C
-//    between compute and consumption changes at least one row and one
-//    column sum. A single corrupted element is localized by the unique
-//    (row, column) mismatch pair, and — because the row delta *is* the bit
-//    error — repaired exactly by subtracting it, with the column delta as a
-//    cross-check. This is the classic Huang-Abraham row/column scheme
-//    applied to the stored image of C.
-//
-//  * Algebraic verification (abft_checked_product): predicted row sums
-//    sum_j C[i][j] = sum_k opA[i][k] * bsum[k] and the symmetric column
-//    form, accumulated in double with fixed chunk grains (bit-deterministic
-//    across thread counts). Predicted and recomputed sums differ by kernel
-//    roundoff, so comparison uses a rigorous O((k+n)*eps) magnitude-scaled
-//    tolerance: a fault during the multiply itself (an accumulator upset
-//    inside a MAC) is detected whenever it moves an output by more than the
-//    roundoff floor — faults below that floor are indistinguishable from
-//    rounding and equally harmless.
+// Algebraic verification protects a matrix product C = A * op(B): the
+// predicted row sums sum_j C[i][j] = sum_k A[i][k] * bsum[k] and the
+// symmetric column form, accumulated in double with fixed chunk grains
+// (bit-deterministic across thread counts). Predicted and recomputed sums
+// differ by kernel roundoff, so comparison uses a rigorous O((k+n)*eps)
+// magnitude-scaled tolerance: a fault during the multiply itself (an
+// accumulator upset inside a MAC) is detected whenever it moves an output
+// by more than the roundoff floor — faults below that floor are
+// indistinguishable from rounding and equally harmless. A is always read
+// as stored; only B has a transpose form, because the callers differ there:
+// Conv2d multiplies its flattened filters by im2col columns (trans_b
+// false), the linear layers compute x * W^T (trans_b true).
 //
 // The check comes in three steps: weight-side sums (abft_weight_sums,
 // depending on B alone, so a layer with fixed weights builds them once),
@@ -68,50 +57,6 @@ struct AbftReport {
   void merge(const AbftReport& other);
 };
 
-/// Exact integrity sidecar of a rank-2 tensor: bit-pattern checksums per
-/// row, per column, and in total.
-class GemmChecksums {
- public:
-  /// Snapshots the checksums of c (rank-2).
-  static GemmChecksums of(const Tensor& c);
-
-  /// Outcome of checking a tensor against the snapshot.
-  struct Verify {
-    std::vector<std::int64_t> rows;  ///< mismatched row indices, ascending
-    std::vector<std::int64_t> cols;  ///< mismatched column indices, ascending
-    bool total_mismatch = false;
-
-    bool clean() const {
-      return rows.empty() && cols.empty() && !total_mismatch;
-    }
-    /// Exactly one row and one column disagree: a single-element fault,
-    /// localized at (rows[0], cols[0]).
-    bool single() const { return rows.size() == 1 && cols.size() == 1; }
-  };
-
-  /// Recomputes c's checksums and reports every disagreement. c must have
-  /// the snapshot's shape.
-  Verify verify(const Tensor& c) const;
-
-  /// Exact single-element repair: subtracts the row checksum delta from the
-  /// bit pattern of c[rows[0], cols[0]]. Returns false (c untouched) unless
-  /// v.single() holds and the row and column deltas agree — a disagreement
-  /// means more than one element changed and repair would fabricate data.
-  bool correct(Tensor& c, const Verify& v) const;
-
-  std::int64_t rows() const { return m_; }
-  std::int64_t cols() const { return n_; }
-  const std::vector<std::uint64_t>& row_sums() const { return row_; }
-  const std::vector<std::uint64_t>& col_sums() const { return col_; }
-  std::uint64_t total() const { return total_; }
-
- private:
-  std::int64_t m_ = 0, n_ = 0;
-  std::vector<std::uint64_t> row_;
-  std::vector<std::uint64_t> col_;
-  std::uint64_t total_ = 0;
-};
-
 /// Double-precision row/column sums of a rank-2 tensor: each output is one
 /// ascending-index chain, and column partials fold in fixed chunk order —
 /// bit-identical for any AF_THREADS. Exposed for the determinism tests;
@@ -131,7 +76,7 @@ struct AbftWeightSums {
 };
 AbftWeightSums abft_weight_sums(const Tensor& b, bool trans_b);
 
-/// The ABFT-predicted row/column sums of op(A) * op(B), computed from the
+/// The ABFT-predicted row/column sums of A * op(B), computed from the
 /// inputs alone (never from C), plus the magnitude sums that scale the
 /// comparison tolerance.
 struct PredictedSums {
@@ -142,18 +87,18 @@ struct PredictedSums {
 };
 /// `weight_sums` must be abft_weight_sums(b, trans_b).
 PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
-                                  bool trans_a, bool trans_b,
+                                  bool trans_b,
                                   const AbftWeightSums& weight_sums);
 
-/// The product a checked multiply verifies. Called as product(a, trans_a)
-/// for all of C, and as product(row, false) with one row of op(A) ([1, k])
-/// to repair a single output. Rows must not interact — row i of a full
+/// The product a checked multiply verifies. Called as product(a) for all
+/// of C, and as product(row) with one row of A ([1, k]) to repair a single
+/// output. Rows must not interact — row i of a full
 /// call bit-equal to that row computed alone, as on every matmul and
 /// matmul_packed path — so the repair stores exactly what a clean multiply
 /// would have.
-using AbftProduct = std::function<Tensor(const Tensor& a, bool trans_a)>;
+using AbftProduct = std::function<Tensor(const Tensor& a)>;
 
-/// ABFT-checked product: runs `product`, verifies C = op(A) * op(B)
+/// ABFT-checked product: runs `product`, verifies C = A * op(B)
 /// against the sums predicted from a, b and `weight_sums` (which must be
 /// abft_weight_sums(b, trans_b)), and walks the recovery ladder on
 /// mismatch. b holds the FP32 values the product multiplies by; the
@@ -164,15 +109,15 @@ using AbftProduct = std::function<Tensor(const Tensor& a, bool trans_a)>;
 /// including recompute attempts, which therefore retry under fire. Throws
 /// FaultError (kUncorrectable) only when the policy forbids degradation
 /// and the retry budget is exhausted.
-Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_a,
-                            bool trans_b, const AbftWeightSums& weight_sums,
+Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_b,
+                            const AbftWeightSums& weight_sums,
                             const AbftProduct& product, const AbftConfig& cfg,
                             AbftReport* report, PeFaultHook* mac_hook);
 
-/// ABFT-guarded matmul(): abft_checked_product over matmul(a, b, trans_a,
+/// ABFT-guarded matmul(): abft_checked_product over matmul(a, b, false,
 /// trans_b) with weight sums built for this call.
-Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_a = false,
-                   bool trans_b = false, const AbftConfig& cfg = {},
+Tensor abft_matmul(const Tensor& a, const Tensor& b, bool trans_b = false,
+                   const AbftConfig& cfg = {},
                    AbftReport* report = nullptr,
                    PeFaultHook* mac_hook = nullptr);
 

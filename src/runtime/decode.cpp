@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "src/runtime/thread_pin.hpp"
 #include "src/util/fault.hpp"
 
 namespace af {
@@ -26,7 +25,6 @@ DecodeSession::DecodeSession(DecodeHooks hooks, DecodeSessionConfig cfg)
 }
 
 void DecodeSession::begin() {
-  ScopedThreadPin pin(cfg_.ctx.threads);
   if (sequences_ == 1) {
     // First sequence (prefill + steps) revealed the scratch peak; collapse
     // the chunk list so every later cycle bumps one contiguous block.
@@ -55,7 +53,6 @@ const Tensor& DecodeSession::step(
                      "decode past planned capacity (max_steps " +
                          std::to_string(cfg_.max_steps) + ")");
   }
-  ScopedThreadPin pin(cfg_.ctx.threads);
   const std::int64_t allocs_before = tensor_heap_allocs_this_thread();
   step_arena_.reset();
   {

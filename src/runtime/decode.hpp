@@ -84,8 +84,6 @@ class DecodeSession {
   std::int64_t sequences() const { return sequences_; }  ///< begin() count
   /// Owned-buffer heap allocations during the most recent step().
   std::int64_t last_step_heap_allocs() const { return last_step_allocs_; }
-  const Arena::Stats& kv_arena_stats() const { return kv_arena_.stats(); }
-  const Arena::Stats& step_arena_stats() const { return step_arena_.stats(); }
 
  private:
   void check_cache_probe();

@@ -5,14 +5,16 @@
 // sites).
 //
 // A context carries:
-//  * the numeric policy — decode packed weights through the LUT-fused GEMM
-//    (deployment form) or to FP32 first (debug/reference form);
 //  * the resilience policy — none, output guard, ABFT-checksummed GEMMs,
 //    or both composed (the old guarded_forward(QuantizedLinear) semantics);
 //  * the mode flag — training (resilience kNone) pushes adjoint caches;
 //    inference pushes none, so eval loops no longer leak cache stacks that
 //    callers must clear_cache();
-//  * the thread count a session should pin (0 = ambient AF_THREADS).
+//  * the kernel backend pin.
+//
+// Packed layers always multiply their codes through the LUT-fused GEMM
+// (the deployment form). The thread count is the process-wide pool's
+// (AF_THREADS / set_num_threads).
 //
 // Every policy is value-preserving on a clean (fault-free) run: the guard
 // only observes, and an ABFT-checked GEMM stores the product of the very
@@ -31,12 +33,6 @@
 
 namespace af {
 
-/// How a layer realises its weights in the product.
-enum class NumericPolicy {
-  kQuantizedLut,  ///< packed AdaptivFloat codes via the fused LUT GEMM
-  kFp32,          ///< FP32 weights (decoded first for packed layers)
-};
-
 /// What protects the layer's compute.
 enum class ResiliencePolicy {
   kNone,       ///< bare kernels
@@ -47,14 +43,12 @@ enum class ResiliencePolicy {
 
 struct ExecutionContext {
   bool training = false;  ///< push adjoint caches; inference skips them
-  NumericPolicy numeric = NumericPolicy::kQuantizedLut;
   ResiliencePolicy resilience = ResiliencePolicy::kNone;
   /// Guard used by kGuard/kAbftGuard; nullptr selects a default
   /// sentinel-only guard (NaN/Inf scrub, no range monitor).
   const LayerGuard* guard = nullptr;
   ResilienceReport* report = nullptr;  ///< optional observation sink
   PeFaultHook* mac_hook = nullptr;     ///< modeled MAC upsets for kAbft*
-  int threads = 0;  ///< session-pinned thread count; 0 = ambient
   /// Kernel backend pin; nullptr = the process-wide active backend
   /// (AF_BACKEND). Sessions pin this so a run's backend is fixed even if
   /// the ambient selection changes mid-flight.

@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "src/runtime/thread_pin.hpp"
 #include "src/util/fault.hpp"
-#include "src/util/parallel.hpp"
 
 namespace af {
 
@@ -21,10 +19,6 @@ InferenceSession::InferenceSession(ForwardFn forward, SessionConfig cfg)
 const Tensor& InferenceSession::run(const Tensor& input) {
   ExecutionContext ctx = cfg_.ctx;
   ctx.training = false;
-
-  // Pin the session's thread count for the duration of the run; restored
-  // by RAII on every exit path, including a throwing forward.
-  ScopedThreadPin pin(ctx.threads);
 
   // Per-thread counter: a concurrent session planning on another worker
   // thread must not leak its allocations into this run's delta.

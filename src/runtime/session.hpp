@@ -50,9 +50,9 @@ class InferenceSession {
   ///
   /// Exception-safe: when the forward throws (a FaultError from the
   /// resilience ladder, a typed rejection of a malformed request), the
-  /// thread pin and ambient arena are restored before the exception
-  /// escapes, and the next run() starts from a clean arena cycle — the
-  /// serving retry path depends on re-entering an undamaged session.
+  /// ambient arena is restored before the exception escapes, and the next
+  /// run() starts from a clean arena cycle — the serving retry path
+  /// depends on re-entering an undamaged session.
   const Tensor& run(const Tensor& input);
 
   /// Explicit planning pass: runs the forward once on `exemplar` (typically

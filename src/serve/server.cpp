@@ -341,7 +341,6 @@ void InferenceServer::plan(WorkerSlot& slot,
   ctx.guard = tcfg.guard;
   ctx.report = nullptr;
   ctx.mac_hook = nullptr;
-  ctx.threads = 0;
   try {
     slot.session->plan(Tensor({rows, x.dim(1)}));
     planned = rows;
@@ -478,7 +477,6 @@ void InferenceServer::process(WorkerSlot& slot,
     ctx.guard = tcfg.guard;
     ctx.report = &report;
     ctx.mac_hook = tcfg.use_mac_hook ? slot.mac_hook.get() : nullptr;
-    ctx.threads = 0;  // serial-pinned worker; never touch the global pool
 
     try {
       const std::int64_t rows = input->rank() == 2 ? input->dim(0) : 1;

@@ -1,9 +1,9 @@
-// ABFT over the packed LUT kernel: QuantizedLinear checks the product its
-// numeric policy picks (matmul_packed on the context's backend), with weight
-// checksums built once per layer. These tests hold that route to the
-// detection contract on every available backend: clean inputs never trip
-// the roundoff bound, every upset above it is caught, and a single upset is
-// repaired to exactly the bits the kernel stores.
+// ABFT over the packed LUT kernel: QuantizedLinear checks its one product
+// (matmul_packed on the context's backend), with weight checksums built
+// once per layer. These tests hold that route to the detection contract on
+// every available backend: clean inputs never trip the roundoff bound,
+// every upset above it is caught, and a single upset is repaired to
+// exactly the bits the kernel stores.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -108,7 +108,7 @@ TEST(AbftPacked, DetectionBoundHoldsOnEveryBackend) {
             const Tensor product = matmul_packed(x, qfc.packed_weight(), *be);
             const Tensor& w = qfc.decoded_weight();
             const PredictedSums pred = abft_predicted_sums(
-                x, w, false, /*trans_b=*/true,
+                x, w, /*trans_b=*/true,
                 abft_weight_sums(w, /*trans_b=*/true));
             const double eps =
                 static_cast<double>(std::numeric_limits<float>::epsilon());

@@ -1,5 +1,5 @@
-// ABFT checksummed GEMM: integrity checksums, algebraic verification and
-// the detect -> correct -> recompute -> degrade recovery ladder.
+// ABFT checksummed GEMM: algebraic verification and the
+// detect -> correct -> recompute -> degrade recovery ladder.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,15 +27,6 @@ Tensor random_tensor(std::int64_t m, std::int64_t n, std::uint64_t seed,
   return t;
 }
 
-void flip_bit(Tensor& t, std::int64_t index, int bit) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &t[index], 4);
-  bits ^= 1u << bit;
-  float v;
-  std::memcpy(&v, &bits, 4);
-  t[index] = v;
-}
-
 bool bit_equal(const Tensor& a, const Tensor& b) {
   if (a.numel() != b.numel()) return false;
   return std::memcmp(a.data(), b.data(),
@@ -58,100 +49,15 @@ struct FlipNth : PeFaultHook {
   }
 };
 
-// ----- GemmChecksums: exact integrity sidecar --------------------------------
-
-TEST(GemmChecksums, CleanTensorVerifiesClean) {
-  Tensor c = random_tensor(17, 23, 42);
-  GemmChecksums sums = GemmChecksums::of(c);
-  EXPECT_TRUE(sums.verify(c).clean());
-}
-
-TEST(GemmChecksums, RandomizedSingleBitDetectLocalizeCorrect) {
-  // ISSUE acceptance: 100% detection and >= 99% correction of single-bit
-  // output corruption over 1000 randomized trials. The exact delta repair
-  // actually corrects every one of them.
-  const std::int64_t m = 31, n = 19;
-  Tensor clean = random_tensor(m, n, 7);
-  GemmChecksums sums = GemmChecksums::of(clean);
-  Pcg32 rng(0xab1e);
-  int detected = 0, localized = 0, corrected = 0;
-  const int kTrials = 1000;
-  for (int t = 0; t < kTrials; ++t) {
-    Tensor c = clean;
-    const auto index =
-        static_cast<std::int64_t>(rng.next_below(static_cast<std::uint32_t>(
-            m * n)));
-    const int bit = static_cast<int>(rng.next_below(32));
-    flip_bit(c, index, bit);
-    GemmChecksums::Verify v = sums.verify(c);
-    if (!v.clean()) ++detected;
-    if (v.single() && v.rows[0] == index / n && v.cols[0] == index % n) {
-      ++localized;
-    }
-    if (sums.correct(c, v) && bit_equal(c, clean)) ++corrected;
-  }
-  EXPECT_EQ(detected, kTrials);
-  EXPECT_EQ(localized, kTrials);
-  EXPECT_GE(corrected, kTrials * 99 / 100);
-}
-
-TEST(GemmChecksums, DoubleErrorAcrossElementsRefusesRepair) {
-  Tensor clean = random_tensor(9, 9, 11);
-  GemmChecksums sums = GemmChecksums::of(clean);
-  Tensor c = clean;
-  // Distinct rows and columns: two row and two column mismatches.
-  flip_bit(c, 0 * 9 + 1, 30);
-  flip_bit(c, 4 * 9 + 7, 3);
-  GemmChecksums::Verify v = sums.verify(c);
-  EXPECT_FALSE(v.clean());
-  EXPECT_FALSE(v.single());
-  EXPECT_EQ(v.rows.size(), 2u);
-  EXPECT_EQ(v.cols.size(), 2u);
-  Tensor before = c;
-  EXPECT_FALSE(sums.correct(c, v));
-  EXPECT_TRUE(bit_equal(c, before));  // refusal never fabricates data
-}
-
-TEST(GemmChecksums, SameRowDoubleErrorRefusesRepair) {
-  // Two corrupted elements in one row: one row mismatch, two column
-  // mismatches — not single(), so repair must refuse.
-  Tensor clean = random_tensor(8, 12, 13);
-  GemmChecksums sums = GemmChecksums::of(clean);
-  Tensor c = clean;
-  flip_bit(c, 3 * 12 + 2, 18);
-  flip_bit(c, 3 * 12 + 9, 25);
-  GemmChecksums::Verify v = sums.verify(c);
-  EXPECT_FALSE(v.single());
-  EXPECT_FALSE(sums.correct(c, v));
-}
-
-TEST(GemmChecksums, ThreadCountInvariant) {
-  Tensor c = random_tensor(64, 48, 99, 10.0f);
-  set_num_threads(1);
-  GemmChecksums s1 = GemmChecksums::of(c);
-  AlgebraicSums a1 = abft_actual_sums(c);
-  set_num_threads(4);
-  GemmChecksums s4 = GemmChecksums::of(c);
-  AlgebraicSums a4 = abft_actual_sums(c);
-  set_num_threads(0);
-  EXPECT_EQ(s1.row_sums(), s4.row_sums());
-  EXPECT_EQ(s1.col_sums(), s4.col_sums());
-  EXPECT_EQ(s1.total(), s4.total());
-  EXPECT_EQ(std::memcmp(a1.row.data(), a4.row.data(),
-                        a1.row.size() * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(a1.col.data(), a4.col.data(),
-                        a1.col.size() * sizeof(double)), 0);
-}
-
 TEST(PredictedSums, ThreadCountInvariant) {
   Tensor a = random_tensor(33, 21, 5);
   Tensor b = random_tensor(27, 21, 6);
   set_num_threads(1);
   PredictedSums p1 =
-      abft_predicted_sums(a, b, false, true, abft_weight_sums(b, true));
+      abft_predicted_sums(a, b, true, abft_weight_sums(b, true));
   set_num_threads(4);
   PredictedSums p4 =
-      abft_predicted_sums(a, b, false, true, abft_weight_sums(b, true));
+      abft_predicted_sums(a, b, true, abft_weight_sums(b, true));
   set_num_threads(0);
   EXPECT_EQ(std::memcmp(p1.row.data(), p4.row.data(),
                         p1.row.size() * sizeof(double)), 0);
@@ -162,52 +68,50 @@ TEST(PredictedSums, ThreadCountInvariant) {
 TEST(PredictedSums, InterleavedChainsMatchOneChainPerOutput) {
   // The passes run several outputs per loop; each output must still be the
   // plain ascending-index chain. Ragged sizes exercise the remainder loops.
-  for (const bool ta : {false, true}) {
-    for (const bool tb : {false, true}) {
-      const std::int64_t m = 23, k = 19, n = 14;
-      Tensor a = ta ? random_tensor(k, m, 71) : random_tensor(m, k, 71);
-      Tensor b = tb ? random_tensor(n, k, 72) : random_tensor(k, n, 72);
-      auto av = [&](std::int64_t i, std::int64_t kk) -> double {
-        return ta ? a[kk * m + i] : a[i * k + kk];
-      };
-      auto bv = [&](std::int64_t kk, std::int64_t j) -> double {
-        return tb ? b[j * k + kk] : b[kk * n + j];
-      };
-      std::vector<double> bsum(k), babs(k), asum(k), aabs(k);
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        for (std::int64_t j = 0; j < n; ++j) {
-          bsum[kk] += bv(kk, j);
-          babs[kk] += std::fabs(bv(kk, j));
-        }
-        for (std::int64_t i = 0; i < m; ++i) {
-          asum[kk] += av(i, kk);
-          aabs[kk] += std::fabs(av(i, kk));
-        }
-      }
-      const AbftWeightSums ws = abft_weight_sums(b, tb);
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        EXPECT_EQ(ws.sum[kk], bsum[kk]) << "k " << kk;
-        EXPECT_EQ(ws.abs[kk], babs[kk]) << "k " << kk;
-      }
-      const PredictedSums p = abft_predicted_sums(a, b, ta, tb, ws);
-      for (std::int64_t i = 0; i < m; ++i) {
-        double s = 0.0, g = 0.0;
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          s += av(i, kk) * bsum[kk];
-          g += std::fabs(av(i, kk)) * babs[kk];
-        }
-        EXPECT_EQ(p.row[i], s) << "row " << i << " ta=" << ta << " tb=" << tb;
-        EXPECT_EQ(p.row_mag[i], g) << "row " << i;
-      }
+  for (const bool tb : {false, true}) {
+    const std::int64_t m = 23, k = 19, n = 14;
+    Tensor a = random_tensor(m, k, 71);
+    Tensor b = tb ? random_tensor(n, k, 72) : random_tensor(k, n, 72);
+    auto av = [&](std::int64_t i, std::int64_t kk) -> double {
+      return a[i * k + kk];
+    };
+    auto bv = [&](std::int64_t kk, std::int64_t j) -> double {
+      return tb ? b[j * k + kk] : b[kk * n + j];
+    };
+    std::vector<double> bsum(k), babs(k), asum(k), aabs(k);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
       for (std::int64_t j = 0; j < n; ++j) {
-        double s = 0.0, g = 0.0;
-        for (std::int64_t kk = 0; kk < k; ++kk) {
-          s += asum[kk] * bv(kk, j);
-          g += aabs[kk] * std::fabs(bv(kk, j));
-        }
-        EXPECT_EQ(p.col[j], s) << "col " << j << " ta=" << ta << " tb=" << tb;
-        EXPECT_EQ(p.col_mag[j], g) << "col " << j;
+        bsum[kk] += bv(kk, j);
+        babs[kk] += std::fabs(bv(kk, j));
       }
+      for (std::int64_t i = 0; i < m; ++i) {
+        asum[kk] += av(i, kk);
+        aabs[kk] += std::fabs(av(i, kk));
+      }
+    }
+    const AbftWeightSums ws = abft_weight_sums(b, tb);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      EXPECT_EQ(ws.sum[kk], bsum[kk]) << "k " << kk;
+      EXPECT_EQ(ws.abs[kk], babs[kk]) << "k " << kk;
+    }
+    const PredictedSums p = abft_predicted_sums(a, b, tb, ws);
+    for (std::int64_t i = 0; i < m; ++i) {
+      double s = 0.0, g = 0.0;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        s += av(i, kk) * bsum[kk];
+        g += std::fabs(av(i, kk)) * babs[kk];
+      }
+      EXPECT_EQ(p.row[i], s) << "row " << i << " tb=" << tb;
+      EXPECT_EQ(p.row_mag[i], g) << "row " << i;
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+      double s = 0.0, g = 0.0;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        s += asum[kk] * bv(kk, j);
+        g += aabs[kk] * std::fabs(bv(kk, j));
+      }
+      EXPECT_EQ(p.col[j], s) << "col " << j << " tb=" << tb;
+      EXPECT_EQ(p.col_mag[j], g) << "col " << j;
     }
   }
   // Actual sums: one chain per row, column partials folded per 16-row
@@ -238,7 +142,7 @@ TEST(AbftMatmul, CleanProductBitIdenticalToMatmul) {
   Tensor a = random_tensor(24, 40, 1);
   Tensor b = random_tensor(32, 40, 2);
   AbftReport report;
-  Tensor guarded = abft_matmul(a, b, false, true, {}, &report);
+  Tensor guarded = abft_matmul(a, b, true, {}, &report);
   Tensor plain = matmul(a, b, false, true);
   EXPECT_TRUE(bit_equal(guarded, plain));
   EXPECT_EQ(report.multiplies, 1);
@@ -248,14 +152,11 @@ TEST(AbftMatmul, CleanProductBitIdenticalToMatmul) {
 
 TEST(AbftMatmul, AllTransposeVariantsMatchMatmul) {
   Tensor a = random_tensor(12, 18, 3);
-  Tensor at = transpose2d(a);
   Tensor b = random_tensor(18, 10, 4);
   Tensor bt = transpose2d(b);
   Tensor ref = matmul(a, b);
   EXPECT_TRUE(bit_equal(abft_matmul(a, b), ref));
-  EXPECT_TRUE(bit_equal(abft_matmul(at, b, true, false), ref));
-  EXPECT_TRUE(bit_equal(abft_matmul(a, bt, false, true), ref));
-  EXPECT_TRUE(bit_equal(abft_matmul(at, bt, true, true), ref));
+  EXPECT_TRUE(bit_equal(abft_matmul(a, bt, true), ref));
 }
 
 TEST(AbftMatmul, SingleUpsetIsCorrectedExactly) {
@@ -268,7 +169,7 @@ TEST(AbftMatmul, SingleUpsetIsCorrectedExactly) {
   AbftConfig cfg;
   cfg.policy = RecoveryPolicy::kCorrect;
   AbftReport report;
-  Tensor c = abft_matmul(a, b, false, true, cfg, &report, &hook);
+  Tensor c = abft_matmul(a, b, true, cfg, &report, &hook);
   EXPECT_EQ(report.detected, 1);
   EXPECT_EQ(report.corrected, 1);
   // The repair recomputes the element with the kernel's own arithmetic, so
@@ -277,26 +178,22 @@ TEST(AbftMatmul, SingleUpsetIsCorrectedExactly) {
 }
 
 TEST(AbftMatmul, SingleUpsetRepairIsExactForEveryTransposeVariant) {
-  // The repair recomputes one row of op(A); with trans_a that row is a
-  // column of the stored A.
+  // The repair recomputes one row of A against either layout of B.
   Tensor a = random_tensor(12, 20, 10);
   Tensor b = random_tensor(20, 9, 11);
-  const Tensor at = transpose2d(a);
   const Tensor bt = transpose2d(b);
   const Tensor clean = matmul(a, b);
-  for (const bool ta : {false, true}) {
-    for (const bool tb : {false, true}) {
-      FlipNth hook;
-      hook.target = 7 * 9 + 4;  // element (7, 4)
-      hook.mask = 1u << 30;
-      AbftConfig cfg;
-      cfg.policy = RecoveryPolicy::kCorrect;
-      AbftReport report;
-      const Tensor c = abft_matmul(ta ? at : a, tb ? bt : b, ta, tb, cfg,
-                                   &report, &hook);
-      EXPECT_EQ(report.corrected, 1) << ta << tb;
-      EXPECT_TRUE(bit_equal(c, clean)) << ta << tb;
-    }
+  for (const bool tb : {false, true}) {
+    FlipNth hook;
+    hook.target = 7 * 9 + 4;  // element (7, 4)
+    hook.mask = 1u << 30;
+    AbftConfig cfg;
+    cfg.policy = RecoveryPolicy::kCorrect;
+    AbftReport report;
+    const Tensor c =
+        abft_matmul(a, tb ? bt : b, tb, cfg, &report, &hook);
+    EXPECT_EQ(report.corrected, 1) << tb;
+    EXPECT_TRUE(bit_equal(c, clean)) << tb;
   }
 }
 
@@ -310,7 +207,7 @@ TEST(AbftMatmul, DetectPolicyObservesButLeavesFault) {
   AbftConfig cfg;
   cfg.policy = RecoveryPolicy::kDetect;
   AbftReport report;
-  Tensor c = abft_matmul(a, b, false, true, cfg, &report, &hook);
+  Tensor c = abft_matmul(a, b, true, cfg, &report, &hook);
   EXPECT_EQ(report.detected, 1);
   EXPECT_EQ(report.uncorrected, 1);
   EXPECT_EQ(report.corrected, 0);
@@ -335,7 +232,7 @@ TEST(AbftMatmul, TransientFaultClearsOnRecompute) {
   AbftConfig cfg;
   cfg.policy = RecoveryPolicy::kRecompute;
   AbftReport report;
-  Tensor c = abft_matmul(a, b, false, true, cfg, &report, &two);
+  Tensor c = abft_matmul(a, b, true, cfg, &report, &two);
   EXPECT_EQ(report.recomputes, 1);
   EXPECT_GE(report.backoff_units, 2);  // 2^1 for the first retry
   EXPECT_TRUE(bit_equal(c, clean));
@@ -352,7 +249,7 @@ TEST(AbftMatmul, PersistentFaultDegradesToZeroNeverGarbage) {
   cfg.policy = RecoveryPolicy::kDegradeToZero;
   cfg.max_recomputes = 1;
   AbftReport report;
-  Tensor c = abft_matmul(a, b, false, true, cfg, &report, &hook);
+  Tensor c = abft_matmul(a, b, true, cfg, &report, &hook);
   EXPECT_GT(report.degraded, 0);
   EXPECT_EQ(report.uncorrected, 0);
   // Scrubbed output carries zeros where the fault lived — and never the
@@ -380,14 +277,27 @@ TEST(AbftMatmul, RecomputeBudgetExhaustionThrowsTypedFaultError) {
   cfg.max_recomputes = 2;
   cfg.layer = "unit_under_test";
   try {
-    abft_matmul(a, b, false, true, cfg, nullptr, &hook);
+    abft_matmul(a, b, true, cfg, nullptr, &hook);
     FAIL() << "expected FaultError";
   } catch (const FaultError& e) {
     EXPECT_EQ(e.layer(), "unit_under_test");
     EXPECT_EQ(e.kind(), FaultKind::kUncorrectable);
   }
   // FaultError derives from Error: existing catch sites keep working.
-  EXPECT_THROW(abft_matmul(a, b, false, true, cfg, nullptr, &hook), Error);
+  EXPECT_THROW(abft_matmul(a, b, true, cfg, nullptr, &hook), Error);
+}
+
+TEST(AbftMatmul, ActualSumsThreadCountInvariant) {
+  Tensor c = random_tensor(64, 48, 99, 10.0f);
+  set_num_threads(1);
+  AlgebraicSums a1 = abft_actual_sums(c);
+  set_num_threads(4);
+  AlgebraicSums a4 = abft_actual_sums(c);
+  set_num_threads(0);
+  EXPECT_EQ(std::memcmp(a1.row.data(), a4.row.data(),
+                        a1.row.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(a1.col.data(), a4.col.data(),
+                        a1.col.size() * sizeof(double)), 0);
 }
 
 TEST(AbftMatmul, FaultStreamThreadCountInvariant) {
@@ -401,7 +311,7 @@ TEST(AbftMatmul, FaultStreamThreadCountInvariant) {
     AbftConfig cfg;
     cfg.policy = RecoveryPolicy::kDegradeToZero;
     AbftReport report;
-    Tensor c = abft_matmul(a, b, false, true, cfg, &report, &hook);
+    Tensor c = abft_matmul(a, b, true, cfg, &report, &hook);
     return std::make_pair(c, report.degraded);
   };
   set_num_threads(1);

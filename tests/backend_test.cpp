@@ -126,13 +126,11 @@ TEST(KernelBackendDispatch, LinearDotPathFollowsContextPin) {
   // Every fp32 x*W^T a layer runs is matmul's dot chain on the context's
   // backend, at any row count: exactly one dispatch per product, and the
   // ambient backend's counter stays flat under a pin. Rounds: Linear at
-  // m = 3 and m = 9 and under ABFT, QuantizedLinear under kFp32, and
-  // LstmCell (two products: x*Wx^T and h*Wh^T). The last three run at
-  // m = 3, so they probe the pin itself, not only the row count.
+  // m = 3 and m = 9 and under ABFT, and LstmCell (two products: x*Wx^T and
+  // h*Wh^T). The last two run at m = 3, so they probe the pin itself, not
+  // only the row count.
   Pcg32 rng(9);
   Linear fc(48, 24, rng);
-  QuantizedLinear qfc(fc, 8, 3);
-  (void)qfc.decoded_weight();  // the one-time decode dispatches ambiently
   LstmCell cell(48, 16, rng);
   const Tensor x3 = Tensor::randn({3, 48}, rng);
   const Tensor x9 = Tensor::randn({9, 48}, rng);
@@ -157,10 +155,6 @@ TEST(KernelBackendDispatch, LinearDotPathFollowsContextPin) {
          return std::vector<Tensor>{fc.forward(x3, ctx)};
        },
        ResiliencePolicy::kAbft},
-      {"QuantizedLinear kFp32 m=3", 1,
-       [&](ExecutionContext& ctx) {
-         return std::vector<Tensor>{qfc.forward(x3, ctx)};
-       }},
       {"LstmCell m=3", 2,
        [&](ExecutionContext& ctx) {
          LstmState out = cell.forward(x3, state, ctx);
@@ -170,7 +164,6 @@ TEST(KernelBackendDispatch, LinearDotPathFollowsContextPin) {
   const KernelBackend* avx2 = avx2_backend();
   for (const auto& r : rounds) {
     ExecutionContext ctx;
-    ctx.numeric = NumericPolicy::kFp32;
     ctx.resilience = r.resilience;
     ctx.backend = &scalar_backend();
     const std::uint64_t scalar0 =

@@ -278,15 +278,11 @@ TEST(ContextDispatch, QuantizedLinearNumericPolicies) {
 
   for (int threads : {1, 4}) {
     set_num_threads(threads);
-    ExecutionContext lut_ctx;  // defaults: kQuantizedLut, kNone
+    ExecutionContext lut_ctx;  // defaults: kNone on the active backend
     EXPECT_TRUE(bit_equal(qfc.forward(x, lut_ctx), golden_lut));
 
-    ExecutionContext fp32_ctx;
-    fp32_ctx.numeric = NumericPolicy::kFp32;
-    EXPECT_TRUE(bit_equal(qfc.forward(x, fp32_ctx), golden_fp32));
-
-    // ABFT checks the product the numeric policy picks, so a clean
-    // protected forward has the LUT forward's bits on every backend ...
+    // ABFT checks the packed product, so a clean protected forward has the
+    // LUT forward's bits on every backend ...
     ExecutionContext abft_ctx;
     abft_ctx.resilience = ResiliencePolicy::kAbft;
     ResilienceReport report;
@@ -594,13 +590,13 @@ TEST(Session, MatchesLegacyForEveryPolicyAndThreadCount) {
 
   LayerGuard guard("mlp", {RecoveryPolicy::kDegradeToZero, 1, 0.0f});
   for (int threads : {1, 4}) {
+    set_num_threads(threads);
     for (ResiliencePolicy policy :
          {ResiliencePolicy::kNone, ResiliencePolicy::kGuard,
           ResiliencePolicy::kAbft}) {
       SessionConfig cfg;
       cfg.ctx.resilience = policy;
       cfg.ctx.guard = &guard;
-      cfg.ctx.threads = threads;
       cfg.cache_probe = [model] { return model->cache_depth(); };
       InferenceSession session(
           [model](const Tensor& in, ExecutionContext& ctx) {
@@ -709,40 +705,6 @@ TEST(Session, ResNetSessionZeroAllocSteadyState) {
   const Tensor& y = session.run(x);
   EXPECT_TRUE(bit_equal(y, golden));
   EXPECT_EQ(session.last_run_heap_allocs(), 0);
-}
-
-TEST(Session, ThreadPinningRestoresAmbientCount) {
-  ThreadCountRestorer restore;
-  set_num_threads(2);
-  auto model = std::make_shared<TinyMlp>(161);
-  SessionConfig cfg;
-  cfg.ctx.threads = 4;
-  InferenceSession session(
-      [model](const Tensor& in, ExecutionContext& ctx) {
-        return model->forward(in, ctx);
-      },
-      cfg);
-  Tensor x = random_tensor({2, 24}, 162);
-  session.run(x);
-  EXPECT_EQ(num_threads(), 2);
-}
-
-TEST(Session, RestoresThreadPinWhenForwardThrows) {
-  // The serving worker pool relies on run() being exception-safe: a
-  // throwing forward must still unwind the thread-count pin, or one faulty
-  // request would poison the ambient configuration for every later one.
-  ThreadCountRestorer restore;
-  set_num_threads(2);
-  SessionConfig cfg;
-  cfg.ctx.threads = 4;
-  InferenceSession session(
-      [](const Tensor&, ExecutionContext&) -> Tensor {
-        throw FaultError("boom", FaultKind::kChecksumMismatch, "injected");
-      },
-      cfg);
-  Tensor x = random_tensor({2, 4}, 173);
-  EXPECT_THROW(session.run(x), FaultError);
-  EXPECT_EQ(num_threads(), 2) << "the pin must unwind through the throw";
 }
 
 TEST(Session, CleanReentryAfterForwardThrows) {
