@@ -357,10 +357,6 @@ TransformerDecoder::TransformerDecoder(TransformerMT& model)
 TransformerDecoder::TransformerDecoder(TransformerMT& model, Options opts)
     : model_(model), opts_(std::move(opts)) {
   const TransformerConfig& cfg = model_.cfg_;
-  if (opts_.batch <= 0) {
-    throw FaultError("decode", FaultKind::kMalformedInput,
-                     "decoder needs a positive lane count");
-  }
   if (opts_.max_steps == 0) opts_.max_steps = cfg.max_len;
   if (opts_.max_steps > cfg.max_len) {
     // The positional table (and the monolithic path it must match) only
@@ -398,9 +394,9 @@ void TransformerDecoder::setup(ExecutionContext&) {
   // planned here, once, to full capacity.
   const TransformerConfig& cfg = model_.cfg_;
   for (std::size_t i = 0; i < self_kv_.size(); ++i) {
-    self_kv_[i].init(opts_.batch, opts_.max_steps, cfg.d_model,
+    self_kv_[i].init(1, opts_.max_steps, cfg.d_model,
                      kv_codecs_ ? kv_codecs_->self[i] : KvQuantConfig{});
-    cross_kv_[i].init(opts_.batch, cfg.max_len, cfg.d_model,
+    cross_kv_[i].init(1, cfg.max_len, cfg.d_model,
                       kv_codecs_ ? kv_codecs_->cross[i] : KvQuantConfig{});
   }
 }
@@ -413,7 +409,7 @@ void TransformerDecoder::begin(const TokenSeq& src, std::int64_t pad_id) {
                          std::to_string(model_.cfg_.max_len) + " tokens, got " +
                          std::to_string(src.size()));
   }
-  src_batch_.assign(static_cast<std::size_t>(opts_.batch), src);
+  src_batch_.assign(1, src);
   src_lengths_ = valid_lengths(src_batch_, pad_id);
   session_->begin();
 }
@@ -431,9 +427,9 @@ void TransformerDecoder::prefill(ExecutionContext& ctx) {
 
 const Tensor& TransformerDecoder::step(
     const std::vector<std::int64_t>& last_tokens) {
-  if (static_cast<std::int64_t>(last_tokens.size()) != opts_.batch) {
+  if (last_tokens.size() != 1) {
     throw FaultError("decode", FaultKind::kMalformedInput,
-                     "decode step needs one token per lane");
+                     "decode step needs exactly one token");
   }
   return session_->step(last_tokens);
 }
@@ -441,20 +437,17 @@ const Tensor& TransformerDecoder::step(
 Tensor TransformerDecoder::embed_step(const std::vector<std::int64_t>& ids,
                                       ExecutionContext& ctx) {
   const std::int64_t d = model_.cfg_.d_model;
-  Tensor e = model_.tgt_emb_.forward(ids, ctx);  // [B, D]
+  Tensor e = model_.tgt_emb_.forward(ids, ctx);  // [1, D]
   const float* prow = model_.pos_table_.data() + pos_ * d;
-  for (std::int64_t bi = 0; bi < opts_.batch; ++bi) {
-    float* row = e.data() + bi * d;
-    for (std::int64_t j = 0; j < d; ++j) row[j] += prow[j];
-  }
+  for (std::int64_t j = 0; j < d; ++j) e.data()[j] += prow[j];
   return e;
 }
 
 Tensor TransformerDecoder::decode_step(const std::vector<std::int64_t>& ids,
                                        ExecutionContext& ctx) {
-  // One decoder timestep, rank-2 [B, D] throughout: every tensor here is a
-  // row slice of what the teacher-forced [B*T, D] path computes, and every
-  // layer is row-independent — the source of the fp32-KV bit-equality.
+  // One decoder timestep, rank-2 [1, D] throughout: every tensor here is a
+  // row of what the teacher-forced [T, D] path computes, and every layer is
+  // row-independent — the source of the fp32-KV bit-equality.
   ActQuant& aq = model_.act_quant_;
   Tensor y = aq.process("dec.embed", embed_step(ids, ctx));
   for (std::size_t i = 0; i < self_kv_.size(); ++i) {
@@ -472,12 +465,6 @@ Tensor TransformerDecoder::decode_step(const std::vector<std::int64_t>& ids,
   Tensor out = aq.process("dec.out", model_.dec_final_.forward(y, ctx));
   ++pos_;
   return model_.out_proj_.forward(out, ctx);
-}
-
-void TransformerDecoder::reorder(const std::vector<std::size_t>& parents) {
-  // Cross caches hold the same (replicated) source in every lane, so only
-  // the self-attention history distinguishes hypotheses.
-  for (auto& kv : self_kv_) kv.reorder(parents);
 }
 
 std::size_t TransformerDecoder::kv_bytes() const {
@@ -498,11 +485,7 @@ std::size_t TransformerDecoder::kv_bytes_per_step() const {
 TransformerStreamDecoder::TransformerStreamDecoder(
     TransformerMT& model, TransformerDecoder::Options opts,
     std::int64_t pad_id, std::int64_t bos, std::int64_t eos)
-    : dec_(model,
-           [&] {
-             opts.batch = 1;  // a stream is one greedy lane
-             return std::move(opts);
-           }()),
+    : dec_(model, std::move(opts)),
       pad_id_(pad_id),
       bos_(bos),
       eos_(eos) {}

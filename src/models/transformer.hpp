@@ -187,33 +187,26 @@ class TransformerMT {
 class TransformerDecoder {
  public:
   struct Options {
-    std::int64_t batch = 1;      ///< decode lanes (beam width)
     std::int64_t max_steps = 0;  ///< KV plan; 0 = model max_len
     KvCacheFormat kv;
     ExecutionContext ctx;
   };
 
   TransformerDecoder(TransformerMT& model, Options opts);
-  /// Default options: one lane, fp32 KV planned to the model's max_len.
+  /// Default options: fp32 KV planned to the model's max_len.
   explicit TransformerDecoder(TransformerMT& model);
 
-  /// Starts decoding `src` (replicated across all lanes): runs the encoder
-  /// and the cross-attention prefill, resets the self-attention caches.
+  /// Starts decoding `src`: runs the encoder and the cross-attention
+  /// prefill, resets the self-attention caches.
   void begin(const TokenSeq& src, std::int64_t pad_id);
 
-  /// Feeds the last emitted token of every lane (size = batch) and returns
-  /// the next-token logits [batch, tgt_vocab]. The reference stays valid
-  /// (and is overwritten) across steps.
+  /// Feeds the last emitted token (`last_tokens` holds exactly one) and
+  /// returns the next-token logits [1, tgt_vocab]. The reference stays
+  /// valid (and is overwritten) across steps.
   const Tensor& step(const std::vector<std::int64_t>& last_tokens);
 
-  /// Beam-search lane shuffle: lane r continues the hypothesis that lane
-  /// parents[r] held before the call (self-attention caches only — the
-  /// cross caches are identical across lanes by construction).
-  void reorder(const std::vector<std::size_t>& parents);
-
-  std::int64_t batch() const { return opts_.batch; }
   std::int64_t position() const { return pos_; }
-  /// Current KV payload across all layers and lanes.
+  /// Current KV payload across all layers.
   std::size_t kv_bytes() const;
   /// KV payload growth per decoded step (self caches; cross is prefilled).
   std::size_t kv_bytes_per_step() const;
@@ -233,7 +226,7 @@ class TransformerDecoder {
   Options opts_;
   std::shared_ptr<const TransformerMT::KvCodecs> kv_codecs_;  // null: fp32
   std::vector<KvState> self_kv_, cross_kv_;
-  std::vector<TokenSeq> src_batch_;
+  std::vector<TokenSeq> src_batch_;  // the one source, as encode() takes it
   std::vector<std::int64_t> src_lengths_;
   // The model's modules, listed once: the session's cache probe walks them
   // after every step, and rebuilding the list there would allocate.
@@ -242,8 +235,8 @@ class TransformerDecoder {
   std::unique_ptr<DecodeSession> session_;  // last: its ctor runs setup()
 };
 
-/// Serving-facing adapter: one decode lane of a TransformerDecoder behind
-/// the runtime StreamDecoder interface (greedy argmax per step).
+/// Serving-facing adapter: a TransformerDecoder behind the runtime
+/// StreamDecoder interface (greedy argmax per step).
 class TransformerStreamDecoder final : public StreamDecoder {
  public:
   TransformerStreamDecoder(TransformerMT& model,

@@ -66,9 +66,6 @@ void KvState::init(std::int64_t b, std::int64_t capacity, std::int64_t d,
   } else {
     k_table_ = v_table_ = nullptr;
   }
-  // A staging copy of every lane region makes a beam reorder a gather
-  // through preallocated memory, never an alloc.
-  if (b_ > 1) reorder_tmp_ = Tensor({code_floats});
 }
 
 void KvState::write_row(const float* k_row, const float* v_row,
@@ -169,35 +166,6 @@ void KvState::read_row(std::int64_t bi, std::int64_t j, float* k_out,
   };
   read(l.k, k_out);
   read(l.v, v_out);
-}
-
-void KvState::reorder(const std::vector<std::size_t>& parents) {
-  if (!initialized()) {
-    throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                     "KvState::reorder before init");
-  }
-  if (parents.empty() || parents.size() > static_cast<std::size_t>(b_)) {
-    throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                     "KvState::reorder parent list exceeds batch lanes");
-  }
-  for (std::size_t p : parents) {
-    if (p >= static_cast<std::size_t>(b_)) {
-      throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                       "KvState::reorder parent lane out of range");
-    }
-  }
-  if (b_ == 1) return;  // single lane: parents can only be {0}
-  // Gather through the staging buffer so lanes may repeat parents freely.
-  std::uint8_t* tmp = reinterpret_cast<std::uint8_t*>(reorder_tmp_.data());
-  for (Tensor* codes : {&k_codes_, &v_codes_}) {
-    for (std::size_t r = 0; r < parents.size(); ++r) {
-      std::memcpy(tmp + r * region_bytes_,
-                  region_base(*codes, static_cast<std::int64_t>(parents[r]),
-                              region_bytes_),
-                  region_bytes_);
-    }
-    std::memcpy(codes->data(), tmp, parents.size() * region_bytes_);
-  }
 }
 
 std::size_t KvState::payload_bytes() const {

@@ -3,10 +3,9 @@
 // A KvState holds the projected K/V rows an attention layer has already
 // seen, one slot per (batch lane, timestep). One storage layout serves
 // both modes: each lane owns a byte-aligned region of ceil(cap*D*bits/8)
-// bytes holding its rows as LSB-first codes, so a beam-search lane
-// reorder is a region copy and a lane decode never straddles another
-// lane's bits. The modes differ only in the code width and in how a row
-// is written and read back:
+// bytes holding its rows as LSB-first codes, so a lane decode never
+// straddles another lane's bits. The modes differ only in the code width
+// and in how a row is written and read back:
 //
 //  * fp32 — a row is stored as 32-bit codes, i.e. the float row itself
 //    (memcpy in, direct pointer out). This mode is bit-identical to the
@@ -28,13 +27,12 @@
 // number of threads at once.
 //
 // All storage is allocated once in init() under the caller's ambient
-// ArenaScope (a DecodeSession's never-reset KV arena); append/lane/reorder
+// ArenaScope (a DecodeSession's never-reset KV arena); append and lane
 // allocate nothing, which is what keeps steady-state decode at zero heap
 // allocations per emitted token.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "src/kernels/backend.hpp"
 #include "src/resilience/codec.hpp"
@@ -87,11 +85,6 @@ class KvState {
   void read_row(std::int64_t bi, std::int64_t j, float* k_out,
                 float* v_out) const;
 
-  /// Beam-search lane shuffle: lane r takes the cached history of lane
-  /// parents[r] (parents.size() <= batch; lanes past it keep stale data
-  /// and must be re-parented before use).
-  void reorder(const std::vector<std::size_t>& parents);
-
   std::int64_t len() const { return len_; }
   std::int64_t capacity() const { return cap_; }
   std::int64_t batch() const { return b_; }
@@ -120,7 +113,6 @@ class KvState {
   const float* v_table_ = nullptr;
 
   Tensor k_codes_, v_codes_;  // B lane regions of codes (float storage)
-  Tensor reorder_tmp_;        // beam shuffle staging (allocated when B > 1)
 };
 
 }  // namespace af

@@ -5,9 +5,10 @@
 // and scatters per-request row blocks back out. These helpers are the
 // pack/scatter halves; the bit-equality contract they rely on is that every
 // kernel on the forward path treats rows independently (the per-element
-// accumulation chain in gemm_panel_accumulate is a function of the row's
-// data and the weights only, never of m), so row i of the packed forward is
-// bit-identical to the same request run solo.
+// accumulation chain is a function of the row's data and the weights only,
+// never of m, both in gemm_dot_rows, which runs every fp32 x*W^T, and in
+// gemm_panel_accumulate, which runs the packed product), so row i of the
+// packed forward is bit-identical to the same request run solo.
 #pragma once
 
 #include <cstdint>

@@ -17,9 +17,9 @@ DecodeSession::DecodeSession(DecodeHooks hooks, DecodeSessionConfig cfg)
                      "decode session needs a positive max_steps plan");
   }
   cfg_.ctx.training = false;
-  // Everything setup allocates — KV storage, decode scratch, reorder
-  // staging — lands in the KV arena and keeps its address for the session
-  // lifetime (the arena is never reset, so no consolidation either).
+  // Everything setup allocates — the KV storage — lands in the KV arena
+  // and keeps its address for the session lifetime (the arena is never
+  // reset, so no consolidation either).
   ArenaScope scope(&kv_arena_);
   hooks_.setup(cfg_.ctx);
 }

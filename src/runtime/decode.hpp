@@ -65,8 +65,8 @@ class DecodeSession {
 
   /// Starts a new sequence: resets the step counter, consolidates the step
   /// arena once the first sequence has revealed its peak, and runs the
-  /// prefill hook. The model's begin-state (source tokens, lane count)
-  /// must be staged in the model before calling this.
+  /// prefill hook. The model's begin-state (its source tokens) must be
+  /// staged in the model before calling this.
   void begin();
 
   /// One decode step: feeds the last emitted token of every lane to the

@@ -39,6 +39,7 @@ void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
   check_rank2(a, "matmul a");
   check_rank2(b, "matmul b");
   check_rank2(c, "matmul c");
+  AF_CHECK(!(trans_a && trans_b), "matmul: trans_a with trans_b unsupported");
   const std::int64_t m = trans_a ? a.dim(1) : a.dim(0);
   const std::int64_t k = trans_a ? a.dim(0) : a.dim(1);
   const std::int64_t kb = trans_b ? b.dim(1) : b.dim(0);
@@ -55,10 +56,8 @@ void matmul_acc(Tensor& c, const Tensor& a, const Tensor& b, bool trans_a,
 
   // x*W^T: one dot product per output over the contiguous A and B rows, on
   // the backend in force (every backend computes the same bits), in row
-  // chunks that own disjoint rows of C. With trans_a the rows of op(A) are
-  // made contiguous first; the copy reorders reads only.
+  // chunks that own disjoint rows of C.
   if (trans_b) {
-    if (trans_a) return matmul_acc(c, transpose2d(a), b, false, true, backend);
     const KernelBackend& be =
         backend != nullptr ? *backend : active_backend();
     count_backend_dispatch(be);

@@ -17,6 +17,7 @@ namespace af {
 
 /// C = op(A) * op(B). op is transpose when the corresponding flag is set.
 /// A is [m,k] (or [k,m] when trans_a), B is [k,n] (or [n,k] when trans_b).
+/// Setting both flags is rejected with af::Error.
 ///
 /// Every c[i][j] is one fixed chain (src/tensor/gemm_kernel.hpp): k
 /// ascending, exact-zero A values skipped, one multiply then one add, no

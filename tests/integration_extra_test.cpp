@@ -1,17 +1,14 @@
 // Cross-module integration tests that tie the stack together end to end:
-// serialization round-trips through real models, the packed deployment
-// path through a trained layer, datapath-vs-quantizer consistency, and
-// determinism guarantees the benches rely on.
+// datapath-vs-quantizer consistency and the determinism guarantees the
+// benches rely on.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "src/core/algorithm1.hpp"
 #include "src/hw/accelerator.hpp"
 #include "src/hw/hfint_pe.hpp"
 #include "src/models/trainer.hpp"
-#include "src/nn/serialize.hpp"
 #include "src/numerics/registry.hpp"
 #include "src/util/check.hpp"
 
@@ -26,25 +23,6 @@ TransformerConfig small_tf() {
   cfg.enc_layers = 1;
   cfg.dec_layers = 1;
   return cfg;
-}
-
-TEST(Integration, TrainedTransformerSurvivesSerializationRoundTrip) {
-  TransformerBundle a(51, small_tf());
-  train_transformer(a, 300, 16, 2e-3f, 52);
-  const double bleu_before = eval_transformer_bleu(a, 15);
-
-  const std::string path = testing::TempDir() + "/transformer.afw";
-  save_parameters(path, a.model.parameters());
-
-  // Same bundle seed => same task (and thus the same held-out set); wreck
-  // the weights, then restore them from disk.
-  TransformerBundle b(51, small_tf());
-  for (Parameter* p : b.model.parameters()) p->value.fill(0.01f);
-  EXPECT_NE(eval_transformer_bleu(b, 15), bleu_before);
-  load_parameters(path, b.model.parameters());
-  const double bleu_after = eval_transformer_bleu(b, 15);
-  EXPECT_DOUBLE_EQ(bleu_after, bleu_before);
-  std::remove(path.c_str());
 }
 
 TEST(Integration, HfintDatapathMatchesFakeQuantizedMatmul) {

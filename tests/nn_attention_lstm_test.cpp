@@ -433,36 +433,6 @@ void expect_lane_rows(const KvState& kv, const KvQuantConfig& q,
   }
 }
 
-TEST(KvCache, ReorderGathersLaneHistories) {
-  // B=3 lanes of up to 4 steps of D=3 (an 18-bit row at 6 bits).
-  for (const KvMode& mode : kv_modes()) {
-    SCOPED_TRACE(mode.name);
-    KvState kv;
-    kv.init(3, 4, 3, mode.quant);
-    EXPECT_EQ(kv.quantized(), mode.quant.enabled());
-    Pcg32 rng(41);
-    std::vector<Tensor> ks, vs;
-    for (int step = 0; step < 3; ++step) {
-      ks.push_back(Tensor::randn({3, 3}, rng));
-      vs.push_back(Tensor::randn({3, 3}, rng));
-      kv.append(ks.back(), vs.back());
-    }
-    kv.reorder({2, 2, 0});
-    EXPECT_EQ(kv.len(), 3);
-    expect_lane_rows(kv, mode.quant, 0, ks, vs, 2);  // lane 0: old lane 2
-    expect_lane_rows(kv, mode.quant, 1, ks, vs, 2);  // repeated parent
-    expect_lane_rows(kv, mode.quant, 2, ks, vs, 0);  // lane 2: old lane 0
-
-    // K+V, 3 lanes, 3 rows of 3 codes each, rounded up per lane.
-    const std::size_t per_step = mode.bits == 32 ? 72 : 18;
-    const std::size_t payload = mode.bits == 32 ? 216
-                                : mode.bits == 8 ? 54
-                                                 : 42;  // ceil(54/8)=7
-    EXPECT_EQ(kv.bytes_per_step(), per_step);
-    EXPECT_EQ(kv.payload_bytes(), payload);
-  }
-}
-
 TEST(KvCache, ResetThenReappendOverwritesStaleCodes) {
   // Appends after reset() write over the previous history's codes in
   // place; no zeroing pass runs, so any bit the writer fails to clear

@@ -111,6 +111,16 @@ TEST(Matmul, InnerDimMismatchThrows) {
   EXPECT_THROW(matmul(a, b), Error);
 }
 
+TEST(Matmul, BothTransposeFlagsThrow) {
+  // No product runs op(A)^T * op(B)^T; the combination is rejected even
+  // when the shapes agree.
+  Tensor a({3, 2});
+  Tensor b({4, 3});
+  EXPECT_THROW(matmul(a, b, /*trans_a=*/true, /*trans_b=*/true), Error);
+  Tensor c({2, 4});
+  EXPECT_THROW(matmul_acc(c, a, b, true, true), Error);
+}
+
 TEST(MatmulAcc, Accumulates) {
   Tensor a({1, 1}, {2});
   Tensor b({1, 1}, {3});
