@@ -113,8 +113,10 @@ std::size_t PositQuantizer::nearest_index(float a) const {
   const auto hi = static_cast<std::size_t>(base - positives_.data());
   const float dh = positives_[hi] - a;
   const float dl = a - positives_[hi - 1];
-  // Nearer neighbour; an exact tie takes the even-index entry.
-  const bool take_lo = (dl < dh) | ((dl == dh) & ((hi & 1u) != 0));
+  // Nearer neighbour; an exact tie takes the entry whose code is even (the
+  // posit standard's round-to-nearest-even on the bit pattern).
+  const bool lo_even = (codes_[hi - 1] & 1u) == 0;
+  const bool take_lo = (dl < dh) | ((dl == dh) & lo_even);
   return hi - static_cast<std::size_t>(take_lo);
 }
 

@@ -70,7 +70,7 @@ class PositQuantizer final : public Quantizer {
 
  private:
   /// Index into positives_ that |x| (> 0) rounds to: ties go to the even
-  /// index, |x| below minpos saturates at index 0, above maxpos at the top.
+  /// code, |x| below minpos saturates at index 0, above maxpos at the top.
   std::size_t nearest_index(float a) const;
 
   PositFormat fmt_;

@@ -158,8 +158,9 @@ TEST(PositQuantizer, WideEsStaysFiniteAndEncodesItsOwnRounding) {
         probes.push_back(rng.uniform(-1.0f, 1.0f) * mag);
       }
       // Reference rounding over the positive grid (std::lower_bound, then
-      // the nearer neighbour, ties to the even index), saturating at both
-      // ends; applied below to probes strictly inside the grid.
+      // the nearer neighbour, ties to the even code), saturating at both
+      // ends; applied below to probes strictly inside the grid. A grid
+      // value is exact, so encode() gives its code.
       const std::vector<float> pos(vals.begin() + vals.size() / 2 + 1,
                                    vals.end());
       const auto reference = [&](float x) {
@@ -169,7 +170,7 @@ TEST(PositQuantizer, WideEsStaysFiniteAndEncodesItsOwnRounding) {
         if (i == 0) return x < 0.0f ? -pos[0] : pos[0];
         const float dl = a - pos[i - 1];
         const float dh = pos[i] - a;
-        if (dl < dh || (dl == dh && i % 2 != 0)) --i;
+        if (dl < dh || (dl == dh && q.encode(pos[i - 1]) % 2 == 0)) --i;
         return x < 0.0f ? -pos[i] : pos[i];
       };
       for (float x : probes) {

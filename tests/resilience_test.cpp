@@ -395,10 +395,12 @@ TEST(FormatCodec, EncodeDecodeMatchesQuantizerOnCleanData) {
 
 TEST(FormatCodec, PositTiesAreSignSymmetricAndMinposSaturates) {
   // posit<4,0> (the 4-bit default) has positives 0.25, 0.5, 0.75, 1, 1.5,
-  // 2, 4: 1.75 is an exact tie, and minpos/4 lies far below minpos.
+  // 2, 4: 1.75 is an exact tie between codes 0101 and 0110 and rounds to
+  // the even one, and minpos/4 lies far below minpos.
   auto codec = make_codec(FormatKind::kPosit, 4, 1.0f);
-  EXPECT_EQ(codec->decode(codec->encode(1.75f)), 1.5f);
-  EXPECT_EQ(codec->decode(codec->encode(-1.75f)), -1.5f);
+  EXPECT_EQ(codec->encode(1.75f), 0x6u);
+  EXPECT_EQ(codec->decode(codec->encode(1.75f)), 2.0f);
+  EXPECT_EQ(codec->decode(codec->encode(-1.75f)), -2.0f);
   const float minpos = codec->decode(1);
   EXPECT_EQ(minpos, 0.25f);
   EXPECT_EQ(codec->encode(minpos / 4.0f), 1u);
