@@ -21,7 +21,9 @@
 //     see ulp_at_scale), and bit-identical across thread counts.
 //
 // Modes:
-//   micro_gemm_packed           — timing table at 1 and 4 threads, writes
+//   micro_gemm_packed           — timing table at 1 and 4 threads, the
+//                                 M-sweeps, the tile fill alone (ns per
+//                                 code) and the serving shapes; writes
 //                                 BENCH_gemm.json (machine-readable: ms,
 //                                 GFLOP/s, FNV-1a digests, speedups,
 //                                 max_ulp per backend).
@@ -41,6 +43,7 @@
 #include "src/core/bitpack.hpp"
 #include "src/kernels/backend.hpp"
 #include "src/kernels/gemm_packed.hpp"
+#include "src/tensor/gemm_kernel.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/parallel.hpp"
@@ -391,6 +394,84 @@ void append_serve_shapes(std::string& json, bool& all_ok) {
   std::printf("\n");
 }
 
+// ----- tile fill alone -----------------------------------------------------
+//
+// The decode half of matmul_packed: the same k-block x j-tile walk, each
+// tile filled by the backend's decode_tile and nothing multiplied — the
+// "GEMM vs panel decode" split. Per backend, for mlp_serve's two weights
+// and the 512x512 one, one whole-weight fill in microseconds and per code
+// in nanoseconds.
+double fill_ms(const PackedAdaptivFloatTensor& w, const KernelBackend& be) {
+  const std::int64_t n = w.shape()[0], k = w.shape()[1];
+  std::vector<float> tile(
+      static_cast<std::size_t>(detail::kMatmulKBlock * detail::kMatmulJTile));
+  constexpr int kFills = 50;  // per timed rep: one fill is microseconds
+  return time_ms(
+             [&] {
+               for (int r = 0; r < kFills; ++r) {
+                 for (std::int64_t k0 = 0; k0 < k;
+                      k0 += detail::kMatmulKBlock) {
+                   const std::int64_t k1 =
+                       std::min(k, k0 + detail::kMatmulKBlock);
+                   for (std::int64_t j0 = 0; j0 < n;
+                        j0 += detail::kMatmulJTile) {
+                     be.decode_tile(w.data(), w.payload_bytes(),
+                                    w.format().bits(), k, j0,
+                                    std::min(n, j0 + detail::kMatmulJTile),
+                                    k0, k1, w.decode_lut().data(),
+                                    tile.data());
+                   }
+                 }
+               }
+             },
+             10) /
+         kFills;
+}
+
+void append_tile_fill(const Workload& w512, std::string& json) {
+  Pcg32 rng(32);
+  const struct {
+    const char* name;
+    PackedAdaptivFloatTensor w;
+  } weights[] = {
+      {"fc1 256x128", PackedAdaptivFloatTensor::quantize_pack(
+                          Tensor::randn({256, 128}, rng, 0.5f), 8, 3)},
+      {"fc2 32x256", PackedAdaptivFloatTensor::quantize_pack(
+                         Tensor::randn({32, 256}, rng, 0.5f), 8, 3)},
+      {"512x512", w512.w},
+  };
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
+
+  TextTable table("tile_fill: matmul_packed's decode_tile walk alone, no "
+                  "multiply (8-bit weight, 1 thread)");
+  table.set_header({"Weight", "Backend", "us/fill", "ns/code"});
+  set_num_threads(1);
+  json += "  \"tile_fill\": [\n";
+  bool first = true;
+  for (const auto& wt : weights) {
+    for (const KernelBackend* be : backends) {
+      const double us = fill_ms(wt.w, *be) * 1e3;
+      const double ns_per_code =
+          us * 1e3 / static_cast<double>(wt.w.numel());
+      table.add_row({wt.name, be->name, fmt_fixed(us, 2),
+                     fmt_fixed(ns_per_code, 3)});
+      char buf[192];
+      std::snprintf(buf, sizeof(buf),
+                    "%s    {\"name\": \"%s\", \"backend\": \"%s\", "
+                    "\"us\": %.3f, \"ns_per_code\": %.4f}",
+                    first ? "" : ",\n", wt.name, be->name, us, ns_per_code);
+      json += buf;
+      first = false;
+    }
+  }
+  json += "\n  ],\n";
+  set_num_threads(0);
+
+  table.print();
+  std::printf("\n");
+}
+
 int run_verify_only() {
   // Ambient AF_THREADS / AF_BACKEND only — CI diffs this output across
   // thread counts and backends. The row set is fixed (fused means "the
@@ -551,9 +632,10 @@ int run_bench(const char* json_path) {
   table.print();
   std::printf("\n");
 
-  // Batch-rows sweep on the 8-bit workload (top-level keys beside
-  // "workloads", which is all bench_gate.py reads).
+  // Batch-rows sweep, tile fill alone and serving shapes on 8-bit weights
+  // (top-level keys beside "workloads", which is all bench_gate.py reads).
   append_m_sweep(workloads[0], json, all_ok);
+  append_tile_fill(workloads[0], json);
   append_serve_shapes(json, all_ok);
   const bool wrote = bench::write_artifact(json_path, json);
 

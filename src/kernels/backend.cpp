@@ -18,18 +18,25 @@ namespace {
 // byte-identical to the code every digest was pinned against.
 
 void scalar_gemm_panel_accumulate(float* c, std::int64_t ldc, const float* a,
-                                  std::int64_t lda, bool trans_a,
-                                  const float* bt, std::int64_t ldbt,
-                                  std::int64_t n, std::int64_t i0,
-                                  std::int64_t i1, std::int64_t k0,
-                                  std::int64_t k1) {
-  detail::gemm_panel_accumulate(c, ldc, a, lda, trans_a, bt, ldbt, n, i0, i1,
-                                k0, k1);
+                                  std::int64_t lda, const float* bt,
+                                  std::int64_t ldbt, std::int64_t n,
+                                  std::int64_t i0, std::int64_t i1,
+                                  std::int64_t k0, std::int64_t k1) {
+  detail::gemm_panel_accumulate(c, ldc, a, lda, /*trans_a=*/false, bt, ldbt, n,
+                                i0, i1, k0, k1);
 }
 
 void scalar_gemm_dot_rows(float* c, const float* a, const float* b,
                           std::int64_t m, std::int64_t n, std::int64_t k) {
   detail::gemm_dot_rows(c, a, b, m, n, k);
+}
+
+void scalar_decode_tile(const std::uint8_t* bytes, std::size_t nbytes,
+                        int bits, std::int64_t ld, std::int64_t j0,
+                        std::int64_t j1, std::int64_t k0, std::int64_t k1,
+                        const float* table, float* tile) {
+  decode_tile_scalar(bytes, nbytes, bits, ld, j0, j1, k0, k1, table, tile,
+                     j1 - j0);
 }
 
 void scalar_nearest_indices(const NearestLutView& lut, const float* x,
@@ -97,7 +104,7 @@ const KernelBackend kScalarBackend = {
     &scalar_gemm_panel_accumulate,
     &scalar_gemm_dot_rows,
     &unpack_decode_scalar,
-    &unpack_decode_strided_scalar,
+    &scalar_decode_tile,
     &scalar_nearest_indices,
     &scalar_attend_row,
 };

@@ -14,8 +14,9 @@
 //    and across runs on the same machine.
 //  * The scalar backend is the reference: byte-identical to the pre-backend
 //    code paths (CI pins its digests against the recorded goldens).
-//  * Decode (`unpack_decode*`) and the NearestLut boundary search are pure
-//    integer/table maps, so they are bit-identical across *all* backends.
+//  * Decode (`unpack_decode`, the GEMM tile fill `decode_tile`) and the
+//    NearestLut boundary search are pure integer/table maps, so they are
+//    bit-identical across *all* backends.
 //  * The x*W^T dot chain (`gemm_dot_rows`) runs the scalar chain — one
 //    rounded multiply, then one rounded add, per k — in every lane, so it
 //    too is bit-identical across all backends.
@@ -52,6 +53,8 @@ struct NearestLutView {
 /// reads), row j's head slice being codes [j*row_codes + col, ... + d_head).
 /// At 32 bits the codes are the fp32 values themselves (4-byte aligned) and
 /// `table` is unused; narrower codes decode through `table`, 2^bits entries.
+/// The AVX2 decode_tile reads a packed weight through the same view: one
+/// weight row per cached row, row_codes = codes per weight row, col = 0.
 struct AttendOperand {
   const std::uint8_t* bytes;  ///< lane region base
   std::size_t nbytes;         ///< region bytes; no read passes them
@@ -79,16 +82,16 @@ struct KernelBackend {
   const char* name;  ///< "scalar" / "avx2" — stable CI identifier
   BackendKind kind;
 
-  /// C[i0:i1, 0:n] += A[:, k0:k1] * Bt over one k-window; same contract as
-  /// detail::gemm_panel_accumulate (src/tensor/gemm_kernel.hpp), including
-  /// the exact-zero-A skip. k advances in ascending order within the
-  /// window, so the per-element accumulation chain is fixed per backend.
+  /// C[i0:i1, 0:n] += A[i0:i1, k0:k1] * Bt over one k-window, A row-major
+  /// with row stride `lda`; same contract as detail::gemm_panel_accumulate
+  /// (src/tensor/gemm_kernel.hpp) with trans_a = false, including the
+  /// exact-zero-A skip. k advances in ascending order within the window, so
+  /// the per-element accumulation chain is fixed per backend.
   void (*gemm_panel_accumulate)(float* c, std::int64_t ldc, const float* a,
-                                std::int64_t lda, bool trans_a,
-                                const float* bt, std::int64_t ldbt,
-                                std::int64_t n, std::int64_t i0,
-                                std::int64_t i1, std::int64_t k0,
-                                std::int64_t k1);
+                                std::int64_t lda, const float* bt,
+                                std::int64_t ldbt, std::int64_t n,
+                                std::int64_t i0, std::int64_t i1,
+                                std::int64_t k0, std::int64_t k1);
 
   /// C[m, n] += A[m, k] * B[n, k]^T over contiguous row-major operands,
   /// any m; same contract as detail::gemm_dot_rows
@@ -106,12 +109,15 @@ struct KernelBackend {
                         int bits, std::int64_t first, std::int64_t count,
                         const float* table, float* out);
 
-  /// Strided variant for GEMM tile fill: element i lands at
-  /// out[i * out_stride]. Same values as unpack_decode by construction.
-  void (*unpack_decode_strided)(const std::uint8_t* bytes, std::size_t nbytes,
-                                int bits, std::int64_t first,
-                                std::int64_t count, const float* table,
-                                float* out, std::int64_t out_stride);
+  /// GEMM tile fill: decodes W[j0:j1, k0:k1) of a row-major packed weight
+  /// with `ld` codes per row (row j's codes start at element j*ld) into the
+  /// k-major tile tile[(kk - k0) * (j1 - j0) + (j - j0)]. Same values as
+  /// unpack_decode element by element (pure table map), so bit-identical
+  /// across backends; no read passes `nbytes`.
+  void (*decode_tile)(const std::uint8_t* bytes, std::size_t nbytes, int bits,
+                      std::int64_t ld, std::int64_t j0, std::int64_t j1,
+                      std::int64_t k0, std::int64_t k1, const float* table,
+                      float* tile);
 
   /// Batched NearestLut boundary search: idx[i] = the interval index of
   /// x[i] (NaN -> nan_index), exactly NearestLut::index_of per element.

@@ -4,7 +4,7 @@
 // not be entered unless cpu_supports_avx2() returned true (backend.cpp
 // guards that). It is also compiled with -ffp-contract=off: every FMA here
 // is written out (_mm256_fmadd_ps, std::fmaf), and the dot-rows kernel's
-// separate multiply and add must not be fused behind its back. Five
+// separate multiply and add must not be fused behind its back. Six
 // primitives:
 //
 //  * gemm_panel_accumulate — register-blocked FMA accumulation: 4-row ×
@@ -22,10 +22,15 @@
 //    4 rows × 8 output columns per block, W rows transposed in registers
 //    8 k at a time, each lane running the scalar chain exactly (k
 //    ascending, exact-zero A skipped, rounded multiply then rounded add).
-//  * unpack_decode / unpack_decode_strided — vectorized 3-byte-window code
-//    extraction: 8 codes per iteration via a 32-bit gather on the byte
-//    stream, per-lane variable shift + mask, then a gathered LUT decode.
-//    Pure table map — bit-identical to the scalar backend.
+//  * unpack_decode — vectorized 3-byte-window code extraction: 8 codes per
+//    iteration via a 32-bit gather on the byte stream, per-lane variable
+//    shift + mask, then a gathered LUT decode. Pure table map —
+//    bit-identical to the scalar backend.
+//  * decode_tile — the packed GEMM's k-major tile fill in 8 weight rows x
+//    8 codes register blocks: a byte transpose then one gathered decode
+//    per tile row at 8 bits, the attend kernel's CodeReader plus
+//    transpose8 at other widths; whole tile rows are stored. Pure table
+//    map — bit-identical to the scalar backend.
 //  * nearest_indices — lane-parallel NearestLut boundary search: 8 inputs
 //    walk the bucketed edge table together (masked gathers, unsigned
 //    compares via sign-bit flip). Integer search — bit-identical to the
@@ -49,34 +54,24 @@ namespace {
 
 // ----- GEMM ----------------------------------------------------------------
 
-// A-operand read for one (row, k) pair; the layout indirection is hoisted
-// out of the microkernels below.
-inline float a_at(const float* a, std::int64_t lda, bool trans_a,
-                  std::int64_t i, std::int64_t kk) {
-  return trans_a ? a[kk * lda + i] : a[i * lda + kk];
-}
-
 // One row's tail columns [j, n) via the same FMA chain as the vector body.
-inline void row_tail_fma(float* crow, const float* a, std::int64_t lda,
-                         bool trans_a, const float* bt, std::int64_t ldbt,
-                         std::int64_t n, std::int64_t i, std::int64_t j0,
+inline void row_tail_fma(float* crow, const float* arow, const float* bt,
+                         std::int64_t ldbt, std::int64_t n, std::int64_t j0,
                          std::int64_t k0, std::int64_t k1) {
   for (std::int64_t j = j0; j < n; ++j) {
     float acc = crow[j];
     for (std::int64_t kk = k0; kk < k1; ++kk) {
-      acc = std::fmaf(a_at(a, lda, trans_a, i, kk),
-                      bt[(kk - k0) * ldbt + j], acc);
+      acc = std::fmaf(arow[kk], bt[(kk - k0) * ldbt + j], acc);
     }
     crow[j] = acc;
   }
 }
 
 void avx2_gemm_panel_accumulate(float* c, std::int64_t ldc, const float* a,
-                                std::int64_t lda, bool trans_a,
-                                const float* bt, std::int64_t ldbt,
-                                std::int64_t n, std::int64_t i0,
-                                std::int64_t i1, std::int64_t k0,
-                                std::int64_t k1) {
+                                std::int64_t lda, const float* bt,
+                                std::int64_t ldbt, std::int64_t n,
+                                std::int64_t i0, std::int64_t i1,
+                                std::int64_t k0, std::int64_t k1) {
   std::int64_t i = i0;
   // 4-row × 16-column register block: 8 accumulators live across the whole
   // k-window, and each B row load feeds four output rows.
@@ -85,6 +80,10 @@ void avx2_gemm_panel_accumulate(float* c, std::int64_t ldc, const float* a,
     float* c1 = c0 + ldc;
     float* c2 = c1 + ldc;
     float* c3 = c2 + ldc;
+    const float* r0 = a + i * lda;
+    const float* r1 = r0 + lda;
+    const float* r2 = r1 + lda;
+    const float* r3 = r2 + lda;
     std::int64_t j = 0;
     for (; j + 16 <= n; j += 16) {
       __m256 a00 = _mm256_loadu_ps(c0 + j);
@@ -100,16 +99,16 @@ void avx2_gemm_panel_accumulate(float* c, std::int64_t ldc, const float* a,
         const float* brow = bj + (kk - k0) * ldbt;
         const __m256 b0 = _mm256_loadu_ps(brow);
         const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        const __m256 v0 = _mm256_set1_ps(a_at(a, lda, trans_a, i, kk));
+        const __m256 v0 = _mm256_set1_ps(r0[kk]);
         a00 = _mm256_fmadd_ps(v0, b0, a00);
         a01 = _mm256_fmadd_ps(v0, b1, a01);
-        const __m256 v1 = _mm256_set1_ps(a_at(a, lda, trans_a, i + 1, kk));
+        const __m256 v1 = _mm256_set1_ps(r1[kk]);
         a10 = _mm256_fmadd_ps(v1, b0, a10);
         a11 = _mm256_fmadd_ps(v1, b1, a11);
-        const __m256 v2 = _mm256_set1_ps(a_at(a, lda, trans_a, i + 2, kk));
+        const __m256 v2 = _mm256_set1_ps(r2[kk]);
         a20 = _mm256_fmadd_ps(v2, b0, a20);
         a21 = _mm256_fmadd_ps(v2, b1, a21);
-        const __m256 v3 = _mm256_set1_ps(a_at(a, lda, trans_a, i + 3, kk));
+        const __m256 v3 = _mm256_set1_ps(r3[kk]);
         a30 = _mm256_fmadd_ps(v3, b0, a30);
         a31 = _mm256_fmadd_ps(v3, b1, a31);
       }
@@ -130,14 +129,10 @@ void avx2_gemm_panel_accumulate(float* c, std::int64_t ldc, const float* a,
       const float* bj = bt + j;
       for (std::int64_t kk = k0; kk < k1; ++kk) {
         const __m256 b0 = _mm256_loadu_ps(bj + (kk - k0) * ldbt);
-        a0 = _mm256_fmadd_ps(
-            _mm256_set1_ps(a_at(a, lda, trans_a, i, kk)), b0, a0);
-        a1 = _mm256_fmadd_ps(
-            _mm256_set1_ps(a_at(a, lda, trans_a, i + 1, kk)), b0, a1);
-        a2 = _mm256_fmadd_ps(
-            _mm256_set1_ps(a_at(a, lda, trans_a, i + 2, kk)), b0, a2);
-        a3 = _mm256_fmadd_ps(
-            _mm256_set1_ps(a_at(a, lda, trans_a, i + 3, kk)), b0, a3);
+        a0 = _mm256_fmadd_ps(_mm256_set1_ps(r0[kk]), b0, a0);
+        a1 = _mm256_fmadd_ps(_mm256_set1_ps(r1[kk]), b0, a1);
+        a2 = _mm256_fmadd_ps(_mm256_set1_ps(r2[kk]), b0, a2);
+        a3 = _mm256_fmadd_ps(_mm256_set1_ps(r3[kk]), b0, a3);
       }
       _mm256_storeu_ps(c0 + j, a0);
       _mm256_storeu_ps(c1 + j, a1);
@@ -146,26 +141,26 @@ void avx2_gemm_panel_accumulate(float* c, std::int64_t ldc, const float* a,
     }
     if (j < n) {
       for (int r = 0; r < 4; ++r) {
-        row_tail_fma(c + (i + r) * ldc, a, lda, trans_a, bt, ldbt, n, i + r,
-                     j, k0, k1);
+        row_tail_fma(c + (i + r) * ldc, a + (i + r) * lda, bt, ldbt, n, j, k0,
+                     k1);
       }
     }
   }
   // Remainder rows: single-row 16/8-wide blocks, same chain.
   for (; i < i1; ++i) {
     float* crow = c + i * ldc;
+    const float* arow = a + i * lda;
     std::int64_t j = 0;
     for (; j + 8 <= n; j += 8) {
       __m256 acc = _mm256_loadu_ps(crow + j);
       const float* bj = bt + j;
       for (std::int64_t kk = k0; kk < k1; ++kk) {
-        acc = _mm256_fmadd_ps(
-            _mm256_set1_ps(a_at(a, lda, trans_a, i, kk)),
-            _mm256_loadu_ps(bj + (kk - k0) * ldbt), acc);
+        acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[kk]),
+                              _mm256_loadu_ps(bj + (kk - k0) * ldbt), acc);
       }
       _mm256_storeu_ps(crow + j, acc);
     }
-    row_tail_fma(crow, a, lda, trans_a, bt, ldbt, n, i, j, k0, k1);
+    row_tail_fma(crow, arow, bt, ldbt, n, j, k0, k1);
   }
 }
 
@@ -335,25 +330,6 @@ void avx2_unpack_decode(const std::uint8_t* bytes, std::size_t nbytes,
   }
 }
 
-void avx2_unpack_decode_strided(const std::uint8_t* bytes, std::size_t nbytes,
-                                int bits, std::int64_t first,
-                                std::int64_t count, const float* table,
-                                float* out, std::int64_t out_stride) {
-  // Decode contiguously with the vector kernel, then scatter (AVX2 has no
-  // scatter instruction; the strided stores are plain scalar writes).
-  constexpr std::int64_t kChunk = 256;
-  float tmp[kChunk];
-  for (std::int64_t off = 0; off < count; off += kChunk) {
-    const std::int64_t c = std::min(kChunk, count - off);
-    avx2_unpack_decode(bytes, nbytes, bits, first + off, c, table, tmp);
-    for (std::int64_t t = 0; t < c; ++t) {
-      out[(off + t) * out_stride] = tmp[t];
-    }
-  }
-}
-
-// ----- attention -----------------------------------------------------------
-
 // Reads an AttendOperand's codes decoded to floats, in-register. kBits is
 // 32 (fp32 rows, plain loads), 8 (a byte load, zero-extended, one table
 // gather) or 0 for any other width (the 3-byte-window extraction of
@@ -424,6 +400,80 @@ class CodeReader {
   __m256i lane_bits_{}, mask_{};
   std::size_t reach_ = 0;
 };
+
+// ----- GEMM tile fill ------------------------------------------------------
+
+// Tile rows u = 0..7 (row stride ldt) of the 8x8 block of 8-bit codes
+// whose weight row t starts at p + t*ld: tile row u holds byte u of every
+// weight row. The 64 bytes are transposed first — three unpack rounds, so
+// each 16-byte c[q] holds tile rows 2q and 2q + 1 — and each tile row is
+// then one widen and one table gather.
+inline void tile_block_bytes(const std::uint8_t* p, std::int64_t ld,
+                             const float* table, float* out,
+                             std::int64_t ldt) {
+  __m128i r[8];
+  for (int t = 0; t < 8; ++t) {
+    r[t] = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p + t * ld));
+  }
+  __m128i a[4], b[4], c[4];
+  for (int h = 0; h < 4; ++h) a[h] = _mm_unpacklo_epi8(r[2 * h], r[2 * h + 1]);
+  for (int h = 0; h < 2; ++h) {
+    b[2 * h] = _mm_unpacklo_epi16(a[2 * h], a[2 * h + 1]);      // u = 0..3
+    b[2 * h + 1] = _mm_unpackhi_epi16(a[2 * h], a[2 * h + 1]);  // u = 4..7
+  }
+  c[0] = _mm_unpacklo_epi32(b[0], b[2]);
+  c[1] = _mm_unpackhi_epi32(b[0], b[2]);
+  c[2] = _mm_unpacklo_epi32(b[1], b[3]);
+  c[3] = _mm_unpackhi_epi32(b[1], b[3]);
+  for (int q = 0; q < 4; ++q) {
+    _mm256_storeu_ps(out + (2 * q) * ldt,
+                     _mm256_i32gather_ps(table, _mm256_cvtepu8_epi32(c[q]), 4));
+    _mm256_storeu_ps(
+        out + (2 * q + 1) * ldt,
+        _mm256_i32gather_ps(
+            table, _mm256_cvtepu8_epi32(_mm_unpackhi_epi64(c[q], c[q])), 4));
+  }
+}
+
+// The whole 8x8 blocks W[j0:j8, k0:k8) are filled in registers: at 8 bits
+// the bytes are transposed before the decode; at other widths CodeReader<0>
+// extracts and decodes each weight row's 8 codes and transpose8 turns the
+// rows into tile rows. The ragged edges run the scalar fill.
+void avx2_decode_tile(const std::uint8_t* bytes, std::size_t nbytes, int bits,
+                      std::int64_t ld, std::int64_t j0, std::int64_t j1,
+                      std::int64_t k0, std::int64_t k1, const float* table,
+                      float* tile) {
+  const std::int64_t jt = j1 - j0;
+  const std::int64_t j8 = j1 - jt % 8;
+  const std::int64_t k8 = k1 - (k1 - k0) % 8;
+  if (bits == 8) {
+    for (std::int64_t j = j0; j < j8; j += 8) {
+      for (std::int64_t kk = k0; kk < k8; kk += 8) {
+        tile_block_bytes(bytes + j * ld + kk, ld, table,
+                         tile + (kk - k0) * jt + (j - j0), jt);
+      }
+    }
+  } else {
+    const AttendOperand w{bytes, nbytes, bits, table, ld, 0};
+    const CodeReader<0> reader(w);
+    for (std::int64_t j = j0; j < j8; j += 8) {
+      for (std::int64_t kk = k0; kk < k8; kk += 8) {
+        __m256 r[8], col[8];
+        for (int t = 0; t < 8; ++t) r[t] = reader.load8(reader.row(j + t) + kk);
+        transpose8(r, col);
+        float* out = tile + (kk - k0) * jt + (j - j0);
+        for (int u = 0; u < 8; ++u) _mm256_storeu_ps(out + u * jt, col[u]);
+      }
+    }
+  }
+  // The k % 8 tail of the whole-block rows, then the j % 8 tail rows.
+  decode_tile_scalar(bytes, nbytes, bits, ld, j0, j8, k8, k1, table,
+                     tile + (k8 - k0) * jt, jt);
+  decode_tile_scalar(bytes, nbytes, bits, ld, j8, j1, k0, k1, table,
+                     tile + (j8 - j0), jt);
+}
+
+// ----- attention -----------------------------------------------------------
 
 // srow[j] = float(dot_j) * inv_sqrt_dh for j < visible. Keys run across
 // lanes, eight at a time in two 4-wide double accumulators; each lane's
@@ -611,7 +661,7 @@ const KernelBackend kAvx2Backend = {
     &avx2_gemm_panel_accumulate,
     &avx2_gemm_dot_rows,
     &avx2_unpack_decode,
-    &avx2_unpack_decode_strided,
+    &avx2_decode_tile,
     &avx2_nearest_indices,
     &avx2_attend_row,
 };

@@ -111,19 +111,24 @@ inline void unpack_decode_scalar(const std::uint8_t* bytes, std::size_t nbytes,
   }
 }
 
-/// Strided form: element i lands at out[i * out_stride] — the packed GEMM's
-/// tile fill writes decoded k-runs down a k-major tile column. Identical
-/// values to unpack_decode_scalar by construction.
-inline void unpack_decode_strided_scalar(const std::uint8_t* bytes,
-                                         std::size_t nbytes, int bits,
-                                         std::int64_t first,
-                                         std::int64_t count,
-                                         const float* table, float* out,
-                                         std::int64_t out_stride) {
-  std::size_t bitpos =
-      static_cast<std::size_t>(first) * static_cast<std::size_t>(bits);
-  for (std::int64_t i = 0; i < count; ++i, bitpos += bits) {
-    out[i * out_stride] = table[packed_code_at(bytes, nbytes, bitpos, bits)];
+/// GEMM tile fill: decodes the block W[j0:j1, k0:k1) of a row-major packed
+/// weight with `ld` codes per row into out[(kk - k0) * ldo + (j - j0)] — a
+/// k-major tile with row stride `ldo`. Each weight row's k-run is a
+/// contiguous bit run decoded down one tile column. Identical values to
+/// unpack_decode_scalar by construction. It is the scalar backend's
+/// decode_tile (ldo = j1 - j0) and fills the AVX2 entry's ragged edges.
+inline void decode_tile_scalar(const std::uint8_t* bytes, std::size_t nbytes,
+                               int bits, std::int64_t ld, std::int64_t j0,
+                               std::int64_t j1, std::int64_t k0,
+                               std::int64_t k1, const float* table,
+                               float* out, std::int64_t ldo) {
+  for (std::int64_t j = j0; j < j1; ++j) {
+    std::size_t bitpos = static_cast<std::size_t>(j * ld + k0) *
+                         static_cast<std::size_t>(bits);
+    float* col = out + (j - j0);
+    for (std::int64_t kk = k0; kk < k1; ++kk, bitpos += bits) {
+      col[(kk - k0) * ldo] = table[packed_code_at(bytes, nbytes, bitpos, bits)];
+    }
   }
 }
 

@@ -32,7 +32,7 @@ Tensor matmul_packed(const Tensor& x, const PackedAdaptivFloatTensor& w,
 
   // Decode each weight panel exactly once per call and stream every
   // activation row through it, instead of re-decoding per row chunk. For a
-  // batched forward with m rows this amortizes the unpack_decode cost m-fold;
+  // batched forward with m rows this amortizes the tile decode cost m-fold;
   // the per-element accumulation chain (k0 blocks ascending, kk ascending
   // inside gemm_panel_accumulate) is unchanged, so results stay bit-identical
   // to the row-chunk-local decode — and row i of a batched call is
@@ -43,17 +43,15 @@ Tensor matmul_packed(const Tensor& x, const PackedAdaptivFloatTensor& w,
     for (std::int64_t j0 = 0; j0 < n; j0 += detail::kMatmulJTile) {
       const std::int64_t j1 = std::min(n, j0 + detail::kMatmulJTile);
       const std::int64_t jt = j1 - j0;
-      // Decode W[j0:j1, k0:k1) once into a k-major tile. Weight row j is
-      // a contiguous bit run starting at element j*k + k0; its decoded
-      // values go down tile column (j - j0) with stride jt.
-      for (std::int64_t jj = j0; jj < j1; ++jj) {
-        backend.unpack_decode_strided(bytes, nbytes, bits, jj * k + k0,
-                                      k1 - k0, table, tile + (jj - j0), jt);
-      }
+      // Decode W[j0:j1, k0:k1) once into a k-major tile: tile row kk - k0
+      // holds W[j0:j1, kk]. The backend fills it in whole k-rows (the AVX2
+      // entry decodes 8 weight rows x 8 codes in registers and transposes
+      // them); the tile's values, and so the chain below, are the same on
+      // every backend.
+      backend.decode_tile(bytes, nbytes, bits, k, j0, j1, k0, k1, table, tile);
       parallel_for(0, m, detail::kMatmulRowGrain,
                    [&](std::int64_t i0, std::int64_t i1) {
-                     backend.gemm_panel_accumulate(pc + j0, n, pa, k,
-                                                   /*trans_a=*/false, tile, jt,
+                     backend.gemm_panel_accumulate(pc + j0, n, pa, k, tile, jt,
                                                    jt, i0, i1, k0, k1);
                    });
     }

@@ -7,6 +7,7 @@
 // covered there via the resolve_backend(spec, allow_avx2) seam.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -24,6 +25,7 @@
 #include "src/nn/quantized_linear.hpp"
 #include "src/resilience/codec.hpp"
 #include "src/runtime/execution_context.hpp"
+#include "src/tensor/gemm_kernel.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/fault.hpp"
 #include "src/util/parallel.hpp"
@@ -374,18 +376,74 @@ TEST(KernelBackendNumerics, UnpackDecodeBitIdenticalToScalar) {
       EXPECT_EQ(0, std::memcmp(got_s.data(), got_v.data(),
                                got_s.size() * sizeof(float)))
           << "bits=" << bits << " first=" << first;
+    }
+  }
+}
 
-      // Strided variant writes the same values at stride 3.
-      std::vector<float> strided_s(static_cast<std::size_t>(n) * 3, 0.0f);
-      std::vector<float> strided_v(static_cast<std::size_t>(n) * 3, 0.0f);
-      scalar_backend().unpack_decode_strided(bytes.data(), nbytes, bits,
-                                             first, n, table.data(),
-                                             strided_s.data(), 3);
-      avx2->unpack_decode_strided(bytes.data(), nbytes, bits, first, n,
-                                  table.data(), strided_v.data(), 3);
-      EXPECT_EQ(0, std::memcmp(strided_s.data(), strided_v.data(),
-                               strided_s.size() * sizeof(float)))
-          << "bits=" << bits << " first=" << first;
+TEST(KernelBackendNumerics, DecodeTileBitIdenticalToScalar) {
+  // decode_tile fills matmul_packed's k-major tile; the AVX2 entry works in
+  // 8x8 register blocks with a scalar fill for the ragged edges, so the
+  // sweep covers every code path: the byte transpose (8 bits) and the
+  // window reader at every other width, n and k not multiples of 8, a
+  // j-tile tail (n = 65 against 64-column tiles), two k-blocks (k = 300 >
+  // kMatmulKBlock) and one unaligned window. The payload vector is sized
+  // exactly, so a sanitizer build sees any read past its end.
+  const KernelBackend* avx2 = avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  Pcg32 rng(34);
+  const struct {
+    std::int64_t n, k;
+  } shapes[] = {{65, 300}, {64, 264}, {13, 21}, {8, 8}, {3, 5}};
+  for (const int bits : {2, 3, 4, 5, 6, 7, 8, 12, 16}) {
+    std::vector<float> table(std::size_t{1} << bits);
+    for (auto& v : table) v = rng.uniform(-4.0f, 4.0f);
+    for (const auto& sh : shapes) {
+      const std::size_t nbytes =
+          (static_cast<std::size_t>(sh.n * sh.k) * bits + 7) / 8;
+      std::vector<std::uint8_t> bytes(nbytes);
+      for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u32());
+      struct Window {
+        std::int64_t j0, j1, k0, k1;
+      };
+      // matmul_packed's tile walk, plus one window at an odd origin.
+      std::vector<Window> windows;
+      for (std::int64_t k0 = 0; k0 < sh.k; k0 += detail::kMatmulKBlock) {
+        for (std::int64_t j0 = 0; j0 < sh.n; j0 += detail::kMatmulJTile) {
+          windows.push_back({j0, std::min(sh.n, j0 + detail::kMatmulJTile), k0,
+                             std::min(sh.k, k0 + detail::kMatmulKBlock)});
+        }
+      }
+      windows.push_back({sh.n / 3, sh.n, sh.k / 3, sh.k});
+      for (const Window& w : windows) {
+        const std::int64_t jt = w.j1 - w.j0;
+        const std::size_t used = static_cast<std::size_t>(jt * (w.k1 - w.k0));
+        // One spare float past the tile: neither fill may write it.
+        std::vector<float> tile_s(used + 1, -1.0f);
+        std::vector<float> tile_v(used + 1, -1.0f);
+        scalar_backend().decode_tile(bytes.data(), nbytes, bits, sh.k, w.j0,
+                                     w.j1, w.k0, w.k1, table.data(),
+                                     tile_s.data());
+        avx2->decode_tile(bytes.data(), nbytes, bits, sh.k, w.j0, w.j1, w.k0,
+                          w.k1, table.data(), tile_v.data());
+        EXPECT_EQ(0, std::memcmp(tile_s.data(), tile_v.data(),
+                                 tile_s.size() * sizeof(float)))
+            << "bits=" << bits << " n=" << sh.n << " k=" << sh.k
+            << " window j[" << w.j0 << "," << w.j1 << ") k[" << w.k0 << ","
+            << w.k1 << ")";
+        // The scalar tile holds W[j][kk] at row kk - k0, column j - j0.
+        std::vector<float> row(static_cast<std::size_t>(w.k1 - w.k0));
+        for (std::int64_t j = w.j0; j < w.j1; ++j) {
+          unpack_decode_scalar(bytes.data(), nbytes, bits, j * sh.k + w.k0,
+                               w.k1 - w.k0, table.data(), row.data());
+          for (std::int64_t kk = w.k0; kk < w.k1; ++kk) {
+            ASSERT_EQ(row[static_cast<std::size_t>(kk - w.k0)],
+                      tile_s[static_cast<std::size_t>((kk - w.k0) * jt +
+                                                      (j - w.j0))])
+                << "bits=" << bits << " j=" << j << " kk=" << kk;
+          }
+        }
+        EXPECT_EQ(tile_s[used], -1.0f);
+      }
     }
   }
 }

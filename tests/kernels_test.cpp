@@ -7,9 +7,12 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "src/core/adaptivfloat.hpp"
 #include "src/core/bitpack.hpp"
+#include "src/kernels/backend.hpp"
 #include "src/kernels/decode_lut.hpp"
 #include "src/kernels/gemm_packed.hpp"
 #include "src/kernels/nearest_lut.hpp"
@@ -78,6 +81,55 @@ TEST_F(MatmulPacked, ZeroWeightMatrixGivesZeroOutput) {
       PackedAdaptivFloatTensor::quantize_pack(Tensor::zeros({6, 40}), 8, 3);
   const Tensor y = matmul_packed(x, packed);
   for (std::int64_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], 0.0f);
+}
+
+TEST_F(MatmulPacked, ViewEndingAtGuardPageIsNeverOverread) {
+  // Served weights are zero-copy views into a mapped snapshot, where a read
+  // past the payload's last byte can fault. Place each payload so it ends
+  // exactly at a page boundary with a PROT_NONE page after it: any
+  // over-read in the tile fill crashes the test, in Release builds too.
+  // n = 64, k = 264 ends the payload inside a whole 8x8 block (the vector
+  // fill's last load); n = 65, k = 300 ends it in the ragged edge.
+  const long page = sysconf(_SC_PAGESIZE);
+  ASSERT_GT(page, 0);
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
+  Pcg32 rng(103);
+  const struct {
+    std::int64_t n, k;
+  } shapes[] = {{64, 264}, {65, 300}};
+  for (int bits = 2; bits <= 16; ++bits) {
+    const int exp_bits = bits == 2 ? 1 : (bits <= 4 ? 2 : 3);
+    for (const auto& sh : shapes) {
+      const Tensor x = Tensor::randn({5, sh.k}, rng);
+      const auto owned = PackedAdaptivFloatTensor::quantize_pack(
+          Tensor::randn({sh.n, sh.k}, rng, 0.5f), bits, exp_bits);
+      const std::size_t len = owned.payload_bytes();
+      const std::size_t body =
+          (len + static_cast<std::size_t>(page) - 1) /
+          static_cast<std::size_t>(page) * static_cast<std::size_t>(page);
+      const std::size_t total = body + static_cast<std::size_t>(page);
+      void* map = mmap(nullptr, total, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      ASSERT_NE(map, MAP_FAILED);
+      auto* base = static_cast<std::uint8_t*>(map);
+      std::uint8_t* payload = base + body - len;
+      std::memcpy(payload, owned.data(), len);
+      ASSERT_EQ(0, mprotect(base + body, static_cast<std::size_t>(page),
+                            PROT_NONE));
+      {
+        const auto view = PackedAdaptivFloatTensor::view(
+            owned.format(), owned.shape(), payload, len, nullptr);
+        for (const KernelBackend* be : backends) {
+          EXPECT_TRUE(bit_equal(matmul_packed(x, owned, *be),
+                                matmul_packed(x, view, *be)))
+              << be->name << " bits=" << bits << " n=" << sh.n
+              << " k=" << sh.k;
+        }
+      }
+      munmap(map, total);
+    }
+  }
 }
 
 // ----- bitpack LUT unpack --------------------------------------------------
