@@ -18,6 +18,10 @@
 //   micro_session           — timing table at 1 and 4 threads, writes
 //                             BENCH_session.json (ms, digests, steady-state
 //                             alloc counts, arena peak bytes).
+//                             It also times the served MLP's protected
+//                             forward piece by piece (served_mlp_split):
+//                             mlp_serve's shapes at M = 64, per backend,
+//                             1 thread.
 //   micro_session --verify  — prints legacy/session digests and the
 //                             steady-state alloc count under the *current*
 //                             AF_THREADS setting; CI diffs this across
@@ -29,11 +33,13 @@
 #include <string>
 #include <vector>
 
+#include "src/kernels/backend.hpp"
 #include "src/kernels/gemm_packed.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/linear.hpp"
 #include "src/nn/lstm.hpp"
 #include "src/nn/quantized_linear.hpp"
+#include "src/resilience/abft.hpp"
 #include "src/resilience/guard.hpp"
 #include "src/runtime/execution_context.hpp"
 #include "src/runtime/session.hpp"
@@ -263,6 +269,123 @@ struct Measurement {
   std::int64_t steady_allocs;
 };
 
+// ----- the served MLP, piece by piece --------------------------------------
+//
+// perfbench's mlp_serve model (128 -> 256 -> 32, AF<8,3> weights) at its
+// largest batch, M = 64 rows, one thread. Each piece of the protected
+// forward runs alone, outside a session: the two packed products, the
+// ReLU, the ABFT predicted sums and actual sums of both layers, and the
+// guard's scan of both outputs; the two whole forwards run in sessions,
+// as the server runs them. Microseconds per call, per backend.
+struct SplitRow {
+  const char* name;
+  double fc1_product, activation, fc2_product, predicted_sums, actual_sums,
+      guard_scan, forward_fast, forward_protected;
+};
+
+double us_per_call(const std::function<void()>& fn) {
+  constexpr int kCalls = 200;
+  return time_ms(
+             [&] {
+               for (int c = 0; c < kCalls; ++c) fn();
+             },
+             9) *
+         1e3 / kCalls;
+}
+
+SplitRow time_served_split(const KernelBackend& be) {
+  constexpr std::int64_t kIn = 128, kHidden = 256, kOut = 32, kRows = 64;
+  auto model = std::make_shared<QuantMlp>(71, kIn, kHidden, kOut);
+  const QuantizedLinear& q1 = model->q1;
+  const QuantizedLinear& q2 = model->q2;
+  const AbftWeightSums ws1 = abft_weight_sums(q1.decoded_weight(), true);
+  const AbftWeightSums ws2 = abft_weight_sums(q2.decoded_weight(), true);
+  const Tensor x = random_input({kRows, kIn}, 72);
+
+  const ScopedKernelBackend pin(be);
+  ExecutionContext infer;
+  ReLU relu;
+  const LayerGuard guard("mlp",
+                         GuardConfig{RecoveryPolicy::kDegradeToZero, 1, 0.0f});
+  Tensor y1 = matmul_packed(x, q1.packed_weight(), be);
+  add_row_bias_inplace(y1, q1.bias());
+  const Tensor h = relu.forward(y1, infer);
+  Tensor y2 = matmul_packed(h, q2.packed_weight(), be);
+  add_row_bias_inplace(y2, q2.bias());
+
+  auto forward_us = [&](ResiliencePolicy policy) {
+    SessionConfig cfg;
+    cfg.ctx.resilience = policy;
+    cfg.ctx.backend = &be;
+    InferenceSession session(
+        [model](const Tensor& in, ExecutionContext& ctx) {
+          return model->forward(in, ctx);
+        },
+        cfg);
+    session.run(x);  // planning pass
+    return us_per_call([&] { session.run(x); });
+  };
+
+  SplitRow row{be.name, 0, 0, 0, 0, 0, 0, 0, 0};
+  row.fc1_product =
+      us_per_call([&] { matmul_packed(x, q1.packed_weight(), be); });
+  row.activation = us_per_call([&] { relu.forward(y1, infer); });
+  row.fc2_product =
+      us_per_call([&] { matmul_packed(h, q2.packed_weight(), be); });
+  row.predicted_sums = us_per_call([&] {
+    abft_predicted_sums(x, q1.decoded_weight(), true, ws1, &be);
+    abft_predicted_sums(h, q2.decoded_weight(), true, ws2, &be);
+  });
+  row.actual_sums = us_per_call([&] {
+    abft_actual_sums(y1);
+    abft_actual_sums(y2);
+  });
+  row.guard_scan = us_per_call([&] {
+    guard.apply(y1, nullptr);
+    guard.apply(y2, nullptr);
+  });
+  row.forward_fast = forward_us(ResiliencePolicy::kNone);
+  row.forward_protected = forward_us(ResiliencePolicy::kAbftGuard);
+  return row;
+}
+
+void append_served_split(std::string& json) {
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
+  set_num_threads(1);
+  TextTable table("served_mlp_split: mlp_serve's protected forward by piece "
+                  "(128-256-32, AF<8,3>, M = 64, 1 thread, us per call)");
+  table.set_header({"Backend", "fc1 product", "ReLU", "fc2 product",
+                    "pred sums", "actual sums", "guard scan", "fwd fast",
+                    "fwd protected"});
+  json += "  \"served_mlp_split\": [\n";
+  for (std::size_t b = 0; b < backends.size(); ++b) {
+    const SplitRow r = time_served_split(*backends[b]);
+    table.add_row({r.name, fmt_fixed(r.fc1_product, 2),
+                   fmt_fixed(r.activation, 2), fmt_fixed(r.fc2_product, 2),
+                   fmt_fixed(r.predicted_sums, 2),
+                   fmt_fixed(r.actual_sums, 2), fmt_fixed(r.guard_scan, 2),
+                   fmt_fixed(r.forward_fast, 2),
+                   fmt_fixed(r.forward_protected, 2)});
+    char buf[512];
+    std::snprintf(
+        buf, sizeof(buf),
+        "    {\"backend\": \"%s\", \"m\": 64, \"fc1_product_us\": %.3f, "
+        "\"activation_us\": %.3f, \"fc2_product_us\": %.3f, "
+        "\"predicted_sums_us\": %.3f, \"actual_sums_us\": %.3f, "
+        "\"guard_scan_us\": %.3f, \"forward_fast_us\": %.3f, "
+        "\"forward_protected_us\": %.3f}%s\n",
+        r.name, r.fc1_product, r.activation, r.fc2_product, r.predicted_sums,
+        r.actual_sums, r.guard_scan, r.forward_fast, r.forward_protected,
+        b + 1 < backends.size() ? "," : "");
+    json += buf;
+  }
+  json += "  ]\n";
+  set_num_threads(0);
+  table.print();
+  std::printf("\n");
+}
+
 int run_bench(const char* json_path) {
   bool all_ok = true;
   std::string json = "  \"bench\": \"micro_session\",\n  \"cases\": [\n";
@@ -327,10 +450,11 @@ int run_bench(const char* json_path) {
     json += "      ]\n";
     json += ci + 1 < cases.size() ? "    },\n" : "    }\n";
   }
-  json += "  ]\n";
+  json += "  ],\n";
 
   table.print();
   std::printf("\n");
+  append_served_split(json);
   const bool wrote = bench::write_artifact(json_path, json);
 
   if (!all_ok) {

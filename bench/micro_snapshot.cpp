@@ -21,7 +21,13 @@
 //                              under the current AF_THREADS; CI diffs this
 //                              across thread counts. Exits nonzero on any
 //                              bit-equality or repair-exactness violation.
+// Both modes write their image to $TMPDIR/micro_snapshot_<pid>.afsnap
+// (TMPDIR defaults to /tmp) and remove it when they return, so concurrent
+// runs never share a file.
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,7 +54,21 @@ constexpr std::int64_t kIn = 256, kHidden = 512, kOut = 64;
 constexpr std::uint64_t kSeed = 61;
 constexpr int kReps = 3;
 
-const char* scratch_path() { return "micro_snapshot_scratch.afsnap"; }
+// This process's own scratch image under $TMPDIR (default /tmp): the pid
+// keeps concurrent runs from overwriting each other's campaign file.
+const char* scratch_path() {
+  static const std::string path = [] {
+    const char* dir = std::getenv("TMPDIR");
+    return std::string(dir != nullptr && *dir != '\0' ? dir : "/tmp") +
+           "/micro_snapshot_" + std::to_string(getpid()) + ".afsnap";
+  }();
+  return path.c_str();
+}
+
+// Removes the scratch image when a mode returns or unwinds.
+struct ScratchFile {
+  ~ScratchFile() { std::remove(scratch_path()); }
+};
 
 struct Fp32Source {
   Linear fc1;
@@ -128,6 +148,7 @@ struct Fixture {
 };
 
 int run_verify_only() {
+  ScratchFile scratch;
   Fixture f;
   const Tensor x = bench_input();
   const std::uint64_t rebuilt = rebuild_and_forward(f.src, x);
@@ -158,7 +179,6 @@ int run_verify_only() {
                  row.r.failed_closed ==
              row.r.trials;
   }
-  std::remove(scratch_path());
   if (!ok) {
     std::fprintf(stderr,
                  "micro_snapshot: bit-equality or repair-exactness "
@@ -169,6 +189,7 @@ int run_verify_only() {
 }
 
 int run_bench(const char* json_path) {
+  ScratchFile scratch;
   Fixture f;
   const Tensor x = bench_input();
 
@@ -252,7 +273,6 @@ int run_bench(const char* json_path) {
   json += "  ]\n";
 
   const bool wrote = bench::write_artifact(json_path, json);
-  std::remove(scratch_path());
 
   if (!boot_equal || !campaigns_ok) {
     std::fprintf(stderr,

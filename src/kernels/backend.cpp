@@ -98,6 +98,39 @@ void scalar_attend_row(const float* q, const AttendOperand& k,
   }
 }
 
+// The reference checksum chains: four rows advance together, sharing each
+// y load, and every output keeps the bits of its own plain loop.
+template <int W>
+void checksum_chains(const float* rows, std::int64_t ld, std::int64_t k,
+                     const double* y, const double* yabs, double* out,
+                     double* mag) {
+  double s[W] = {}, g[W] = {};
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    for (int w = 0; w < W; ++w) {
+      const double x = rows[w * ld + kk];
+      s[w] += x * y[kk];
+      g[w] += std::fabs(x) * yabs[kk];
+    }
+  }
+  for (int w = 0; w < W; ++w) {
+    out[w] = s[w];
+    mag[w] = g[w];
+  }
+}
+
+void scalar_checksum_dot_rows(const float* rows, std::int64_t ld,
+                              std::int64_t count, std::int64_t k,
+                              const double* y, const double* yabs, double* out,
+                              double* mag) {
+  std::int64_t o = 0;
+  for (; o + 4 <= count; o += 4) {
+    checksum_chains<4>(rows + o * ld, ld, k, y, yabs, out + o, mag + o);
+  }
+  for (; o < count; ++o) {
+    checksum_chains<1>(rows + o * ld, ld, k, y, yabs, out + o, mag + o);
+  }
+}
+
 const KernelBackend kScalarBackend = {
     "scalar",
     BackendKind::kScalar,
@@ -107,6 +140,7 @@ const KernelBackend kScalarBackend = {
     &scalar_decode_tile,
     &scalar_nearest_indices,
     &scalar_attend_row,
+    &scalar_checksum_dot_rows,
 };
 
 // ----- selection -----------------------------------------------------------

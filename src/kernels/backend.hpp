@@ -24,6 +24,9 @@
 //    each key's double dot ascending in d, the shared softmax, each
 //    output's float mix ascending in keys — so it is bit-identical across
 //    backends too; decoding packed K/V codes is an exact table lookup.
+//  * The ABFT checksum chains (`checksum_dot_rows`) run the scalar double
+//    chain — one rounded multiply, then one rounded add, per k ascending —
+//    in every lane, so they are bit-identical across backends as well.
 //  * The AVX2 panel GEMM accumulates with FMA (one rounding per
 //    multiply-add instead of two), so cross-backend bit-equality is NOT
 //    promised there — divergence is bounded by kGemmBackendUlpTol and
@@ -137,6 +140,16 @@ struct KernelBackend {
                      const AttendOperand& v, std::int64_t len,
                      std::int64_t visible, std::int64_t d_head,
                      float inv_sqrt_dh, float* srow, float* crow);
+
+  /// The ABFT checksum chains (DESIGN.md §8.1): for each of `count` fp32
+  /// rows, row o at rows + o * ld, out[o] = sum_kk x * y[kk] and mag[o] =
+  /// sum_kk |x| * yabs[kk] with x = double(row o[kk]), each one chain from
+  /// 0.0 ascending over kk < k with a rounded multiply then a rounded add.
+  /// Bit-identical across backends.
+  void (*checksum_dot_rows)(const float* rows, std::int64_t ld,
+                            std::int64_t count, std::int64_t k,
+                            const double* y, const double* yabs, double* out,
+                            double* mag);
 };
 
 /// Documented cross-backend tolerance for the FMA panel GEMM, in ULPs *at the

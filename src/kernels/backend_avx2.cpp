@@ -4,7 +4,7 @@
 // not be entered unless cpu_supports_avx2() returned true (backend.cpp
 // guards that). It is also compiled with -ffp-contract=off: every FMA here
 // is written out (_mm256_fmadd_ps, std::fmaf), and the dot-rows kernel's
-// separate multiply and add must not be fused behind its back. Six
+// separate multiply and add must not be fused behind its back. Seven
 // primitives:
 //
 //  * gemm_panel_accumulate — register-blocked FMA accumulation: 4-row ×
@@ -39,6 +39,10 @@
 //    decoded in-register: scores 8 keys at a time across double lanes
 //    (exact-product FMA), the shared scalar softmax, then the V mix across
 //    8 float lanes of d. Bit-identical to the scalar backend.
+//  * checksum_dot_rows — the ABFT checksum chains, one output row per double
+//    lane: 4 k of 8 rows widened with cvtps_pd and transposed 4x4 in
+//    registers, then a multiply and a separate add per step, so each lane
+//    runs the scalar chain exactly. Bit-identical to the scalar backend.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -589,6 +593,69 @@ void avx2_attend_row(const float* q, const AttendOperand& k,
   }
 }
 
+// ----- ABFT checksum chains ------------------------------------------------
+
+// Floats [0, 4) of the four rows p, p + ld, p + 2ld, p + 3ld, widened to
+// doubles and transposed: on return col[u] = (r0[u], r1[u], r2[u], r3[u]).
+inline void load_cols4d(const float* p, std::int64_t ld, __m256d col[4]) {
+  __m256d r[4];
+  for (int t = 0; t < 4; ++t) r[t] = _mm256_cvtps_pd(_mm_loadu_ps(p + t * ld));
+  const __m256d t0 = _mm256_unpacklo_pd(r[0], r[1]);  // r0[0] r1[0] r0[2] r1[2]
+  const __m256d t1 = _mm256_unpackhi_pd(r[0], r[1]);  // r0[1] r1[1] r0[3] r1[3]
+  const __m256d t2 = _mm256_unpacklo_pd(r[2], r[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(r[2], r[3]);
+  col[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  col[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  col[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  col[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+// Eight rows at a time, rows o..o+3 in the lo lanes and o+4..o+7 in the hi
+// lanes, each lane's chain the scalar one: k ascending, x * y rounded, then
+// added. The k % 4 tail and the count % 8 rows continue in scalar.
+void avx2_checksum_dot_rows(const float* rows, std::int64_t ld,
+                            std::int64_t count, std::int64_t k,
+                            const double* y, const double* yabs, double* out,
+                            double* mag) {
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+  const std::int64_t k4 = k - k % 4;
+  std::int64_t o = 0;
+  for (; o + 8 <= count; o += 8) {
+    const float* p = rows + o * ld;
+    __m256d s_lo = _mm256_setzero_pd(), s_hi = _mm256_setzero_pd();
+    __m256d g_lo = _mm256_setzero_pd(), g_hi = _mm256_setzero_pd();
+    for (std::int64_t kk = 0; kk < k4; kk += 4) {
+      __m256d lo[4], hi[4];
+      load_cols4d(p + kk, ld, lo);
+      load_cols4d(p + 4 * ld + kk, ld, hi);
+      for (int u = 0; u < 4; ++u) {
+        const __m256d yv = _mm256_set1_pd(y[kk + u]);
+        const __m256d av = _mm256_set1_pd(yabs[kk + u]);
+        s_lo = _mm256_add_pd(s_lo, _mm256_mul_pd(lo[u], yv));
+        s_hi = _mm256_add_pd(s_hi, _mm256_mul_pd(hi[u], yv));
+        g_lo = _mm256_add_pd(
+            g_lo, _mm256_mul_pd(_mm256_and_pd(lo[u], abs_mask), av));
+        g_hi = _mm256_add_pd(
+            g_hi, _mm256_mul_pd(_mm256_and_pd(hi[u], abs_mask), av));
+      }
+    }
+    _mm256_storeu_pd(out + o, s_lo);
+    _mm256_storeu_pd(out + o + 4, s_hi);
+    _mm256_storeu_pd(mag + o, g_lo);
+    _mm256_storeu_pd(mag + o + 4, g_hi);
+    for (int t = 0; t < 8; ++t) {
+      for (std::int64_t kk = k4; kk < k; ++kk) {
+        const double x = p[t * ld + kk];
+        out[o + t] += x * y[kk];
+        mag[o + t] += std::fabs(x) * yabs[kk];
+      }
+    }
+  }
+  scalar_backend().checksum_dot_rows(rows + o * ld, ld, count - o, k, y, yabs,
+                                     out + o, mag + o);
+}
+
 // ----- NearestLut boundary search ------------------------------------------
 
 void avx2_nearest_indices(const NearestLutView& lut, const float* x,
@@ -664,6 +731,7 @@ const KernelBackend kAvx2Backend = {
     &avx2_decode_tile,
     &avx2_nearest_indices,
     &avx2_attend_row,
+    &avx2_checksum_dot_rows,
 };
 
 }  // namespace

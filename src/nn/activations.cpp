@@ -7,9 +7,20 @@
 
 namespace af {
 
+namespace {
+
+// The loop behind every final activation's map: A is final, so a.f is a
+// direct call the compiler inlines (and, for ReLU, vectorizes).
+template <class A>
+void map_each(const A& a, const float* x, float* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = a.f(x[i]);
+}
+
+}  // namespace
+
 Tensor Activation::forward(const Tensor& x, ExecutionContext& ctx) {
   Tensor y(x.shape());
-  for (std::int64_t i = 0; i < x.numel(); ++i) y[i] = f(x[i]);
+  map(x.data(), y.data(), x.numel());
   if (ctx.training) cache_.push_back({x, y});
   return y;
 }
@@ -63,5 +74,18 @@ float sigmoid_value(float x) {
 }
 
 float tanh_value(float x) { return std::tanh(x); }
+
+void ReLU::map(const float* x, float* y, std::int64_t n) const {
+  map_each(*this, x, y, n);
+}
+void GELU::map(const float* x, float* y, std::int64_t n) const {
+  map_each(*this, x, y, n);
+}
+void Tanh::map(const float* x, float* y, std::int64_t n) const {
+  map_each(*this, x, y, n);
+}
+void Sigmoid::map(const float* x, float* y, std::int64_t n) const {
+  map_each(*this, x, y, n);
+}
 
 }  // namespace af

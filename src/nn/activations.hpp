@@ -18,8 +18,14 @@ class Activation : public Module {
     return static_cast<std::int64_t>(cache_.size());
   }
 
- protected:
+  /// f of one element: forward's output equals it bit for bit.
   virtual float f(float x) const = 0;
+
+ protected:
+  /// y[i] = f(x[i]) for i < n. Each final activation runs its own f in a
+  /// plain loop, where the call is direct and inlines, so forward costs
+  /// one virtual call per tensor rather than one per element.
+  virtual void map(const float* x, float* y, std::int64_t n) const = 0;
   /// df/dx given the input x and the already-computed output y.
   virtual float df(float x, float y) const = 0;
 
@@ -31,30 +37,42 @@ class Activation : public Module {
   std::vector<Cache> cache_;
 };
 
-/// max(0, x).
+/// max(0, x), written x > 0 ? x : 0, so NaN and -0 both map to +0.
 class ReLU final : public Activation {
- protected:
+ public:
   float f(float x) const override;
+
+ protected:
+  void map(const float* x, float* y, std::int64_t n) const override;
   float df(float x, float y) const override;
 };
 
 /// Gaussian error linear unit, tanh approximation (as used in Transformer
 /// FFNs): 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
 class GELU final : public Activation {
- protected:
+ public:
   float f(float x) const override;
+
+ protected:
+  void map(const float* x, float* y, std::int64_t n) const override;
   float df(float x, float y) const override;
 };
 
 class Tanh final : public Activation {
- protected:
+ public:
   float f(float x) const override;
+
+ protected:
+  void map(const float* x, float* y, std::int64_t n) const override;
   float df(float x, float y) const override;
 };
 
 class Sigmoid final : public Activation {
- protected:
+ public:
   float f(float x) const override;
+
+ protected:
+  void map(const float* x, float* y, std::int64_t n) const override;
   float df(float x, float y) const override;
 };
 

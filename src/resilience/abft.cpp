@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "src/kernels/backend.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/parallel.hpp"
 
@@ -14,6 +15,7 @@ namespace {
 // Chunk grains of the checksum passes. Like the matmul grains these are part
 // of the determinism contract: fixed, never derived from the thread count.
 constexpr std::int64_t kRowGrain = 16;
+constexpr std::int64_t kColGrain = 256;  // B columns per axpy-walk chunk
 
 std::uint32_t float_bits(float v) {
   std::uint32_t bits = 0;
@@ -29,17 +31,6 @@ void check_rank2(const Tensor& t, const char* name) {
   AF_CHECK(t.rank() == 2,
            std::string(name) + " must be rank-2, got " + shape_str(t.shape()));
 }
-
-// Element accessor of a row-major matrix, transposed when `trans` is set:
-// A is always read plain, op(B) in either layout.
-struct MatView {
-  const float* p;
-  std::int64_t ld;
-  bool trans;
-  float operator()(std::int64_t r, std::int64_t c) const {
-    return trans ? p[c * ld + r] : p[r * ld + c];
-  }
-};
 
 // Offers every freshly computed output value to the hook as a 32-bit
 // accumulator register (the FP32 image *is* the writeback register of the
@@ -73,44 +64,21 @@ void AbftReport::merge(const AbftReport& other) {
 
 namespace {
 
-// out[o + w] = sum_kk v(o + w, kk) * y[kk] and mag[o + w] = sum_kk
-// |v(o + w, kk)| * yabs[kk] for w < W: W independent ascending-kk chains
-// sharing each y load, so every output has the bits of its own plain loop.
-template <int W, typename View>
-void dot_chains(const View& v, const double* y, const double* yabs,
-                std::int64_t k, std::int64_t o, double* out, double* mag) {
-  double s[W] = {}, g[W] = {};
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    for (int w = 0; w < W; ++w) {
-      const double x = v(o + w, kk);
-      s[w] += x * y[kk];
-      g[w] += std::fabs(x) * yabs[kk];
-    }
-  }
-  for (int w = 0; w < W; ++w) {
-    out[o + w] = s[w];
-    mag[o + w] = g[w];
-  }
-}
-
-// dot_chains over every output in [0, count), four at a time.
-template <typename View>
-void predict_sums(const View& v, const double* y, const double* yabs,
-                  std::int64_t count, std::int64_t k, std::vector<double>& out,
-                  std::vector<double>& mag) {
+// out[o] and mag[o] for the `count` fp32 rows at p (row stride ld) against
+// y / yabs: the backend's checksum chains, one call per row chunk.
+void checksum_rows(const KernelBackend& be, const float* p, std::int64_t ld,
+                   std::int64_t count, std::int64_t k, const double* y,
+                   const double* yabs, std::vector<double>& out,
+                   std::vector<double>& mag) {
   out.assign(static_cast<std::size_t>(count), 0.0);
   mag.assign(static_cast<std::size_t>(count), 0.0);
   parallel_for(0, count, kRowGrain, [&](std::int64_t o0, std::int64_t o1) {
-    std::int64_t o = o0;
-    for (; o + 4 <= o1; o += 4) {
-      dot_chains<4>(v, y, yabs, k, o, out.data(), mag.data());
-    }
-    for (; o < o1; ++o) dot_chains<1>(v, y, yabs, k, o, out.data(), mag.data());
+    be.checksum_dot_rows(p + o0 * ld, ld, o1 - o0, k, y, yabs,
+                         out.data() + o0, mag.data() + o0);
   });
 }
 
 }  // namespace
-
 
 AlgebraicSums abft_actual_sums(const Tensor& c) {
   check_rank2(c, "abft_actual_sums");
@@ -171,7 +139,9 @@ AbftWeightSums abft_weight_sums(const Tensor& b, bool trans_b) {
   check_rank2(b, "abft b");
   const std::int64_t k = trans_b ? b.dim(1) : b.dim(0);
   const std::int64_t n = trans_b ? b.dim(0) : b.dim(1);
-  const MatView vb{b.data(), b.dim(1), trans_b};
+  // op(B)[kk][j] sits at b.data() + kk * skk + j * sj.
+  const std::int64_t ld = b.dim(1);
+  const std::int64_t skk = trans_b ? 1 : ld, sj = trans_b ? ld : 1;
   AbftWeightSums ws;
   ws.sum.assign(static_cast<std::size_t>(k), 0.0);
   ws.abs.assign(static_cast<std::size_t>(k), 0.0);
@@ -179,7 +149,7 @@ AbftWeightSums abft_weight_sums(const Tensor& b, bool trans_b) {
     for (std::int64_t kk = k0; kk < k1; ++kk) {
       double s = 0.0, sa = 0.0;
       for (std::int64_t j = 0; j < n; ++j) {
-        const double v = vb(kk, j);
+        const double v = b.data()[kk * skk + j * sj];
         s += v;
         sa += std::fabs(v);
       }
@@ -192,7 +162,8 @@ AbftWeightSums abft_weight_sums(const Tensor& b, bool trans_b) {
 
 PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
                                   bool trans_b,
-                                  const AbftWeightSums& weight_sums) {
+                                  const AbftWeightSums& weight_sums,
+                                  const KernelBackend* backend) {
   check_rank2(a, "abft a");
   check_rank2(b, "abft b");
   const std::int64_t m = a.dim(0);
@@ -203,31 +174,53 @@ PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
   AF_CHECK(weight_sums.sum.size() == static_cast<std::size_t>(k) &&
                weight_sums.abs.size() == static_cast<std::size_t>(k),
            "abft weight sums do not match the inner dimension");
-  const MatView va{a.data(), k, false};
-  const MatView vb{b.data(), b.dim(1), trans_b};
 
   // asum[kk] = sum_i A[i][kk] and its magnitude analogue. Rows are the
-  // outer loop, so a chunk's k entries advance as independent chains, each
-  // still adding the rows in ascending order.
+  // outer loop, so a chunk's k entries advance as independent chains (the
+  // inner loop vectorizes across kk), each still adding the rows in
+  // ascending order.
   std::vector<double> asum(static_cast<std::size_t>(k), 0.0);
   std::vector<double> aabs(static_cast<std::size_t>(k), 0.0);
   parallel_for(0, k, kRowGrain, [&](std::int64_t k0, std::int64_t k1) {
     for (std::int64_t i = 0; i < m; ++i) {
+      const float* arow = a.data() + i * k;
       for (std::int64_t kk = k0; kk < k1; ++kk) {
-        const double v = va(i, kk);
+        const double v = arow[kk];
         asum[static_cast<std::size_t>(kk)] += v;
         aabs[static_cast<std::size_t>(kk)] += std::fabs(v);
       }
     }
   });
 
-  // pred.row from A's rows against bsum, pred.col from op(B)'s columns
-  // against asum, four outputs per loop.
+  // pred.row: A's rows against bsum. pred.col: op(B)'s columns against
+  // asum — W's rows under trans_b, both through the backend's checksum
+  // chains; otherwise an axpy walk down B's rows, which still gives each
+  // column one chain ascending in kk.
+  const KernelBackend& be =
+      backend != nullptr ? *backend : active_backend();
+  count_backend_dispatch(be);
   PredictedSums pred;
-  predict_sums(va, weight_sums.sum.data(), weight_sums.abs.data(), m, k,
-               pred.row, pred.row_mag);
-  predict_sums([&](std::int64_t j, std::int64_t kk) { return vb(kk, j); },
-               asum.data(), aabs.data(), n, k, pred.col, pred.col_mag);
+  checksum_rows(be, a.data(), k, m, k, weight_sums.sum.data(),
+                weight_sums.abs.data(), pred.row, pred.row_mag);
+  if (trans_b) {
+    checksum_rows(be, b.data(), k, n, k, asum.data(), aabs.data(), pred.col,
+                  pred.col_mag);
+  } else {
+    pred.col.assign(static_cast<std::size_t>(n), 0.0);
+    pred.col_mag.assign(static_cast<std::size_t>(n), 0.0);
+    parallel_for(0, n, kColGrain, [&](std::int64_t j0, std::int64_t j1) {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float* brow = b.data() + kk * n;
+        const double y = asum[static_cast<std::size_t>(kk)];
+        const double yabs = aabs[static_cast<std::size_t>(kk)];
+        for (std::int64_t j = j0; j < j1; ++j) {
+          const double x = brow[j];
+          pred.col[static_cast<std::size_t>(j)] += x * y;
+          pred.col_mag[static_cast<std::size_t>(j)] += std::fabs(x) * yabs;
+        }
+      }
+    });
+  }
   return pred;
 }
 
@@ -284,7 +277,7 @@ Tensor abft_checked_product(const Tensor& a, const Tensor& b, bool trans_b,
                             AbftReport* report, PeFaultHook* mac_hook) {
   AF_CHECK(cfg.max_recomputes >= 0, "negative recompute budget");
   const PredictedSums pred =
-      abft_predicted_sums(a, b, trans_b, weight_sums);
+      abft_predicted_sums(a, b, trans_b, weight_sums, cfg.backend);
   const std::int64_t m = a.dim(0);
   const std::int64_t k = a.dim(1);
   const std::int64_t n = trans_b ? b.dim(0) : b.dim(1);

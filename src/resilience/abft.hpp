@@ -35,11 +35,16 @@
 
 namespace af {
 
+struct KernelBackend;
+
 /// Recovery configuration of one guarded GEMM site.
 struct AbftConfig {
   RecoveryPolicy policy = RecoveryPolicy::kDegradeToZero;
   int max_recomputes = 2;  ///< full-recompute retry budget per multiply
   std::string layer = "abft_matmul";  ///< site name carried into FaultError
+  /// Backend of the checksum chains; nullptr = active_backend(). Every
+  /// backend computes the same bits, so this moves speed only.
+  const KernelBackend* backend = nullptr;
 };
 
 /// What the guarded multiplies observed and did. Counters sum across calls
@@ -85,10 +90,14 @@ struct PredictedSums {
   std::vector<double> row_mag;  ///< sum_j sum_k |a||b| per row
   std::vector<double> col_mag;  ///< sum_i sum_k |a||b| per column
 };
-/// `weight_sums` must be abft_weight_sums(b, trans_b).
+/// `weight_sums` must be abft_weight_sums(b, trans_b). Each sum is one
+/// double chain ascending in k (DESIGN.md §8.1); A's rows, and W's rows
+/// under trans_b, run on `backend`'s checksum_dot_rows (nullptr =
+/// active_backend()), bit-identical on every backend.
 PredictedSums abft_predicted_sums(const Tensor& a, const Tensor& b,
                                   bool trans_b,
-                                  const AbftWeightSums& weight_sums);
+                                  const AbftWeightSums& weight_sums,
+                                  const KernelBackend* backend = nullptr);
 
 /// The product a checked multiply verifies. Called as product(a) for all
 /// of C, and as product(row) with one row of A ([1, k]) to repair a single

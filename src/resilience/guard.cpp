@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "src/numerics/quantizer.hpp"
@@ -41,10 +42,29 @@ std::int64_t LayerGuard::apply(Tensor& t, ResilienceReport* report) const {
   };
   const float bound = cfg_.range_limit;
   const RecoveryPolicy policy = cfg_.policy;
+  // Every value the scan below flags has magnitude bits above lim's: NaN
+  // and ±Inf compare above any finite limit as integers, and a finite value
+  // exceeds a positive bound exactly when its magnitude bits do. Without a
+  // finite positive bound (0, negative, +inf or NaN: no range excess to
+  // find) the limit is FLT_MAX, leaving only the non-finite values.
+  const float lim = bound > 0.0f && bound <= std::numeric_limits<float>::max()
+                        ? bound
+                        : std::numeric_limits<float>::max();
+  std::int32_t lim_bits = 0;
+  std::memcpy(&lim_bits, &lim, sizeof(lim_bits));
   const Stats total = parallel_reduce(
       0, t.numel(), kScanGrain, Stats{},
       [&](std::int64_t i0, std::int64_t i1) {
         Stats s;
+        // Branch-free pre-check: a clean chunk skips the per-element walk.
+        const float* p = t.data();
+        std::int32_t over = 0;
+        for (std::int64_t i = i0; i < i1; ++i) {
+          std::int32_t u = 0;
+          std::memcpy(&u, p + i, sizeof(u));
+          over |= (u & 0x7fffffff) > lim_bits;
+        }
+        if (over == 0) return s;
         for (std::int64_t i = i0; i < i1; ++i) {
           const float v = t[i];
           const bool nonfinite = !std::isfinite(v);

@@ -80,9 +80,10 @@ struct ExecutionContext {
   /// AbftConfig for a guarded GEMM at `site`. When a guard is installed,
   /// its policy/rerun budget/layer name drive the checksummed multiply —
   /// exactly how the deleted guarded_forward(QuantizedLinear) composed the
-  /// two mechanisms.
+  /// two mechanisms. The checksum chains run on this context's backend pin.
   AbftConfig abft_config(const std::string& site) const {
     AbftConfig cfg;
+    cfg.backend = backend;
     if (guard != nullptr) {
       cfg.policy = guard->config().policy;
       cfg.max_recomputes = guard->config().max_reruns;

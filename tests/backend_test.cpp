@@ -128,7 +128,8 @@ TEST(KernelBackendDispatch, LinearDotPathFollowsContextPin) {
   // Every fp32 x*W^T a layer runs is matmul's dot chain on the context's
   // backend, at any row count: exactly one dispatch per product, and the
   // ambient backend's counter stays flat under a pin. Rounds: Linear at
-  // m = 3 and m = 9 and under ABFT, and LstmCell (two products: x*Wx^T and
+  // m = 3 and m = 9 and under ABFT (whose checksum chains are a second
+  // dispatch on the pinned backend), and LstmCell (two products: x*Wx^T and
   // h*Wh^T). The last two run at m = 3, so they probe the pin itself, not
   // only the row count.
   Pcg32 rng(9);
@@ -152,7 +153,7 @@ TEST(KernelBackendDispatch, LinearDotPathFollowsContextPin) {
        [&](ExecutionContext& ctx) {
          return std::vector<Tensor>{fc.forward(x9, ctx)};
        }},
-      {"Linear ABFT m=3", 1,
+      {"Linear ABFT m=3", 2,
        [&](ExecutionContext& ctx) {
          return std::vector<Tensor>{fc.forward(x3, ctx)};
        },
@@ -344,6 +345,74 @@ TEST(KernelBackendNumerics, DotRowsBitIdenticalToScalar) {
     EXPECT_GT(nan_outputs, 0);
     EXPECT_LT(2 * nan_outputs, outputs);
   }
+}
+
+TEST(KernelBackendNumerics, ChecksumDotRowsBitIdenticalToScalar) {
+  // The ABFT checksum chains run the scalar double chain in every lane:
+  // bit-equal outputs, no tolerance. The shapes cover the AVX2 entry's
+  // 8-row blocks with their count % 8 rows (count = 1, 7, 8, 9, 33, 256)
+  // and its 4-k transposes with their k % 4 tail (k = 1, 3, 4, 127, 256).
+  // Rows sit ld = k + 3 apart, and every buffer is sized exactly, so an
+  // over-read past the last row or past y shows under ASan. Each row holds
+  // one probe (NaN, ±Inf, -0, a denormal) and y holds some -0; as in
+  // DotRowsBitIdenticalToScalar, a NaN output need only be NaN on both
+  // sides, every other output is compared bit for bit.
+  const KernelBackend* avx2 = avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  const float inf = std::numeric_limits<float>::infinity();
+  const float probes[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
+                          -0.0f, 0.0f,
+                          std::numeric_limits<float>::denorm_min()};
+  constexpr std::uint32_t kProbes = sizeof(probes) / sizeof(probes[0]);
+  Pcg32 rng(37);
+  std::int64_t outputs = 0, nan_outputs = 0;
+  auto same = [&](double ref, double got) -> ::testing::AssertionResult {
+    if (std::isnan(ref)) {
+      ++nan_outputs;
+      if (std::isnan(got)) return ::testing::AssertionSuccess();
+      return ::testing::AssertionFailure() << "NaN vs " << got;
+    }
+    if (std::memcmp(&ref, &got, sizeof(double)) == 0) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << ref << " vs " << got;
+  };
+  for (const std::int64_t count : {1, 7, 8, 9, 33, 256}) {
+    for (const std::int64_t k : {1, 3, 4, 127, 256}) {
+      const std::int64_t ld = k + 3;
+      std::vector<float> rows(static_cast<std::size_t>((count - 1) * ld + k));
+      for (auto& v : rows) v = rng.normal();
+      for (std::int64_t o = 0; o < count; ++o) {
+        rows[static_cast<std::size_t>(o * ld + rng.next_u32() % k)] =
+            probes[rng.next_u32() % kProbes];
+      }
+      std::vector<double> y(static_cast<std::size_t>(k));
+      std::vector<double> yabs(static_cast<std::size_t>(k));
+      // Full 53-bit significands, as real checksum sums have: a product
+      // with a widened float then rounds, so a fused multiply-add would
+      // show.
+      for (std::size_t kk = 0; kk < y.size(); ++kk) {
+        y[kk] = rng.next_u32() % 8 == 0 ? -0.0 : 64.0 * rng.normal() / 3.0;
+        yabs[kk] = std::fabs(64.0 * rng.normal()) / 7.0;
+      }
+      std::vector<double> ref(static_cast<std::size_t>(count), 1.0);
+      std::vector<double> ref_mag = ref, got = ref, got_mag = ref;
+      scalar_backend().checksum_dot_rows(rows.data(), ld, count, k, y.data(),
+                                         yabs.data(), ref.data(),
+                                         ref_mag.data());
+      avx2->checksum_dot_rows(rows.data(), ld, count, k, y.data(),
+                              yabs.data(), got.data(), got_mag.data());
+      for (std::size_t o = 0; o < ref.size(); ++o) {
+        EXPECT_TRUE(same(ref[o], got[o]))
+            << "count=" << count << " k=" << k << " o=" << o;
+        EXPECT_TRUE(same(ref_mag[o], got_mag[o]))
+            << "mag count=" << count << " k=" << k << " o=" << o;
+      }
+      outputs += 2 * count;
+    }
+  }
+  EXPECT_GT(nan_outputs, 0);
+  EXPECT_LT(2 * nan_outputs, outputs);
 }
 
 TEST(KernelBackendNumerics, UnpackDecodeBitIdenticalToScalar) {

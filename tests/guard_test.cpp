@@ -3,9 +3,11 @@
 // guarded_forward wrappers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "src/kernels/gemm_packed.hpp"
@@ -107,6 +109,116 @@ TEST(LayerGuard, ZeroRangeLimitDisablesRangeMonitor) {
   LayerGuard guard("fc", {RecoveryPolicy::kDegradeToZero, 1, 0.0f});
   EXPECT_EQ(guard.apply(t, nullptr), 0);
   EXPECT_TRUE(bit_equal(t, orig));
+}
+
+// A serial per-element scan under apply()'s rules: the oracle whose report
+// and remedied tensor the chunked, pre-checked apply() must reproduce.
+std::int64_t reference_apply(const std::string& layer, const GuardConfig& cfg,
+                             Tensor& t, ResilienceReport& report) {
+  std::int64_t nonfinite = 0, range = 0, scrubbed = 0, clamped = 0;
+  float worst_nonfinite = 0.0f, worst_range = 0.0f;
+  const float bound = cfg.range_limit;
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const float v = t[i];
+    const bool bad_value = !std::isfinite(v);
+    const bool out_of_range =
+        !bad_value && bound > 0.0f && std::fabs(v) > bound;
+    if (!bad_value && !out_of_range) continue;
+    if (bad_value) {
+      ++nonfinite;
+      if (std::isinf(v)) worst_nonfinite = kInf;
+    } else {
+      ++range;
+      worst_range = std::max(worst_range, std::fabs(v));
+    }
+    switch (cfg.policy) {
+      case RecoveryPolicy::kDetect:
+        break;
+      case RecoveryPolicy::kCorrect:
+      case RecoveryPolicy::kRecompute:
+        t[i] = std::isnan(v) || bound <= 0.0f ? 0.0f : (v > 0.0f ? bound
+                                                                 : -bound);
+        ++clamped;
+        break;
+      case RecoveryPolicy::kDegradeToZero:
+        t[i] = 0.0f;
+        ++scrubbed;
+        break;
+    }
+  }
+  ++report.tensors_checked;
+  report.values_flagged += nonfinite + range;
+  report.values_scrubbed += scrubbed;
+  report.values_clamped += clamped;
+  if (nonfinite > 0) {
+    report.events.push_back({layer, FaultKind::kNonFinite, nonfinite,
+                             worst_nonfinite, cfg.policy});
+  }
+  if (range > 0) {
+    report.events.push_back(
+        {layer, FaultKind::kRangeViolation, range, worst_range, cfg.policy});
+  }
+  return nonfinite + range;
+}
+
+TEST(LayerGuard, CleanChunkPreCheckKeepsEveryReportAndRemedy) {
+  // apply() skips the per-element walk for a chunk whose magnitude bits
+  // all stay at or below the limit. Bounds 0, finite, +inf and NaN (the
+  // last three without a range monitor) meet NaN, ±Inf, ±FLT_MAX, the
+  // bound itself, the float just above it and -0, one at a time and all
+  // together, in a tensor of several scan chunks; the report and the
+  // remedied tensor must equal the old per-element scan's under every
+  // policy.
+  const float fmax = std::numeric_limits<float>::max();
+  const std::int64_t n = 3 * 8192 + 17;
+  const Tensor clean = random_tensor({n}, 15);
+  for (const float bound : {0.0f, 2.5f, kInf, kNan}) {
+    const float above = std::nextafter(bound, kInf);
+    const std::vector<float> probes = {kNan,  kInf,   -kInf,  fmax,  -fmax,
+                                       bound, -bound, above, -above, -0.0f};
+    std::vector<std::vector<float>> placements;
+    for (const float v : probes) placements.push_back({v});
+    placements.push_back(probes);
+    for (const auto policy :
+         {RecoveryPolicy::kDetect, RecoveryPolicy::kCorrect,
+          RecoveryPolicy::kRecompute, RecoveryPolicy::kDegradeToZero}) {
+      const GuardConfig cfg{policy, 1, bound};
+      const LayerGuard guard("fc", cfg);
+      for (const auto& values : placements) {
+        Tensor got = clean;
+        for (std::size_t p = 0; p < values.size(); ++p) {
+          got[static_cast<std::int64_t>(9000 + 1013 * p) % n] = values[p];
+        }
+        Tensor want = got;
+        ResilienceReport got_report, want_report;
+        const std::int64_t want_flagged =
+            reference_apply("fc", cfg, want, want_report);
+        EXPECT_EQ(guard.apply(got, &got_report), want_flagged);
+        const std::string where = "bound " + std::to_string(bound) +
+                                  " policy " +
+                                  std::to_string(static_cast<int>(policy)) +
+                                  " first value " + std::to_string(values[0]);
+        EXPECT_TRUE(bit_equal(got, want)) << where;
+        EXPECT_EQ(got_report.tensors_checked, want_report.tensors_checked);
+        EXPECT_EQ(got_report.values_flagged, want_report.values_flagged)
+            << where;
+        EXPECT_EQ(got_report.values_scrubbed, want_report.values_scrubbed);
+        EXPECT_EQ(got_report.values_clamped, want_report.values_clamped);
+        ASSERT_EQ(got_report.events.size(), want_report.events.size())
+            << where;
+        for (std::size_t e = 0; e < want_report.events.size(); ++e) {
+          const GuardEvent& g = got_report.events[e];
+          const GuardEvent& w = want_report.events[e];
+          EXPECT_EQ(g.layer, w.layer);
+          EXPECT_EQ(g.kind, w.kind) << where;
+          EXPECT_EQ(g.count, w.count) << where;
+          EXPECT_EQ(std::memcmp(&g.worst, &w.worst, sizeof(float)), 0)
+              << where;
+          EXPECT_EQ(g.action, w.action);
+        }
+      }
+    }
+  }
 }
 
 TEST(LayerGuard, CalibratedBoundNeverTripsOnCleanOutput) {

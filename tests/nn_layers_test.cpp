@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "src/nn/activations.hpp"
 #include "src/nn/batchnorm.hpp"
@@ -11,6 +14,7 @@
 #include "src/runtime/execution_context.hpp"
 #include "src/util/check.hpp"
 #include "src/util/fault.hpp"
+#include "src/util/rng.hpp"
 #include "tests/grad_check.hpp"
 
 namespace af {
@@ -127,6 +131,53 @@ TEST(Activations, GeluKnownValues) {
   EXPECT_NEAR(y[1], 0.8412f, 1e-3f);
   EXPECT_NEAR(y[2], -0.1588f, 1e-3f);
   g.backward(Tensor({3}, {1, 1, 1}));
+}
+
+TEST(Activations, BulkForwardMatchesElementwiseF) {
+  // forward maps the whole tensor in one call; every output must carry the
+  // bits of the per-element f, across signs, ±0, ±Inf, NaN, denormals and
+  // the saturating tails. ReLU maps NaN and -0 to +0. A training forward
+  // still pushes one cache entry per call, an inference forward none.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> xs = {0.0f, -0.0f, inf, -inf, nan, -nan,
+                           std::numeric_limits<float>::denorm_min(),
+                           -std::numeric_limits<float>::max(), 1e-30f,
+                           -20.0f, 20.0f, 100.0f, -100.0f};
+  Pcg32 rng(11);
+  while (xs.size() < 1031) xs.push_back(4.0f * rng.normal());
+  const auto n = static_cast<std::int64_t>(xs.size());
+  const Tensor x({n}, xs);
+  ReLU relu;
+  GELU gelu;
+  Tanh tanh_act;
+  Sigmoid sigmoid;
+  for (Activation* act :
+       std::initializer_list<Activation*>{&relu, &gelu, &tanh_act, &sigmoid}) {
+    ExecutionContext infer;
+    const Tensor y = act->forward(x, infer);
+    EXPECT_EQ(act->cache_depth(), 0);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float want = act->f(x[i]);
+      EXPECT_EQ(std::memcmp(y.data() + i, &want, sizeof(float)), 0)
+          << "x=" << x[i] << " got " << y[i] << " want " << want;
+    }
+    ExecutionContext train{.training = true};
+    const Tensor yt = act->forward(x, train);
+    EXPECT_EQ(act->cache_depth(), 1);
+    EXPECT_EQ(std::memcmp(yt.data(), y.data(),
+                          static_cast<std::size_t>(n) * sizeof(float)),
+              0);
+    act->forward(x, train);
+    EXPECT_EQ(act->cache_depth(), 2);
+    act->clear_cache();
+  }
+  ExecutionContext infer;
+  const Tensor y = relu.forward(x, infer);
+  for (const std::int64_t i : {1, 4, 5}) {  // -0, NaN, -NaN
+    EXPECT_EQ(std::signbit(y[i]), false) << "x=" << x[i];
+    EXPECT_EQ(y[i], 0.0f) << "x=" << x[i];
+  }
 }
 
 TEST(Activations, SigmoidStableAtExtremes) {
