@@ -16,7 +16,9 @@
 //   bench_decode            — trains the shared baseline, times both paths
 //                             (and incremental over an 8-bit AdaptivFloat
 //                             KV cache), times a step per KV format at
-//                             T in {16, 48, 128}, sweeps KV widths
+//                             T in {16, 48, 128}, times the step's GELU
+//                             map and AF8 KV-row encode per backend
+//                             (ns/element), sweeps KV widths
 //                             {fp32, 8, 6, 4}
 //                             across all five formats for BLEU +
 //                             bytes/token, writes BENCH_decode.json.
@@ -37,6 +39,8 @@
 
 #include "src/data/metrics.hpp"
 #include "src/models/trainer.hpp"
+#include "src/nn/activations.hpp"
+#include "src/nn/kv_cache.hpp"
 #include "src/tensor/ops.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/table.hpp"
@@ -350,6 +354,61 @@ int run_bench(const char* json_path) {
   len_table.print();
   std::printf("\n");
 
+  // --- decode-step elementwise work, per backend ---
+  // ns per element of the two elementwise passes a step runs outside the
+  // GEMMs: the FFN's GELU (a [1, d_ffn] map, tanh through the backend's
+  // tanh_map) and the AdaptivFloat/8 KV append (one [1, d_model] K and V
+  // row encoded through the backend's encode entry, then packed).
+  struct ElemCell {
+    std::string backend;
+    double gelu_ns;
+    double kv_encode_ns;
+  };
+  std::vector<ElemCell> elem_cells;
+  {
+    constexpr int kIters = 20000;
+    Pcg32 rng(bench::kSeed, 0xe1e);
+    const Tensor ffn_row = Tensor::randn({1, cfg.d_ffn}, rng);
+    const Tensor kv_row = Tensor::randn({1, cfg.d_model}, rng);
+    KvQuantConfig af8;
+    af8.k_codec = make_codec(FormatKind::kAdaptivFloat, 8, 3.0f);
+    af8.v_codec = make_codec(FormatKind::kAdaptivFloat, 8, 3.0f);
+    std::vector<const KernelBackend*> backends = {&scalar_backend()};
+    if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
+    for (const KernelBackend* be : backends) {
+      GELU gelu;
+      ExecutionContext ctx{.backend = be};
+      const double gelu_ms = time_ms(
+          [&] {
+            for (int i = 0; i < kIters; ++i) (void)gelu.forward(ffn_row, ctx);
+          },
+          kReps);
+      KvState kv;
+      kv.init(1, 256, cfg.d_model, af8);
+      const double kv_ms = time_ms(
+          [&] {
+            for (int i = 0; i < kIters; ++i) {
+              if (kv.len() == kv.capacity()) kv.reset();
+              kv.append(kv_row, kv_row, *be);
+            }
+          },
+          kReps);
+      elem_cells.push_back(
+          {be->name,
+           1e6 * gelu_ms / (static_cast<double>(kIters) * cfg.d_ffn),
+           1e6 * kv_ms / (static_cast<double>(kIters) * 2 * cfg.d_model)});
+    }
+  }
+  TextTable elem_table(
+      "bench_decode: decode-step elementwise passes (ns/element)");
+  elem_table.set_header({"Backend", "GELU map", "AF8 KV-row encode"});
+  for (const ElemCell& c : elem_cells) {
+    elem_table.add_row(
+        {c.backend, fmt_fixed(c.gelu_ns, 2), fmt_fixed(c.kv_encode_ns, 2)});
+  }
+  elem_table.print();
+  std::printf("\n");
+
   // --- BLEU + bytes/token across KV widths and formats ---
   struct Cell {
     std::string format;
@@ -418,6 +477,17 @@ int run_bench(const char* json_path) {
                   "\"us_per_token\": %.3f}%s\n",
                   c.kv.c_str(), static_cast<long long>(c.t), c.us_per_token,
                   i + 1 < len_cells.size() ? "," : "");
+    json += buf;
+  }
+  json += "  ],\n";
+  json += "  \"elementwise_ns_per_element\": [\n";
+  for (std::size_t i = 0; i < elem_cells.size(); ++i) {
+    const ElemCell& c = elem_cells[i];
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"backend\": \"%s\", \"gelu_map\": %.3f, "
+                  "\"af8_kv_row_encode\": %.3f}%s\n",
+                  c.backend.c_str(), c.gelu_ns, c.kv_encode_ns,
+                  i + 1 < elem_cells.size() ? "," : "");
     json += buf;
   }
   json += "  ],\n";

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "src/kernels/backend.hpp"
+
 namespace af {
 
 /// A concrete AdaptivFloat format: total width, exponent width and the
@@ -59,6 +61,14 @@ class AdaptivFloatFormat {
   /// +/-value_max.
   std::uint16_t encode(float x) const;
 
+  /// The encode entry's view of this format (KernelBackend::
+  /// adaptivfloat_encode), or nullptr where its integer field formula does
+  /// not apply — exp_bias + 127 < 1 or a subnormal value_min — and encode()
+  /// stays the only path.
+  const AfEncodeView* encode_view() const {
+    return has_view_ ? &view_ : nullptr;
+  }
+
   /// decode(encode(x)) — the quantization function the paper applies to
   /// tensors.
   float quantize(float x) const;
@@ -102,6 +112,8 @@ class AdaptivFloatFormat {
   float value_min_;
   float value_max_;
   float mant_scale_;  // 2^mant_bits
+  AfEncodeView view_{};
+  bool has_view_ = false;
 };
 
 }  // namespace af

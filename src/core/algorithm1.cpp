@@ -46,8 +46,10 @@ AdaptivFloatQuantResult adaptivfloat_quantize(const Tensor& w, int bits,
   AdaptivFloatQuantResult out{fmt, Tensor(w.shape()), {}};
   out.codes.resize(static_cast<std::size_t>(w.numel()));
 
-  // Bulk tensors take the table-driven encode; codes equal fmt.encode's.
+  // The codes come from the backend's AdaptivFloat encode entry (or, for
+  // a format outside it, fmt.encode); either way they equal fmt.encode's.
   const BulkEncoder enc(fmt, w.numel());
+  const KernelBackend& be = active_backend();
 
   // Elementwise with disjoint writes per chunk — bit-identical for any
   // AF_THREADS value.
@@ -82,8 +84,8 @@ AdaptivFloatQuantResult adaptivfloat_quantize(const Tensor& w, int bits,
         if (reconstructed > vmax) reconstructed = vmax;
       }
       out.quantized[i] = sign * reconstructed;  // W_sign * 2^W_exp * W_q
-      out.codes[static_cast<std::size_t>(i)] = enc(w[i]);
     }
+    enc.encode(w.data() + lo, out.codes.data() + lo, hi - lo, be);
   });
   return out;
 }

@@ -131,6 +131,17 @@ void scalar_checksum_dot_rows(const float* rows, std::int64_t ld,
   }
 }
 
+void scalar_tanh_map(const float* x, float* y, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) y[i] = tanh_f32(x[i]);
+}
+
+void scalar_adaptivfloat_encode(const AfEncodeView& f, const float* x,
+                                std::uint16_t* codes, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    codes[i] = adaptivfloat_encode_bits(f, x[i]);
+  }
+}
+
 const KernelBackend kScalarBackend = {
     "scalar",
     BackendKind::kScalar,
@@ -141,6 +152,8 @@ const KernelBackend kScalarBackend = {
     &scalar_nearest_indices,
     &scalar_attend_row,
     &scalar_checksum_dot_rows,
+    &scalar_tanh_map,
+    &scalar_adaptivfloat_encode,
 };
 
 // ----- selection -----------------------------------------------------------

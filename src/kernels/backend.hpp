@@ -27,14 +27,19 @@
 //  * The ABFT checksum chains (`checksum_dot_rows`) run the scalar double
 //    chain — one rounded multiply, then one rounded add, per k ascending —
 //    in every lane, so they are bit-identical across backends as well.
+//  * The elementwise maps are too: `tanh_map` runs tanh_f32's operations
+//    in every lane, and `adaptivfloat_encode` is the integer field formula
+//    adaptivfloat_encode_bits.
 //  * The AVX2 panel GEMM accumulates with FMA (one rounding per
 //    multiply-add instead of two), so cross-backend bit-equality is NOT
 //    promised there — divergence is bounded by kGemmBackendUlpTol and
 //    asserted in tests.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace af {
@@ -78,6 +83,56 @@ constexpr float kAttendMaskValue = -1e30f;
 /// one scalar function, so std::exp's bits are the same everywhere
 /// (DESIGN.md §15).
 void softmax_row_inplace(float* row, std::int64_t n);
+
+/// The single-precision tanh every float tanh in the library runs: an
+/// operation-for-operation replica of fdlibm's tanhf over expm1f (the
+/// algorithm glibc 2.36 ships), built without FMA contraction, so its bits
+/// do not depend on the host libm (DESIGN.md §12.6). NaN returns x + x.
+float tanh_f32(float x);
+
+/// An AdaptivFloat format's encode parameters as the encode entry reads
+/// them (AdaptivFloatFormat::encode_view builds one). Valid only for
+/// formats with exp_bias + 127 >= 1 and a normal value_min; others keep the
+/// format's own scalar encode.
+struct AfEncodeView {
+  int bits;                 ///< code width, 2..16
+  int mant_bits;            ///< m, 0..15
+  std::uint32_t base;       ///< (exp_bias + 127) << m
+  std::uint32_t half_vmin;  ///< bit pattern of 0.5f * value_min
+  std::uint32_t vmin;       ///< bit pattern of value_min
+  std::uint32_t vmax;       ///< bit pattern of value_max (may be +inf)
+};
+
+/// The AdaptivFloat code of x, by integer adds and shifts on |x|'s bit
+/// pattern a (DESIGN.md §12.6): the mantissa rounds to m bits, ties to
+/// even, as r = a + 2^(22-m) - 1 + lsb with lsb the kept mantissa's last
+/// bit (at m = 0 always 1: the rounded q is 1 or 2 and ties go to 2), and
+/// a carry runs into the exponent field by itself; the magnitude code is
+/// (r >> (23 - m)) - base, clamped to 2^(bits-1) - 1. +-0 and NaN give
+/// code 0, |x| < value_min gives 0 or +-1 by the half-value_min
+/// threshold, |x| >= value_max the max code. Equal to
+/// AdaptivFloatFormat::encode wherever the view is valid; every backend's
+/// adaptivfloat_encode computes exactly this.
+inline std::uint16_t adaptivfloat_encode_bits(const AfEncodeView& f,
+                                              float x) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &x, sizeof(u));
+  const std::uint32_t a = u & 0x7fffffffu;
+  const std::uint32_t max_mag = (1u << (f.bits - 1)) - 1u;
+  std::uint32_t mag;
+  if (a > 0x7f800000u || a < f.half_vmin) return 0;  // NaN, +-0, tiny
+  if (a < f.vmin) {
+    mag = 1;
+  } else if (a >= f.vmax) {
+    mag = max_mag;
+  } else {
+    const int shift = 23 - f.mant_bits;
+    const std::uint32_t lsb = f.mant_bits == 0 ? 1u : (a >> shift) & 1u;
+    const std::uint32_t r = a + ((1u << (shift - 1)) - 1u) + lsb;
+    mag = std::min((r >> shift) - f.base, max_mag);
+  }
+  return static_cast<std::uint16_t>(((u >> 31) << (f.bits - 1)) | mag);
+}
 
 /// One kernel implementation set. Plain function pointers (no virtuals):
 /// the table is selected once, the members are hot-loop entry points.
@@ -150,6 +205,15 @@ struct KernelBackend {
                             std::int64_t count, std::int64_t k,
                             const double* y, const double* yabs, double* out,
                             double* mag);
+
+  /// y[i] = tanh_f32(x[i]) for i < n; y may equal x (in place).
+  /// Bit-identical across backends.
+  void (*tanh_map)(const float* x, float* y, std::int64_t n);
+
+  /// codes[i] = adaptivfloat_encode_bits(f, x[i]) for i < n.
+  /// Bit-identical across backends.
+  void (*adaptivfloat_encode)(const AfEncodeView& f, const float* x,
+                              std::uint16_t* codes, std::int64_t n);
 };
 
 /// Documented cross-backend tolerance for the FMA panel GEMM, in ULPs *at the

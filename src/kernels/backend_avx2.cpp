@@ -4,7 +4,7 @@
 // not be entered unless cpu_supports_avx2() returned true (backend.cpp
 // guards that). It is also compiled with -ffp-contract=off: every FMA here
 // is written out (_mm256_fmadd_ps, std::fmaf), and the dot-rows kernel's
-// separate multiply and add must not be fused behind its back. Seven
+// separate multiply and add must not be fused behind its back. Nine
 // primitives:
 //
 //  * gemm_panel_accumulate — register-blocked FMA accumulation: 4-row ×
@@ -43,6 +43,11 @@
 //    lane: 4 k of 8 rows widened with cvtps_pd and transposed 4x4 in
 //    registers, then a multiply and a separate add per step, so each lane
 //    runs the scalar chain exactly. Bit-identical to the scalar backend.
+//  * tanh_map — tanh_f32 (tanh.cpp) in 8 lanes: every fdlibm branch
+//    computed with tanh_f32's operations in its order, each lane's own
+//    selected by blends. Bit-identical to the scalar backend.
+//  * adaptivfloat_encode — adaptivfloat_encode_bits' integer field formula
+//    in 8 lanes. Bit-identical to the scalar backend.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -722,6 +727,218 @@ void avx2_nearest_indices(const NearestLutView& lut, const float* x,
   }
 }
 
+// ----- tanh ----------------------------------------------------------------
+
+inline __m256i splat(std::uint32_t v) {
+  return _mm256_set1_epi32(static_cast<std::int32_t>(v));
+}
+inline __m256 splat_f(std::uint32_t bits) {
+  return _mm256_castsi256_ps(splat(bits));
+}
+// Per-lane (mask ? b : a), mask lanes all-ones or all-zeros.
+inline __m256 pick(__m256 a, __m256 b, __m256i mask) {
+  return _mm256_blendv_ps(a, b, _mm256_castsi256_ps(mask));
+}
+// Signed compare of lane values both in [0, 2^31): a > b.
+inline __m256i gt(__m256i a, std::uint32_t b) {
+  return _mm256_cmpgt_epi32(a, splat(b));
+}
+// y * 2^k per lane, by adding k to the exponent field (tanh_f32's
+// add_exponent).
+inline __m256 add_exponent(__m256 y, __m256i k) {
+  return _mm256_castsi256_ps(
+      _mm256_add_epi32(_mm256_castps_si256(y), _mm256_slli_epi32(k, 23)));
+}
+
+// tanh_f32's expm1_f32 over the arguments tanh hands it, a = +-2|x| with
+// 2^-55 <= |x| < 22 (so 2^-54 <= |a| < 44: the huge-argument filter never
+// fires). Every branch is computed in all lanes and the lane's own branch
+// is selected, each with expm1_f32's operations in its order.
+inline __m256 expm1_tanh_arg(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256i ux = _mm256_castps_si256(x);
+  const __m256i hx = _mm256_and_si256(ux, splat(0x7fffffffu));
+  const __m256i negative = _mm256_srai_epi32(ux, 31);
+
+  // Argument reduction. k = +-1 in (0.5 ln2, 1.5 ln2), rounded k beyond.
+  const __m256i reduce = gt(hx, 0x3eb17218u);
+  const __m256i k_one = _mm256_andnot_si256(gt(hx, 0x3f851591u), reduce);
+  const __m256 shalf = _mm256_or_ps(
+      half, _mm256_and_ps(_mm256_castsi256_ps(negative), splat_f(0x80000000u)));
+  const __m256i k_round = _mm256_cvttps_epi32(
+      _mm256_add_ps(_mm256_mul_ps(splat_f(0x3fb8aa3bu), x), shalf));
+  const __m256i k_unit = _mm256_or_si256(negative, _mm256_set1_epi32(1));
+  __m256i k = _mm256_blendv_epi8(k_round, k_unit, k_one);
+  k = _mm256_and_si256(k, reduce);  // k = 0 for |x| <= 0.5 ln2
+  const __m256 tk = _mm256_cvtepi32_ps(k);
+  const __m256 ln2_hi = splat_f(0x3f317180u);
+  const __m256 ln2_lo = splat_f(0x3717f7d1u);
+  // hi = x - t ln2_hi, lo = t ln2_lo; at k = +-1 (and t = +-1) these are
+  // expm1_f32's x -+ ln2_hi and +-ln2_lo exactly.
+  const __m256 hi = _mm256_sub_ps(x, _mm256_mul_ps(tk, ln2_hi));
+  const __m256 lo = _mm256_mul_ps(tk, ln2_lo);
+  const __m256 xr_red = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xr_red), lo);
+  const __m256 xr = pick(x, xr_red, reduce);
+
+  // The primary-range rational approximation.
+  const __m256 hfx = _mm256_mul_ps(half, xr);
+  const __m256 hxs = _mm256_mul_ps(xr, hfx);
+  __m256 p = _mm256_mul_ps(hxs, splat_f(0xb457edbbu));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(splat_f(0x36867e54u), p));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(splat_f(0xb8a670cdu), p));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(splat_f(0x3ad00d01u), p));
+  p = _mm256_mul_ps(hxs, _mm256_add_ps(splat_f(0xbd088889u), p));
+  const __m256 r1 = _mm256_add_ps(one, p);
+  const __m256 t =
+      _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  const __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f),
+                                       _mm256_mul_ps(xr, t))));
+
+  // k == 0.
+  const __m256 r_k0 =
+      _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+  // k != 0.
+  const __m256 ek = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
+  const __m256 r_km1 =
+      _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(xr, ek)), half);
+  const __m256 r_kp1_lo = _mm256_mul_ps(
+      _mm256_set1_ps(-2.0f), _mm256_sub_ps(ek, _mm256_add_ps(xr, half)));
+  const __m256 r_kp1_hi = _mm256_add_ps(
+      one, _mm256_mul_ps(_mm256_set1_ps(2.0f), _mm256_sub_ps(xr, ek)));
+  const __m256 r_kp1 =
+      _mm256_blendv_ps(r_kp1_hi, r_kp1_lo,
+                       _mm256_cmp_ps(xr, _mm256_set1_ps(-0.25f), _CMP_LT_OQ));
+  const __m256 xme = _mm256_sub_ps(ek, xr);
+  // k <= -2 or k > 56.
+  const __m256 r_far =
+      _mm256_sub_ps(add_exponent(_mm256_sub_ps(one, xme), k), one);
+  // 2 <= k < 23: t = 1 - 2^-k.
+  const __m256 t_mid = _mm256_castsi256_ps(_mm256_sub_epi32(
+      splat(0x3f800000u), _mm256_srlv_epi32(splat(0x1000000u), k)));
+  const __m256 r_mid = add_exponent(_mm256_sub_ps(t_mid, xme), k);
+  // 23 <= k <= 56: t = 2^-k.
+  const __m256 t_top = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
+  const __m256 r_top = add_exponent(
+      _mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(ek, t_top)), one), k);
+
+  const __m256i is_k0 = _mm256_cmpeq_epi32(k, _mm256_setzero_si256());
+  const __m256i is_km1 = _mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1));
+  const __m256i is_kp1 = _mm256_cmpeq_epi32(k, _mm256_set1_epi32(1));
+  const __m256i is_far =
+      _mm256_or_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+                      _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)));
+  const __m256i is_mid = _mm256_cmpgt_epi32(_mm256_set1_epi32(23), k);
+  __m256 r = pick(r_top, r_mid, is_mid);  // k >= 2 from here on
+  r = pick(r, r_far, is_far);
+  r = pick(r, r_kp1, is_kp1);
+  r = pick(r, r_km1, is_km1);
+  r = pick(r, r_k0, is_k0);
+  // |x| < 2^-25: x itself.
+  return pick(r, x, _mm256_cmpgt_epi32(splat(0x33000000u), hx));
+}
+
+// tanh_f32 in 8 lanes: the |x| >= 1 form 1 - 2/(t + 2) and the |x| < 1
+// form -t/(t + 2) share one divide, then the sign and the edges — +-0 and
+// |x| < 2^-55 (x(1 + x)), |x| >= 22 and +-inf (+-1), NaN (x + x) — are
+// blended in.
+inline __m256 tanh8(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256i ux = _mm256_castps_si256(x);
+  const __m256i ix = _mm256_and_si256(ux, splat(0x7fffffffu));
+  const __m256 sign =
+      _mm256_castsi256_ps(_mm256_andnot_si256(splat(0x7fffffffu), ux));
+  const __m256 ax = _mm256_castsi256_ps(ix);
+  const __m256i big = gt(ix, 0x3f7fffffu);  // |x| >= 1
+  const __m256 two_ax = _mm256_mul_ps(two, ax);
+  const __m256 t =
+      expm1_tanh_arg(pick(_mm256_xor_ps(two_ax, splat_f(0x80000000u)),
+                          two_ax, big));
+  const __m256 num = pick(_mm256_xor_ps(t, splat_f(0x80000000u)), two, big);
+  const __m256 q = _mm256_div_ps(num, _mm256_add_ps(t, two));
+  __m256 z = pick(q, _mm256_sub_ps(one, q), big);
+  z = pick(z, _mm256_sub_ps(one, _mm256_set1_ps(1.0e-30f)),
+           gt(ix, 0x41afffffu));  // |x| >= 22, +-inf
+  z = _mm256_xor_ps(z, sign);
+  z = pick(z, _mm256_mul_ps(x, _mm256_add_ps(one, x)),
+           _mm256_cmpgt_epi32(splat(0x24000000u), ix));  // |x| < 2^-55
+  return pick(z, _mm256_add_ps(x, x), gt(ix, 0x7f800000u));  // NaN
+}
+
+// Two vectors per iteration: tanh8 is one long dependent chain with two
+// divides, so a second independent chain fills the pipeline. The n % 8
+// tail runs through a zero-padded block.
+void avx2_tanh_map(const float* x, float* y, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256 a = tanh8(_mm256_loadu_ps(x + i));
+    const __m256 b = tanh8(_mm256_loadu_ps(x + i + 8));
+    _mm256_storeu_ps(y + i, a);
+    _mm256_storeu_ps(y + i + 8, b);
+  }
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, tanh8(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    alignas(32) float buf[8] = {};
+    const auto rest = static_cast<std::size_t>(n - i) * sizeof(float);
+    std::memcpy(buf, x + i, rest);
+    _mm256_store_ps(buf, tanh8(_mm256_load_ps(buf)));
+    std::memcpy(y + i, buf, rest);
+  }
+}
+
+// ----- AdaptivFloat encode -------------------------------------------------
+
+// adaptivfloat_encode_bits in 8 lanes: the field formula on every lane,
+// then the below-value_min, saturation, zero and NaN lanes blended in.
+void avx2_adaptivfloat_encode(const AfEncodeView& f, const float* x,
+                              std::uint16_t* codes, std::int64_t n) {
+  const int shift = 23 - f.mant_bits;
+  const __m128i vshift = _mm_cvtsi32_si128(shift);
+  const __m128i vsign_shift = _mm_cvtsi32_si128(31 - (f.bits - 1));
+  const __m256i abs_mask = splat(0x7fffffffu);
+  const __m256i round = splat((1u << (shift - 1)) - 1u);
+  // lsb = ((a >> shift) & lsb_and) | lsb_or: the kept last bit, or 1 at
+  // m = 0.
+  const __m256i lsb_and = splat(f.mant_bits == 0 ? 0u : 1u);
+  const __m256i lsb_or = splat(f.mant_bits == 0 ? 1u : 0u);
+  const __m256i base = splat(f.base);
+  const __m256i max_mag = splat((1u << (f.bits - 1)) - 1u);
+  const __m256i vmin = splat(f.vmin);
+  const __m256i half_vmin = splat(f.half_vmin);
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i sign_bit = splat(0x80000000u);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i u = _mm256_castps_si256(_mm256_loadu_ps(x + i));
+    const __m256i a = _mm256_and_si256(u, abs_mask);
+    const __m256i lsb = _mm256_or_si256(
+        _mm256_and_si256(_mm256_srl_epi32(a, vshift), lsb_and), lsb_or);
+    const __m256i r =
+        _mm256_add_epi32(_mm256_add_epi32(a, round), lsb);
+    __m256i mag = _mm256_min_epi32(
+        _mm256_sub_epi32(_mm256_srl_epi32(r, vshift), base), max_mag);
+    mag = _mm256_blendv_epi8(mag, one, _mm256_cmpgt_epi32(vmin, a));
+    mag = _mm256_blendv_epi8(mag, max_mag, gt(a, f.vmax - 1u));
+    const __m256i zero = _mm256_or_si256(
+        _mm256_cmpgt_epi32(half_vmin, a), gt(a, 0x7f800000u));
+    const __m256i code = _mm256_or_si256(
+        mag, _mm256_srl_epi32(_mm256_and_si256(u, sign_bit), vsign_shift));
+    const __m256i out = _mm256_andnot_si256(zero, code);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(codes + i),
+                     _mm_packus_epi32(_mm256_castsi256_si128(out),
+                                      _mm256_extracti128_si256(out, 1)));
+  }
+  for (; i < n; ++i) codes[i] = adaptivfloat_encode_bits(f, x[i]);
+}
+
 const KernelBackend kAvx2Backend = {
     "avx2",
     BackendKind::kAvx2,
@@ -732,6 +949,8 @@ const KernelBackend kAvx2Backend = {
     &avx2_nearest_indices,
     &avx2_attend_row,
     &avx2_checksum_dot_rows,
+    &avx2_tanh_map,
+    &avx2_adaptivfloat_encode,
 };
 
 }  // namespace

@@ -252,16 +252,19 @@ NearestLut build_encode_lut(int bits, EncodeFn&& encode, DecodeFn&& decode) {
       [&](float x) { return decode(encode(x)); });
 }
 
-/// Bulk encoder for any format with bits()/encode()/decode(): when a job
-/// encodes at least kNearestLutMinBuildElems values it builds the encode
-/// LUT once (bisected against fmt.encode itself, so every code equals the
-/// scalar encode's); smaller jobs keep the scalar encode, whose table build
-/// would dominate. `fmt` must outlive the encoder.
+/// Bulk encoder for any format with bits()/encode()/decode(). A format
+/// with a non-null encode_view() (AdaptivFloat) encodes through the
+/// backend's adaptivfloat_encode — integer field arithmetic, no table.
+/// Otherwise a job of at least kNearestLutMinBuildElems values builds the
+/// encode LUT once (bisected against fmt.encode itself); smaller jobs keep
+/// the scalar encode, whose table build would dominate. Every path emits
+/// fmt.encode's codes. `fmt` must outlive the encoder, unrecalibrated.
 template <typename Format>
 class BulkEncoder {
  public:
   BulkEncoder(const Format& fmt, std::int64_t numel) : fmt_(fmt) {
-    if (numel >= kNearestLutMinBuildElems) {
+    if constexpr (requires { fmt.encode_view(); }) view_ = fmt.encode_view();
+    if (view_ == nullptr && numel >= kNearestLutMinBuildElems) {
       lut_ = build_encode_lut(
           fmt.bits(), [&](float x) { return fmt.encode(x); },
           [&](std::uint16_t c) { return fmt.decode(c); });
@@ -269,15 +272,31 @@ class BulkEncoder {
   }
 
   std::uint16_t operator()(float x) const {
+    if (view_ != nullptr) return adaptivfloat_encode_bits(*view_, x);
     return lut_.empty() ? fmt_.encode(x) : lut_.code_of(x);
   }
 
-  /// The table behind operator(); empty on the scalar path. Batched
-  /// callers run its codes_of through a kernel backend.
-  const NearestLut& lut() const { return lut_; }
+  /// True when encode() runs a kernel backend entry (the AdaptivFloat
+  /// encode or the LUT's batched boundary search), false on the scalar
+  /// encode.
+  bool batched() const { return view_ != nullptr || !lut_.empty(); }
+
+  /// codes[i] = (*this)(x[i]) for i < n, through `be` when batched().
+  /// Every backend returns the same codes.
+  void encode(const float* x, std::uint16_t* codes, std::int64_t n,
+              const KernelBackend& be) const {
+    if (view_ != nullptr) {
+      be.adaptivfloat_encode(*view_, x, codes, n);
+    } else if (!lut_.empty()) {
+      lut_.codes_of(x, codes, n, be);
+    } else {
+      for (std::int64_t i = 0; i < n; ++i) codes[i] = fmt_.encode(x[i]);
+    }
+  }
 
  private:
   const Format& fmt_;
+  const AfEncodeView* view_ = nullptr;
   NearestLut lut_;
 };
 

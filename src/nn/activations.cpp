@@ -20,7 +20,7 @@ void map_each(const A& a, const float* x, float* y, std::int64_t n) {
 
 Tensor Activation::forward(const Tensor& x, ExecutionContext& ctx) {
   Tensor y(x.shape());
-  map(x.data(), y.data(), x.numel());
+  map(x.data(), y.data(), x.numel(), ctx.kernel_backend());
   if (ctx.training) cache_.push_back({x, y});
   return y;
 }
@@ -47,17 +47,17 @@ constexpr float kGeluA = 0.044715f;
 
 float GELU::f(float x) const {
   const float u = kGeluC * (x + kGeluA * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(u));
+  return 0.5f * x * (1.0f + tanh_f32(u));
 }
 
 float GELU::df(float x, float) const {
   const float u = kGeluC * (x + kGeluA * x * x * x);
-  const float t = std::tanh(u);
+  const float t = tanh_f32(u);
   const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
   return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
 }
 
-float Tanh::f(float x) const { return std::tanh(x); }
+float Tanh::f(float x) const { return tanh_f32(x); }
 float Tanh::df(float, float y) const { return 1.0f - y * y; }
 
 float Sigmoid::f(float x) const { return sigmoid_value(x); }
@@ -73,18 +73,28 @@ float sigmoid_value(float x) {
   return e / (1.0f + e);
 }
 
-float tanh_value(float x) { return std::tanh(x); }
+float tanh_value(float x) { return tanh_f32(x); }
 
-void ReLU::map(const float* x, float* y, std::int64_t n) const {
+void ReLU::map(const float* x, float* y, std::int64_t n,
+               const KernelBackend&) const {
   map_each(*this, x, y, n);
 }
-void GELU::map(const float* x, float* y, std::int64_t n) const {
-  map_each(*this, x, y, n);
+// f's operations in f's order, the tanh of the whole tensor in one
+// tanh_map between them: u into y, tanh in place, then the GELU finish.
+void GELU::map(const float* x, float* y, std::int64_t n,
+               const KernelBackend& be) const {
+  for (std::int64_t i = 0; i < n; ++i) {
+    y[i] = kGeluC * (x[i] + kGeluA * x[i] * x[i] * x[i]);
+  }
+  be.tanh_map(y, y, n);
+  for (std::int64_t i = 0; i < n; ++i) y[i] = 0.5f * x[i] * (1.0f + y[i]);
 }
-void Tanh::map(const float* x, float* y, std::int64_t n) const {
-  map_each(*this, x, y, n);
+void Tanh::map(const float* x, float* y, std::int64_t n,
+               const KernelBackend& be) const {
+  be.tanh_map(x, y, n);
 }
-void Sigmoid::map(const float* x, float* y, std::int64_t n) const {
+void Sigmoid::map(const float* x, float* y, std::int64_t n,
+                  const KernelBackend&) const {
   map_each(*this, x, y, n);
 }
 

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "src/kernels/backend.hpp"
 #include "src/nn/module.hpp"
 
 namespace af {
@@ -22,10 +23,13 @@ class Activation : public Module {
   virtual float f(float x) const = 0;
 
  protected:
-  /// y[i] = f(x[i]) for i < n. Each final activation runs its own f in a
-  /// plain loop, where the call is direct and inlines, so forward costs
+  /// y[i] = f(x[i]) for i < n, x and y not overlapping. ReLU and Sigmoid
+  /// run their own f in a plain loop, where the call is direct and
+  /// inlines; GELU and Tanh run their tanh through `be`'s tanh_map, which
+  /// every backend computes with tanh_f32's bits. Either way forward costs
   /// one virtual call per tensor rather than one per element.
-  virtual void map(const float* x, float* y, std::int64_t n) const = 0;
+  virtual void map(const float* x, float* y, std::int64_t n,
+                   const KernelBackend& be) const = 0;
   /// df/dx given the input x and the already-computed output y.
   virtual float df(float x, float y) const = 0;
 
@@ -43,7 +47,8 @@ class ReLU final : public Activation {
   float f(float x) const override;
 
  protected:
-  void map(const float* x, float* y, std::int64_t n) const override;
+  void map(const float* x, float* y, std::int64_t n,
+           const KernelBackend& be) const override;
   float df(float x, float y) const override;
 };
 
@@ -54,7 +59,8 @@ class GELU final : public Activation {
   float f(float x) const override;
 
  protected:
-  void map(const float* x, float* y, std::int64_t n) const override;
+  void map(const float* x, float* y, std::int64_t n,
+           const KernelBackend& be) const override;
   float df(float x, float y) const override;
 };
 
@@ -63,7 +69,8 @@ class Tanh final : public Activation {
   float f(float x) const override;
 
  protected:
-  void map(const float* x, float* y, std::int64_t n) const override;
+  void map(const float* x, float* y, std::int64_t n,
+           const KernelBackend& be) const override;
   float df(float x, float y) const override;
 };
 
@@ -72,11 +79,13 @@ class Sigmoid final : public Activation {
   float f(float x) const override;
 
  protected:
-  void map(const float* x, float* y, std::int64_t n) const override;
+  void map(const float* x, float* y, std::int64_t n,
+           const KernelBackend& be) const override;
   float df(float x, float y) const override;
 };
 
-// Scalar versions used by the LSTM cell (which fuses its gate math).
+// Scalar versions used by the LSTM cell (which fuses its gate math);
+// tanh_value is tanh_f32.
 float sigmoid_value(float x);
 float tanh_value(float x);
 

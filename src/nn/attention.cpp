@@ -184,7 +184,7 @@ Tensor MultiHeadAttention::decode_self_step(const Tensor& x, KvState& kv,
                      "got " + shape_str(x.shape()));
   }
   Tensor q = wq_.forward(x, ec);
-  kv.append(wk_.forward(x, ec), wv_.forward(x, ec));
+  kv.append(wk_.forward(x, ec), wv_.forward(x, ec), ec.kernel_backend());
   // The newest key IS the query's own position: the cached prefix is
   // exactly the causally visible window, so nothing is masked.
   return attend_cached(q, kv, nullptr, ec);
@@ -205,7 +205,8 @@ void MultiHeadAttention::prefill_cross(const Tensor& enc, KvState& kv,
   }
   const std::int64_t b = enc.dim(0), tk = enc.dim(1);
   Tensor flat = enc.reshaped({b * tk, d_model_});
-  kv.append_block(wk_.forward(flat, ec), wv_.forward(flat, ec), tk);
+  kv.append_block(wk_.forward(flat, ec), wv_.forward(flat, ec), tk,
+                  ec.kernel_backend());
 }
 
 Tensor MultiHeadAttention::decode_cross_step(

@@ -13,11 +13,12 @@
 //    would have computed), which is what makes the fp32-KV decode path
 //    verifiable against full recompute before quantization enters.
 //
-//  * quantized — each row is encoded element-by-element through a
-//    FormatCodec (per-layer exp_bias recalibrated from calibration-time
-//    K/V ranges; see DESIGN.md §15) into the lane region. At 4-bit this is
-//    an 8x cache-footprint cut — the KV cache, not the weights, dominates
-//    serving memory at scale.
+//  * quantized — each row is encoded through a FormatCodec (per-layer
+//    exp_bias recalibrated from calibration-time K/V ranges; see DESIGN.md
+//    §15) into the lane region: AdaptivFloat rows through the backend's
+//    encode entry, Float and Posit rows element by element. At 4-bit this
+//    is an 8x cache-footprint cut — the KV cache, not the weights,
+//    dominates serving memory at scale.
 //
 // Nothing is decoded ahead of use: lane() hands the attend kernel
 // (KernelBackend::attend_row) the lane region itself plus the codecs'
@@ -62,13 +63,17 @@ class KvState {
   /// new length are overwritten by later appends, never read).
   void reset() { len_ = 0; }
 
-  /// Appends one projected timestep: k_step/v_step are [B, D].
-  void append(const Tensor& k_step, const Tensor& v_step);
+  /// Appends one projected timestep: k_step/v_step are [B, D]. AdaptivFloat
+  /// rows encode through `be`'s adaptivfloat_encode (the same codes on
+  /// every backend); other codecs run their scalar encode.
+  void append(const Tensor& k_step, const Tensor& v_step,
+              const KernelBackend& be);
 
   /// Bulk prefill of `t` timesteps from flattened [B*t, D] projections
   /// (cross-attention fills its whole encoder-side cache once per
-  /// sequence). Requires an empty cache.
-  void append_block(const Tensor& k, const Tensor& v, std::int64_t t);
+  /// sequence). Requires an empty cache. Encodes as append does.
+  void append_block(const Tensor& k, const Tensor& v, std::int64_t t,
+                    const KernelBackend& be);
 
   /// Lane `bi`'s K and V histories as the attend kernel reads them, at
   /// head column 0: row j of len() rows is codes [j*dim(), (j+1)*dim()) of
@@ -103,7 +108,7 @@ class KvState {
   // codec encode otherwise). Overwrites stale codes in place, so appends
   // after a reset() need no zeroing pass.
   void write_row(const float* k_row, const float* v_row, std::int64_t bi,
-                 std::int64_t j);
+                 std::int64_t j, const KernelBackend& be);
 
   std::int64_t b_ = 0, cap_ = 0, d_ = 0, len_ = 0;
   KvQuantConfig quant_;
@@ -111,6 +116,9 @@ class KvState {
   std::size_t region_bytes_ = 0;      // ceil(cap*D*bits/8) bytes per lane
   const float* k_table_ = nullptr;    // decode LUTs (owned by the codecs)
   const float* v_table_ = nullptr;
+  // The codecs' encode-entry views; both set or both null.
+  const AfEncodeView* k_view_ = nullptr;
+  const AfEncodeView* v_view_ = nullptr;
 
   Tensor k_codes_, v_codes_;  // B lane regions of codes (float storage)
 };

@@ -57,6 +57,11 @@ class Quantizer {
   /// (the level formats' -0.0f comes back as +0.0f).
   virtual std::uint16_t encode(float x) const = 0;
 
+  /// The encode entry's view (KernelBackend::adaptivfloat_encode) of the
+  /// current calibration, when one computes encode(): AdaptivFloat formats
+  /// the entry covers; nullptr (the default) for every other format.
+  virtual const AfEncodeView* encode_view() const { return nullptr; }
+
   /// Raw decode of any n-bit code, a corrupted one included — exactly what
   /// an unprotected datapath would emit, huge outliers and all (posit NaR
   /// decodes to NaN).

@@ -36,25 +36,15 @@ float FormatCodec::decode_hardened(std::uint16_t code) const {
 std::vector<std::uint16_t> FormatCodec::encode_tensor(const Tensor& t) const {
   std::vector<std::uint16_t> codes(static_cast<std::size_t>(t.numel()));
   const BulkEncoder<Quantizer> enc(*q_, t.numel());
-  if (!enc.lut().empty()) {
-    // Batched boundary search through the active backend. The search is
-    // integer-exact, so every backend emits the same codes.
-    const KernelBackend& be = active_backend();
-    count_backend_dispatch(be);
-    parallel_for(0, t.numel(), kCodecGrain,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                   enc.lut().codes_of(
-                       t.data() + lo,
-                       codes.data() + static_cast<std::size_t>(lo), hi - lo,
-                       be);
-                 });
-    return codes;
-  }
+  // The batched paths run on the active backend; every backend emits the
+  // same codes.
+  const KernelBackend& be = active_backend();
+  if (enc.batched()) count_backend_dispatch(be);
   parallel_for(0, t.numel(), kCodecGrain,
                [&](std::int64_t lo, std::int64_t hi) {
-                 for (std::int64_t i = lo; i < hi; ++i) {
-                   codes[static_cast<std::size_t>(i)] = enc(t[i]);
-                 }
+                 enc.encode(t.data() + lo,
+                            codes.data() + static_cast<std::size_t>(lo),
+                            hi - lo, be);
                });
   return codes;
 }

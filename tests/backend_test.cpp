@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -15,6 +16,7 @@
 #include <limits>
 #include <vector>
 
+#include "src/core/adaptivfloat.hpp"
 #include "src/core/bitpack.hpp"
 #include "src/kernels/backend.hpp"
 #include "src/kernels/decode_lut.hpp"
@@ -687,6 +689,149 @@ TEST(KernelBackendNumerics, EncodeTensorBackendInvariant) {
     }
     EXPECT_EQ(scalar_codes, avx2_codes) << format_kind_name(kind);
   }
+}
+
+// ----- elementwise maps ----------------------------------------------------
+
+float float_of(std::uint32_t u) { return std::bit_cast<float>(u); }
+std::uint32_t bits_of(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+TEST(TanhF32, MatchesRecordedGlibcTanhf) {
+  // tanh_f32 replicates glibc 2.36's tanhf; the pairs were recorded from
+  // it, so this holds whatever libm the test links.
+  static constexpr std::uint32_t kPairs[][2] = {
+#include "tests/tanhf_glibc236_table.inc"
+  };
+  for (const auto& p : kPairs) {
+    EXPECT_EQ(bits_of(tanh_f32(float_of(p[0]))), p[1])
+        << std::hex << "x bits 0x" << p[0];
+  }
+}
+
+// Every tanh branch edge of fdlibm's tanhf/expm1f (both signs, one ulp
+// either side) plus a strided sweep of all bit patterns.
+std::vector<float> tanh_probe_inputs() {
+  std::vector<float> xs;
+  for (const std::uint32_t edge :
+       {0x00000000u, 0x00000001u, 0x00800000u, 0x24000000u, 0x32800000u,
+        0x3e317218u, 0x3e800000u, 0x3f051592u, 0x3f800000u, 0x40f98872u,
+        0x419ca6b9u, 0x41b00000u, 0x7f7fffffu, 0x7f800000u, 0x7f800001u,
+        0x7fc00000u, 0x7fc12345u}) {
+    for (std::uint32_t d : {0xffffffffu, 0u, 1u}) {
+      const std::uint32_t u = edge + d;
+      xs.push_back(float_of(u));
+      xs.push_back(float_of(u ^ 0x80000000u));
+    }
+  }
+  for (std::uint64_t u = 0; u < (std::uint64_t{1} << 32); u += 4099) {
+    xs.push_back(float_of(static_cast<std::uint32_t>(u)));
+  }
+  return xs;
+}
+
+TEST(KernelBackendNumerics, TanhBitIdenticalToScalar) {
+  const std::vector<float> xs = tanh_probe_inputs();
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
+  for (const KernelBackend* be : backends) {
+    // Every length 0..19 from an odd offset (the 16-, 8-wide and padded
+    // tail paths), then the whole sweep, in place.
+    for (std::int64_t n = 0; n < 20; ++n) {
+      std::vector<float> y(static_cast<std::size_t>(n) + 1, -7.0f);
+      be->tanh_map(xs.data() + 3, y.data(), n);
+      for (std::int64_t i = 0; i < n; ++i) {
+        EXPECT_EQ(bits_of(y[i]), bits_of(tanh_f32(xs[i + 3])))
+            << be->name << " n=" << n << " i=" << i;
+      }
+      EXPECT_EQ(y[n], -7.0f) << be->name << " wrote past n=" << n;
+    }
+    std::vector<float> y = xs;
+    be->tanh_map(y.data(), y.data(), static_cast<std::int64_t>(y.size()));
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (bits_of(y[i]) != bits_of(tanh_f32(xs[i]))) {
+        if (++mismatches <= 8) {
+          ADD_FAILURE() << be->name << std::hex << " x bits 0x"
+                        << bits_of(xs[i]) << " got 0x" << bits_of(y[i])
+                        << " want 0x" << bits_of(tanh_f32(xs[i]));
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << be->name;
+  }
+}
+
+TEST(KernelBackendNumerics, AdaptivFloatEncodeBitIdenticalToScalar) {
+  // Every width 2..16 and exponent width 0..bits-1, at biases across both
+  // guard edges (exp_bias + 127 = 1 is the lowest the entry covers and
+  // -127 falls back; at 127 value_min is normal unless m = 0, at 128 it
+  // is +inf and falls back; large biases put value_max past the float
+  // range): the scalar and AVX2 entries must equal
+  // AdaptivFloatFormat::encode on every probe.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
+  Pcg32 rng(36);
+  int covered = 0;
+  for (int bits = 2; bits <= 16; ++bits) {
+    for (int e = 0; e < bits; ++e) {
+      for (const int bias :
+           {-127, -126, -125, -20, -6, -1, 0, 3, 100, 126, 127, 128}) {
+        const AdaptivFloatFormat f(bits, e, bias);
+        const bool in_guard =
+            bias + 127 >= 1 && std::isnormal(f.value_min());
+        ASSERT_EQ(f.encode_view() != nullptr, in_guard) << f.to_string();
+        if (!in_guard) continue;
+        ++covered;
+        const float vmin = f.value_min(), vmax = f.value_max();
+        std::vector<float> xs = {0.0f, -0.0f, inf, -inf,
+                                 std::numeric_limits<float>::quiet_NaN(),
+                                 -std::numeric_limits<float>::quiet_NaN(),
+                                 std::numeric_limits<float>::denorm_min(),
+                                 std::numeric_limits<float>::max()};
+        for (const float edge : {vmin, 0.5f * vmin, vmax}) {
+          if (!std::isfinite(edge)) continue;
+          for (const float v :
+               {edge, std::nextafter(edge, 0.0f), std::nextafter(edge, inf)}) {
+            xs.push_back(v);
+            xs.push_back(-v);
+          }
+        }
+        // Every representable value and the midpoints between neighbours
+        // (the ties), one ulp either side.
+        const std::vector<float> reps = f.representable_values();
+        for (std::size_t i = 0; i < reps.size(); i += 1 + reps.size() / 64) {
+          xs.push_back(reps[i]);
+          if (i + 1 < reps.size()) {
+            const float mid = 0.5f * (reps[i] + reps[i + 1]);
+            for (const float v : {mid, std::nextafter(mid, -inf),
+                                  std::nextafter(mid, inf)}) {
+              xs.push_back(v);
+            }
+          }
+        }
+        const float span = std::isfinite(2.0f * vmax) ? 2.0f * vmax : 1e38f;
+        for (int i = 0; i < 64; ++i) xs.push_back(rng.uniform(-span, span));
+        for (int i = 0; i < 64; ++i) {
+          xs.push_back(std::ldexp(rng.uniform(-2.0f, 2.0f),
+                                  bias + static_cast<int>(rng.next_u32() % 24) -
+                                      4));
+        }
+        const auto n = static_cast<std::int64_t>(xs.size());
+        for (const KernelBackend* be : backends) {
+          std::vector<std::uint16_t> codes(xs.size(), 0xbeefu);
+          be->adaptivfloat_encode(*f.encode_view(), xs.data(), codes.data(),
+                                  n);
+          for (std::size_t i = 0; i < xs.size(); ++i) {
+            ASSERT_EQ(codes[i], f.encode(xs[i]))
+                << be->name << " " << f.to_string() << std::hex
+                << " x bits 0x" << bits_of(xs[i]);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(covered, 1000);
 }
 
 }  // namespace

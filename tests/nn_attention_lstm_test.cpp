@@ -2,7 +2,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/nn/attention.hpp"
 #include "src/nn/kv_cache.hpp"
@@ -347,7 +351,7 @@ TEST(KvCache, QuantizedRowsRoundTripThroughCodec) {
   for (int step = 0; step < 4; ++step) {
     ks.push_back(Tensor::randn({2, 8}, rng));
     vs.push_back(Tensor::randn({2, 8}, rng));
-    kv.append(ks.back(), vs.back());
+    kv.append(ks.back(), vs.back(), active_backend());
   }
   EXPECT_EQ(kv.len(), 4);
 
@@ -371,10 +375,10 @@ TEST(KvCache, CapacityExhaustionThrowsTypedNeverAborts) {
   KvState kv;
   kv.init(1, 2, 4);
   Tensor step({1, 4});
-  kv.append(step, step);
-  kv.append(step, step);
+  kv.append(step, step, active_backend());
+  kv.append(step, step, active_backend());
   try {
-    kv.append(step, step);
+    kv.append(step, step, active_backend());
     FAIL() << "append past capacity must throw";
   } catch (const FaultError& e) {
     EXPECT_EQ(e.kind(), FaultKind::kMalformedInput);
@@ -383,7 +387,7 @@ TEST(KvCache, CapacityExhaustionThrowsTypedNeverAborts) {
   // The cache stays usable: reset and decode again.
   kv.reset();
   EXPECT_EQ(kv.len(), 0);
-  kv.append(step, step);
+  kv.append(step, step, active_backend());
   EXPECT_EQ(kv.len(), 1);
 }
 
@@ -445,7 +449,9 @@ TEST(KvCache, ResetThenReappendOverwritesStaleCodes) {
     kv.init(2, 5, 5, mode.quant);
     Tensor full({2, 5});
     for (std::int64_t i = 0; i < full.numel(); ++i) full[i] = -1e3f;
-    for (int step = 0; step < 5; ++step) kv.append(full, full);
+    for (int step = 0; step < 5; ++step) {
+      kv.append(full, full, active_backend());
+    }
     kv.reset();
     EXPECT_EQ(kv.len(), 0);
     EXPECT_EQ(kv.payload_bytes(), 0u);
@@ -457,7 +463,7 @@ TEST(KvCache, ResetThenReappendOverwritesStaleCodes) {
                                  : Tensor::randn({2, 5}, rng, 0.1f));
       vs.push_back(step % 2 == 0 ? Tensor::randn({2, 5}, rng, 0.1f)
                                  : Tensor({2, 5}));
-      kv.append(ks.back(), vs.back());
+      kv.append(ks.back(), vs.back(), active_backend());
     }
     for (std::int64_t bi = 0; bi < 2; ++bi) {
       expect_lane_rows(kv, mode.quant, bi, ks, vs, bi);
@@ -471,10 +477,12 @@ TEST(KvCache, MisuseThrowsTypedMalformed) {
   EXPECT_THROW(kv.init(1, 0, 8), FaultError);   // no capacity
   kv.init(2, 4, 8);
   Tensor wrong({1, 8});
-  EXPECT_THROW(kv.append(wrong, wrong), FaultError);  // lane count mismatch
+  // Lane count mismatch.
+  EXPECT_THROW(kv.append(wrong, wrong, active_backend()), FaultError);
   Tensor k({2, 8});
   Tensor v_bad({2, 4});
-  EXPECT_THROW(kv.append(k, v_bad), FaultError);      // width mismatch
+  // Width mismatch.
+  EXPECT_THROW(kv.append(k, v_bad, active_backend()), FaultError);
 
   // Half-configured quantization (K codec only) is malformed.
   KvQuantConfig half;
@@ -482,6 +490,76 @@ TEST(KvCache, MisuseThrowsTypedMalformed) {
       make_codec(FormatKind::kAdaptivFloat, 8, 1.0f));
   KvState kv2;
   EXPECT_THROW(kv2.init(1, 4, 8, half), FaultError);
+}
+
+TEST(KvCache, AppendedLaneBytesBackendInvariant) {
+  // AdaptivFloat rows encode through the backend's encode entry; the lane
+  // bytes after appends (and a block prefill) must not depend on which
+  // backend ran. D = 70 spans a full 64-code chunk plus a ragged one, and
+  // the rows carry every encode edge: +-0, NaN, +-inf, tiny and huge.
+  const KernelBackend* avx2 = avx2_backend();
+  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
+  const std::int64_t b = 2, d = 70, steps = 5;
+  Pcg32 rng(78);
+  std::vector<Tensor> rows;
+  for (std::int64_t t = 0; t < steps; ++t) {
+    rows.push_back(Tensor::randn({b, d}, rng, 1.5f));
+  }
+  const float edges[] = {0.0f, -0.0f, std::nanf(""),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity(), 1e-30f,
+                         -1e-30f, 1e30f, -1e30f};
+  for (std::size_t i = 0; i < std::size(edges); ++i) {
+    rows[i % steps][static_cast<std::int64_t>(i * 7)] = edges[i];
+  }
+  Tensor block({b * steps, d});
+  for (std::int64_t bi = 0; bi < b; ++bi) {
+    for (std::int64_t t = 0; t < steps; ++t) {
+      for (std::int64_t c = 0; c < d; ++c) {
+        block.at({bi * steps + t, c}) =
+            rows[static_cast<std::size_t>(t)].at({bi, c});
+      }
+    }
+  }
+  for (const int bits : {4, 6, 8, 12}) {
+    SCOPED_TRACE("AdaptivFloat/" + std::to_string(bits));
+    KvQuantConfig q;
+    q.k_codec = std::shared_ptr<const FormatCodec>(
+        make_codec(FormatKind::kAdaptivFloat, bits, 2.0f));
+    q.v_codec = std::shared_ptr<const FormatCodec>(
+        make_codec(FormatKind::kAdaptivFloat, bits, 3.0f));
+    ASSERT_NE(q.k_codec->encode_view(), nullptr);
+    KvState by_backend[2], blocks[2];
+    const KernelBackend* backends[2] = {&scalar_backend(), avx2};
+    for (int w = 0; w < 2; ++w) {
+      by_backend[w].init(b, steps, d, q);
+      for (const Tensor& r : rows) by_backend[w].append(r, r, *backends[w]);
+      blocks[w].init(b, steps, d, q);
+      blocks[w].append_block(block, block, steps, *backends[w]);
+    }
+    for (std::int64_t bi = 0; bi < b; ++bi) {
+      for (KvState* pair : {by_backend, blocks}) {
+        const KvState::Lane s = pair[0].lane(bi), v = pair[1].lane(bi);
+        ASSERT_EQ(s.k.nbytes, v.k.nbytes);
+        EXPECT_EQ(std::memcmp(s.k.bytes, v.k.bytes, s.k.nbytes), 0)
+            << "K lane " << bi;
+        EXPECT_EQ(std::memcmp(s.v.bytes, v.v.bytes, s.v.nbytes), 0)
+            << "V lane " << bi;
+      }
+      // And the codes are the codec's own encode.
+      std::vector<float> k_row(d), v_row(d);
+      for (std::int64_t t = 0; t < steps; ++t) {
+        by_backend[1].read_row(bi, t, k_row.data(), v_row.data());
+        for (std::int64_t c = 0; c < d; ++c) {
+          const float x = rows[static_cast<std::size_t>(t)].at({bi, c});
+          EXPECT_EQ(k_row[static_cast<std::size_t>(c)],
+                    kv_stored(q.k_codec, x));
+          EXPECT_EQ(v_row[static_cast<std::size_t>(c)],
+                    kv_stored(q.v_codec, x));
+        }
+      }
+    }
+  }
 }
 
 TEST(KvCache, AppendBlockMatchesPerStepAppends) {
@@ -499,7 +577,7 @@ TEST(KvCache, AppendBlockMatchesPerStepAppends) {
     SCOPED_TRACE(mode.name);
     KvState block;
     block.init(2, 4, 5, mode.quant);
-    block.append_block(k, v, 3);
+    block.append_block(k, v, 3, active_backend());
 
     KvState steps;
     steps.init(2, 4, 5, mode.quant);
@@ -512,7 +590,7 @@ TEST(KvCache, AppendBlockMatchesPerStepAppends) {
           vt.at({bi, c}) = v.at({bi * 3 + t, c});
         }
       }
-      steps.append(kt, vt);
+      steps.append(kt, vt, active_backend());
       ks.push_back(kt);
       vs.push_back(vt);
     }
@@ -591,7 +669,7 @@ TEST(KvCache, FusedAttendMatchesDecodeThenAttend) {
     for (std::int64_t j = 0; j < kLen; ++j) {
       Tensor k = Tensor::randn({2, kD}, rng);
       Tensor v = Tensor::randn({2, kD}, rng);
-      kv.append(k, v);
+      kv.append(k, v, active_backend());
       for (std::int64_t bi = 0; bi < 2; ++bi) {
         for (std::int64_t c = 0; c < kD; ++c) {
           dec_k.at({bi, j, c}) = kv_stored(mode.quant.k_codec, k.at({bi, c}));

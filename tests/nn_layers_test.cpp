@@ -136,8 +136,10 @@ TEST(Activations, GeluKnownValues) {
 TEST(Activations, BulkForwardMatchesElementwiseF) {
   // forward maps the whole tensor in one call; every output must carry the
   // bits of the per-element f, across signs, ±0, ±Inf, NaN, denormals and
-  // the saturating tails. ReLU maps NaN and -0 to +0. A training forward
-  // still pushes one cache entry per call, an inference forward none.
+  // the saturating tails, on every kernel backend (GELU and Tanh run their
+  // tanh through the context's tanh_map). ReLU maps NaN and -0 to +0. A
+  // training forward still pushes one cache entry per call, an inference
+  // forward none.
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   std::vector<float> xs = {0.0f, -0.0f, inf, -inf, nan, -nan,
@@ -152,16 +154,23 @@ TEST(Activations, BulkForwardMatchesElementwiseF) {
   GELU gelu;
   Tanh tanh_act;
   Sigmoid sigmoid;
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
   for (Activation* act :
        std::initializer_list<Activation*>{&relu, &gelu, &tanh_act, &sigmoid}) {
+    for (const KernelBackend* be : backends) {
+      ExecutionContext infer{.backend = be};
+      const Tensor y = act->forward(x, infer);
+      EXPECT_EQ(act->cache_depth(), 0);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float want = act->f(x[i]);
+        EXPECT_EQ(std::memcmp(y.data() + i, &want, sizeof(float)), 0)
+            << be->name << " x=" << x[i] << " got " << y[i] << " want "
+            << want;
+      }
+    }
     ExecutionContext infer;
     const Tensor y = act->forward(x, infer);
-    EXPECT_EQ(act->cache_depth(), 0);
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float want = act->f(x[i]);
-      EXPECT_EQ(std::memcmp(y.data() + i, &want, sizeof(float)), 0)
-          << "x=" << x[i] << " got " << y[i] << " want " << want;
-    }
     ExecutionContext train{.training = true};
     const Tensor yt = act->forward(x, train);
     EXPECT_EQ(act->cache_depth(), 1);
