@@ -4,7 +4,7 @@
 //   full        — the pre-KV-cache loop: a teacher-forced forward over the
 //                 whole growing prefix at every step (O(T^2) attention
 //                 work per sequence).
-//   incremental — TransformerDecoder: one [B, D] step per token against
+//   incremental — TransformerDecoder: one [1, D] step per token against
 //                 arena-planned KV caches (fp32 or packed quantized).
 // With fp32 KV the emitted token stream must be bit-identical to the full
 // recompute (the harness exits nonzero otherwise), and quantized decoding
@@ -217,9 +217,11 @@ int run_verify_only() {
     const bool clean = steady_allocs == 0;
     ok = ok && clean;
     // 8-bit rows keep their original label; other widths name the width.
-    const std::string label =
-        format_kind_name(kv.kind) +
-        (kv.bits == 8 ? "" : "/" + std::to_string(kv.bits));
+    std::string label = format_kind_name(kv.kind);
+    if (kv.bits != 8) {
+      label += '/';
+      label += std::to_string(kv.bits);
+    }
     std::printf("decode %-11s digest %s steady_allocs %lld\n", label.c_str(),
                 digest_hex(dig).c_str(),
                 static_cast<long long>(steady_allocs));
@@ -384,7 +386,7 @@ int run_bench(const char* json_path) {
           },
           kReps);
       KvState kv;
-      kv.init(1, 256, cfg.d_model, af8);
+      kv.init(256, cfg.d_model, af8);
       const double kv_ms = time_ms(
           [&] {
             for (int i = 0; i < kIters; ++i) {

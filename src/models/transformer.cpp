@@ -394,9 +394,9 @@ void TransformerDecoder::setup(ExecutionContext&) {
   // planned here, once, to full capacity.
   const TransformerConfig& cfg = model_.cfg_;
   for (std::size_t i = 0; i < self_kv_.size(); ++i) {
-    self_kv_[i].init(1, opts_.max_steps, cfg.d_model,
+    self_kv_[i].init(opts_.max_steps, cfg.d_model,
                      kv_codecs_ ? kv_codecs_->self[i] : KvQuantConfig{});
-    cross_kv_[i].init(1, cfg.max_len, cfg.d_model,
+    cross_kv_[i].init(cfg.max_len, cfg.d_model,
                       kv_codecs_ ? kv_codecs_->cross[i] : KvQuantConfig{});
   }
 }
@@ -455,7 +455,7 @@ Tensor TransformerDecoder::decode_step(const std::vector<std::int64_t>& ids,
     Tensor sa = blk.self_attn.decode_self_step(y, self_kv_[i], ctx);
     Tensor x1 = blk.ln1.forward(add(y, sa), ctx);
     Tensor ca = blk.cross_attn.decode_cross_step(x1, cross_kv_[i],
-                                                 &src_lengths_, ctx);
+                                                 src_lengths_[0], ctx);
     Tensor x2 = blk.ln2.forward(add(x1, ca), ctx);
     Tensor h = blk.fc2.forward(
         blk.gelu.forward(blk.fc1.forward(x2, ctx), ctx), ctx);

@@ -20,7 +20,7 @@ namespace {
 // the double-precision denominator prefix nor survives the zero-weight skip.
 
 // How many leading keys of `len` a query sees: masked keys are those past
-// its causal limit or the lane's valid length.
+// its causal limit or the source's valid length.
 std::int64_t visible_keys(std::int64_t len, std::int64_t causal_limit,
                           std::int64_t valid) {
   return std::max<std::int64_t>(
@@ -146,27 +146,22 @@ Tensor MultiHeadAttention::forward(const Tensor& q_in, const Tensor& kv_in,
   return out;
 }
 
-Tensor MultiHeadAttention::attend_cached(
-    const Tensor& q, const KvState& kv,
-    const std::vector<std::int64_t>* kv_lengths, ExecutionContext& ec) {
-  const std::int64_t b = kv.batch(), len = kv.len();
+Tensor MultiHeadAttention::attend_cached(const Tensor& q, const KvState& kv,
+                                         std::int64_t valid,
+                                         ExecutionContext& ec) {
+  const std::int64_t len = kv.len();
+  const std::int64_t visible = visible_keys(len, len, valid);
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(d_head_));
   const KernelBackend& be = ec.kernel_backend();
 
-  Tensor ctx({b, d_model_});
+  Tensor ctx({1, d_model_});
   Tensor srow({len});
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    const std::int64_t valid =
-        kv_lengths ? (*kv_lengths)[static_cast<std::size_t>(bi)] : len;
-    const std::int64_t visible = visible_keys(len, len, valid);
-    KvState::Lane lane = kv.lane(bi);
-    count_backend_dispatch(be);
-    for (std::int64_t h = 0; h < heads_; ++h) {
-      lane.k.col = lane.v.col = h * d_head_;
-      be.attend_row(q.data() + bi * d_model_ + lane.k.col, lane.k, lane.v,
-                    len, visible, d_head_, inv_sqrt_dh, srow.data(),
-                    ctx.data() + bi * d_model_ + lane.k.col);
-    }
+  KvState::Operands ops = kv.operands();
+  count_backend_dispatch(be);
+  for (std::int64_t h = 0; h < heads_; ++h) {
+    ops.k.col = ops.v.col = h * d_head_;
+    be.attend_row(q.data() + ops.k.col, ops.k, ops.v, len, visible, d_head_,
+                  inv_sqrt_dh, srow.data(), ctx.data() + ops.k.col);
   }
   return wo_.forward(ctx, ec);
 }
@@ -178,16 +173,16 @@ Tensor MultiHeadAttention::decode_self_step(const Tensor& x, KvState& kv,
                      "decode_self_step KvState not initialized for D=" +
                          std::to_string(d_model_));
   }
-  if (x.rank() != 2 || x.dim(0) != kv.batch() || x.dim(1) != d_model_) {
+  if (x.rank() != 2 || x.dim(0) != 1 || x.dim(1) != d_model_) {
     throw FaultError("attention", FaultKind::kMalformedInput,
-                     "decode_self_step expects x [B, D] matching the cache, "
-                     "got " + shape_str(x.shape()));
+                     "decode_self_step expects x [1, D], got " +
+                         shape_str(x.shape()));
   }
   Tensor q = wq_.forward(x, ec);
   kv.append(wk_.forward(x, ec), wv_.forward(x, ec), ec.kernel_backend());
   // The newest key IS the query's own position: the cached prefix is
   // exactly the causally visible window, so nothing is masked.
-  return attend_cached(q, kv, nullptr, ec);
+  return attend_cached(q, kv, kv.len(), ec);
 }
 
 void MultiHeadAttention::prefill_cross(const Tensor& enc, KvState& kv,
@@ -197,36 +192,30 @@ void MultiHeadAttention::prefill_cross(const Tensor& enc, KvState& kv,
                      "prefill_cross KvState not initialized for D=" +
                          std::to_string(d_model_));
   }
-  if (enc.rank() != 3 || enc.dim(0) != kv.batch() ||
-      enc.dim(2) != d_model_) {
+  if (enc.rank() != 3 || enc.dim(0) != 1 || enc.dim(2) != d_model_) {
     throw FaultError("attention", FaultKind::kMalformedInput,
-                     "prefill_cross expects enc [B, Tk, D] matching the "
-                     "cache, got " + shape_str(enc.shape()));
+                     "prefill_cross expects enc [1, Tk, D], got " +
+                         shape_str(enc.shape()));
   }
-  const std::int64_t b = enc.dim(0), tk = enc.dim(1);
-  Tensor flat = enc.reshaped({b * tk, d_model_});
-  kv.append_block(wk_.forward(flat, ec), wv_.forward(flat, ec), tk,
+  Tensor flat = enc.reshaped({enc.dim(1), d_model_});
+  kv.append_block(wk_.forward(flat, ec), wv_.forward(flat, ec),
                   ec.kernel_backend());
 }
 
-Tensor MultiHeadAttention::decode_cross_step(
-    const Tensor& x, const KvState& kv,
-    const std::vector<std::int64_t>* kv_lengths, ExecutionContext& ec) {
+Tensor MultiHeadAttention::decode_cross_step(const Tensor& x,
+                                             const KvState& kv,
+                                             std::int64_t kv_valid,
+                                             ExecutionContext& ec) {
   if (!kv.initialized() || kv.dim() != d_model_ || kv.len() == 0) {
     throw FaultError("attention", FaultKind::kMalformedInput,
                      "decode_cross_step requires a prefilled KvState");
   }
-  if (x.rank() != 2 || x.dim(0) != kv.batch() || x.dim(1) != d_model_) {
+  if (x.rank() != 2 || x.dim(0) != 1 || x.dim(1) != d_model_) {
     throw FaultError("attention", FaultKind::kMalformedInput,
-                     "decode_cross_step expects x [B, D] matching the cache, "
-                     "got " + shape_str(x.shape()));
+                     "decode_cross_step expects x [1, D], got " +
+                         shape_str(x.shape()));
   }
-  if (kv_lengths &&
-      static_cast<std::int64_t>(kv_lengths->size()) != kv.batch()) {
-    throw FaultError("attention", FaultKind::kMalformedInput,
-                     "kv_lengths must have one entry per batch");
-  }
-  return attend_cached(wq_.forward(x, ec), kv, kv_lengths, ec);
+  return attend_cached(wq_.forward(x, ec), kv, kv_valid, ec);
 }
 
 std::pair<Tensor, Tensor> MultiHeadAttention::backward(const Tensor& dy) {

@@ -19,9 +19,9 @@ namespace af {
 /// via per-batch valid lengths (cross-attention onto padded encodings).
 ///
 /// The forward is factored into project / append / attend phases so that
-/// incremental decoding (one new timestep against a KvState of cached
-/// projections) and the monolithic [B, T, D] paths run the exact same
-/// per-row attend core — row i of a monolithic causal forward is
+/// incremental decoding (one stream's new timestep against a KvState of
+/// cached projections) and the monolithic [B, T, D] paths run the exact
+/// same per-row attend core — row i of a monolithic causal forward is
 /// bit-identical to the i-th decode_self_step over an fp32 KvState
 /// (DESIGN.md §15).
 class MultiHeadAttention final : public Module {
@@ -42,24 +42,23 @@ class MultiHeadAttention final : public Module {
 
   // ----- incremental decoding -----------------------------------------------
 
-  /// Causal self-attention step: projects x [B, D] (one new timestep per
-  /// lane), appends the K/V projections to `kv`, and attends the new query
-  /// over all cached steps. Returns [B, D]. The newest key is the query's
-  /// own position, so the cached prefix is exactly the causally visible
+  /// Causal self-attention step: projects x [1, D] (one new timestep),
+  /// appends the K/V projections to `kv`, and attends the new query over
+  /// all cached steps. Returns [1, D]. The newest key is the query's own
+  /// position, so the cached prefix is exactly the causally visible
   /// window — no mask needed.
   Tensor decode_self_step(const Tensor& x, KvState& kv, ExecutionContext& ctx);
 
-  /// Cross-attention prefill: projects the encoder output enc [B, Tk, D]
+  /// Cross-attention prefill: projects the encoder output enc [1, Tk, D]
   /// once and block-fills `kv` (the encoder side never changes during
   /// decoding, so its projections are computed exactly once per sequence).
   void prefill_cross(const Tensor& enc, KvState& kv, ExecutionContext& ctx);
 
-  /// Cross-attention step: projects the query x [B, D] and attends over the
-  /// prefilled encoder-side cache, masking keys at positions >= the lane's
-  /// kv_length (optional, size B). Returns [B, D].
+  /// Cross-attention step: projects the query x [1, D] and attends over the
+  /// prefilled encoder-side cache, masking keys at positions >= `kv_valid`
+  /// (the source's unpadded length). Returns [1, D].
   Tensor decode_cross_step(const Tensor& x, const KvState& kv,
-                           const std::vector<std::int64_t>* kv_lengths,
-                           ExecutionContext& ctx);
+                           std::int64_t kv_valid, ExecutionContext& ctx);
 
   // ----- KV range recording --------------------------------------------------
 
@@ -104,11 +103,10 @@ class MultiHeadAttention final : public Module {
   void check_inputs(const Tensor& q_in, const Tensor& kv_in, bool causal,
                     const std::vector<std::int64_t>* kv_lengths) const;
 
-  /// Shared tail of both decode steps: attends the projected queries
-  /// q [B, D] over `kv`'s cached rows, masking keys at positions >= the
-  /// lane's kv_length (null = all visible), then applies wo_.
-  Tensor attend_cached(const Tensor& q, const KvState& kv,
-                       const std::vector<std::int64_t>* kv_lengths,
+  /// Shared tail of both decode steps: attends the projected query
+  /// q [1, D] over `kv`'s cached rows, masking keys at positions >=
+  /// `valid`, then applies wo_.
+  Tensor attend_cached(const Tensor& q, const KvState& kv, std::int64_t valid,
                        ExecutionContext& ctx);
 
   std::int64_t d_model_;

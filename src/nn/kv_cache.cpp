@@ -10,18 +10,14 @@ namespace af {
 
 namespace {
 
-std::uint8_t* region_base(Tensor& codes, std::int64_t bi,
-                          std::size_t region_bytes) {
-  // Codes live byte-aliased inside float tensor storage so they ride the
-  // same arena planning as every other decode-session buffer.
-  return reinterpret_cast<std::uint8_t*>(codes.data()) +
-         static_cast<std::size_t>(bi) * region_bytes;
+// Codes live byte-aliased inside float tensor storage so they ride the same
+// arena planning as every other decode-session buffer.
+std::uint8_t* region(Tensor& codes) {
+  return reinterpret_cast<std::uint8_t*>(codes.data());
 }
 
-const std::uint8_t* region_base(const Tensor& codes, std::int64_t bi,
-                                std::size_t region_bytes) {
-  return reinterpret_cast<const std::uint8_t*>(codes.data()) +
-         static_cast<std::size_t>(bi) * region_bytes;
+const std::uint8_t* region(const Tensor& codes) {
+  return reinterpret_cast<const std::uint8_t*>(codes.data());
 }
 
 std::int64_t floats_for_bytes(std::size_t bytes) {
@@ -29,18 +25,18 @@ std::int64_t floats_for_bytes(std::size_t bytes) {
                                    sizeof(float));
 }
 
-// Bytes `n` codes of `bits` width occupy at the start of a lane region.
+// Bytes `n` codes of `bits` width occupy at the start of a region.
 std::size_t code_bytes(std::int64_t n, int bits) {
   return static_cast<std::size_t>((n * bits + 7) / 8);
 }
 
 }  // namespace
 
-void KvState::init(std::int64_t b, std::int64_t capacity, std::int64_t d,
+void KvState::init(std::int64_t capacity, std::int64_t d,
                    KvQuantConfig quant) {
-  if (b <= 0 || capacity <= 0 || d <= 0) {
+  if (capacity <= 0 || d <= 0) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                     "KvState::init requires positive batch/capacity/dim");
+                     "KvState::init requires positive capacity/dim");
   }
   if ((quant.k_codec != nullptr) != (quant.v_codec != nullptr)) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
@@ -50,15 +46,13 @@ void KvState::init(std::int64_t b, std::int64_t capacity, std::int64_t d,
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
                      "KvState K/V codecs must share one code width");
   }
-  b_ = b;
   cap_ = capacity;
   d_ = d;
   len_ = 0;
   quant_ = std::move(quant);
   bits_ = quant_.enabled() ? quant_.k_codec->bits() : 32;
   region_bytes_ = code_bytes(cap_ * d_, bits_);
-  const std::int64_t code_floats =
-      floats_for_bytes(static_cast<std::size_t>(b_) * region_bytes_);
+  const std::int64_t code_floats = floats_for_bytes(region_bytes_);
   k_codes_ = Tensor({code_floats});
   v_codes_ = Tensor({code_floats});
   if (quant_.enabled()) {
@@ -74,10 +68,9 @@ void KvState::init(std::int64_t b, std::int64_t capacity, std::int64_t d,
 }
 
 void KvState::write_row(const float* k_row, const float* v_row,
-                        std::int64_t bi, std::int64_t j,
-                        const KernelBackend& be) {
-  std::uint8_t* kr = region_base(k_codes_, bi, region_bytes_);
-  std::uint8_t* vr = region_base(v_codes_, bi, region_bytes_);
+                        std::int64_t j, const KernelBackend& be) {
+  std::uint8_t* kr = region(k_codes_);
+  std::uint8_t* vr = region(v_codes_);
   if (!quant_.enabled()) {
     // An fp32 row is its own 32-bit code: the region holds the row verbatim.
     const std::size_t off = static_cast<std::size_t>(j * d_) * sizeof(float);
@@ -120,19 +113,16 @@ void KvState::append(const Tensor& k_step, const Tensor& v_step,
                      "KvState capacity exhausted: cache planned for " +
                          std::to_string(cap_) + " steps");
   }
-  if (k_step.rank() != 2 || k_step.dim(0) != b_ || k_step.dim(1) != d_ ||
-      v_step.rank() != 2 || v_step.dim(0) != b_ || v_step.dim(1) != d_) {
+  if (k_step.rank() != 2 || k_step.dim(0) != 1 || k_step.dim(1) != d_ ||
+      v_step.rank() != 2 || v_step.dim(0) != 1 || v_step.dim(1) != d_) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                     "KvState::append expects [B, D] K/V steps matching init");
+                     "KvState::append expects [1, D] K/V steps matching init");
   }
-  for (std::int64_t bi = 0; bi < b_; ++bi) {
-    write_row(k_step.data() + bi * d_, v_step.data() + bi * d_, bi, len_,
-              be);
-  }
+  write_row(k_step.data(), v_step.data(), len_, be);
   ++len_;
 }
 
-void KvState::append_block(const Tensor& k, const Tensor& v, std::int64_t t,
+void KvState::append_block(const Tensor& k, const Tensor& v,
                            const KernelBackend& be) {
   if (!initialized()) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
@@ -142,42 +132,37 @@ void KvState::append_block(const Tensor& k, const Tensor& v, std::int64_t t,
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
                      "KvState::append_block requires an empty cache");
   }
+  if (k.rank() != 2 || k.dim(1) != d_ || v.rank() != 2 ||
+      v.shape() != k.shape()) {
+    throw FaultError("kv_cache", FaultKind::kMalformedInput,
+                     "KvState::append_block expects [t, D] K/V projections");
+  }
+  const std::int64_t t = k.dim(0);
   if (t <= 0 || t > cap_) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
                      "KvState::append_block length exceeds planned capacity");
   }
-  if (k.rank() != 2 || k.dim(0) != b_ * t || k.dim(1) != d_ ||
-      v.rank() != 2 || v.dim(0) != b_ * t || v.dim(1) != d_) {
-    throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                     "KvState::append_block expects [B*t, D] K/V projections");
-  }
-  for (std::int64_t bi = 0; bi < b_; ++bi) {
-    for (std::int64_t j = 0; j < t; ++j) {
-      write_row(k.data() + (bi * t + j) * d_, v.data() + (bi * t + j) * d_,
-                bi, j, be);
-    }
+  for (std::int64_t j = 0; j < t; ++j) {
+    write_row(k.data() + j * d_, v.data() + j * d_, j, be);
   }
   len_ = t;
 }
 
-KvState::Lane KvState::lane(std::int64_t bi) const {
-  if (!initialized() || bi < 0 || bi >= b_) {
+KvState::Operands KvState::operands() const {
+  if (!initialized()) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                     "KvState::lane out of range");
+                     "KvState::operands before init");
   }
-  return {{region_base(k_codes_, bi, region_bytes_), region_bytes_, bits_,
-           k_table_, d_, 0},
-          {region_base(v_codes_, bi, region_bytes_), region_bytes_, bits_,
-           v_table_, d_, 0}};
+  return {{region(k_codes_), region_bytes_, bits_, k_table_, d_, 0},
+          {region(v_codes_), region_bytes_, bits_, v_table_, d_, 0}};
 }
 
-void KvState::read_row(std::int64_t bi, std::int64_t j, float* k_out,
-                       float* v_out) const {
+void KvState::read_row(std::int64_t j, float* k_out, float* v_out) const {
   if (j < 0 || j >= len_) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
                      "KvState::read_row step out of range");
   }
-  const Lane l = lane(bi);
+  const Operands ops = operands();
   const auto read = [&](const AttendOperand& o, float* out) {
     const auto row_bytes = static_cast<std::size_t>(d_) * sizeof(float);
     if (bits_ == 32) {
@@ -187,19 +172,19 @@ void KvState::read_row(std::int64_t bi, std::int64_t j, float* k_out,
       unpack_decode_scalar(o.bytes, o.nbytes, bits_, j * d_, d_, o.table, out);
     }
   };
-  read(l.k, k_out);
-  read(l.v, v_out);
+  read(ops.k, k_out);
+  read(ops.v, v_out);
 }
 
 std::size_t KvState::payload_bytes() const {
   if (!initialized()) return 0;
-  // Bytes actually occupied by cached codes, rounded up per lane.
-  return 2 * static_cast<std::size_t>(b_) * code_bytes(len_ * d_, bits_);
+  // Bytes actually occupied by cached codes, rounded up to whole bytes.
+  return 2 * code_bytes(len_ * d_, bits_);
 }
 
 std::size_t KvState::bytes_per_step() const {
   if (!initialized()) return 0;
-  return 2 * static_cast<std::size_t>(b_) * code_bytes(d_, bits_);
+  return 2 * code_bytes(d_, bits_);
 }
 
 }  // namespace af

@@ -1,14 +1,9 @@
-// ULP distance between floats, for cross-backend numeric bounds.
-//
-// Maps each float to the same monotone 64-bit integer line used by the
-// NearestLut key (sign-magnitude -> biased order) and takes the absolute
-// difference: adjacent representable floats are 1 apart, +0.0f and -0.0f
-// are 0 apart (numerically equal), and the distance is symmetric across
-// zero. NaN on either side is only zero-distance against another NaN.
+// Norm-scaled ULP error between floats, the unit of the cross-backend GEMM
+// bound: backends may reorder an accumulation chain, so two results are
+// compared against the rounding that chain's magnitude allows, not bit for
+// bit.
 #pragma once
 
-#include <cstdint>
-#include <cstring>
 #include <limits>
 
 namespace af {
@@ -25,23 +20,6 @@ inline double ulp_at_scale(float a, float b, double norm) {
   if (diff == 0.0) return 0.0;
   if (norm <= 0.0) return std::numeric_limits<double>::infinity();
   return diff / (norm * 0x1p-24);
-}
-
-inline std::uint64_t ulp_distance(float a, float b) {
-  const bool a_nan = a != a;
-  const bool b_nan = b != b;
-  if (a_nan || b_nan) {
-    return (a_nan && b_nan) ? 0 : ~std::uint64_t{0};
-  }
-  const auto rank = [](float x) -> std::int64_t {
-    std::uint32_t u = 0;
-    std::memcpy(&u, &x, sizeof(u));
-    const std::int64_t mag = static_cast<std::int64_t>(u & 0x7fffffffu);
-    return (u & 0x80000000u) ? -mag : mag;  // +0 and -0 both rank 0
-  };
-  const std::int64_t ra = rank(a);
-  const std::int64_t rb = rank(b);
-  return static_cast<std::uint64_t>(ra > rb ? ra - rb : rb - ra);
 }
 
 }  // namespace af

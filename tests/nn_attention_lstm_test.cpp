@@ -224,33 +224,28 @@ TEST(Lstm, GradCheckThroughTime) {
 
 // ----- incremental decoding vs the monolithic forward ------------------------
 
-Tensor row_slice(const Tensor& x, std::int64_t t) {
-  // x: [B, T, D] -> [B, D] at timestep t (owned copy).
-  const std::int64_t b = x.dim(0), tt = x.dim(1), d = x.dim(2);
-  Tensor out({b, d});
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    std::memcpy(out.data() + bi * d, x.data() + (bi * tt + t) * d,
-                static_cast<std::size_t>(d) * sizeof(float));
-  }
+// Stream `bi`'s timestep t of x [B, T, D], as a one-stream [1, D] step.
+Tensor row_slice(const Tensor& x, std::int64_t bi, std::int64_t t) {
+  const std::int64_t tt = x.dim(1), d = x.dim(2);
+  Tensor out({1, d});
+  std::memcpy(out.data(), x.data() + (bi * tt + t) * d,
+              static_cast<std::size_t>(d) * sizeof(float));
   return out;
 }
 
-bool rows_bit_equal(const Tensor& mono, std::int64_t t, const Tensor& step) {
-  // mono: [B, T, D] row t against step: [B, D], exact bits.
-  const std::int64_t b = mono.dim(0), tt = mono.dim(1), d = mono.dim(2);
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    if (std::memcmp(mono.data() + (bi * tt + t) * d, step.data() + bi * d,
-                    static_cast<std::size_t>(d) * sizeof(float)) != 0) {
-      return false;
-    }
-  }
-  return true;
+bool rows_bit_equal(const Tensor& mono, std::int64_t bi, std::int64_t t,
+                    const Tensor& step) {
+  // mono: [B, T, D] stream bi's row t against step: [1, D], exact bits.
+  const std::int64_t tt = mono.dim(1), d = mono.dim(2);
+  return std::memcmp(mono.data() + (bi * tt + t) * d, step.data(),
+                     static_cast<std::size_t>(d) * sizeof(float)) == 0;
 }
 
 TEST(AttentionIncremental, CausalSelfMatchesMonolithicBitExact) {
   // DESIGN.md §15: an fp32 KvState decode_self_step at position i must be
   // bit-identical to row i of the monolithic causal forward — for every
-  // batch size, sequence length and thread count.
+  // sequence length and thread count, and for every stream of a batched
+  // forward, each decoded through its own KvState.
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
     for (const std::int64_t b : {std::int64_t{1}, std::int64_t{3}}) {
@@ -262,13 +257,15 @@ TEST(AttentionIncremental, CausalSelfMatchesMonolithicBitExact) {
         ExecutionContext ec;
         Tensor mono = mha.forward(x, x, /*causal=*/true, nullptr, ec);
 
-        KvState kv;
-        kv.init(b, t, 16);
-        for (std::int64_t i = 0; i < t; ++i) {
-          Tensor step = mha.decode_self_step(row_slice(x, i), kv, ec);
-          EXPECT_TRUE(rows_bit_equal(mono, i, step))
-              << "b=" << b << " t=" << t << " i=" << i
-              << " threads=" << threads;
+        for (std::int64_t bi = 0; bi < b; ++bi) {
+          KvState kv;
+          kv.init(t, 16);
+          for (std::int64_t i = 0; i < t; ++i) {
+            Tensor step = mha.decode_self_step(row_slice(x, bi, i), kv, ec);
+            EXPECT_TRUE(rows_bit_equal(mono, bi, i, step))
+                << "b=" << b << " stream=" << bi << " t=" << t << " i=" << i
+                << " threads=" << threads;
+          }
         }
       }
     }
@@ -277,29 +274,29 @@ TEST(AttentionIncremental, CausalSelfMatchesMonolithicBitExact) {
 }
 
 TEST(AttentionIncremental, CrossAttentionMatchesMonolithicBitExact) {
-  // Cross attention over a prefilled KvState, with ragged source lengths.
+  // Cross attention over a prefilled KvState, masking every source length
+  // from one valid key to all of them.
   for (const int threads : {1, 4}) {
     set_num_threads(threads);
-    for (const std::int64_t b : {std::int64_t{1}, std::int64_t{3}}) {
-      Pcg32 rng(200 + static_cast<std::uint64_t>(b));
-      MultiHeadAttention mha(16, 2, rng);
-      const std::int64_t tq = 7, tk = 5;
-      Tensor q = Tensor::randn({b, tq, 16}, rng);
-      Tensor enc = Tensor::randn({b, tk, 16}, rng);
-      std::vector<std::int64_t> lengths;
-      for (std::int64_t bi = 0; bi < b; ++bi) lengths.push_back(3 + bi % 3);
+    Pcg32 rng(200);
+    MultiHeadAttention mha(16, 2, rng);
+    const std::int64_t tq = 7, tk = 5;
+    Tensor q = Tensor::randn({1, tq, 16}, rng);
+    Tensor enc = Tensor::randn({1, tk, 16}, rng);
+    ExecutionContext ec;
 
-      ExecutionContext ec;
+    KvState kv;
+    kv.init(tk, 16);
+    mha.prefill_cross(enc, kv, ec);
+    EXPECT_EQ(kv.len(), tk);
+    for (std::int64_t valid = 1; valid <= tk; ++valid) {
+      const std::vector<std::int64_t> lengths = {valid};
       Tensor mono = mha.forward(q, enc, /*causal=*/false, &lengths, ec);
-
-      KvState kv;
-      kv.init(b, tk, 16);
-      mha.prefill_cross(enc, kv, ec);
-      EXPECT_EQ(kv.len(), tk);
       for (std::int64_t i = 0; i < tq; ++i) {
-        Tensor step = mha.decode_cross_step(row_slice(q, i), kv, &lengths, ec);
-        EXPECT_TRUE(rows_bit_equal(mono, i, step))
-            << "b=" << b << " i=" << i << " threads=" << threads;
+        Tensor step =
+            mha.decode_cross_step(row_slice(q, 0, i), kv, valid, ec);
+        EXPECT_TRUE(rows_bit_equal(mono, 0, i, step))
+            << "valid=" << valid << " i=" << i << " threads=" << threads;
       }
     }
   }
@@ -324,6 +321,18 @@ TEST(AttentionIncremental, MalformedShapesThrowTypedNotAbort) {
   EXPECT_THROW(mha.forward(flat, flat, false, nullptr, train), FaultError);
   std::vector<std::int64_t> bad_lengths = {1, 2};  // batch is 1
   EXPECT_THROW(mha.forward(q, q, false, &bad_lengths, train), FaultError);
+
+  // The decode steps take one stream: two rows (or two sources) are
+  // malformed, not a batch.
+  ExecutionContext ec;
+  KvState cache;
+  cache.init(8, 8);
+  Tensor two_rows = Tensor::randn({2, 8}, rng);
+  EXPECT_THROW(mha.decode_self_step(two_rows, cache, ec), FaultError);
+  EXPECT_THROW(mha.prefill_cross(Tensor::randn({2, 5, 8}, rng), cache, ec),
+               FaultError);
+  mha.prefill_cross(kv, cache, ec);
+  EXPECT_THROW(mha.decode_cross_step(two_rows, cache, 5, ec), FaultError);
 }
 
 // ----- KvState ---------------------------------------------------------------
@@ -339,41 +348,39 @@ KvQuantConfig af8_quant(float k_range, float v_range) {
 
 TEST(KvCache, QuantizedRowsRoundTripThroughCodec) {
   // Every value read back from a quantized KvState must be exactly
-  // decode(encode(x)) through the lane's codec — the same quantization the
+  // decode(encode(x)) through the codec — the same quantization the
   // paper's accelerator applies to stored activations.
   KvQuantConfig q = af8_quant(2.0f, 3.0f);
   KvState kv;
-  kv.init(2, 4, 8, q);
+  kv.init(4, 8, q);
   EXPECT_TRUE(kv.quantized());
 
   Pcg32 rng(31);
   std::vector<Tensor> ks, vs;
   for (int step = 0; step < 4; ++step) {
-    ks.push_back(Tensor::randn({2, 8}, rng));
-    vs.push_back(Tensor::randn({2, 8}, rng));
+    ks.push_back(Tensor::randn({1, 8}, rng));
+    vs.push_back(Tensor::randn({1, 8}, rng));
     kv.append(ks.back(), vs.back(), active_backend());
   }
   EXPECT_EQ(kv.len(), 4);
 
-  for (std::int64_t bi = 0; bi < 2; ++bi) {
-    for (std::int64_t j = 0; j < 4; ++j) {
-      float k_row[8], v_row[8];
-      kv.read_row(bi, j, k_row, v_row);
-      for (std::int64_t c = 0; c < 8; ++c) {
-        const float k_in = ks[static_cast<std::size_t>(j)].at({bi, c});
-        const float v_in = vs[static_cast<std::size_t>(j)].at({bi, c});
-        EXPECT_EQ(k_row[c], q.k_codec->decode(q.k_codec->encode(k_in)));
-        EXPECT_EQ(v_row[c], q.v_codec->decode(q.v_codec->encode(v_in)));
-      }
+  for (std::int64_t j = 0; j < 4; ++j) {
+    float k_row[8], v_row[8];
+    kv.read_row(j, k_row, v_row);
+    for (std::int64_t c = 0; c < 8; ++c) {
+      const float k_in = ks[static_cast<std::size_t>(j)][c];
+      const float v_in = vs[static_cast<std::size_t>(j)][c];
+      EXPECT_EQ(k_row[c], q.k_codec->decode(q.k_codec->encode(k_in)));
+      EXPECT_EQ(v_row[c], q.v_codec->decode(q.v_codec->encode(v_in)));
     }
   }
-  // 8-bit codes: 1 byte per element, K and V, across both lanes.
-  EXPECT_EQ(kv.bytes_per_step(), static_cast<std::size_t>(2 * 2 * 8));
+  // 8-bit codes: 1 byte per element, K and V.
+  EXPECT_EQ(kv.bytes_per_step(), static_cast<std::size_t>(2 * 8));
 }
 
 TEST(KvCache, CapacityExhaustionThrowsTypedNeverAborts) {
   KvState kv;
-  kv.init(1, 2, 4);
+  kv.init(2, 4);
   Tensor step({1, 4});
   kv.append(step, step, active_backend());
   kv.append(step, step, active_backend());
@@ -391,9 +398,9 @@ TEST(KvCache, CapacityExhaustionThrowsTypedNeverAborts) {
   EXPECT_EQ(kv.len(), 1);
 }
 
-// The three storage modes the lane-region layout serves: fp32 (32-bit
-// codes), AF8 (byte-aligned codes) and a 6-bit codec, whose rows end
-// mid-byte for the odd widths the tests below use.
+// The three storage modes the region layout serves: fp32 (32-bit codes),
+// AF8 (byte-aligned codes) and a 6-bit codec, whose rows end mid-byte for
+// the odd widths the tests below use.
 struct KvMode {
   const char* name;
   KvQuantConfig quant;
@@ -416,23 +423,21 @@ float kv_stored(const std::shared_ptr<const FormatCodec>& codec, float x) {
   return codec ? codec->decode(codec->encode(x)) : x;
 }
 
-// Checks lane `bi` of `kv` holds rows[j][src_lane] for every cached j.
-void expect_lane_rows(const KvState& kv, const KvQuantConfig& q,
-                      std::int64_t bi, const std::vector<Tensor>& ks,
-                      const std::vector<Tensor>& vs, std::int64_t src_lane) {
+// Checks `kv` holds the [1, D] rows ks[j]/vs[j] for every cached j.
+void expect_rows(const KvState& kv, const KvQuantConfig& q,
+                 const std::vector<Tensor>& ks,
+                 const std::vector<Tensor>& vs) {
   std::vector<float> k_row(static_cast<std::size_t>(kv.dim()));
   std::vector<float> v_row(static_cast<std::size_t>(kv.dim()));
   for (std::int64_t j = 0; j < kv.len(); ++j) {
     const Tensor& k = ks[static_cast<std::size_t>(j)];
     const Tensor& v = vs[static_cast<std::size_t>(j)];
-    kv.read_row(bi, j, k_row.data(), v_row.data());
+    kv.read_row(j, k_row.data(), v_row.data());
     for (std::int64_t c = 0; c < kv.dim(); ++c) {
-      EXPECT_EQ(k_row[static_cast<std::size_t>(c)],
-                kv_stored(q.k_codec, k.at({src_lane, c})))
-          << "lane " << bi << " step " << j << " col " << c;
-      EXPECT_EQ(v_row[static_cast<std::size_t>(c)],
-                kv_stored(q.v_codec, v.at({src_lane, c})))
-          << "lane " << bi << " step " << j << " col " << c;
+      EXPECT_EQ(k_row[static_cast<std::size_t>(c)], kv_stored(q.k_codec, k[c]))
+          << "step " << j << " col " << c;
+      EXPECT_EQ(v_row[static_cast<std::size_t>(c)], kv_stored(q.v_codec, v[c]))
+          << "step " << j << " col " << c;
     }
   }
 }
@@ -446,8 +451,8 @@ TEST(KvCache, ResetThenReappendOverwritesStaleCodes) {
   for (const KvMode& mode : kv_modes()) {
     SCOPED_TRACE(mode.name);
     KvState kv;
-    kv.init(2, 5, 5, mode.quant);
-    Tensor full({2, 5});
+    kv.init(5, 5, mode.quant);
+    Tensor full({1, 5});
     for (std::int64_t i = 0; i < full.numel(); ++i) full[i] = -1e3f;
     for (int step = 0; step < 5; ++step) {
       kv.append(full, full, active_backend());
@@ -459,28 +464,25 @@ TEST(KvCache, ResetThenReappendOverwritesStaleCodes) {
     Pcg32 rng(43);
     std::vector<Tensor> ks, vs;
     for (int step = 0; step < 4; ++step) {
-      ks.push_back(step % 2 == 0 ? Tensor({2, 5})
-                                 : Tensor::randn({2, 5}, rng, 0.1f));
-      vs.push_back(step % 2 == 0 ? Tensor::randn({2, 5}, rng, 0.1f)
-                                 : Tensor({2, 5}));
+      ks.push_back(step % 2 == 0 ? Tensor({1, 5})
+                                 : Tensor::randn({1, 5}, rng, 0.1f));
+      vs.push_back(step % 2 == 0 ? Tensor::randn({1, 5}, rng, 0.1f)
+                                 : Tensor({1, 5}));
       kv.append(ks.back(), vs.back(), active_backend());
     }
-    for (std::int64_t bi = 0; bi < 2; ++bi) {
-      expect_lane_rows(kv, mode.quant, bi, ks, vs, bi);
-    }
+    expect_rows(kv, mode.quant, ks, vs);
   }
 }
 
 TEST(KvCache, MisuseThrowsTypedMalformed) {
   KvState kv;
-  EXPECT_THROW(kv.init(0, 4, 8), FaultError);   // no lanes
-  EXPECT_THROW(kv.init(1, 0, 8), FaultError);   // no capacity
-  kv.init(2, 4, 8);
-  Tensor wrong({1, 8});
-  // Lane count mismatch.
-  EXPECT_THROW(kv.append(wrong, wrong, active_backend()), FaultError);
-  Tensor k({2, 8});
-  Tensor v_bad({2, 4});
+  EXPECT_THROW(kv.init(0, 8), FaultError);   // no capacity
+  kv.init(4, 8);
+  Tensor two({2, 8});
+  // Two rows into one stream.
+  EXPECT_THROW(kv.append(two, two, active_backend()), FaultError);
+  Tensor k({1, 8});
+  Tensor v_bad({1, 4});
   // Width mismatch.
   EXPECT_THROW(kv.append(k, v_bad, active_backend()), FaultError);
 
@@ -489,21 +491,21 @@ TEST(KvCache, MisuseThrowsTypedMalformed) {
   half.k_codec = std::shared_ptr<const FormatCodec>(
       make_codec(FormatKind::kAdaptivFloat, 8, 1.0f));
   KvState kv2;
-  EXPECT_THROW(kv2.init(1, 4, 8, half), FaultError);
+  EXPECT_THROW(kv2.init(4, 8, half), FaultError);
 }
 
 TEST(KvCache, AppendedLaneBytesBackendInvariant) {
-  // AdaptivFloat rows encode through the backend's encode entry; the lane
+  // AdaptivFloat rows encode through the backend's encode entry; the cached
   // bytes after appends (and a block prefill) must not depend on which
   // backend ran. D = 70 spans a full 64-code chunk plus a ragged one, and
   // the rows carry every encode edge: +-0, NaN, +-inf, tiny and huge.
   const KernelBackend* avx2 = avx2_backend();
   if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  const std::int64_t b = 2, d = 70, steps = 5;
+  const std::int64_t d = 70, steps = 5;
   Pcg32 rng(78);
   std::vector<Tensor> rows;
   for (std::int64_t t = 0; t < steps; ++t) {
-    rows.push_back(Tensor::randn({b, d}, rng, 1.5f));
+    rows.push_back(Tensor::randn({1, d}, rng, 1.5f));
   }
   const float edges[] = {0.0f, -0.0f, std::nanf(""),
                          std::numeric_limits<float>::infinity(),
@@ -512,14 +514,10 @@ TEST(KvCache, AppendedLaneBytesBackendInvariant) {
   for (std::size_t i = 0; i < std::size(edges); ++i) {
     rows[i % steps][static_cast<std::int64_t>(i * 7)] = edges[i];
   }
-  Tensor block({b * steps, d});
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    for (std::int64_t t = 0; t < steps; ++t) {
-      for (std::int64_t c = 0; c < d; ++c) {
-        block.at({bi * steps + t, c}) =
-            rows[static_cast<std::size_t>(t)].at({bi, c});
-      }
-    }
+  Tensor block({steps, d});
+  for (std::int64_t t = 0; t < steps; ++t) {
+    std::memcpy(block.data() + t * d, rows[static_cast<std::size_t>(t)].data(),
+                static_cast<std::size_t>(d) * sizeof(float));
   }
   for (const int bits : {4, 6, 8, 12}) {
     SCOPED_TRACE("AdaptivFloat/" + std::to_string(bits));
@@ -532,43 +530,29 @@ TEST(KvCache, AppendedLaneBytesBackendInvariant) {
     KvState by_backend[2], blocks[2];
     const KernelBackend* backends[2] = {&scalar_backend(), avx2};
     for (int w = 0; w < 2; ++w) {
-      by_backend[w].init(b, steps, d, q);
+      by_backend[w].init(steps, d, q);
       for (const Tensor& r : rows) by_backend[w].append(r, r, *backends[w]);
-      blocks[w].init(b, steps, d, q);
-      blocks[w].append_block(block, block, steps, *backends[w]);
+      blocks[w].init(steps, d, q);
+      blocks[w].append_block(block, block, *backends[w]);
     }
-    for (std::int64_t bi = 0; bi < b; ++bi) {
-      for (KvState* pair : {by_backend, blocks}) {
-        const KvState::Lane s = pair[0].lane(bi), v = pair[1].lane(bi);
-        ASSERT_EQ(s.k.nbytes, v.k.nbytes);
-        EXPECT_EQ(std::memcmp(s.k.bytes, v.k.bytes, s.k.nbytes), 0)
-            << "K lane " << bi;
-        EXPECT_EQ(std::memcmp(s.v.bytes, v.v.bytes, s.v.nbytes), 0)
-            << "V lane " << bi;
-      }
-      // And the codes are the codec's own encode.
-      std::vector<float> k_row(d), v_row(d);
-      for (std::int64_t t = 0; t < steps; ++t) {
-        by_backend[1].read_row(bi, t, k_row.data(), v_row.data());
-        for (std::int64_t c = 0; c < d; ++c) {
-          const float x = rows[static_cast<std::size_t>(t)].at({bi, c});
-          EXPECT_EQ(k_row[static_cast<std::size_t>(c)],
-                    kv_stored(q.k_codec, x));
-          EXPECT_EQ(v_row[static_cast<std::size_t>(c)],
-                    kv_stored(q.v_codec, x));
-        }
-      }
+    for (KvState* pair : {by_backend, blocks}) {
+      const KvState::Operands s = pair[0].operands(), v = pair[1].operands();
+      ASSERT_EQ(s.k.nbytes, v.k.nbytes);
+      EXPECT_EQ(std::memcmp(s.k.bytes, v.k.bytes, s.k.nbytes), 0) << "K";
+      EXPECT_EQ(std::memcmp(s.v.bytes, v.v.bytes, s.v.nbytes), 0) << "V";
     }
+    // And the codes are the codec's own encode.
+    expect_rows(by_backend[1], q, rows, rows);
   }
 }
 
 TEST(KvCache, AppendBlockMatchesPerStepAppends) {
   // prefill_cross uses append_block; it must land rows exactly where
-  // per-step appends would, in every storage mode. B=2, T=3, D=5 (a 30-bit
-  // row at 6 bits), with capacity 4 so a lane region is longer than T rows.
+  // per-step appends would, in every storage mode. T=3, D=5 (a 30-bit row
+  // at 6 bits), with capacity 4 so the region is longer than T rows.
   Pcg32 rng(77);
-  Tensor k({2 * 3, 5});  // [B*T, D]
-  Tensor v({2 * 3, 5});
+  Tensor k({3, 5});  // [T, D]
+  Tensor v({3, 5});
   for (std::int64_t i = 0; i < k.numel(); ++i) {
     k[i] = rng.uniform(-1.0f, 1.0f);
     v[i] = rng.uniform(-1.0f, 1.0f);
@@ -576,19 +560,17 @@ TEST(KvCache, AppendBlockMatchesPerStepAppends) {
   for (const KvMode& mode : kv_modes()) {
     SCOPED_TRACE(mode.name);
     KvState block;
-    block.init(2, 4, 5, mode.quant);
-    block.append_block(k, v, 3, active_backend());
+    block.init(4, 5, mode.quant);
+    block.append_block(k, v, active_backend());
 
     KvState steps;
-    steps.init(2, 4, 5, mode.quant);
+    steps.init(4, 5, mode.quant);
     std::vector<Tensor> ks, vs;
     for (std::int64_t t = 0; t < 3; ++t) {
-      Tensor kt({2, 5}), vt({2, 5});
-      for (std::int64_t bi = 0; bi < 2; ++bi) {
-        for (std::int64_t c = 0; c < 5; ++c) {
-          kt.at({bi, c}) = k.at({bi * 3 + t, c});
-          vt.at({bi, c}) = v.at({bi * 3 + t, c});
-        }
+      Tensor kt({1, 5}), vt({1, 5});
+      for (std::int64_t c = 0; c < 5; ++c) {
+        kt[c] = k.at({t, c});
+        vt[c] = v.at({t, c});
       }
       steps.append(kt, vt, active_backend());
       ks.push_back(kt);
@@ -596,17 +578,15 @@ TEST(KvCache, AppendBlockMatchesPerStepAppends) {
     }
 
     ASSERT_EQ(block.len(), steps.len());
-    for (std::int64_t bi = 0; bi < 2; ++bi) {
-      expect_lane_rows(block, mode.quant, bi, ks, vs, bi);
-      expect_lane_rows(steps, mode.quant, bi, ks, vs, bi);
-    }
-    // K+V, 2 lanes, 3 rows of 5 codes each, rounded up per lane.
-    const std::size_t per_step = mode.bits == 32 ? 80
-                                 : mode.bits == 8 ? 20
-                                                  : 16;  // ceil(30/8)=4
-    const std::size_t payload = mode.bits == 32 ? 240
-                                : mode.bits == 8 ? 60
-                                                 : 48;  // ceil(90/8)=12
+    expect_rows(block, mode.quant, ks, vs);
+    expect_rows(steps, mode.quant, ks, vs);
+    // K+V, 3 rows of 5 codes each, rounded up to whole bytes.
+    const std::size_t per_step = mode.bits == 32 ? 40
+                                 : mode.bits == 8 ? 10
+                                                  : 8;  // ceil(30/8)=4
+    const std::size_t payload = mode.bits == 32 ? 120
+                                : mode.bits == 8 ? 30
+                                                 : 24;  // ceil(90/8)=12
     for (const KvState* kv : {&block, &steps}) {
       EXPECT_EQ(kv->bytes_per_step(), per_step);
       EXPECT_EQ(kv->payload_bytes(), payload);
@@ -663,52 +643,45 @@ TEST(KvCache, FusedAttendMatchesDecodeThenAttend) {
   for (const KvMode& mode : modes) {
     SCOPED_TRACE(mode.name);
     KvState kv;
-    kv.init(2, 40, kD, mode.quant);
+    kv.init(40, kD, mode.quant);
     Pcg32 rng(83);
-    Tensor dec_k({2, kLen, kD}), dec_v({2, kLen, kD});  // decoded history
+    Tensor dec_k({kLen, kD}), dec_v({kLen, kD});  // decoded history
     for (std::int64_t j = 0; j < kLen; ++j) {
-      Tensor k = Tensor::randn({2, kD}, rng);
-      Tensor v = Tensor::randn({2, kD}, rng);
+      Tensor k = Tensor::randn({1, kD}, rng);
+      Tensor v = Tensor::randn({1, kD}, rng);
       kv.append(k, v, active_backend());
-      for (std::int64_t bi = 0; bi < 2; ++bi) {
-        for (std::int64_t c = 0; c < kD; ++c) {
-          dec_k.at({bi, j, c}) = kv_stored(mode.quant.k_codec, k.at({bi, c}));
-          dec_v.at({bi, j, c}) = kv_stored(mode.quant.v_codec, v.at({bi, c}));
-        }
+      for (std::int64_t c = 0; c < kD; ++c) {
+        dec_k.at({j, c}) = kv_stored(mode.quant.k_codec, k[c]);
+        dec_v.at({j, c}) = kv_stored(mode.quant.v_codec, v[c]);
       }
     }
-    const Tensor q = Tensor::randn({2, kD}, rng);
+    const Tensor q = Tensor::randn({1, kD}, rng);
     for (const KernelBackend* be : backends) {
       SCOPED_TRACE(be->name);
       for (const std::int64_t heads : {5, 2}) {
         const std::int64_t d_head = kD / heads;
         const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(d_head));
         for (const std::int64_t visible : {kLen, std::int64_t{29}}) {
-          for (std::int64_t bi = 0; bi < 2; ++bi) {
-            KvState::Lane lane = kv.lane(bi);
-            for (std::int64_t h = 0; h < heads; ++h) {
-              const std::int64_t col = h * d_head;
-              std::vector<float> ref_s(kLen), got_s(kLen);
-              std::vector<float> ref_c(static_cast<std::size_t>(d_head));
-              std::vector<float> got_c(ref_c.size());
-              decode_then_attend(q.data() + bi * kD + col,
-                                 dec_k.data() + bi * kLen * kD + col,
-                                 dec_v.data() + bi * kLen * kD + col, kD,
-                                 kLen, visible, d_head, inv_sqrt_dh,
-                                 ref_s.data(), ref_c.data());
-              lane.k.col = lane.v.col = col;
-              be->attend_row(q.data() + bi * kD + col, lane.k, lane.v, kLen,
-                             visible, d_head, inv_sqrt_dh, got_s.data(),
-                             got_c.data());
-              EXPECT_EQ(0, std::memcmp(ref_s.data(), got_s.data(),
-                                       ref_s.size() * sizeof(float)))
-                  << "heads " << heads << " visible " << visible << " lane "
-                  << bi << " head " << h;
-              EXPECT_EQ(0, std::memcmp(ref_c.data(), got_c.data(),
-                                       ref_c.size() * sizeof(float)))
-                  << "heads " << heads << " visible " << visible << " lane "
-                  << bi << " head " << h;
-            }
+          KvState::Operands ops = kv.operands();
+          for (std::int64_t h = 0; h < heads; ++h) {
+            const std::int64_t col = h * d_head;
+            std::vector<float> ref_s(kLen), got_s(kLen);
+            std::vector<float> ref_c(static_cast<std::size_t>(d_head));
+            std::vector<float> got_c(ref_c.size());
+            decode_then_attend(q.data() + col, dec_k.data() + col,
+                               dec_v.data() + col, kD, kLen, visible, d_head,
+                               inv_sqrt_dh, ref_s.data(), ref_c.data());
+            ops.k.col = ops.v.col = col;
+            be->attend_row(q.data() + col, ops.k, ops.v, kLen, visible,
+                           d_head, inv_sqrt_dh, got_s.data(), got_c.data());
+            EXPECT_EQ(0, std::memcmp(ref_s.data(), got_s.data(),
+                                     ref_s.size() * sizeof(float)))
+                << "heads " << heads << " visible " << visible << " head "
+                << h;
+            EXPECT_EQ(0, std::memcmp(ref_c.data(), got_c.data(),
+                                     ref_c.size() * sizeof(float)))
+                << "heads " << heads << " visible " << visible << " head "
+                << h;
           }
         }
       }

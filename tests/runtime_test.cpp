@@ -1029,6 +1029,25 @@ TEST(DecodeSession, HonorsActQuantBetweenSteps) {
   b.model.act_quant().set_mode(ActQuantMode::kOff);
 }
 
+TEST(DecodeSession, PaddedSourceMatchesFullRecompute) {
+  // A source with trailing pad tokens: the decoder's cross-attention steps
+  // mask the padded keys through its one source length, as the
+  // teacher-forced forward's key padding does, so the token streams match.
+  TransformerBundle b(445, tiny_transformer_config());
+  Pcg32 rng(446);
+  for (const std::size_t pads : {1, 3}) {
+    TokenSeq src = b.task.sample(rng).source;
+    src.resize(src.size() + pads, TranslationTask::kPad);
+    ASSERT_LE(static_cast<std::int64_t>(src.size()), b.cfg.max_len);
+    const TokenSeq full =
+        full_recompute_greedy(b.model, src, -1, b.cfg.max_len);
+    const TokenSeq inc =
+        b.model.greedy_decode(src, TranslationTask::kPad,
+                              TranslationTask::kBos, -1, b.cfg.max_len);
+    EXPECT_EQ(full, inc) << "pads=" << pads;
+  }
+}
+
 TEST(DecodeSession, QuantizedKvZeroSteadyStateAllocsPerToken) {
   // The headline runtime contract: from the second sequence on, every
   // quantized-KV decode step runs entirely out of the planned arenas —
