@@ -26,6 +26,18 @@ Tensor bench_tensor() {
   return Tensor::randn({256, 256}, rng, 2.0f);
 }
 
+// Every format at 8 bits, plus AdaptivFloat at 4 and 16 and Posit at 16.
+void format_args(benchmark::internal::Benchmark* b) {
+  b->Args({static_cast<long>(FormatKind::kFloat), 8})
+      ->Args({static_cast<long>(FormatKind::kBlockFloat), 8})
+      ->Args({static_cast<long>(FormatKind::kUniform), 8})
+      ->Args({static_cast<long>(FormatKind::kPosit), 8})
+      ->Args({static_cast<long>(FormatKind::kAdaptivFloat), 8})
+      ->Args({static_cast<long>(FormatKind::kAdaptivFloat), 4})
+      ->Args({static_cast<long>(FormatKind::kAdaptivFloat), 16})
+      ->Args({static_cast<long>(FormatKind::kPosit), 16});
+}
+
 void BM_QuantizeTensor(benchmark::State& state) {
   const auto kind = static_cast<FormatKind>(state.range(0));
   const int bits = static_cast<int>(state.range(1));
@@ -38,14 +50,24 @@ void BM_QuantizeTensor(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.numel());
   state.SetLabel(format_kind_name(kind) + "<" + std::to_string(bits) + ">");
 }
-BENCHMARK(BM_QuantizeTensor)
-    ->Args({static_cast<long>(FormatKind::kFloat), 8})
-    ->Args({static_cast<long>(FormatKind::kBlockFloat), 8})
-    ->Args({static_cast<long>(FormatKind::kUniform), 8})
-    ->Args({static_cast<long>(FormatKind::kPosit), 8})
-    ->Args({static_cast<long>(FormatKind::kAdaptivFloat), 8})
-    ->Args({static_cast<long>(FormatKind::kAdaptivFloat), 4})
-    ->Args({static_cast<long>(FormatKind::kAdaptivFloat), 16});
+BENCHMARK(BM_QuantizeTensor)->Apply(format_args);
+
+// What ActQuant::process and WeightQuantScope pay per call: a fresh
+// calibration, then the bulk quantize.
+void BM_CalibrateAndQuantizeTensor(benchmark::State& state) {
+  const auto kind = static_cast<FormatKind>(state.range(0));
+  const int bits = static_cast<int>(state.range(1));
+  auto q = make_quantizer(kind, bits);
+  Tensor t = bench_tensor();
+  const float max_abs = t.max_abs();
+  for (auto _ : state) {
+    q->calibrate_max_abs(max_abs);
+    benchmark::DoNotOptimize(q->quantize(t));
+  }
+  state.SetItemsProcessed(state.iterations() * t.numel());
+  state.SetLabel(format_kind_name(kind) + "<" + std::to_string(bits) + ">");
+}
+BENCHMARK(BM_CalibrateAndQuantizeTensor)->Apply(format_args);
 
 void BM_Algorithm1EndToEnd(benchmark::State& state) {
   Tensor t = bench_tensor();

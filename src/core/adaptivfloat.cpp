@@ -1,7 +1,6 @@
 #include "src/core/adaptivfloat.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "src/util/check.hpp"
@@ -21,15 +20,13 @@ AdaptivFloatFormat::AdaptivFloatFormat(int bits, int exp_bits, int exp_bias)
   mant_scale_ = std::ldexp(1.0f, mant_bits_);
   has_view_ = exp_bias_ + 127 >= 1 && std::isnormal(value_min_);
   if (has_view_) {
-    const auto bits_of = [](float v) {
-      return std::bit_cast<std::uint32_t>(v);
-    };
-    view_ = {bits_,
-             mant_bits_,
-             static_cast<std::uint32_t>(exp_bias_ + 127) << mant_bits_,
-             bits_of(0.5f * value_min_),
-             bits_of(value_min_),
-             bits_of(value_max_)};
+    view_.bits = bits_;
+    view_.mant_bits = mant_bits_;
+    view_.base = static_cast<std::uint32_t>(exp_bias_ + 127) << mant_bits_;
+    view_.min_mag = 1;  // value_min is exponent field 0, mantissa 1
+    view_.half_vmin = float_bits(0.5f * value_min_);
+    view_.vmin = float_bits(value_min_);
+    view_.vmax = float_bits(value_max_);
   }
 }
 

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "src/kernels/backend.hpp"
+#include "src/kernels/encode.hpp"
 
 namespace af {
 
@@ -61,11 +61,11 @@ class AdaptivFloatFormat {
   /// +/-value_max.
   std::uint16_t encode(float x) const;
 
-  /// The encode entry's view of this format (KernelBackend::
-  /// adaptivfloat_encode), or nullptr where its integer field formula does
-  /// not apply — exp_bias + 127 < 1 or a subnormal value_min — and encode()
-  /// stays the only path.
-  const AfEncodeView* encode_view() const {
+  /// The encode entry's view of this format (KernelBackend::encode, the
+  /// kFloat formula), or nullptr where that formula does not apply —
+  /// exp_bias + 127 < 1 or a subnormal value_min — and encode() stays the
+  /// only path.
+  const EncodeView* encode_view() const {
     return has_view_ ? &view_ : nullptr;
   }
 
@@ -112,7 +112,7 @@ class AdaptivFloatFormat {
   float value_min_;
   float value_max_;
   float mant_scale_;  // 2^mant_bits
-  AfEncodeView view_{};
+  EncodeView view_{};
   bool has_view_ = false;
 };
 

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "src/kernels/nearest_lut.hpp"
+#include "src/kernels/backend.hpp"
 #include "src/util/check.hpp"
 #include "src/util/parallel.hpp"
 
@@ -46,9 +46,8 @@ AdaptivFloatQuantResult adaptivfloat_quantize(const Tensor& w, int bits,
   AdaptivFloatQuantResult out{fmt, Tensor(w.shape()), {}};
   out.codes.resize(static_cast<std::size_t>(w.numel()));
 
-  // The codes come from the backend's AdaptivFloat encode entry (or, for
-  // a format outside it, fmt.encode); either way they equal fmt.encode's.
-  const BulkEncoder enc(fmt, w.numel());
+  // The codes come from the backend's encode entry (or, for a format
+  // outside it, fmt.encode); either way they equal fmt.encode's.
   const KernelBackend& be = active_backend();
 
   // Elementwise with disjoint writes per chunk — bit-identical for any
@@ -85,7 +84,7 @@ AdaptivFloatQuantResult adaptivfloat_quantize(const Tensor& w, int bits,
       }
       out.quantized[i] = sign * reconstructed;  // W_sign * 2^W_exp * W_q
     }
-    enc.encode(w.data() + lo, out.codes.data() + lo, hi - lo, be);
+    encode_span(fmt, w.data() + lo, out.codes.data() + lo, hi - lo, be);
   });
   return out;
 }

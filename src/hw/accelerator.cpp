@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "src/core/algorithm1.hpp"
-#include "src/kernels/nearest_lut.hpp"
+#include "src/kernels/backend.hpp"
 #include "src/util/check.hpp"
 
 namespace af {
@@ -196,14 +196,11 @@ AcceleratorRun Accelerator::run(const LstmLayerWeights& w,
     AF_CHECK(scale_int >= 0 && scale_int < (1 << cfg_.scale_bits),
              "requantization scale does not fit S bits");
   } else {
-    // Bulk weight-buffer fills go through the table-driven encode; the
+    // Bulk weight-buffer fills go through the backend's encode entry; the
     // codes written to the buffers equal wf.encode's.
-    const BulkEncoder wf_enc(wf, w.wx.numel() + w.wh.numel());
     auto q = [&](const Tensor& t, std::vector<std::uint16_t>& out) {
       out.resize(static_cast<std::size_t>(t.numel()));
-      for (std::int64_t i = 0; i < t.numel(); ++i) {
-        out[static_cast<std::size_t>(i)] = wf_enc(t[i]);
-      }
+      encode_span(wf, t.data(), out.data(), t.numel(), active_backend());
     };
     q(w.wx, wx_codes);
     q(w.wh, wh_codes);
@@ -257,13 +254,6 @@ AcceleratorRun Accelerator::run(const LstmLayerWeights& w,
     }
   }
 
-  // One activation encoder covers every timestep (af_act is fixed for the
-  // whole run), so its table amortizes over the summed step inputs.
-  const BulkEncoder act_enc(
-      af_act, cfg_.kind == PeKind::kInt
-                  ? 0
-                  : static_cast<std::int64_t>(inputs.size()) * in_dim);
-
   AcceleratorRun run_result;
   for (const Tensor& x : inputs) {
     AF_CHECK(x.shape() == (Shape{in_dim}), "input shape mismatch");
@@ -280,9 +270,7 @@ AcceleratorRun Accelerator::run(const LstmLayerWeights& w,
       }
     } else {
       x_codes.resize(static_cast<std::size_t>(in_dim));
-      for (std::int64_t i = 0; i < in_dim; ++i) {
-        x_codes[static_cast<std::size_t>(i)] = act_enc(x[i]);
-      }
+      encode_span(af_act, x.data(), x_codes.data(), in_dim, active_backend());
     }
     if (fault_hook_ != nullptr) {
       if (cfg_.kind == PeKind::kInt) {
@@ -506,16 +494,11 @@ AcceleratorRun Accelerator::run_fc(const std::vector<FcLayer>& layers,
         fault_hook_->on_codes(PeFaultHook::Site::kActivation, act_codes, n);
       }
       const int unit_exp = wf.exp_bias() + af_act.exp_bias() - 2 * m;
-      // The whole layer streams through one format, so the encoder is
-      // hoisted out of the per-row (and per-retry) loop.
-      const BulkEncoder fc_enc(wf, out_dim * in_dim);
       for (std::int64_t r = 0; r < out_dim; ++r) {
         auto compute = [&]() -> RowResult {
           std::vector<std::uint16_t> wrow(static_cast<std::size_t>(in_dim));
-          for (std::int64_t c = 0; c < in_dim; ++c) {
-            wrow[static_cast<std::size_t>(c)] =
-                fc_enc(layer.weight[r * in_dim + c]);
-          }
+          encode_span(wf, layer.weight.data() + r * in_dim, wrow.data(),
+                      in_dim, active_backend());
           if (fault_hook_ != nullptr) {
             fault_hook_->on_codes(PeFaultHook::Site::kWeight, wrow, n);
           }

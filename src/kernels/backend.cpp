@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/kernels/decode_lut.hpp"
 #include "src/tensor/gemm_kernel.hpp"
@@ -37,23 +36,6 @@ void scalar_decode_tile(const std::uint8_t* bytes, std::size_t nbytes,
                         const float* table, float* tile) {
   decode_tile_scalar(bytes, nbytes, bits, ld, j0, j1, k0, k1, table, tile,
                      j1 - j0);
-}
-
-void scalar_nearest_indices(const NearestLutView& lut, const float* x,
-                            std::uint32_t* idx, std::int64_t count) {
-  // Exactly NearestLut::index_of, per element.
-  for (std::int64_t i = 0; i < count; ++i) {
-    std::uint32_t u = 0;
-    std::memcpy(&u, &x[i], sizeof(u));
-    if ((u & 0x7fffffffu) > 0x7f800000u) {  // NaN
-      idx[i] = lut.nan_index;
-      continue;
-    }
-    const std::uint32_t key = (u & 0x80000000u) ? ~u : (u | 0x80000000u);
-    std::size_t j = lut.bucket_lo[key >> 16];
-    while (j + 1 < lut.v && lut.edge_keys[j + 1] <= key) ++j;
-    idx[i] = static_cast<std::uint32_t>(j);
-  }
 }
 
 // Codes [first, first + n) of `o` as floats: the fp32 row itself at 32 bits,
@@ -135,11 +117,9 @@ void scalar_tanh_map(const float* x, float* y, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] = tanh_f32(x[i]);
 }
 
-void scalar_adaptivfloat_encode(const AfEncodeView& f, const float* x,
-                                std::uint16_t* codes, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    codes[i] = adaptivfloat_encode_bits(f, x[i]);
-  }
+void scalar_encode(const EncodeView& f, const float* x, std::uint16_t* codes,
+                   float* values, std::int64_t n) {
+  encode_range(f, x, codes, values, 0, n);
 }
 
 const KernelBackend kScalarBackend = {
@@ -149,11 +129,10 @@ const KernelBackend kScalarBackend = {
     &scalar_gemm_dot_rows,
     &unpack_decode_scalar,
     &scalar_decode_tile,
-    &scalar_nearest_indices,
     &scalar_attend_row,
     &scalar_checksum_dot_rows,
     &scalar_tanh_map,
-    &scalar_adaptivfloat_encode,
+    &scalar_encode,
 };
 
 // ----- selection -----------------------------------------------------------

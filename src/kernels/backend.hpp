@@ -1,12 +1,12 @@
 // Runtime-dispatched SIMD kernel backends.
 //
-// The GEMM microkernels and the LUT-fused kernels (decode tables,
-// nearest-boundary search) are pure inner loops over flat arrays — exactly
-// the shape SIMD wants. This module is the seam between "which loop body
-// runs" and "what the loop computes": a KernelBackend is a table of
-// function pointers for the hot primitives, selected once at startup
-// (cpuid + the AF_BACKEND env override) and threaded through
-// ExecutionContext so a session can pin a backend explicitly.
+// The GEMM microkernels, the LUT-fused decode kernels and the per-format
+// encode are pure inner loops over flat arrays — exactly the shape SIMD
+// wants. This module is the seam between "which loop body runs" and "what
+// the loop computes": a KernelBackend is a table of function pointers for
+// the hot primitives, selected once at startup (cpuid + the AF_BACKEND env
+// override) and threaded through ExecutionContext so a session can pin a
+// backend explicitly.
 //
 // Determinism contract (see DESIGN.md §12):
 //  * Within a backend, every primitive has one fixed accumulation /
@@ -14,9 +14,8 @@
 //    and across runs on the same machine.
 //  * The scalar backend is the reference: byte-identical to the pre-backend
 //    code paths (CI pins its digests against the recorded goldens).
-//  * Decode (`unpack_decode`, the GEMM tile fill `decode_tile`) and the
-//    NearestLut boundary search are pure integer/table maps, so they are
-//    bit-identical across *all* backends.
+//  * Decode (`unpack_decode`, the GEMM tile fill `decode_tile`) is a pure
+//    table map, so it is bit-identical across *all* backends.
 //  * The x*W^T dot chain (`gemm_dot_rows`) runs the scalar chain — one
 //    rounded multiply, then one rounded add, per k — in every lane, so it
 //    too is bit-identical across all backends.
@@ -28,33 +27,23 @@
 //    chain — one rounded multiply, then one rounded add, per k ascending —
 //    in every lane, so they are bit-identical across backends as well.
 //  * The elementwise maps are too: `tanh_map` runs tanh_f32's operations
-//    in every lane, and `adaptivfloat_encode` is the integer field formula
-//    adaptivfloat_encode_bits.
+//    in every lane, and `encode` runs each format's closed-form encoder
+//    (src/kernels/encode.hpp).
 //  * The AVX2 panel GEMM accumulates with FMA (one rounding per
 //    multiply-add instead of two), so cross-backend bit-equality is NOT
 //    promised there — divergence is bounded by kGemmBackendUlpTol and
 //    asserted in tests.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string>
+
+#include "src/kernels/encode.hpp"
 
 namespace af {
 
 enum class BackendKind { kScalar = 0, kAvx2 = 1 };
-
-/// Raw-array view of a NearestLut's search state — what a backend's
-/// boundary search actually touches (the value/code payload stays behind in
-/// NearestLut; the search only resolves interval indices).
-struct NearestLutView {
-  const std::uint32_t* edge_keys;  ///< [v]; [j] = first key of interval j
-  const std::uint32_t* bucket_lo;  ///< [1 << 16]; per (key >> 16) start
-  std::size_t v;                   ///< interval count
-  std::uint32_t nan_index;         ///< interval NaN inputs resolve to
-};
 
 /// One lane's cached K or V history as the attend entry reads it: `bits`-wide
 /// codes packed LSB-first (the KV-cache lane-region layout packed_code_at
@@ -89,50 +78,6 @@ void softmax_row_inplace(float* row, std::int64_t n);
 /// algorithm glibc 2.36 ships), built without FMA contraction, so its bits
 /// do not depend on the host libm (DESIGN.md §12.6). NaN returns x + x.
 float tanh_f32(float x);
-
-/// An AdaptivFloat format's encode parameters as the encode entry reads
-/// them (AdaptivFloatFormat::encode_view builds one). Valid only for
-/// formats with exp_bias + 127 >= 1 and a normal value_min; others keep the
-/// format's own scalar encode.
-struct AfEncodeView {
-  int bits;                 ///< code width, 2..16
-  int mant_bits;            ///< m, 0..15
-  std::uint32_t base;       ///< (exp_bias + 127) << m
-  std::uint32_t half_vmin;  ///< bit pattern of 0.5f * value_min
-  std::uint32_t vmin;       ///< bit pattern of value_min
-  std::uint32_t vmax;       ///< bit pattern of value_max (may be +inf)
-};
-
-/// The AdaptivFloat code of x, by integer adds and shifts on |x|'s bit
-/// pattern a (DESIGN.md §12.6): the mantissa rounds to m bits, ties to
-/// even, as r = a + 2^(22-m) - 1 + lsb with lsb the kept mantissa's last
-/// bit (at m = 0 always 1: the rounded q is 1 or 2 and ties go to 2), and
-/// a carry runs into the exponent field by itself; the magnitude code is
-/// (r >> (23 - m)) - base, clamped to 2^(bits-1) - 1. +-0 and NaN give
-/// code 0, |x| < value_min gives 0 or +-1 by the half-value_min
-/// threshold, |x| >= value_max the max code. Equal to
-/// AdaptivFloatFormat::encode wherever the view is valid; every backend's
-/// adaptivfloat_encode computes exactly this.
-inline std::uint16_t adaptivfloat_encode_bits(const AfEncodeView& f,
-                                              float x) {
-  std::uint32_t u = 0;
-  std::memcpy(&u, &x, sizeof(u));
-  const std::uint32_t a = u & 0x7fffffffu;
-  const std::uint32_t max_mag = (1u << (f.bits - 1)) - 1u;
-  std::uint32_t mag;
-  if (a > 0x7f800000u || a < f.half_vmin) return 0;  // NaN, +-0, tiny
-  if (a < f.vmin) {
-    mag = 1;
-  } else if (a >= f.vmax) {
-    mag = max_mag;
-  } else {
-    const int shift = 23 - f.mant_bits;
-    const std::uint32_t lsb = f.mant_bits == 0 ? 1u : (a >> shift) & 1u;
-    const std::uint32_t r = a + ((1u << (shift - 1)) - 1u) + lsb;
-    mag = std::min((r >> shift) - f.base, max_mag);
-  }
-  return static_cast<std::uint16_t>(((u >> 31) << (f.bits - 1)) | mag);
-}
 
 /// One kernel implementation set. Plain function pointers (no virtuals):
 /// the table is selected once, the members are hot-loop entry points.
@@ -177,12 +122,6 @@ struct KernelBackend {
                       std::int64_t k0, std::int64_t k1, const float* table,
                       float* tile);
 
-  /// Batched NearestLut boundary search: idx[i] = the interval index of
-  /// x[i] (NaN -> nan_index), exactly NearestLut::index_of per element.
-  /// Integer search — bit-identical across backends, no tolerance.
-  void (*nearest_indices)(const NearestLutView& lut, const float* x,
-                          std::uint32_t* idx, std::int64_t count);
-
   /// The attention core for one query head (DESIGN.md §12.4). Scores `q`
   /// (d_head floats) against the first `visible` of `len` cached keys —
   /// srow[j] = float(dot) * inv_sqrt_dh, dot a double chain ascending in d
@@ -210,11 +149,27 @@ struct KernelBackend {
   /// Bit-identical across backends.
   void (*tanh_map)(const float* x, float* y, std::int64_t n);
 
-  /// codes[i] = adaptivfloat_encode_bits(f, x[i]) for i < n.
-  /// Bit-identical across backends.
-  void (*adaptivfloat_encode)(const AfEncodeView& f, const float* x,
-                              std::uint16_t* codes, std::int64_t n);
+  /// codes[i] = the code of x[i] under f, by f.kind's scalar encode
+  /// (encode.hpp's *_encode_bits), chosen once per call; and values[i] =
+  /// the format's quantize_value(x[i]) (*_value_of). Either output may be
+  /// null. Bit-identical across backends.
+  void (*encode)(const EncodeView& f, const float* x, std::uint16_t* codes,
+                 float* values, std::int64_t n);
 };
+
+/// codes[i] = fmt.encode(x[i]) for i < n: through be.encode when the format
+/// has an encode view, element by element otherwise (an AdaptivFloat
+/// calibration outside the kFloat formula). Every backend emits the same
+/// codes.
+template <typename Format>
+void encode_span(const Format& fmt, const float* x, std::uint16_t* codes,
+                 std::int64_t n, const KernelBackend& be) {
+  if (const EncodeView* view = fmt.encode_view()) {
+    be.encode(*view, x, codes, nullptr, n);
+    return;
+  }
+  for (std::int64_t i = 0; i < n; ++i) codes[i] = fmt.encode(x[i]);
+}
 
 /// Documented cross-backend tolerance for the FMA panel GEMM, in ULPs *at the
 /// scale of the dot product*: for every output element,

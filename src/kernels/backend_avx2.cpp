@@ -4,7 +4,7 @@
 // not be entered unless cpu_supports_avx2() returned true (backend.cpp
 // guards that). It is also compiled with -ffp-contract=off: every FMA here
 // is written out (_mm256_fmadd_ps, std::fmaf), and the dot-rows kernel's
-// separate multiply and add must not be fused behind its back. Nine
+// separate multiply and add must not be fused behind its back. Eight
 // primitives:
 //
 //  * gemm_panel_accumulate — register-blocked FMA accumulation: 4-row ×
@@ -31,10 +31,6 @@
 //    per tile row at 8 bits, the attend kernel's CodeReader plus
 //    transpose8 at other widths; whole tile rows are stored. Pure table
 //    map — bit-identical to the scalar backend.
-//  * nearest_indices — lane-parallel NearestLut boundary search: 8 inputs
-//    walk the bucketed edge table together (masked gathers, unsigned
-//    compares via sign-bit flip). Integer search — bit-identical to the
-//    scalar backend by construction.
 //  * attend_row — the attention core over fp32 or packed K/V codes,
 //    decoded in-register: scores 8 keys at a time across double lanes
 //    (exact-product FMA), the shared scalar softmax, then the V mix across
@@ -46,8 +42,11 @@
 //  * tanh_map — tanh_f32 (tanh.cpp) in 8 lanes: every fdlibm branch
 //    computed with tanh_f32's operations in its order, each lane's own
 //    selected by blends. Bit-identical to the scalar backend.
-//  * adaptivfloat_encode — adaptivfloat_encode_bits' integer field formula
-//    in 8 lanes. Bit-identical to the scalar backend.
+//  * encode — each format's closed-form encoder (encode.hpp) in 8 lanes,
+//    with the quantized values on request: the kFloat field formula, the
+//    kLevel divide and round in double, and the kPosit truncation with
+//    both candidate values computed from the truncated bits. Bit-identical
+//    to the scalar backend.
 #include <immintrin.h>
 
 #include <algorithm>
@@ -661,72 +660,6 @@ void avx2_checksum_dot_rows(const float* rows, std::int64_t ld,
                                      out + o, mag + o);
 }
 
-// ----- NearestLut boundary search ------------------------------------------
-
-void avx2_nearest_indices(const NearestLutView& lut, const float* x,
-                          std::uint32_t* idx, std::int64_t count) {
-  const __m256i sign = _mm256_set1_epi32(
-      static_cast<std::int32_t>(0x80000000u));
-  const __m256i abs_mask = _mm256_set1_epi32(0x7fffffff);
-  const __m256i exp_mask = _mm256_set1_epi32(0x7f800000);
-  const __m256i vcount = _mm256_set1_epi32(static_cast<std::int32_t>(lut.v));
-  const __m256i one = _mm256_set1_epi32(1);
-  const auto* edges = reinterpret_cast<const int*>(lut.edge_keys);
-  const auto* buckets = reinterpret_cast<const int*>(lut.bucket_lo);
-
-  std::int64_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m256i u = _mm256_castps_si256(_mm256_loadu_ps(x + i));
-    // NaN lanes: (u & 0x7fffffff) > 0x7f800000. Both operands are in the
-    // non-negative int32 range, so the signed compare is exact.
-    const __m256i is_nan =
-        _mm256_cmpgt_epi32(_mm256_and_si256(u, abs_mask), exp_mask);
-    // Monotone key: negatives -> ~u, non-negatives -> u | 0x80000000 —
-    // both are u XOR (sign | (u >> 31 arithmetic)).
-    const __m256i key =
-        _mm256_xor_si256(u, _mm256_or_si256(sign, _mm256_srai_epi32(u, 31)));
-    __m256i j = _mm256_i32gather_epi32(
-        buckets, _mm256_srli_epi32(key, 16), 4);
-    // key and edge values are full-range uint32; flip sign bits so signed
-    // compares order them as unsigned.
-    const __m256i skey = _mm256_xor_si256(key, sign);
-    // Lane-parallel scan: advance j while j+1 < v and edge_keys[j+1] <= key,
-    // exactly the scalar bucket walk. Lanes retire from `alive` the first
-    // time their condition fails.
-    __m256i alive = _mm256_set1_epi32(-1);
-    for (;;) {
-      const __m256i jn = _mm256_add_epi32(j, one);
-      __m256i cond = _mm256_and_si256(alive, _mm256_cmpgt_epi32(vcount, jn));
-      if (_mm256_testz_si256(cond, cond)) break;
-      const __m256i edge = _mm256_mask_i32gather_epi32(
-          _mm256_setzero_si256(), edges, jn, cond, 4);
-      const __m256i sedge = _mm256_xor_si256(edge, sign);
-      // edge <= key  <=>  !(edge > key)
-      cond = _mm256_andnot_si256(_mm256_cmpgt_epi32(sedge, skey), cond);
-      if (_mm256_testz_si256(cond, cond)) break;
-      j = _mm256_sub_epi32(j, cond);  // cond lanes are -1: j += 1
-      alive = cond;
-    }
-    const __m256i result = _mm256_blendv_epi8(
-        j, _mm256_set1_epi32(static_cast<std::int32_t>(lut.nan_index)),
-        is_nan);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx + i), result);
-  }
-  // Scalar tail — same walk as the scalar backend.
-  for (; i < count; ++i) {
-    std::uint32_t u = 0;
-    std::memcpy(&u, &x[i], sizeof(u));
-    if ((u & 0x7fffffffu) > 0x7f800000u) {
-      idx[i] = lut.nan_index;
-      continue;
-    }
-    const std::uint32_t key = (u & 0x80000000u) ? ~u : (u | 0x80000000u);
-    std::size_t j = lut.bucket_lo[key >> 16];
-    while (j + 1 < lut.v && lut.edge_keys[j + 1] <= key) ++j;
-    idx[i] = static_cast<std::uint32_t>(j);
-  }
-}
-
 // ----- tanh ----------------------------------------------------------------
 
 inline __m256i splat(std::uint32_t v) {
@@ -894,12 +827,20 @@ void avx2_tanh_map(const float* x, float* y, std::int64_t n) {
   }
 }
 
-// ----- AdaptivFloat encode -------------------------------------------------
+// ----- encode --------------------------------------------------------------
 
-// adaptivfloat_encode_bits in 8 lanes: the field formula on every lane,
-// then the below-value_min, saturation, zero and NaN lanes blended in.
-void avx2_adaptivfloat_encode(const AfEncodeView& f, const float* x,
-                              std::uint16_t* codes, std::int64_t n) {
+// Eight codes, one per int32 lane and each below 2^16, stored as uint16.
+inline void store_codes8(std::uint16_t* codes, __m256i c) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(codes),
+                   _mm_packus_epi32(_mm256_castsi256_si128(c),
+                                    _mm256_extracti128_si256(c, 1)));
+}
+
+// float_encode_bits in 8 lanes: the field formula on every lane, then the
+// below-value_min, saturation, zero and NaN lanes blended in. A value is
+// its magnitude's fields plus base, shifted into place (float_value_of).
+void encode_float8(const EncodeView& f, const float* x, std::uint16_t* codes,
+                   float* values, std::int64_t n) {
   const int shift = 23 - f.mant_bits;
   const __m128i vshift = _mm_cvtsi32_si128(shift);
   const __m128i vsign_shift = _mm_cvtsi32_si128(31 - (f.bits - 1));
@@ -913,8 +854,9 @@ void avx2_adaptivfloat_encode(const AfEncodeView& f, const float* x,
   const __m256i max_mag = splat((1u << (f.bits - 1)) - 1u);
   const __m256i vmin = splat(f.vmin);
   const __m256i half_vmin = splat(f.half_vmin);
-  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i min_mag = splat(f.min_mag);
   const __m256i sign_bit = splat(0x80000000u);
+  const std::uint32_t inf_field = 255u << f.mant_bits;
   std::int64_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256i u = _mm256_castps_si256(_mm256_loadu_ps(x + i));
@@ -925,18 +867,181 @@ void avx2_adaptivfloat_encode(const AfEncodeView& f, const float* x,
         _mm256_add_epi32(_mm256_add_epi32(a, round), lsb);
     __m256i mag = _mm256_min_epi32(
         _mm256_sub_epi32(_mm256_srl_epi32(r, vshift), base), max_mag);
-    mag = _mm256_blendv_epi8(mag, one, _mm256_cmpgt_epi32(vmin, a));
+    mag = _mm256_blendv_epi8(mag, min_mag, _mm256_cmpgt_epi32(vmin, a));
     mag = _mm256_blendv_epi8(mag, max_mag, gt(a, f.vmax - 1u));
     const __m256i zero = _mm256_or_si256(
         _mm256_cmpgt_epi32(half_vmin, a), gt(a, 0x7f800000u));
-    const __m256i code = _mm256_or_si256(
-        mag, _mm256_srl_epi32(_mm256_and_si256(u, sign_bit), vsign_shift));
-    const __m256i out = _mm256_andnot_si256(zero, code);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(codes + i),
-                     _mm_packus_epi32(_mm256_castsi256_si128(out),
-                                      _mm256_extracti128_si256(out, 1)));
+    const __m256i sign = _mm256_and_si256(u, sign_bit);
+    if (codes != nullptr) {
+      const __m256i code =
+          _mm256_or_si256(mag, _mm256_srl_epi32(sign, vsign_shift));
+      store_codes8(codes + i, _mm256_andnot_si256(zero, code));
+    }
+    if (values != nullptr) {
+      const __m256i field = _mm256_add_epi32(mag, base);
+      const __m256i v = _mm256_blendv_epi8(_mm256_sll_epi32(field, vshift),
+                                           splat(0x7f800000u),
+                                           gt(field, inf_field - 1u));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(values + i),
+          _mm256_andnot_si256(zero, _mm256_or_si256(v, sign)));
+    }
   }
-  for (; i < n; ++i) codes[i] = adaptivfloat_encode_bits(f, x[i]);
+  encode_range(f, x, codes, values, i, n);
+}
+
+// level_encode_bits in 8 lanes: nearbyint's operations in double (widen,
+// divide, round to nearest even), the clamp, then the code; NaN lanes give
+// 0 (max_pd returns its second operand, the bound, for a NaN quotient). A
+// value is the level times the step, -0.0f at level 0 for x < 0.
+void encode_level8(const EncodeView& f, const float* x, std::uint16_t* codes,
+                   float* values, std::int64_t n) {
+  std::int64_t i = 0;
+  if (f.step != 0.0f) {
+    const __m256d step = _mm256_set1_pd(f.step);
+    const double level_max = (1 << (f.bits - 1)) - 1;
+    const __m256d hi = _mm256_set1_pd(level_max);
+    const __m256d lo = _mm256_set1_pd(-level_max);
+    const __m256i mask = splat((1u << f.bits) - 1u);
+    const auto level4 = [&](__m128 x4) {
+      const __m256d q = _mm256_round_pd(
+          _mm256_div_pd(_mm256_cvtps_pd(x4), step),
+          _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+      return _mm256_cvtpd_epi32(_mm256_min_pd(_mm256_max_pd(q, lo), hi));
+    };
+    for (; i + 8 <= n; i += 8) {
+      const __m256 xv = _mm256_loadu_ps(x + i);
+      const __m256i nan =
+          _mm256_castps_si256(_mm256_cmp_ps(xv, xv, _CMP_UNORD_Q));
+      const __m256i q = _mm256_andnot_si256(
+          nan, _mm256_set_m128i(level4(_mm256_extractf128_ps(xv, 1)),
+                                level4(_mm256_castps256_ps128(xv))));
+      if (codes != nullptr) {
+        store_codes8(codes + i, _mm256_and_si256(q, mask));
+      }
+      if (values != nullptr) {
+        const __m256 neg_zero = _mm256_and_ps(
+            _mm256_castsi256_ps(
+                _mm256_cmpeq_epi32(q, _mm256_setzero_si256())),
+            _mm256_cmp_ps(xv, _mm256_setzero_ps(), _CMP_LT_OQ));
+        const __m256 v =
+            _mm256_mul_ps(_mm256_cvtepi32_ps(q), _mm256_set1_ps(f.step));
+        _mm256_storeu_ps(values + i,
+                         _mm256_or_ps(v, _mm256_and_ps(neg_zero,
+                                                       _mm256_set1_ps(-0.0f))));
+      }
+    }
+  }
+  encode_range(f, x, codes, values, i, n);
+}
+
+// posit_encode_bits in 8 lanes, without the value table. |x| is clamped
+// into [lo, hi) first, lo and hi the first and last values: at lo the
+// truncated code is 1 and it is taken (distance 0); just below hi the next
+// code up is the first of hi's codes and it is taken, so the two
+// saturation cases need no blend. b = the clamped pattern plus one in the
+// exponent field holds scale + 128, and since 128 is a multiple of 2^es
+// its low 23 + es bits are the posit exponent bits and the fraction.
+//  * The truncated code is a hardware posit encoder's: "10" or "01" over
+//    those bits, shifted right by s = k or -k - 1 (arithmetic for k >= 0,
+//    which grows the run of ones; logical below, which grows the zeros),
+//    then its top bits - 1 bits.
+//  * Its value is b with the d = s + 26 + es - bits dropped bits cleared
+//    (less the exponent one), and the next code's value is that plus 2^d —
+//    a carry out of the kept bits moves the regime up, as incrementing the
+//    code does. Both are exact FP32 posit values while |x| >= 2^(2^es -
+//    126): the value below is then at least 2^-126 (a neighbour is at most
+//    useed = 2^(2^es) away), and the one above saturates at FLT_MAX as the
+//    table does. Where lo lies below that bound, a block holding a smaller
+//    nonzero |x| runs the scalar form.
+//  * The distances are non-negative floats, which order as their bit
+//    patterns, so "nearer, or a tie and c even" is one integer compare.
+void encode_posit8(const EncodeView& f, const float* x, std::uint16_t* codes,
+                   float* values, std::int64_t n) {
+  const std::uint32_t top = (1u << (f.bits - 1)) - 1u;
+  const std::uint32_t lo = float_bits(f.values[1]);
+  const std::uint32_t hi = float_bits(f.values[top]);
+  const std::uint32_t tiny = (1u + (1u << f.es)) << 23;
+  const bool check_tiny = lo < tiny;
+  const __m256i abs_mask = splat(0x7fffffffu);
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i exp_one = splat(0x00800000u);
+  const __m128i scale_shift = _mm_cvtsi32_si128(23 + f.es);
+  const __m128i align_shift = _mm_cvtsi32_si128(7 - f.es);
+  const __m128i code_shift = _mm_cvtsi32_si128(33 - f.bits);
+  const __m256i k_bias = _mm256_set1_epi32(128 >> f.es);
+  const __m256i d_bias = _mm256_set1_epi32(26 + f.es - f.bits);
+  const __m256i mask = splat((1u << f.bits) - 1u);
+  std::int64_t i = 0;
+  for (; top > 1 && i + 8 <= n; i += 8) {
+    const __m256i u = _mm256_castps_si256(_mm256_loadu_ps(x + i));
+    const __m256i a = _mm256_and_si256(u, abs_mask);
+    if (check_tiny) {
+      const __m256i small = _mm256_andnot_si256(
+          _mm256_cmpeq_epi32(a, _mm256_setzero_si256()),
+          _mm256_cmpgt_epi32(splat(tiny), a));
+      if (!_mm256_testz_si256(small, small)) {
+        encode_range(f, x, codes, values, i, i + 8);
+        continue;
+      }
+    }
+    const __m256i ac =
+        _mm256_min_epi32(_mm256_max_epi32(a, splat(lo)), splat(hi - 1u));
+    const __m256i b = _mm256_add_epi32(ac, exp_one);
+    const __m256i k =
+        _mm256_sub_epi32(_mm256_srl_epi32(b, scale_shift), k_bias);
+    const __m256i s = _mm256_xor_si256(k, _mm256_srai_epi32(k, 31));
+    const __m256i bits = _mm256_and_si256(_mm256_sll_epi32(b, align_shift),
+                                          splat(0x3fffffffu));
+    const __m256i run_ones =
+        _mm256_srav_epi32(_mm256_or_si256(bits, splat(0x80000000u)), s);
+    const __m256i run_zeros =
+        _mm256_srlv_epi32(_mm256_or_si256(bits, splat(0x40000000u)), s);
+    const __m256i c = _mm256_srl_epi32(
+        _mm256_castps_si256(_mm256_blendv_ps(_mm256_castsi256_ps(run_ones),
+                                             _mm256_castsi256_ps(run_zeros),
+                                             _mm256_castsi256_ps(k))),
+        code_shift);
+    const __m256i d = _mm256_add_epi32(s, d_bias);
+    const __m256i vl = _mm256_sub_epi32(
+        _mm256_sllv_epi32(_mm256_srlv_epi32(b, d), d), exp_one);
+    const __m256i vh =
+        _mm256_min_epu32(_mm256_add_epi32(vl, _mm256_sllv_epi32(one, d)),
+                         splat(0x7f7fffffu));
+    const __m256 acf = _mm256_castsi256_ps(ac);
+    const __m256i dl =
+        _mm256_castps_si256(_mm256_sub_ps(acf, _mm256_castsi256_ps(vl)));
+    const __m256i dh =
+        _mm256_castps_si256(_mm256_sub_ps(_mm256_castsi256_ps(vh), acf));
+    const __m256i take_lo = _mm256_cmpgt_epi32(
+        _mm256_add_epi32(dh, _mm256_andnot_si256(c, one)), dl);
+    const __m256i dead = _mm256_or_si256(
+        _mm256_cmpeq_epi32(a, _mm256_setzero_si256()), gt(a, 0x7f800000u));
+    if (codes != nullptr) {
+      __m256i mag = _mm256_blendv_epi8(_mm256_add_epi32(c, one), c, take_lo);
+      const __m256i neg = _mm256_srai_epi32(u, 31);  // -mag where x < 0
+      mag = _mm256_sub_epi32(_mm256_xor_si256(mag, neg), neg);
+      store_codes8(codes + i,
+                   _mm256_andnot_si256(dead, _mm256_and_si256(mag, mask)));
+    }
+    if (values != nullptr) {
+      const __m256i v = _mm256_or_si256(
+          _mm256_blendv_epi8(vh, vl, take_lo),
+          _mm256_and_si256(u, splat(0x80000000u)));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(values + i),
+                          _mm256_andnot_si256(dead, v));
+    }
+  }
+  encode_range(f, x, codes, values, i, n);
+}
+
+void avx2_encode(const EncodeView& f, const float* x, std::uint16_t* codes,
+                 float* values, std::int64_t n) {
+  switch (f.kind) {
+    case EncodeKind::kFloat: return encode_float8(f, x, codes, values, n);
+    case EncodeKind::kLevel: return encode_level8(f, x, codes, values, n);
+    case EncodeKind::kPosit: return encode_posit8(f, x, codes, values, n);
+  }
 }
 
 const KernelBackend kAvx2Backend = {
@@ -946,11 +1051,10 @@ const KernelBackend kAvx2Backend = {
     &avx2_gemm_dot_rows,
     &avx2_unpack_decode,
     &avx2_decode_tile,
-    &avx2_nearest_indices,
     &avx2_attend_row,
     &avx2_checksum_dot_rows,
     &avx2_tanh_map,
-    &avx2_adaptivfloat_encode,
+    &avx2_encode,
 };
 
 }  // namespace

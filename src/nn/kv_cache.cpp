@@ -58,12 +58,8 @@ void KvState::init(std::int64_t capacity, std::int64_t d,
   if (quant_.enabled()) {
     k_table_ = quant_.k_codec->decode_lut(false).data();
     v_table_ = quant_.v_codec->decode_lut(false).data();
-    k_view_ = quant_.k_codec->encode_view();
-    v_view_ = quant_.v_codec->encode_view();
-    if (k_view_ == nullptr || v_view_ == nullptr) k_view_ = v_view_ = nullptr;
   } else {
     k_table_ = v_table_ = nullptr;
-    k_view_ = v_view_ = nullptr;
   }
 }
 
@@ -78,21 +74,14 @@ void KvState::write_row(const float* k_row, const float* v_row,
     std::memcpy(vr + off, v_row, static_cast<std::size_t>(d_) * sizeof(float));
     return;
   }
-  // A chunk of codes at a time — AdaptivFloat rows through the backend's
-  // encode entry, other formats through the codec's encode — then packed.
+  // A chunk of codes at a time through the backend's encode entry, then
+  // packed.
   constexpr std::int64_t kChunk = 64;
   std::uint16_t kc[kChunk], vc[kChunk];
   for (std::int64_t c0 = 0; c0 < d_; c0 += kChunk) {
     const std::int64_t n = std::min(kChunk, d_ - c0);
-    if (k_view_ != nullptr) {
-      be.adaptivfloat_encode(*k_view_, k_row + c0, kc, n);
-      be.adaptivfloat_encode(*v_view_, v_row + c0, vc, n);
-    } else {
-      for (std::int64_t col = 0; col < n; ++col) {
-        kc[col] = quant_.k_codec->encode(k_row[c0 + col]);
-        vc[col] = quant_.v_codec->encode(v_row[c0 + col]);
-      }
-    }
+    encode_span(*quant_.k_codec, k_row + c0, kc, n, be);
+    encode_span(*quant_.v_codec, v_row + c0, vc, n, be);
     std::size_t bitpos = static_cast<std::size_t>(j * d_ + c0) *
                          static_cast<std::size_t>(bits_);
     for (std::int64_t col = 0; col < n; ++col, bitpos += bits_) {

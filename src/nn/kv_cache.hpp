@@ -14,10 +14,9 @@
 //
 //  * quantized — each row is encoded through a FormatCodec (per-layer
 //    exp_bias recalibrated from calibration-time K/V ranges; see DESIGN.md
-//    §15) into the region: AdaptivFloat rows through the backend's encode
-//    entry, Float and Posit rows element by element. At 4-bit this is an
-//    8x cache-footprint cut — the KV cache, not the weights, dominates
-//    serving memory at scale.
+//    §15) into the region, every format through the backend's encode
+//    entry. At 4-bit this is an 8x cache-footprint cut — the KV cache, not
+//    the weights, dominates serving memory at scale.
 //
 // Nothing is decoded ahead of use: operands() hands the attend kernel
 // (KernelBackend::attend_row) the regions themselves plus the codecs'
@@ -62,9 +61,8 @@ class KvState {
   /// new length are overwritten by later appends, never read).
   void reset() { len_ = 0; }
 
-  /// Appends one projected timestep: k_step/v_step are [1, D]. AdaptivFloat
-  /// rows encode through `be`'s adaptivfloat_encode (the same codes on
-  /// every backend); other codecs run their scalar encode.
+  /// Appends one projected timestep: k_step/v_step are [1, D]. Rows encode
+  /// through `be`'s encode entry (the same codes on every backend).
   void append(const Tensor& k_step, const Tensor& v_step,
               const KernelBackend& be);
 
@@ -112,9 +110,6 @@ class KvState {
   std::size_t region_bytes_ = 0;      // ceil(cap*D*bits/8) bytes each
   const float* k_table_ = nullptr;    // decode LUTs (owned by the codecs)
   const float* v_table_ = nullptr;
-  // The codecs' encode-entry views; both set or both null.
-  const AfEncodeView* k_view_ = nullptr;
-  const AfEncodeView* v_view_ = nullptr;
 
   Tensor k_codes_, v_codes_;  // the K and V code regions (float storage)
 };

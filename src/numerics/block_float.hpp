@@ -24,12 +24,10 @@ class BlockFloatQuantizer final : public LevelQuantizer {
   std::string name() const override { return "BFP"; }
 
   /// Shared (unbiased) exponent chosen by the last calibration (0 for an
-  /// all-zero block).
+  /// all-zero block); step() is 2^(shared_exp - (n - 2)).
   int shared_exp() const {
-    return step_ == 0.0f ? 0 : std::ilogb(step_) + (bits() - 2);
+    return step() == 0.0f ? 0 : std::ilogb(step()) + (bits() - 2);
   }
-  /// Quantization step: 2^(shared_exp - (n - 2)).
-  float step() const { return step_; }
 
  private:
   float step_for(float max_abs) const override {

@@ -12,6 +12,16 @@ FloatFormat::FloatFormat(int bits, int exp_bits)
   AF_CHECK(bits >= 2 && bits <= 16, "float width must be in [2,16]");
   AF_CHECK(exp_bits >= 1 && exp_bits <= bits - 1,
            "float exponent width must be in [1, bits-1]");
+  AF_CHECK(exp_bits <= 8,
+           "float exponent width must be at most 8 (value_min must be a "
+           "normal FP32 value)");
+  view_.bits = bits_;
+  view_.mant_bits = mant_bits_;
+  view_.base = static_cast<std::uint32_t>(127 - bias()) << mant_bits_;
+  view_.min_mag = 1u << mant_bits_;  // value_min is exponent field 1
+  view_.half_vmin = float_bits(0.5f * value_min());
+  view_.vmin = float_bits(value_min());
+  view_.vmax = float_bits(value_max());
 }
 
 float FloatFormat::value_max() const {
@@ -25,56 +35,7 @@ float FloatFormat::value_min() const {
 
 float FloatFormat::decode(std::uint16_t code) const {
   AF_CHECK(code < (1u << bits_), "code wider than the format");
-  const std::uint16_t sign_f = (code >> (bits_ - 1)) & 1u;
-  const std::uint16_t exp_f =
-      static_cast<std::uint16_t>((code >> mant_bits_) & ((1u << exp_bits_) - 1u));
-  const std::uint16_t mant_f =
-      static_cast<std::uint16_t>(code & ((1u << mant_bits_) - 1u));
-  if (exp_f == 0) return 0.0f;  // flush-to-zero: no denormals
-  const float sign = sign_f ? -1.0f : 1.0f;
-  const float mant =
-      1.0f + std::ldexp(static_cast<float>(mant_f), -mant_bits_);
-  return sign * std::ldexp(mant, static_cast<int>(exp_f) - bias());
-}
-
-std::uint16_t FloatFormat::encode(float x) const {
-  if (x == 0.0f || std::isnan(x)) return 0;
-  const std::uint16_t sign = x < 0.0f ? 1u : 0u;
-  const float a = std::fabs(x);
-  const auto with_sign = [this, sign](std::uint16_t exp_f,
-                                      std::uint16_t mant_f) {
-    return static_cast<std::uint16_t>(
-        (sign << (bits_ - 1)) | (exp_f << mant_bits_) | mant_f);
-  };
-
-  const int emax = ((1 << exp_bits_) - 1) - bias();
-  const float vmin = value_min();
-  if (a < vmin) {
-    // Sub-minimum values round to 0 below the halfway point, else to vmin.
-    if (a < 0.5f * vmin) return 0;
-    return with_sign(1, 0);
-  }
-  if (a >= value_max()) {
-    return with_sign(static_cast<std::uint16_t>((1 << exp_bits_) - 1),
-                     static_cast<std::uint16_t>((1 << mant_bits_) - 1));
-  }
-
-  int exp_plus_1 = 0;
-  const float frac = std::frexp(a, &exp_plus_1);
-  int exp = exp_plus_1 - 1;
-  auto q = static_cast<std::int64_t>(
-      std::nearbyint(std::ldexp(2.0f * frac, mant_bits_)));
-  if (q == (std::int64_t{1} << (mant_bits_ + 1))) {
-    q >>= 1;
-    ++exp;
-  }
-  if (exp > emax) {
-    return with_sign(static_cast<std::uint16_t>((1 << exp_bits_) - 1),
-                     static_cast<std::uint16_t>((1 << mant_bits_) - 1));
-  }
-  return with_sign(static_cast<std::uint16_t>(exp + bias()),
-                   static_cast<std::uint16_t>(
-                       q - (std::int64_t{1} << mant_bits_)));
+  return float_value_of(view_, 0.0f, code);
 }
 
 std::vector<float> FloatFormat::representable_values() const {

@@ -77,73 +77,51 @@ std::string PositFormat::to_string() const {
 }
 
 PositQuantizer::PositQuantizer(int bits, int es) : fmt_(bits, es) {
-  for (std::uint32_t c = 1; c < (1u << (bits - 1)); ++c) {
-    const auto code = static_cast<std::uint16_t>(c);
-    const float v = decode(code);
-    if (!positives_.empty() && v == positives_.back()) continue;
-    positives_.push_back(v);
-    codes_.push_back(code);
+  const std::uint32_t half = 1u << (bits - 1);
+  values_.resize(half);
+  for (std::uint32_t c = 0; c < half; ++c) {
+    const double v = fmt_.decode(static_cast<std::uint16_t>(c));
+    // Wide-es posits reach past FP32 at both ends: saturate rather than
+    // narrow to +Inf or flush a nonzero posit to 0.
+    values_[c] = c == 0 ? 0.0f
+                        : static_cast<float>(std::clamp(
+                              v,
+                              static_cast<double>(
+                                  std::numeric_limits<float>::denorm_min()),
+                              static_cast<double>(
+                                  std::numeric_limits<float>::max())));
   }
+  view_.kind = EncodeKind::kPosit;
+  view_.bits = bits;
+  view_.es = es;
+  view_.values = values_.data();
+  view_.top_code = static_cast<std::uint32_t>(
+      std::lower_bound(values_.begin(), values_.end(), values_.back()) -
+      values_.begin());
 }
 
 float PositQuantizer::decode(std::uint16_t code) const {
-  const double v = fmt_.decode(code);
-  if (v == 0.0 || std::isnan(v)) return static_cast<float>(v);
-  // Wide-es posits reach past FP32 at both ends: saturate rather than
-  // narrow to +/-Inf or flush a nonzero posit to 0.
-  const double a =
-      std::clamp(std::fabs(v),
-                 static_cast<double>(std::numeric_limits<float>::denorm_min()),
-                 static_cast<double>(std::numeric_limits<float>::max()));
-  return static_cast<float>(std::copysign(a, v));
-}
-
-std::size_t PositQuantizer::nearest_index(float a) const {
-  if (a <= positives_.front()) return 0;
-  const std::size_t top = positives_.size() - 1;
-  if (a >= positives_[top]) return top;
-  // Branch-free lower bound: the KV cache encodes every appended element,
-  // and a data-dependent branch per halving mispredicts about half the time.
-  const float* base = positives_.data();
-  for (std::size_t n = top + 1; n > 1;) {
-    const std::size_t half = n / 2;
-    base += static_cast<std::size_t>(base[half - 1] < a) * half;
-    n -= half;
+  AF_CHECK(code < (1u << bits()), "code wider than the format");
+  if (code == 1u << (bits() - 1)) {
+    return std::numeric_limits<float>::quiet_NaN();  // NaR
   }
-  const auto hi = static_cast<std::size_t>(base - positives_.data());
-  const float dh = positives_[hi] - a;
-  const float dl = a - positives_[hi - 1];
-  // Nearer neighbour; an exact tie takes the entry whose code is even (the
-  // posit standard's round-to-nearest-even on the bit pattern).
-  const bool lo_even = (codes_[hi - 1] & 1u) == 0;
-  const bool take_lo = (dl < dh) | ((dl == dh) & lo_even);
-  return hi - static_cast<std::size_t>(take_lo);
-}
-
-float PositQuantizer::quantize_value(float x) const {
-  if (x == 0.0f || std::isnan(x)) return 0.0f;
-  const float v = positives_[nearest_index(std::fabs(x))];
-  return x < 0.0f ? -v : v;
-}
-
-std::uint16_t PositQuantizer::encode(float x) const {
-  if (x == 0.0f || std::isnan(x)) return 0;
-  const std::uint32_t code = codes_[nearest_index(std::fabs(x))];
-  if (x > 0.0f) return static_cast<std::uint16_t>(code);
-  // A negative posit is the two's complement of its magnitude's code.
-  return static_cast<std::uint16_t>((~code + 1u) & ((1u << bits()) - 1u));
+  return posit_value_of(view_, 0.0f, code);
 }
 
 std::vector<float> PositQuantizer::representable_values() const {
-  // Posit decode is exactly antisymmetric, so the negative entries are the
-  // negations of positives_ — the values quantize_value emits for x < 0.
+  std::vector<float> positives;
+  for (std::size_t c = 1; c < values_.size(); ++c) {
+    if (positives.empty() || values_[c] != positives.back()) {
+      positives.push_back(values_[c]);
+    }
+  }
   std::vector<float> vals;
-  vals.reserve(2 * positives_.size() + 1);
-  for (auto it = positives_.rbegin(); it != positives_.rend(); ++it) {
+  vals.reserve(2 * positives.size() + 1);
+  for (auto it = positives.rbegin(); it != positives.rend(); ++it) {
     vals.push_back(-*it);
   }
   vals.push_back(0.0f);
-  vals.insert(vals.end(), positives_.begin(), positives_.end());
+  vals.insert(vals.end(), positives.begin(), positives.end());
   return vals;
 }
 

@@ -49,6 +49,8 @@ class PositFormat {
 /// FP32 image of the saturating decode(), so wide-es formats whose maxpos
 /// exceeds FP32 stay finite. Non-finite inputs are well-defined: NaN maps
 /// to 0 (NaR is never produced), +/-Inf saturates to +/-value_range().
+/// encode() is the kPosit closed form (src/kernels/encode.hpp) over the
+/// table of non-negative code values built at construction.
 class PositQuantizer final : public Quantizer {
  public:
   PositQuantizer(int bits, int es);
@@ -57,28 +59,30 @@ class PositQuantizer final : public Quantizer {
   int bits() const override { return fmt_.bits(); }
   bool self_adaptive() const override { return false; }
   void calibrate(const Tensor&) override {}
-  float quantize_value(float x) const override;
-  std::uint16_t encode(float x) const override;
+  float quantize_value(float x) const override { return decode(encode(x)); }
+  std::uint16_t encode(float x) const override {
+    return posit_encode_bits(view_, x);
+  }
+  const EncodeView* encode_view() const override { return &view_; }
   /// PositFormat::decode narrowed to FP32, saturating: a nonzero posit
   /// never decodes to 0 or +/-Inf (magnitudes clamp into
   /// [denorm_min, FLT_MAX]); NaR decodes to NaN.
   float decode(std::uint16_t code) const override;
-  float value_range() const override { return positives_.back(); }
-  std::vector<float> representable_values() const override;
+  float value_range() const override { return values_.back(); }
+
+  /// The distinct values quantize_value emits, ascending: one zero and
+  /// the positives mirrored.
+  std::vector<float> representable_values() const;
 
   const PositFormat& format() const { return fmt_; }
 
  private:
-  /// Index into positives_ that |x| (> 0) rounds to: ties go to the even
-  /// code, |x| below minpos saturates at index 0, above maxpos at the top.
-  std::size_t nearest_index(float a) const;
-
   PositFormat fmt_;
-  // Distinct positive grid values, ascending, and the code of each
-  // (positive codes are monotone in value; where FP32 saturation merges
-  // neighbouring codes, the first one is kept).
-  std::vector<float> positives_;
-  std::vector<std::uint16_t> codes_;
+  // decode(c) for every non-negative code c < 2^(n-1), ascending (positive
+  // codes are monotone in value; FP32 saturation can give neighbouring
+  // codes one value).
+  std::vector<float> values_;
+  EncodeView view_;
 };
 
 }  // namespace af

@@ -10,14 +10,17 @@
 // n-bit storage code of quantize_value(x), decode() reads any code back,
 // corrupted ones included. The fake-quant tables and the bit-flip sweeps
 // (src/resilience/codec.*) therefore measure one rounding per format.
+// Each format has one encoder, a closed form on x's bits
+// (src/kernels/encode.hpp); encode_view() hands its parameters to the
+// backend's batched encode, which bulk quantize() and every bulk encode
+// run. A quantizer holds no cache, so quantize() may run on one quantizer
+// from any number of threads at once.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "src/kernels/nearest_lut.hpp"
+#include "src/kernels/encode.hpp"
 #include "src/tensor/tensor.hpp"
 
 namespace af {
@@ -57,10 +60,10 @@ class Quantizer {
   /// (the level formats' -0.0f comes back as +0.0f).
   virtual std::uint16_t encode(float x) const = 0;
 
-  /// The encode entry's view (KernelBackend::adaptivfloat_encode) of the
-  /// current calibration, when one computes encode(): AdaptivFloat formats
-  /// the entry covers; nullptr (the default) for every other format.
-  virtual const AfEncodeView* encode_view() const { return nullptr; }
+  /// The encode entry's view (KernelBackend::encode) of the current
+  /// calibration, which computes encode(). nullptr only for an AdaptivFloat
+  /// calibration outside the kFloat formula; encode() then runs alone.
+  virtual const EncodeView* encode_view() const = 0;
 
   /// Raw decode of any n-bit code, a corrupted one included — exactly what
   /// an unprotected datapath would emit, huge outliers and all (posit NaR
@@ -73,51 +76,17 @@ class Quantizer {
   /// intrinsic bound; every implementation here returns a finite value.
   virtual float value_range() const = 0;
 
-  /// The exact output set of quantize_value under the current calibration,
-  /// in ascending order. Formats whose scalar path can emit a signed zero
-  /// (the level formats round tiny negatives to -0.0f) list -0.0f as its
-  /// own entry right before +0.0f. An empty result (the default) disables
-  /// the table-driven quantize fast path.
-  virtual std::vector<float> representable_values() const { return {}; }
-
-  /// Elementwise tensor quantization. For bulk tensors of a format that
-  /// publishes representable_values(), rounding runs through a cached
-  /// NearestLut built *outside* the parallel region from quantize_value
-  /// itself — bit-identical to the scalar path, without the per-element
-  /// O(log V) search. Small tensors keep the scalar path (the table build
-  /// would dominate); the results are identical either way.
-  virtual Tensor quantize(const Tensor& t) const;
+  /// Elementwise tensor quantization, decode(encode(x)) per element: the
+  /// codes come from the active backend's encode entry. Bit-identical to
+  /// quantize_value, the level formats' -0.0f included, on every backend
+  /// and thread count.
+  Tensor quantize(const Tensor& t) const;
 
   /// calibrate(t) followed by quantize(t) — the per-layer flow of the paper.
   Tensor calibrate_and_quantize(const Tensor& t) {
     calibrate(t);
     return quantize(t);
   }
-
-  /// True once the cached rounding table is live (test/bench seam).
-  bool lut_quantize_active() const {
-    return round_lut_state_ == RoundLutState::kBuilt;
-  }
-
- protected:
-  /// Subclasses call this from calibrate()/calibrate_max_abs(): the cached
-  /// rounding table depends on the calibration parameters.
-  void invalidate_round_lut() {
-    round_lut_.reset();
-    round_lut_state_ = RoundLutState::kUndecided;
-  }
-
- private:
-  /// The cached table, built lazily on the first bulk quantize after a
-  /// calibration (nullptr when the scalar path should run). Not
-  /// thread-safe against concurrent quantize() of the *same* quantizer —
-  /// the same pre-existing constraint as calibrate(); quantize() is never
-  /// called from inside a parallel body.
-  const NearestLut* round_lut(std::int64_t numel) const;
-
-  enum class RoundLutState { kUndecided, kBuilt, kUnavailable };
-  mutable RoundLutState round_lut_state_ = RoundLutState::kUndecided;
-  mutable std::shared_ptr<const NearestLut> round_lut_;
 };
 
 /// Shared base of the two's-complement level formats, Uniform (full-
@@ -131,15 +100,21 @@ class LevelQuantizer : public Quantizer {
   void calibrate(const Tensor& t) override { calibrate_max_abs(t.max_abs()); }
   void calibrate_max_abs(float max_abs) override;
   float quantize_value(float x) const override;
-  std::uint16_t encode(float x) const override;
+  std::uint16_t encode(float x) const override {
+    return level_encode_bits(view_, x);
+  }
+  const EncodeView* encode_view() const override { return &view_; }
   float decode(std::uint16_t code) const override;
   float value_range() const override {
-    return step_ * static_cast<float>(level_max_);
+    return step() * static_cast<float>(level_max_);
   }
-  std::vector<float> representable_values() const override;
 
   /// Largest level: 2^(n-1) - 1.
   int level_max() const { return level_max_; }
+
+  /// Value of level 1 after the last calibration (0 until calibrated, and
+  /// for an all-zero tensor).
+  float step() const { return view_.step; }
 
  protected:
   explicit LevelQuantizer(int bits);
@@ -148,13 +123,8 @@ class LevelQuantizer : public Quantizer {
   /// value then quantizes to 0).
   virtual float step_for(float max_abs) const = 0;
 
-  float step_ = 0.0f;  // 0 until calibrated
-
  private:
-  /// round(x / step) clamped to +/-level_max, in the double domain: casting
-  /// an infinite or huge quotient straight to an integer is UB.
-  double level_of(float x) const;
-
+  EncodeView view_;  // kLevel
   int bits_;
   int level_max_;
 };

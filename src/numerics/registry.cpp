@@ -62,12 +62,10 @@ AdaptivFloatQuantizer::AdaptivFloatQuantizer(int bits, int exp_bits)
 
 void AdaptivFloatQuantizer::calibrate(const Tensor& t) {
   fmt_ = format_for_tensor(t, bits_, exp_bits_);
-  invalidate_round_lut();
 }
 
 void AdaptivFloatQuantizer::calibrate_max_abs(float max_abs) {
   fmt_ = format_for_max_abs(max_abs, bits_, exp_bits_);
-  invalidate_round_lut();
 }
 
 }  // namespace af

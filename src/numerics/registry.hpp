@@ -46,14 +46,11 @@ class AdaptivFloatQuantizer final : public Quantizer {
   void calibrate_max_abs(float max_abs) override;
   float quantize_value(float x) const override { return fmt_.quantize(x); }
   std::uint16_t encode(float x) const override { return fmt_.encode(x); }
-  const AfEncodeView* encode_view() const override {
+  const EncodeView* encode_view() const override {
     return fmt_.encode_view();
   }
   float decode(std::uint16_t code) const override { return fmt_.decode(code); }
   float value_range() const override { return fmt_.value_max(); }
-  std::vector<float> representable_values() const override {
-    return fmt_.representable_values();
-  }
 
   /// Format chosen by the last calibration.
   const AdaptivFloatFormat& format() const { return fmt_; }

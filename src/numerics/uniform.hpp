@@ -20,7 +20,7 @@ class UniformQuantizer final : public LevelQuantizer {
   std::string name() const override { return "Uniform"; }
 
   /// Scale chosen by the last calibration (0 for an all-zero tensor).
-  float scale() const { return step_; }
+  float scale() const { return step(); }
 
  private:
   float step_for(float max_abs) const override {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/kernels/backend.hpp"
-#include "src/kernels/nearest_lut.hpp"
 #include "src/util/check.hpp"
 #include "src/util/parallel.hpp"
 
@@ -35,16 +34,14 @@ float FormatCodec::decode_hardened(std::uint16_t code) const {
 
 std::vector<std::uint16_t> FormatCodec::encode_tensor(const Tensor& t) const {
   std::vector<std::uint16_t> codes(static_cast<std::size_t>(t.numel()));
-  const BulkEncoder<Quantizer> enc(*q_, t.numel());
-  // The batched paths run on the active backend; every backend emits the
-  // same codes.
+  // Every backend emits the same codes.
   const KernelBackend& be = active_backend();
-  if (enc.batched()) count_backend_dispatch(be);
+  if (encode_view() != nullptr) count_backend_dispatch(be);
   parallel_for(0, t.numel(), kCodecGrain,
                [&](std::int64_t lo, std::int64_t hi) {
-                 enc.encode(t.data() + lo,
-                            codes.data() + static_cast<std::size_t>(lo),
-                            hi - lo, be);
+                 encode_span(*q_, t.data() + lo,
+                             codes.data() + static_cast<std::size_t>(lo),
+                             hi - lo, be);
                });
   return codes;
 }

@@ -53,10 +53,10 @@ class FormatCodec {
   /// an unprotected datapath would emit, huge outliers and all.
   float decode(std::uint16_t code) const { return q_->decode(code); }
 
-  /// The encode entry's view of this codec's encode (an AdaptivFloat
-  /// codec the entry covers), for batched encodes through a backend's
-  /// adaptivfloat_encode; nullptr for the other formats.
-  const AfEncodeView* encode_view() const { return q_->encode_view(); }
+  /// The encode entry's view of this codec's encode, for batched encodes
+  /// through a backend's encode; nullptr only for an AdaptivFloat
+  /// calibration outside the entry's formula.
+  const EncodeView* encode_view() const { return q_->encode_view(); }
 
   /// Calibrated clamp window of the hardened path.
   float range() const { return range_; }
@@ -67,9 +67,7 @@ class FormatCodec {
 
   /// Elementwise helpers for whole tensors: decode_tensor through the
   /// decode table (2^bits entries amortize over any sweep payload),
-  /// encode_tensor through a BulkEncoder on the active backend (the
-  /// AdaptivFloat encode entry at any size, the other formats' encode LUT
-  /// once the tensor crosses its build threshold). Results are
+  /// encode_tensor through the active backend's encode entry. Results are
   /// bit-identical to the scalar loops.
   std::vector<std::uint16_t> encode_tensor(const Tensor& t) const;
   Tensor decode_tensor(const std::vector<std::uint16_t>& codes,

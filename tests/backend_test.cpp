@@ -1,8 +1,8 @@
 // Kernel-backend dispatch: AF_BACKEND resolution (fail-closed on bad
 // specs, silent scalar fallback for auto), dispatch-count routing through
 // the override seams, and the cross-backend numeric contract (decode and
-// boundary search bit-identical; FMA GEMM bounded by kGemmBackendUlpTol at
-// the product-norm scale). AVX2-dependent assertions GTEST_SKIP on
+// encode bit-identical; FMA GEMM bounded by kGemmBackendUlpTol at the
+// product-norm scale). AVX2-dependent assertions GTEST_SKIP on
 // machines without AVX2+FMA — the selection and fallback logic is still
 // covered there via the resolve_backend(spec, allow_avx2) seam.
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "src/kernels/backend.hpp"
 #include "src/kernels/decode_lut.hpp"
 #include "src/kernels/gemm_packed.hpp"
-#include "src/kernels/nearest_lut.hpp"
 #include "src/nn/linear.hpp"
 #include "src/nn/lstm.hpp"
 #include "src/nn/quantized_linear.hpp"
@@ -633,49 +632,172 @@ TEST(KernelBackendNumerics, AttendBitIdenticalToScalar) {
   EXPECT_LT(2 * nan_outputs, outputs);
 }
 
-TEST(KernelBackendNumerics, NearestIndicesBitIdenticalAcrossFormats) {
-  // The boundary search is integer-exact: no tolerance, every format,
-  // including NaN/Inf/signed-zero/denormal inputs.
-  const KernelBackend* avx2 = avx2_backend();
-  if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  Pcg32 rng(34);
-  for (const FormatKind kind : all_format_kinds()) {
-    const auto codec = make_codec(kind, 8, 2.0f);
-    const NearestLut lut = build_encode_lut(
-        codec->bits(), [&](float v) { return codec->encode(v); },
-        [&](std::uint16_t c) { return codec->decode(c); });
-    if (lut.empty()) continue;  // format fell back to scalar encode
+float float_of(std::uint32_t u) { return std::bit_cast<float>(u); }
+std::uint32_t bits_of(float x) { return std::bit_cast<std::uint32_t>(x); }
 
-    std::vector<float> xs;
-    for (int i = 0; i < 4096; ++i) xs.push_back(rng.uniform(-3.0f, 3.0f));
-    xs.insert(xs.end(),
-              {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
-               -std::numeric_limits<float>::infinity(),
-               std::numeric_limits<float>::quiet_NaN(),
-               std::numeric_limits<float>::denorm_min(),
-               -std::numeric_limits<float>::denorm_min(), 1e-38f, -1e-38f,
-               2.0f, -2.0f, 1000.0f, -1000.0f});
-    const auto n = static_cast<std::int64_t>(xs.size());
-    std::vector<std::uint32_t> idx_s(xs.size(), 0xffffffffu);
-    std::vector<std::uint32_t> idx_v(xs.size(), 0xfffffffeu);
-    lut.indices_of(xs.data(), idx_s.data(), n, scalar_backend());
-    lut.indices_of(xs.data(), idx_v.data(), n, *avx2);
-    EXPECT_EQ(idx_s, idx_v) << "format " << format_kind_name(kind);
-    // And against the per-element scalar method, the original oracle.
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(idx_s[i], lut.index_of(xs[i]))
-          << format_kind_name(kind) << " x=" << xs[i];
+// Probes for one calibrated quantizer: the float edges, every code's value
+// (a sample at 12 bits and up) with its midpoint to the next one up and one
+// ulp either side of both, and values spread over the format's range.
+std::vector<float> encode_probes(const Quantizer& q, Pcg32& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs = {0.0f, -0.0f, inf, -inf,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           -std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::denorm_min(),
+                           -std::numeric_limits<float>::denorm_min(),
+                           std::numeric_limits<float>::min(),
+                           std::numeric_limits<float>::max(),
+                           -std::numeric_limits<float>::max()};
+  std::vector<float> vals;
+  for (std::uint32_t c = 0; c < (1u << q.bits()); ++c) {
+    const float v = q.decode(static_cast<std::uint16_t>(c));
+    if (!std::isnan(v)) vals.push_back(v);
+  }
+  std::sort(vals.begin(), vals.end());
+  vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
+  for (std::size_t i = 0; i < vals.size(); i += 1 + vals.size() / 256) {
+    const float v = vals[i];
+    const float mid =
+        i + 1 < vals.size() ? v + 0.5f * (vals[i + 1] - v) : v;
+    for (const float p : {v, mid}) {
+      xs.push_back(p);
+      xs.push_back(std::nextafter(p, -inf));
+      xs.push_back(std::nextafter(p, inf));
     }
+  }
+  const float span = std::min(2.0f * q.value_range(), 1e38f);
+  for (int i = 0; i < 256; ++i) xs.push_back(rng.uniform(-span, span));
+  for (int i = 0; i < 256; ++i) {
+    xs.push_back(std::ldexp(rng.uniform(-1.0f, 1.0f),
+                            static_cast<int>(rng.next_u32() % 280) - 150));
+  }
+  return xs;
+}
+
+TEST(KernelBackendNumerics, EncodeBitIdenticalAcrossFormats) {
+  // Every format at every width 2..16, its exponent fields (Float), es
+  // (Posit) and several calibrations: the scalar and AVX2 encode entries
+  // must equal the quantizer's own encode and quantize_value on every
+  // probe, at an odd offset and length so the 8-lane tails run too.
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
+  Pcg32 rng(34);
+  int covered = 0;
+  for (int bits = 2; bits <= 16; ++bits) {
+    std::vector<std::unique_ptr<Quantizer>> qs;
+    for (int e = 1; e <= std::min(bits - 1, 8); ++e) {
+      qs.push_back(make_quantizer(FormatKind::kFloat, bits, {e}));
+    }
+    for (int es = 0; es <= 4; ++es) {
+      qs.push_back(make_quantizer(FormatKind::kPosit, bits, {es}));
+    }
+    for (const float max_abs : {2.0f, 1e-3f, 3e4f, 0.0f}) {
+      for (const FormatKind kind :
+           {FormatKind::kAdaptivFloat, FormatKind::kBlockFloat,
+            FormatKind::kUniform}) {
+        qs.push_back(make_quantizer(kind, bits));
+        qs.back()->calibrate_max_abs(max_abs);
+      }
+    }
+    for (const auto& q : qs) {
+      const EncodeView* view = q->encode_view();
+      ASSERT_NE(view, nullptr) << q->name() << "<" << bits << ">";
+      ++covered;
+      const std::vector<float> xs = encode_probes(*q, rng);
+      const auto n = static_cast<std::int64_t>(xs.size()) - 3;
+      for (const KernelBackend* be : backends) {
+        std::vector<std::uint16_t> codes(xs.size(), 0xbeefu);
+        std::vector<float> values(xs.size(), -7.0f);
+        be->encode(*view, xs.data() + 3, codes.data(), values.data(), n);
+        for (std::int64_t i = 0; i < n; ++i) {
+          const float x = xs[i + 3];
+          ASSERT_EQ(codes[i], q->encode(x))
+              << be->name << " " << q->name() << "<" << bits << "> x bits 0x"
+              << std::hex << std::bit_cast<std::uint32_t>(x);
+          ASSERT_EQ(bits_of(values[i]), bits_of(q->quantize_value(x)))
+              << be->name << " " << q->name() << "<" << bits << "> x bits 0x"
+              << std::hex << std::bit_cast<std::uint32_t>(x);
+        }
+        EXPECT_EQ(codes[n], 0xbeefu) << be->name << " wrote past n";
+        EXPECT_EQ(values[n], -7.0f) << be->name << " wrote past n";
+      }
+    }
+  }
+  EXPECT_EQ(covered, 92 + 15 * 5 + 15 * 12);
+}
+
+TEST(EncodeEntry, MatchesRecordedEdgeCodes) {
+  // The codes the encoders gave before the closed forms, at the edges:
+  // signed zeros, NaN, infinities, denormals, value_min and value_max one
+  // ulp either side, tie midpoints and posit regime boundaries. Each
+  // quantizer's encode and both encode entries must reproduce them.
+  struct Config {
+    FormatKind kind;
+    int bits;
+    int exp_bits;
+    float max_abs;
+  };
+  static constexpr Config kConfigs[] = {
+      {FormatKind::kAdaptivFloat, 4, -1, 1.0f},
+      {FormatKind::kAdaptivFloat, 8, -1, 2.5f},
+      {FormatKind::kAdaptivFloat, 16, -1, 100.0f},
+      {FormatKind::kFloat, 4, -1, 1.0f},
+      {FormatKind::kFloat, 8, -1, 1.0f},
+      {FormatKind::kFloat, 8, 8, 1.0f},
+      {FormatKind::kFloat, 16, 5, 1.0f},
+      {FormatKind::kPosit, 4, -1, 1.0f},
+      {FormatKind::kPosit, 8, -1, 1.0f},
+      {FormatKind::kPosit, 8, 4, 1.0f},
+      {FormatKind::kPosit, 12, 4, 1.0f},
+      {FormatKind::kPosit, 16, 2, 1.0f},
+      {FormatKind::kBlockFloat, 4, -1, 2.89f},
+      {FormatKind::kBlockFloat, 8, -1, 2.89f},
+      {FormatKind::kUniform, 4, -1, 3.7f},
+      {FormatKind::kUniform, 8, -1, 3.7f},
+  };
+  static constexpr struct {
+    int config;
+    std::uint32_t x;
+    std::uint16_t code;
+  } kCodes[] = {
+#include "tests/encode_edges_table.inc"
+  };
+  std::vector<std::unique_ptr<Quantizer>> qs;
+  for (const Config& c : kConfigs) {
+    qs.push_back(make_quantizer(c.kind, c.bits, {c.exp_bits}));
+    qs.back()->calibrate_max_abs(c.max_abs);
+  }
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
+  std::vector<int> seen(std::size(kConfigs), 0);
+  for (const auto& e : kCodes) {
+    const Quantizer& q = *qs[static_cast<std::size_t>(e.config)];
+    const float x = std::bit_cast<float>(e.x);
+    ++seen[static_cast<std::size_t>(e.config)];
+    EXPECT_EQ(q.encode(x), e.code)
+        << q.name() << "<" << q.bits() << "> x bits 0x" << std::hex << e.x;
+    for (const KernelBackend* be : backends) {
+      // Eight copies, so the AVX2 entry runs the probe in its lanes.
+      const std::vector<float> xs(8, x);
+      std::vector<std::uint16_t> codes(8, 0xbeefu);
+      be->encode(*q.encode_view(), xs.data(), codes.data(), nullptr, 8);
+      EXPECT_EQ(codes, std::vector<std::uint16_t>(8, e.code))
+          << be->name << " " << q.name() << "<" << q.bits() << "> x bits 0x"
+          << std::hex << e.x;
+    }
+  }
+  for (std::size_t c = 0; c < seen.size(); ++c) {
+    EXPECT_GE(seen[c], 20) << "config " << c;
   }
 }
 
 TEST(KernelBackendNumerics, EncodeTensorBackendInvariant) {
-  // encode_tensor dispatches the boundary search through the active
-  // backend; codes must not depend on which one runs.
+  // encode_tensor dispatches the encode entry through the active backend;
+  // codes must not depend on which one runs.
   const KernelBackend* avx2 = avx2_backend();
   if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
   Pcg32 rng(35);
-  Tensor t = Tensor::randn({128, 128}, rng);  // above the LUT threshold
+  Tensor t = Tensor::randn({128, 128}, rng);
   for (const FormatKind kind : all_format_kinds()) {
     const auto codec = make_codec(kind, 8, t.max_abs());
     std::vector<std::uint16_t> scalar_codes, avx2_codes;
@@ -692,9 +814,6 @@ TEST(KernelBackendNumerics, EncodeTensorBackendInvariant) {
 }
 
 // ----- elementwise maps ----------------------------------------------------
-
-float float_of(std::uint32_t u) { return std::bit_cast<float>(u); }
-std::uint32_t bits_of(float x) { return std::bit_cast<std::uint32_t>(x); }
 
 TEST(TanhF32, MatchesRecordedGlibcTanhf) {
   // tanh_f32 replicates glibc 2.36's tanhf; the pairs were recorded from
@@ -820,8 +939,7 @@ TEST(KernelBackendNumerics, AdaptivFloatEncodeBitIdenticalToScalar) {
         const auto n = static_cast<std::int64_t>(xs.size());
         for (const KernelBackend* be : backends) {
           std::vector<std::uint16_t> codes(xs.size(), 0xbeefu);
-          be->adaptivfloat_encode(*f.encode_view(), xs.data(), codes.data(),
-                                  n);
+          be->encode(*f.encode_view(), xs.data(), codes.data(), nullptr, n);
           for (std::size_t i = 0; i < xs.size(); ++i) {
             ASSERT_EQ(codes[i], f.encode(xs[i]))
                 << be->name << " " << f.to_string() << std::hex

@@ -1,9 +1,14 @@
 // The kernel layer's contract is "same bits, fewer cycles": every test here
-// compares a table-driven path bit-for-bit against the scalar arithmetic it
-// replaced — across formats, widths, thread counts, and payload mutation.
+// compares a table-driven or batched path bit-for-bit against the scalar
+// arithmetic it replaced — across formats, widths, thread counts, and
+// payload mutation.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,7 +20,6 @@
 #include "src/kernels/backend.hpp"
 #include "src/kernels/decode_lut.hpp"
 #include "src/kernels/gemm_packed.hpp"
-#include "src/kernels/nearest_lut.hpp"
 #include "src/nn/linear.hpp"
 #include "src/nn/quantized_linear.hpp"
 #include "src/numerics/registry.hpp"
@@ -156,14 +160,15 @@ TEST(DecodeLutPath, UnpackMatchesScalarDecode) {
   }
 }
 
-// ----- table-driven quantize (satellite b) ---------------------------------
+// ----- bulk quantize --------------------------------------------------------
 
-/// A tensor big enough to engage the rounding LUT, with the adversarial
-/// inputs appended: signed zeros, NaN, infinities, denormals, exact
-/// representable values and their neighbours, and interval midpoints.
-Tensor lut_stress_tensor(Quantizer& q, Pcg32& rng) {
+/// A tensor of several quantize chunks with the adversarial inputs
+/// appended: signed zeros, NaN, infinities, denormals, exact representable
+/// values and their neighbours, and interval midpoints. Calibrates `q` on
+/// the bulk part first, as the real flow would.
+Tensor quantize_stress_tensor(Quantizer& q, Pcg32& rng) {
   std::vector<float> vals;
-  const std::int64_t bulk = kNearestLutMinBuildElems + 517;
+  const std::int64_t bulk = (1 << 13) + 517;
   Tensor base = Tensor::randn({bulk}, rng, 2.0f);
   for (std::int64_t i = 0; i < bulk; ++i) vals.push_back(base[i]);
   vals.push_back(0.0f);
@@ -176,10 +181,14 @@ Tensor lut_stress_tensor(Quantizer& q, Pcg32& rng) {
   vals.push_back(std::numeric_limits<float>::min() / 2.0f);
   vals.push_back(std::numeric_limits<float>::max());
   vals.push_back(-std::numeric_limits<float>::max());
-  // Calibrate now (on the bulk stats the real flow would see), then aim at
-  // the exact decision boundaries of the calibrated value set.
   q.calibrate(base);
-  const std::vector<float> reps = q.representable_values();
+  std::vector<float> reps;
+  for (std::uint32_t c = 0; c < (1u << q.bits()); ++c) {
+    const float v = q.decode(static_cast<std::uint16_t>(c));
+    if (!std::isnan(v)) reps.push_back(v);
+  }
+  std::sort(reps.begin(), reps.end());
+  reps.erase(std::unique(reps.begin(), reps.end()), reps.end());
   for (std::size_t i = 0; i < reps.size(); ++i) {
     vals.push_back(reps[i]);
     vals.push_back(std::nextafter(reps[i], 1e30f));
@@ -195,74 +204,83 @@ Tensor lut_stress_tensor(Quantizer& q, Pcg32& rng) {
   return t;
 }
 
-TEST(LutQuantize, BitIdenticalToScalarAcrossFormatsAndWidths) {
-  const FormatKind kinds[] = {FormatKind::kAdaptivFloat, FormatKind::kFloat,
-                              FormatKind::kPosit, FormatKind::kBlockFloat,
-                              FormatKind::kUniform};
+void expect_quantize_matches_scalar(const Quantizer& q, const Tensor& t,
+                                    const Tensor& got,
+                                    const std::string& what) {
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const float want = q.quantize_value(t[i]);
+    EXPECT_EQ(std::memcmp(&want, got.data() + i, sizeof(float)), 0)
+        << what << " at i=" << i << " in=" << t[i] << " scalar=" << want
+        << " bulk=" << got[i];
+  }
+}
+
+TEST(BulkQuantize, BitIdenticalToScalarAcrossFormatsAndWidths) {
+  // Bulk quantize is decode(encode(x)) through the encode entry; it must
+  // give quantize_value's bits, the level formats' -0.0f included, on
+  // every backend.
+  std::vector<const KernelBackend*> backends = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) backends.push_back(avx2);
   Pcg32 rng(104);
-  for (const FormatKind kind : kinds) {
-    for (const int bits : {4, 6, 8}) {
+  for (const FormatKind kind : all_format_kinds()) {
+    for (const int bits : {4, 6, 8, 16}) {
       auto q = make_quantizer(kind, bits);
-      const Tensor t = lut_stress_tensor(*q, rng);
-      const Tensor fast = q->quantize(t);
-      ASSERT_TRUE(q->lut_quantize_active())
-          << q->name() << "<" << bits << ">: LUT did not engage";
-      for (std::int64_t i = 0; i < t.numel(); ++i) {
-        const float slow = q->quantize_value(t[i]);
-        const float got = fast[i];
-        EXPECT_EQ(std::memcmp(&slow, &got, sizeof(float)), 0)
-            << q->name() << "<" << bits << "> at i=" << i << " in=" << t[i]
-            << " scalar=" << slow << " lut=" << got;
+      const Tensor t = quantize_stress_tensor(*q, rng);
+      for (const KernelBackend* be : backends) {
+        ScopedKernelBackend pin(*be);
+        expect_quantize_matches_scalar(
+            *q, t, q->quantize(t),
+            q->name() + "<" + std::to_string(bits) + "> " + be->name);
       }
     }
   }
 }
 
-TEST(LutQuantize, RecalibrationInvalidatesTheTable) {
+TEST(BulkQuantize, RecalibrationTakesEffect) {
   auto q = make_quantizer(FormatKind::kUniform, 8);
   Pcg32 rng(105);
-  const Tensor big = Tensor::randn({kNearestLutMinBuildElems + 1}, rng, 1.0f);
+  const Tensor big = Tensor::randn({(1 << 13) + 1}, rng, 1.0f);
   q->calibrate(big);
-  (void)q->quantize(big);
-  ASSERT_TRUE(q->lut_quantize_active());
-  // New scale -> old table would be wrong; it must be rebuilt.
+  const Tensor first = q->quantize(big);
+  // A new scale must reach the next bulk quantize.
   q->calibrate_max_abs(31.0f);
-  EXPECT_FALSE(q->lut_quantize_active());
   const Tensor requant = q->quantize(big);
-  for (std::int64_t i = 0; i < big.numel(); i += 911) {
-    EXPECT_EQ(requant[i], q->quantize_value(big[i]));
-  }
+  EXPECT_FALSE(bit_equal(first, requant));
+  expect_quantize_matches_scalar(*q, big, requant, "Uniform<8> recalibrated");
 }
 
-TEST(EncodeLut, MatchesFormatEncodeEverywhere) {
-  Pcg32 rng(106);
-  for (const int bits : {4, 6, 8}) {
-    const AdaptivFloatFormat fmt(bits, bits <= 4 ? 2 : 3, -6);
-    const NearestLut lut = build_encode_lut(
-        bits, [&](float x) { return fmt.encode(x); },
-        [&](std::uint16_t c) { return fmt.decode(c); });
-    ASSERT_FALSE(lut.empty());
-    std::vector<float> probes = {0.0f,
-                                 -0.0f,
-                                 std::numeric_limits<float>::quiet_NaN(),
-                                 std::numeric_limits<float>::infinity(),
-                                 -std::numeric_limits<float>::infinity(),
-                                 std::numeric_limits<float>::denorm_min(),
-                                 1e30f,
-                                 -1e30f};
-    for (int c = 0; c < fmt.num_codes(); ++c) {
-      const float v = fmt.decode(static_cast<std::uint16_t>(c));
-      probes.push_back(v);
-      probes.push_back(std::nextafter(v, 1e30f));
-      probes.push_back(std::nextafter(v, -1e30f));
-      probes.push_back(v * 1.03125f);
+TEST(QuantizeConcurrent, OneQuantizerFromFourThreads) {
+  // quantize() is const and holds no cache: four threads quantizing one
+  // calibrated Float and one Posit quantizer at once (a tensor of several
+  // parallel chunks, each thread also through the pool) must each get the
+  // serial result.
+  Pcg32 rng(108);
+  const Tensor t = Tensor::randn({3 * (1 << 13) + 123}, rng, 2.0f);
+  std::vector<std::unique_ptr<Quantizer>> qs;
+  qs.push_back(make_quantizer(FormatKind::kFloat, 8));
+  qs.push_back(make_quantizer(FormatKind::kPosit, 8));
+  for (auto& q : qs) q->calibrate(t);
+  constexpr int kThreads = 4;
+  std::vector<Tensor> got(2 * kThreads);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      // Half the threads start with the Posit quantizer.
+      for (int j = 0; j < 2; ++j) {
+        const int f = (j + w) % 2;
+        got[static_cast<std::size_t>(2 * w + f)] = qs[f]->quantize(t);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int f = 0; f < 2; ++f) {
+    Tensor serial(t.shape());
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      serial[i] = qs[f]->quantize_value(t[i]);
     }
-    for (int i = 0; i < 4096; ++i) {
-      probes.push_back(Tensor::randn({1}, rng, 0.5f)[0]);
-    }
-    for (const float x : probes) {
-      EXPECT_EQ(lut.code_of(x), fmt.encode(x))
-          << "bits=" << bits << " x=" << x;
+    for (int w = 0; w < kThreads; ++w) {
+      EXPECT_TRUE(bit_equal(got[static_cast<std::size_t>(2 * w + f)], serial))
+          << qs[f]->name() << " thread " << w;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/nn/attention.hpp"
@@ -495,10 +496,10 @@ TEST(KvCache, MisuseThrowsTypedMalformed) {
 }
 
 TEST(KvCache, AppendedLaneBytesBackendInvariant) {
-  // AdaptivFloat rows encode through the backend's encode entry; the cached
-  // bytes after appends (and a block prefill) must not depend on which
-  // backend ran. D = 70 spans a full 64-code chunk plus a ragged one, and
-  // the rows carry every encode edge: +-0, NaN, +-inf, tiny and huge.
+  // Rows of every format encode through the backend's encode entry; the
+  // cached bytes after appends (and a block prefill) must not depend on
+  // which backend ran. D = 70 spans a full 64-code chunk plus a ragged one,
+  // and the rows carry every encode edge: +-0, NaN, +-inf, tiny and huge.
   const KernelBackend* avx2 = avx2_backend();
   if (avx2 == nullptr) GTEST_SKIP() << "no AVX2+FMA on this machine";
   const std::int64_t d = 70, steps = 5;
@@ -519,13 +520,18 @@ TEST(KvCache, AppendedLaneBytesBackendInvariant) {
     std::memcpy(block.data() + t * d, rows[static_cast<std::size_t>(t)].data(),
                 static_cast<std::size_t>(d) * sizeof(float));
   }
-  for (const int bits : {4, 6, 8, 12}) {
-    SCOPED_TRACE("AdaptivFloat/" + std::to_string(bits));
+  std::vector<std::pair<FormatKind, int>> formats;
+  for (const FormatKind kind : all_format_kinds()) {
+    for (const int bits : {4, 6, 8}) formats.emplace_back(kind, bits);
+  }
+  formats.emplace_back(FormatKind::kAdaptivFloat, 12);
+  for (const auto& [kind, bits] : formats) {
+    SCOPED_TRACE(format_kind_name(kind) + "/" + std::to_string(bits));
     KvQuantConfig q;
     q.k_codec = std::shared_ptr<const FormatCodec>(
-        make_codec(FormatKind::kAdaptivFloat, bits, 2.0f));
+        make_codec(kind, bits, 2.0f));
     q.v_codec = std::shared_ptr<const FormatCodec>(
-        make_codec(FormatKind::kAdaptivFloat, bits, 3.0f));
+        make_codec(kind, bits, 3.0f));
     ASSERT_NE(q.k_codec->encode_view(), nullptr);
     KvState by_backend[2], blocks[2];
     const KernelBackend* backends[2] = {&scalar_backend(), avx2};
