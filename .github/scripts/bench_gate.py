@@ -10,7 +10,9 @@ requests too, and a floor whose metric is missing fails:
   micro_gemm_packed  speedup_avx2_vs_scalar_fused_t1 >= 2.0 on every 8-bit
                      workload (0.0 means the AVX2 backend never ran; an
                      artifact with no 8-bit workload fails)
-  serve_loadgen      drain_b8 / drain throughput_rps >= 1.5
+  serve_loadgen      drain_b8 / drain throughput_rps >= 1.5, and the decode
+                     arm's speedup_vs_serial (tokens/s of 16 live streams,
+                     stepped together, over one stream at a time) >= 1.2
   bench_decode       timing.speedup (incremental vs full recompute) >= 3.0
 
 Trends compare each metric with the same metric in BASELINE, the artifact
@@ -18,7 +20,8 @@ from the last successful run on main. A fatal metric fails on a drop of
 more than 20%; the rest are printed for the record, because shared-runner
 scheduling noise dominates them:
   micro_gemm_packed  gflops of every path row; fatal at 1 thread only
-  serve_loadgen      throughput_rps of every arm; fatal for drain, drain_b8
+  serve_loadgen      throughput_rps of every arm; fatal for drain, drain_b8;
+                     the decode arm's batched_tokens_per_s
 A missing BASELINE skips the trends but not the floors, and so does a
 metric missing from either side. AF_PERF_WARN_ONLY=1 (CI sets it on pull
 requests, where cold caches and fork runners skew timings) reports trend
@@ -32,6 +35,7 @@ import sys
 REGRESSION_PCT = 20.0
 AVX2_SPEEDUP_MIN = 2.0
 BATCH_SPEEDUP_MIN = 1.5
+DECODE_BATCH_SPEEDUP_MIN = 1.2
 DECODE_SPEEDUP_MIN = 3.0
 
 
@@ -56,13 +60,20 @@ def serve_floors(doc):
     ratio = None
     if tput.get("drain", 0) > 0 and "drain_b8" in tput:
         ratio = tput["drain_b8"] / tput["drain"]
-    return [("drain_b8/drain throughput", ratio, BATCH_SPEEDUP_MIN)]
+    decode = doc.get("decode", {})
+    return [("drain_b8/drain throughput", ratio, BATCH_SPEEDUP_MIN),
+            (f"{decode.get('streams', '?')}-stream/serial decode tokens/s",
+             decode.get("speedup_vs_serial"), DECODE_BATCH_SPEEDUP_MIN)]
 
 
 def serve_trend(doc):
-    return {f"{a['name']} throughput_rps":
-            (a["throughput_rps"], a["name"] in ("drain", "drain_b8"))
-            for a in doc.get("arms", [])}
+    trend = {f"{a['name']} throughput_rps":
+             (a["throughput_rps"], a["name"] in ("drain", "drain_b8"))
+             for a in doc.get("arms", [])}
+    if "batched_tokens_per_s" in doc.get("decode", {}):
+        trend["decode batched_tokens_per_s"] = (
+            doc["decode"]["batched_tokens_per_s"], False)
+    return trend
 
 
 def decode_floors(doc):

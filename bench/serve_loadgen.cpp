@@ -9,6 +9,11 @@
 // worker's MACs, showing the breaker ladder absorbing a fault storm while
 // the server keeps answering. A closed-loop drain arm (burst-submit, then
 // drain) gives the saturation throughput bench_gate.py trends and floors.
+// A many-stream decode arm serves 16 greedy Transformer streams over an
+// 8-bit AdaptivFloat KV cache, first one stream at a time and then all 16
+// at once, when a worker steps every queued stream in one stacked forward;
+// it reports both aggregate tokens/s and the mean decode batch, and
+// bench_gate.py floors their ratio.
 //
 // Modes:
 //   serve_loadgen            — all arms, prints tables, writes
@@ -23,13 +28,19 @@
 //                              are independent), so the batched digests
 //                              must equal the serial ones and CI diffs the
 //                              whole output across AF_THREADS and worker
-//                              counts. Exits nonzero on any failed request,
-//                              a batched/serial digest divergence, or a
-//                              steady-state heap allocation.
+//                              counts. Then 16 decode streams on 3
+//                              workers: one token digest per stream and a
+//                              fold, each stream checked against a serial
+//                              TransformerDecoder replay. Exits nonzero on
+//                              any failed request, a batched/serial digest
+//                              divergence, a decode stream diverging from
+//                              its replay, or a steady-state heap
+//                              allocation.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <future>
 #include <memory>
 #include <string>
@@ -37,10 +48,13 @@
 #include <vector>
 
 #include "src/models/quantized_mlp.hpp"
+#include "src/models/trainer.hpp"
+#include "src/models/transformer.hpp"
 #include "src/nn/linear.hpp"
 #include "src/resilience/fault_injector.hpp"
 #include "src/resilience/guard.hpp"
 #include "src/serve/server.hpp"
+#include "src/tensor/ops.hpp"
 #include "src/tensor/tensor.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/rng.hpp"
@@ -93,6 +107,139 @@ double percentile(std::vector<double>& sorted_us, double q) {
   auto idx = static_cast<std::size_t>(std::ceil(q * n)) - 1;
   idx = std::min(idx, sorted_us.size() - 1);
   return sorted_us[idx];
+}
+
+// ----- decode streams -------------------------------------------------------
+
+constexpr std::uint64_t kDecodeSeed = 83;
+constexpr int kDecodeStreams = 16;
+constexpr std::int64_t kPad = TranslationTask::kPad;
+constexpr std::int64_t kBos = TranslationTask::kBos;
+constexpr std::int64_t kEos = TranslationTask::kEos;
+
+/// The seeded Transformer every decode arm serves (the perfbench decode
+/// model: d 64, 4 heads, 2+2 layers, 128 positions), its calibrated AF8 KV
+/// options and one seeded source per stream.
+struct DecodeRig {
+  TransformerBundle bundle{kDecodeSeed, [] {
+                             TransformerConfig c;
+                             c.max_len = 128;
+                             return c;
+                           }()};
+  TransformerDecoder::Options opts;
+  std::vector<TokenSeq> srcs;
+
+  DecodeRig() {
+    calibrate_transformer_kv(bundle, 4, kDecodeSeed + 1);
+    opts.kv = {true, FormatKind::kAdaptivFloat, 8};
+    Pcg32 rng(kDecodeSeed, 2);
+    for (int i = 0; i < kDecodeStreams; ++i) {
+      srcs.push_back(bundle.task.sample(rng).source);
+    }
+  }
+};
+
+/// Greedy tokens of every source through a plain TransformerDecoder, EOS
+/// ignored: the serial replay the served streams must equal.
+std::vector<TokenSeq> replay_decode(DecodeRig& rig, int steps) {
+  TransformerDecoder dec(rig.bundle.model, rig.opts);
+  std::vector<TokenSeq> out;
+  for (const TokenSeq& src : rig.srcs) {
+    dec.begin(src, kPad);
+    TokenSeq toks;
+    std::vector<std::int64_t> last = {kBos};
+    for (int k = 0; k < steps; ++k) {
+      last[0] = argmax_rows(dec.step(last))[0];
+      toks.push_back(last[0]);
+    }
+    out.push_back(std::move(toks));
+  }
+  return out;
+}
+
+struct DecodeRun {
+  std::vector<TokenSeq> tokens;  ///< per stream, in source order
+  double wall_ms = 0.0;
+  StatsSnapshot stats;
+  bool ok = true;
+};
+
+/// Serves every source for `steps` greedy tokens (EOS ignored) through a
+/// server with `workers` workers, keeping `live` streams open at once:
+/// each stream is opened, stepped as soon as its last token arrives, and
+/// closed. live = 1 is serial-stream decoding; with more, the workers'
+/// queues hold several streams' steps and each worker steps them together.
+DecodeRun serve_decode(DecodeRig& rig, int steps, int live, int workers) {
+  ServerConfig cfg;
+  cfg.workers = workers;
+  cfg.queue_capacity = 4 * kDecodeStreams;
+  cfg.queue_shards = 1;
+  TransformerMT* model = &rig.bundle.model;
+  const TransformerDecoder::Options opts = rig.opts;
+  cfg.decoder_factory = [model, opts]() -> std::unique_ptr<StreamDecoder> {
+    return std::make_unique<TransformerStreamDecoder>(*model, opts, kPad,
+                                                      kBos, kEos);
+  };
+  // Decode-only traffic: the batch forward is never called.
+  InferenceServer server(
+      [](int) -> InferenceSession::ForwardFn {
+        return [](const Tensor& x, ExecutionContext&) { return x; };
+      },
+      cfg);
+  TenantConfig tenant;
+  tenant.name = "decode";
+  server.add_tenant(tenant);
+
+  struct InFlight {
+    std::size_t stream = 0;
+    DecodeOp op = DecodeOp::kOpen;
+    std::future<Response> fut;
+  };
+  DecodeRun run;
+  run.tokens.resize(rig.srcs.size());
+  std::deque<InFlight> inflight;
+  std::size_t next = 0;
+  const auto submit = [&](std::size_t stream, DecodeOp op,
+                          std::int64_t last) {
+    DecodeRequest req;
+    req.tenant = "decode";
+    req.stream = "s" + std::to_string(stream);
+    req.op = op;
+    req.last_token = last;
+    if (op == DecodeOp::kOpen) req.src = rig.srcs[stream];
+    inflight.push_back({stream, op, server.submit_decode(std::move(req))});
+  };
+  const auto open_next = [&] {
+    if (next < rig.srcs.size()) submit(next++, DecodeOp::kOpen, -1);
+  };
+
+  const Clock::time_point start = Clock::now();
+  for (int i = 0; i < live; ++i) open_next();
+  while (!inflight.empty()) {
+    InFlight f = std::move(inflight.front());
+    inflight.pop_front();
+    const Response r = f.fut.get();
+    TokenSeq& toks = run.tokens[f.stream];
+    if (!r.ok) {
+      run.ok = false;
+      open_next();
+    } else if (f.op == DecodeOp::kClose) {
+      open_next();
+    } else {
+      if (f.op == DecodeOp::kStep) toks.push_back(r.token);
+      const bool done = static_cast<int>(toks.size()) >= steps;
+      submit(f.stream, done ? DecodeOp::kClose : DecodeOp::kStep, r.token);
+    }
+  }
+  run.wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+  server.shutdown();
+  run.stats = server.stats();
+  return run;
+}
+
+std::uint64_t digest_tokens(const TokenSeq& toks) {
+  return fnv1a64(toks.data(), toks.size() * sizeof(std::int64_t), kFnvOffset);
 }
 
 // ----- verify mode ----------------------------------------------------------
@@ -183,11 +330,34 @@ int run_verify_only() {
 
   std::printf("fold %s steady_allocs %lld\n", digest_hex(fold).c_str(),
               static_cast<long long>(steady));
-  if (!ok || !batch_equal || steady != 0) {
+
+  // Decode streams: 16 live at once on 3 workers, so steps of several
+  // streams share stacked forwards. Which streams share a step depends on
+  // scheduling; no stream's tokens may.
+  constexpr int kVerifySteps = 24;
+  DecodeRig rig;
+  const std::vector<TokenSeq> replay = replay_decode(rig, kVerifySteps);
+  const DecodeRun served =
+      serve_decode(rig, kVerifySteps, kDecodeStreams, kVerifyWorkers);
+  bool decode_equal = served.ok;
+  std::uint64_t decode_fold = kFnvOffset;
+  for (std::size_t i = 0; i < replay.size(); ++i) {
+    const std::uint64_t dig = digest_tokens(served.tokens[i]);
+    const bool equal = served.tokens[i] == replay[i];
+    decode_equal = decode_equal && equal;
+    decode_fold = fnv1a64(&dig, sizeof(dig), decode_fold);
+    std::printf("decode stream %02zu digest %s matches_serial %d\n", i,
+                digest_hex(dig).c_str(), equal ? 1 : 0);
+  }
+  std::printf("decode fold %s matches_serial %d\n",
+              digest_hex(decode_fold).c_str(), decode_equal ? 1 : 0);
+
+  if (!ok || !batch_equal || steady != 0 || !decode_equal) {
     std::fprintf(stderr,
                  "serve_loadgen: verify failed (request error, degraded "
                  "clean-path response, batched digests diverging from "
-                 "serial, or steady-state allocation)\n");
+                 "serial, steady-state allocation, or a decode stream "
+                 "diverging from its serial replay)\n");
     return 1;
   }
   return 0;
@@ -370,6 +540,46 @@ ArmResult run_drain_arm(const std::string& name, int requests,
   return a;
 }
 
+// Many-stream decode arm: aggregate tokens/s of 16 streams decoded one at
+// a time against all 16 live at once on one worker, best of kDecodeReps
+// runs each, and the mean decode batch of the concurrent run.
+struct DecodeArm {
+  int streams = kDecodeStreams;
+  int steps = 0;
+  double serial_tokens_per_s = 0.0;
+  double batched_tokens_per_s = 0.0;
+  double mean_decode_batch = 0.0;
+  bool ok = true;
+};
+
+DecodeArm run_decode_arm() {
+  constexpr int kSteps = 96;
+  constexpr int kDecodeReps = 3;
+  DecodeRig rig;
+  const std::vector<TokenSeq> replay = replay_decode(rig, kSteps);
+  DecodeArm a;
+  a.steps = kSteps;
+  const double tokens = static_cast<double>(kDecodeStreams) * kSteps;
+  for (int rep = 0; rep < kDecodeReps; ++rep) {
+    for (const int live : {1, kDecodeStreams}) {
+      const DecodeRun r = serve_decode(rig, kSteps, live, /*workers=*/1);
+      a.ok = a.ok && r.ok && r.tokens == replay;
+      const double tps = tokens / (r.wall_ms / 1000.0);
+      if (live == 1) {
+        a.serial_tokens_per_s = std::max(a.serial_tokens_per_s, tps);
+      } else if (tps > a.batched_tokens_per_s) {
+        a.batched_tokens_per_s = tps;
+        a.mean_decode_batch =
+            r.stats.decode_batches > 0
+                ? static_cast<double>(r.stats.decode_steps) /
+                      static_cast<double>(r.stats.decode_batches)
+                : 0.0;
+      }
+    }
+  }
+  return a;
+}
+
 int run_bench(const char* json_path) {
   std::vector<ArmResult> arms;
 
@@ -413,7 +623,40 @@ int run_bench(const char* json_path) {
   table.print();
   std::printf("\n");
 
-  std::string json = "  \"bench\": \"serve_loadgen\",\n  \"arms\": [\n";
+  const DecodeArm dec = run_decode_arm();
+  const double dec_speedup =
+      dec.serial_tokens_per_s > 0.0
+          ? dec.batched_tokens_per_s / dec.serial_tokens_per_s
+          : 0.0;
+  TextTable dec_table("serve_loadgen: " + std::to_string(dec.streams) +
+                      " decode streams x " + std::to_string(dec.steps) +
+                      " steps, AF8 KV, one worker");
+  dec_table.set_header({"Streams live", "Tokens/s", "Mean decode batch",
+                        "Speedup"});
+  dec_table.add_row({"1 (serial)", fmt_fixed(dec.serial_tokens_per_s, 0), "1",
+                     "-"});
+  dec_table.add_row({std::to_string(dec.streams),
+                     fmt_fixed(dec.batched_tokens_per_s, 0),
+                     fmt_fixed(dec.mean_decode_batch, 2),
+                     fmt_fixed(dec_speedup, 2)});
+  dec_table.print();
+  std::printf("\n");
+
+  std::string json = "  \"bench\": \"serve_loadgen\",\n";
+  {
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "  \"decode\": {\"streams\": %d, \"steps\": %d, "
+                  "\"serial_tokens_per_s\": %.1f, "
+                  "\"batched_tokens_per_s\": %.1f, "
+                  "\"speedup_vs_serial\": %.3f, "
+                  "\"mean_decode_batch\": %.2f},\n",
+                  dec.streams, dec.steps, dec.serial_tokens_per_s,
+                  dec.batched_tokens_per_s, dec_speedup,
+                  dec.mean_decode_batch);
+    json += buf;
+  }
+  json += "  \"arms\": [\n";
   for (std::size_t i = 0; i < arms.size(); ++i) {
     const ArmResult& a = arms[i];
     const double mean_occupancy =
@@ -457,8 +700,9 @@ int run_bench(const char* json_path) {
   const bool wrote = bench::write_artifact(json_path, json);
 
   // The no-fault arms must not fail a single request; the storm arm must
-  // keep completing (the whole point of the ladder). The batch-8 drain
-  // speedup floor is checked on the artifact by bench_gate.py.
+  // keep completing (the whole point of the ladder); every decode stream
+  // must emit its serial replay's tokens. The batch-8 drain and decode
+  // speedup floors are checked on the artifact by bench_gate.py.
   const ArmResult& steady = arms[0];
   const ArmResult& faults = arms[1];
   bool drain_failed = false;
@@ -470,10 +714,11 @@ int run_bench(const char* json_path) {
   if (steady.stats.failed - steady.stats.shed_deadline -
               steady.stats.deadline_missed >
           0 ||
-      drain_failed || faults.stats.completed == 0) {
+      drain_failed || faults.stats.completed == 0 || !dec.ok) {
     std::fprintf(stderr,
-                 "serve_loadgen: clean-arm failures or zero completions "
-                 "under faults\n");
+                 "serve_loadgen: clean-arm failures, zero completions under "
+                 "faults, or a decode stream failing or diverging from its "
+                 "serial replay\n");
     return 1;
   }
   return wrote ? 0 : 1;

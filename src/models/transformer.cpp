@@ -375,7 +375,10 @@ TransformerDecoder::TransformerDecoder(TransformerMT& model, Options opts)
   hooks.setup = [this](ExecutionContext& c) { setup(c); };
   hooks.prefill = [this](ExecutionContext& c) { prefill(c); };
   hooks.step = [this](const std::vector<std::int64_t>& t,
-                      ExecutionContext& c) { return decode_step(t, c); };
+                      ExecutionContext& c) {
+    TransformerDecoder* self = this;
+    return forward_rows(std::span<TransformerDecoder* const>(&self, 1), t, c);
+  };
   modules_ = model_.all_modules();
   hooks.cache_probe = [this] {
     std::int64_t depth = 0;
@@ -434,37 +437,96 @@ const Tensor& TransformerDecoder::step(
   return session_->step(last_tokens);
 }
 
-Tensor TransformerDecoder::embed_step(const std::vector<std::int64_t>& ids,
-                                      ExecutionContext& ctx) {
-  const std::int64_t d = model_.cfg_.d_model;
-  Tensor e = model_.tgt_emb_.forward(ids, ctx);  // [1, D]
-  const float* prow = model_.pos_table_.data() + pos_ * d;
-  for (std::int64_t j = 0; j < d; ++j) e.data()[j] += prow[j];
-  return e;
+void TransformerDecoder::check_step(std::int64_t token) const {
+  session_->check_step();
+  const std::int64_t vocab = model_.cfg_.tgt_vocab;
+  if (token < 0 || token >= vocab) {
+    throw FaultError("decode", FaultKind::kMalformedInput,
+                     "token id " + std::to_string(token) +
+                         " out of vocab [0, " + std::to_string(vocab) + ")");
+  }
 }
 
-Tensor TransformerDecoder::decode_step(const std::vector<std::int64_t>& ids,
-                                       ExecutionContext& ctx) {
-  // One decoder timestep, rank-2 [1, D] throughout: every tensor here is a
-  // row of what the teacher-forced [T, D] path computes, and every layer is
-  // row-independent — the source of the fp32-KV bit-equality.
-  ActQuant& aq = model_.act_quant_;
-  Tensor y = aq.process("dec.embed", embed_step(ids, ctx));
-  for (std::size_t i = 0; i < self_kv_.size(); ++i) {
-    auto& blk = model_.dec_blocks_[i];
-    Tensor sa = blk.self_attn.decode_self_step(y, self_kv_[i], ctx);
+bool TransformerDecoder::stacks_with(const TransformerDecoder& peer) const {
+  const ExecutionContext& a = session_->context();
+  const ExecutionContext& b = peer.session_->context();
+  return &model_ == &peer.model_ && a.resilience == b.resilience &&
+         a.guard == b.guard && a.report == b.report &&
+         a.mac_hook == b.mac_hook && a.backend == b.backend;
+}
+
+Tensor TransformerDecoder::step_batch(
+    std::span<TransformerDecoder* const> decs,
+    const std::vector<std::int64_t>& ids, Arena& scratch) {
+  if (decs.empty() || ids.size() != decs.size()) {
+    throw FaultError("decode", FaultKind::kMalformedInput,
+                     "decode batch needs one token per decoder");
+  }
+  std::vector<DecodeSession*> sessions;
+  sessions.reserve(decs.size());
+  for (std::size_t r = 0; r < decs.size(); ++r) {
+    if (!decs.front()->stacks_with(*decs[r])) {
+      throw FaultError("decode", FaultKind::kMalformedInput,
+                       "decode batch mixes models or execution contexts");
+    }
+    decs[r]->check_step(ids[r]);
+    sessions.push_back(decs[r]->session_.get());
+  }
+  return DecodeSession::step_batch(
+      sessions, scratch,
+      [&](ExecutionContext& ctx) { return forward_rows(decs, ids, ctx); });
+}
+
+Tensor TransformerDecoder::forward_rows(
+    std::span<TransformerDecoder* const> decs,
+    const std::vector<std::int64_t>& ids, ExecutionContext& ctx) {
+  // One decoder timestep of S streams, rank-2 [S, D] throughout: row r of
+  // every tensor here is a row of what stream r's teacher-forced [T, D]
+  // path computes, and every layer is row-independent — the source of the
+  // fp32-KV bit-equality, and of a stream's bits not depending on which
+  // streams share its step.
+  TransformerMT& model = decs.front()->model_;
+  const std::int64_t d = model.cfg_.d_model;
+  const std::size_t rows = decs.size();
+  const std::size_t layers = model.dec_blocks_.size();
+
+  Tensor e = model.tgt_emb_.forward(ids, ctx);  // [S, D]
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = e.data() + static_cast<std::int64_t>(r) * d;
+    const float* prow = model.pos_table_.data() + decs[r]->pos_ * d;
+    for (std::int64_t j = 0; j < d; ++j) row[j] += prow[j];
+  }
+  // Each layer's caches, one per row: entry [layer * S + r] is row r's.
+  std::vector<KvState*> self_kv(layers * rows);
+  std::vector<const KvState*> cross_kv(layers * rows);
+  std::vector<std::int64_t> valid(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    valid[r] = decs[r]->src_lengths_[0];
+    for (std::size_t i = 0; i < layers; ++i) {
+      self_kv[i * rows + r] = &decs[r]->self_kv_[i];
+      cross_kv[i * rows + r] = &decs[r]->cross_kv_[i];
+    }
+  }
+
+  ActQuant& aq = model.act_quant_;
+  Tensor y = aq.process("dec.embed", e);
+  for (std::size_t i = 0; i < layers; ++i) {
+    auto& blk = model.dec_blocks_[i];
+    Tensor sa = blk.self_attn.decode_self_step(
+        y, std::span<KvState* const>(self_kv).subspan(i * rows, rows), ctx);
     Tensor x1 = blk.ln1.forward(add(y, sa), ctx);
-    Tensor ca = blk.cross_attn.decode_cross_step(x1, cross_kv_[i],
-                                                 src_lengths_[0], ctx);
+    Tensor ca = blk.cross_attn.decode_cross_step(
+        x1, std::span<const KvState* const>(cross_kv).subspan(i * rows, rows),
+        valid, ctx);
     Tensor x2 = blk.ln2.forward(add(x1, ca), ctx);
     Tensor h = blk.fc2.forward(
         blk.gelu.forward(blk.fc1.forward(x2, ctx), ctx), ctx);
     y = aq.process("dec.block" + std::to_string(i),
                    blk.ln3.forward(add(x2, h), ctx));
   }
-  Tensor out = aq.process("dec.out", model_.dec_final_.forward(y, ctx));
-  ++pos_;
-  return model_.out_proj_.forward(out, ctx);
+  Tensor out = aq.process("dec.out", model.dec_final_.forward(y, ctx));
+  for (TransformerDecoder* dec : decs) ++dec->pos_;
+  return model.out_proj_.forward(out, ctx);
 }
 
 std::size_t TransformerDecoder::kv_bytes() const {
@@ -497,6 +559,38 @@ void TransformerStreamDecoder::open(const std::vector<std::int64_t>& src) {
 std::int64_t TransformerStreamDecoder::step(std::int64_t last_token) {
   const Tensor& logits = dec_.step({last_token});
   return argmax_rows(logits)[0];
+}
+
+void TransformerStreamDecoder::step_batch(std::span<DecodeStepSlot> slots,
+                                          Arena& scratch) {
+  std::vector<TransformerDecoder*> decs;
+  std::vector<std::int64_t> ids;
+  std::vector<DecodeStepSlot*> rows;
+  decs.reserve(slots.size());
+  ids.reserve(slots.size());
+  rows.reserve(slots.size());
+  for (DecodeStepSlot& slot : slots) {
+    auto* peer = dynamic_cast<TransformerStreamDecoder*>(slot.decoder);
+    if (peer == nullptr || !dec_.stacks_with(peer->dec_)) {
+      StreamDecoder::step_batch(std::span<DecodeStepSlot>(&slot, 1), scratch);
+      continue;
+    }
+    // A member's own defect (out-of-vocab token, spent plan, no begin())
+    // fails that member alone, before any member appends a row.
+    try {
+      peer->dec_.check_step(slot.last_token);
+    } catch (...) {
+      slot.error = std::current_exception();
+      continue;
+    }
+    decs.push_back(&peer->dec_);
+    ids.push_back(slot.last_token);
+    rows.push_back(&slot);
+  }
+  if (decs.empty()) return;
+  const std::vector<std::int64_t> next =
+      argmax_rows(TransformerDecoder::step_batch(decs, ids, scratch));
+  for (std::size_t r = 0; r < rows.size(); ++r) rows[r]->token = next[r];
 }
 
 }  // namespace af

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "src/data/metrics.hpp"
@@ -202,8 +203,33 @@ class TransformerDecoder {
 
   /// Feeds the last emitted token (`last_tokens` holds exactly one) and
   /// returns the next-token logits [1, tgt_vocab]. The reference stays
-  /// valid (and is overwritten) across steps.
+  /// valid (and is overwritten) across steps. This is the S = 1 case of
+  /// step_batch, in the session's own step arena.
   const Tensor& step(const std::vector<std::int64_t>& last_tokens);
+
+  /// Throws FaultError(kMalformedInput) unless this decoder can take a
+  /// step from `token` now: begun, inside its max_steps plan, and the
+  /// token inside the target vocabulary. A batch checks every member with
+  /// it before anything is appended.
+  void check_step(std::int64_t token) const;
+
+  /// Whether `peer` can share a stacked step with this decoder: built on
+  /// the same model with the same execution context (the projections of
+  /// the S rows run once, under one context). KV format and plan may
+  /// differ: each row attends over its own caches.
+  bool stacks_with(const TransformerDecoder& peer) const;
+
+  /// One step of every decoder in `decs` (pairwise stacks_with) from
+  /// ids[r], as one stacked forward: embedding, positional add, every
+  /// projection, LayerNorm and FFN, and out_proj run once over [S, D]
+  /// rows; each row appends to and attends over its own caches. Returns
+  /// logits [S, tgt_vocab], row r equal bit for bit to what decs[r]'s
+  /// solo step() returns; they live in `scratch` (reset first) until its
+  /// next reset. Throws, before anything runs, if any member fails
+  /// check_step().
+  static Tensor step_batch(std::span<TransformerDecoder* const> decs,
+                           const std::vector<std::int64_t>& ids,
+                           Arena& scratch);
 
   std::int64_t position() const { return pos_; }
   /// Current KV payload across all layers.
@@ -217,10 +243,11 @@ class TransformerDecoder {
  private:
   void setup(ExecutionContext& ctx);
   void prefill(ExecutionContext& ctx);
-  Tensor decode_step(const std::vector<std::int64_t>& ids,
-                     ExecutionContext& ctx);
-  Tensor embed_step(const std::vector<std::int64_t>& ids,
-                    ExecutionContext& ctx);
+  // The stacked step's forward: step_batch's body, and the session's step
+  // hook at S = 1.
+  static Tensor forward_rows(std::span<TransformerDecoder* const> decs,
+                             const std::vector<std::int64_t>& ids,
+                             ExecutionContext& ctx);
 
   TransformerMT& model_;
   Options opts_;
@@ -246,6 +273,11 @@ class TransformerStreamDecoder final : public StreamDecoder {
 
   void open(const std::vector<std::int64_t>& src) override;
   std::int64_t step(std::int64_t last_token) override;
+  /// Slots whose decoders are TransformerStreamDecoders that stack with
+  /// this one's run as one TransformerDecoder::step_batch; any other slot
+  /// steps on its own. A slot failing check_step() gets its error and
+  /// stays out of the stacked forward.
+  void step_batch(std::span<DecodeStepSlot> slots, Arena& scratch) override;
   std::int64_t bos_token() const override { return bos_; }
   std::int64_t eos_token() const override { return eos_; }
   std::size_t cache_bytes() const override { return dec_.kv_bytes(); }

@@ -146,43 +146,79 @@ Tensor MultiHeadAttention::forward(const Tensor& q_in, const Tensor& kv_in,
   return out;
 }
 
-Tensor MultiHeadAttention::attend_cached(const Tensor& q, const KvState& kv,
-                                         std::int64_t valid,
+void MultiHeadAttention::check_step_rows(const Tensor& x,
+                                         std::size_t kv_rows,
+                                         const char* what) const {
+  if (kv_rows == 0 || x.rank() != 2 ||
+      x.dim(0) != static_cast<std::int64_t>(kv_rows) ||
+      x.dim(1) != d_model_) {
+    throw FaultError("attention", FaultKind::kMalformedInput,
+                     std::string(what) + " expects x [" +
+                         std::to_string(kv_rows) + ", " +
+                         std::to_string(d_model_) + "], one row per cache, " +
+                         "got " + shape_str(x.shape()));
+  }
+}
+
+Tensor MultiHeadAttention::attend_cached(const Tensor& q,
+                                         const KvState* const* kv,
+                                         const std::int64_t* valid,
                                          ExecutionContext& ec) {
-  const std::int64_t len = kv.len();
-  const std::int64_t visible = visible_keys(len, len, valid);
+  const std::int64_t rows = q.dim(0);
+  std::int64_t max_len = 0;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    max_len = std::max(max_len, kv[r]->len());
+  }
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(d_head_));
   const KernelBackend& be = ec.kernel_backend();
 
-  Tensor ctx({1, d_model_});
-  Tensor srow({len});
-  KvState::Operands ops = kv.operands();
-  count_backend_dispatch(be);
-  for (std::int64_t h = 0; h < heads_; ++h) {
-    ops.k.col = ops.v.col = h * d_head_;
-    be.attend_row(q.data() + ops.k.col, ops.k, ops.v, len, visible, d_head_,
-                  inv_sqrt_dh, srow.data(), ctx.data() + ops.k.col);
+  Tensor ctx({rows, d_model_});
+  Tensor srow({max_len});
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::int64_t len = kv[r]->len();
+    const std::int64_t visible =
+        visible_keys(len, len, valid != nullptr ? valid[r] : len);
+    KvState::Operands ops = kv[r]->operands();
+    const float* qr = q.data() + r * d_model_;
+    float* cr = ctx.data() + r * d_model_;
+    count_backend_dispatch(be);
+    for (std::int64_t h = 0; h < heads_; ++h) {
+      ops.k.col = ops.v.col = h * d_head_;
+      be.attend_row(qr + ops.k.col, ops.k, ops.v, len, visible, d_head_,
+                    inv_sqrt_dh, srow.data(), cr + ops.k.col);
+    }
   }
   return wo_.forward(ctx, ec);
 }
 
-Tensor MultiHeadAttention::decode_self_step(const Tensor& x, KvState& kv,
+Tensor MultiHeadAttention::decode_self_step(const Tensor& x,
+                                            std::span<KvState* const> kv,
                                             ExecutionContext& ec) {
-  if (!kv.initialized() || kv.dim() != d_model_) {
-    throw FaultError("attention", FaultKind::kMalformedInput,
-                     "decode_self_step KvState not initialized for D=" +
-                         std::to_string(d_model_));
-  }
-  if (x.rank() != 2 || x.dim(0) != 1 || x.dim(1) != d_model_) {
-    throw FaultError("attention", FaultKind::kMalformedInput,
-                     "decode_self_step expects x [1, D], got " +
-                         shape_str(x.shape()));
+  check_step_rows(x, kv.size(), "decode_self_step");
+  for (const KvState* s : kv) {
+    if (!s->initialized() || s->dim() != d_model_) {
+      throw FaultError("attention", FaultKind::kMalformedInput,
+                       "decode_self_step KvState not initialized for D=" +
+                           std::to_string(d_model_));
+    }
+    if (s->len() >= s->capacity()) {
+      throw FaultError("attention", FaultKind::kMalformedInput,
+                       "decode_self_step KvState capacity exhausted: cache "
+                       "planned for " +
+                           std::to_string(s->capacity()) + " steps");
+    }
   }
   Tensor q = wq_.forward(x, ec);
-  kv.append(wk_.forward(x, ec), wv_.forward(x, ec), ec.kernel_backend());
-  // The newest key IS the query's own position: the cached prefix is
-  // exactly the causally visible window, so nothing is masked.
-  return attend_cached(q, kv, kv.len(), ec);
+  const Tensor k = wk_.forward(x, ec);
+  const Tensor v = wv_.forward(x, ec);
+  const KernelBackend& be = ec.kernel_backend();
+  for (std::size_t r = 0; r < kv.size(); ++r) {
+    const std::int64_t off = static_cast<std::int64_t>(r) * d_model_;
+    kv[r]->append_row(k.data() + off, v.data() + off, be);
+  }
+  // Each row's newest key IS its query's own position: its cached prefix
+  // is exactly the causally visible window, so nothing is masked.
+  return attend_cached(q, kv.data(), nullptr, ec);
 }
 
 void MultiHeadAttention::prefill_cross(const Tensor& enc, KvState& kv,
@@ -202,20 +238,21 @@ void MultiHeadAttention::prefill_cross(const Tensor& enc, KvState& kv,
                   ec.kernel_backend());
 }
 
-Tensor MultiHeadAttention::decode_cross_step(const Tensor& x,
-                                             const KvState& kv,
-                                             std::int64_t kv_valid,
-                                             ExecutionContext& ec) {
-  if (!kv.initialized() || kv.dim() != d_model_ || kv.len() == 0) {
+Tensor MultiHeadAttention::decode_cross_step(
+    const Tensor& x, std::span<const KvState* const> kv,
+    std::span<const std::int64_t> kv_valid, ExecutionContext& ec) {
+  check_step_rows(x, kv.size(), "decode_cross_step");
+  if (kv_valid.size() != kv.size()) {
     throw FaultError("attention", FaultKind::kMalformedInput,
-                     "decode_cross_step requires a prefilled KvState");
+                     "decode_cross_step needs one valid length per cache");
   }
-  if (x.rank() != 2 || x.dim(0) != 1 || x.dim(1) != d_model_) {
-    throw FaultError("attention", FaultKind::kMalformedInput,
-                     "decode_cross_step expects x [1, D], got " +
-                         shape_str(x.shape()));
+  for (const KvState* s : kv) {
+    if (!s->initialized() || s->dim() != d_model_ || s->len() == 0) {
+      throw FaultError("attention", FaultKind::kMalformedInput,
+                       "decode_cross_step requires a prefilled KvState");
+    }
   }
-  return attend_cached(wq_.forward(x, ec), kv, kv_valid, ec);
+  return attend_cached(wq_.forward(x, ec), kv.data(), kv_valid.data(), ec);
 }
 
 std::pair<Tensor, Tensor> MultiHeadAttention::backward(const Tensor& dy) {

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,7 +20,7 @@ namespace af {
 /// via per-batch valid lengths (cross-attention onto padded encodings).
 ///
 /// The forward is factored into project / append / attend phases so that
-/// incremental decoding (one stream's new timestep against a KvState of
+/// incremental decoding (each stream's new timestep against its KvState of
 /// cached projections) and the monolithic [B, T, D] paths run the exact
 /// same per-row attend core — row i of a monolithic causal forward is
 /// bit-identical to the i-th decode_self_step over an fp32 KvState
@@ -41,24 +42,35 @@ class MultiHeadAttention final : public Module {
                  ExecutionContext& ctx);
 
   // ----- incremental decoding -----------------------------------------------
+  //
+  // A decode step takes S streams at once: row r of x [S, D] is stream r's
+  // new timestep, and kv[r] is stream r's own cache. The projections run
+  // once over the S rows (every row of a gemm_dot_rows product has the
+  // same bits at any S), and each row attends its own history, so row r's
+  // result does not depend on which streams share its step. A solo step
+  // is S = 1.
 
-  /// Causal self-attention step: projects x [1, D] (one new timestep),
-  /// appends the K/V projections to `kv`, and attends the new query over
-  /// all cached steps. Returns [1, D]. The newest key is the query's own
+  /// Causal self-attention step: projects x [S, D], appends row r's K/V
+  /// projections to kv[r], and attends row r's query over all of kv[r]'s
+  /// cached steps. Returns [S, D]. The newest key is the query's own
   /// position, so the cached prefix is exactly the causally visible
-  /// window — no mask needed.
-  Tensor decode_self_step(const Tensor& x, KvState& kv, ExecutionContext& ctx);
+  /// window — no mask needed. Every state is checked (initialized, width
+  /// D, room for one more step) before anything is appended.
+  Tensor decode_self_step(const Tensor& x, std::span<KvState* const> kv,
+                          ExecutionContext& ctx);
 
   /// Cross-attention prefill: projects the encoder output enc [1, Tk, D]
   /// once and block-fills `kv` (the encoder side never changes during
   /// decoding, so its projections are computed exactly once per sequence).
   void prefill_cross(const Tensor& enc, KvState& kv, ExecutionContext& ctx);
 
-  /// Cross-attention step: projects the query x [1, D] and attends over the
-  /// prefilled encoder-side cache, masking keys at positions >= `kv_valid`
-  /// (the source's unpadded length). Returns [1, D].
-  Tensor decode_cross_step(const Tensor& x, const KvState& kv,
-                           std::int64_t kv_valid, ExecutionContext& ctx);
+  /// Cross-attention step: projects the queries x [S, D] and attends row r
+  /// over the prefilled encoder-side cache kv[r], masking keys at
+  /// positions >= kv_valid[r] (its source's unpadded length). Returns
+  /// [S, D].
+  Tensor decode_cross_step(const Tensor& x, std::span<const KvState* const> kv,
+                           std::span<const std::int64_t> kv_valid,
+                           ExecutionContext& ctx);
 
   // ----- KV range recording --------------------------------------------------
 
@@ -103,11 +115,16 @@ class MultiHeadAttention final : public Module {
   void check_inputs(const Tensor& q_in, const Tensor& kv_in, bool causal,
                     const std::vector<std::int64_t>* kv_lengths) const;
 
-  /// Shared tail of both decode steps: attends the projected query
-  /// q [1, D] over `kv`'s cached rows, masking keys at positions >=
-  /// `valid`, then applies wo_.
-  Tensor attend_cached(const Tensor& q, const KvState& kv, std::int64_t valid,
-                       ExecutionContext& ctx);
+  /// Throws FaultError(kMalformedInput) unless x is [kv_rows, D].
+  void check_step_rows(const Tensor& x, std::size_t kv_rows,
+                       const char* what) const;
+
+  /// Shared tail of both decode steps: attends row r of the projected
+  /// queries q [S, D] over kv[r]'s cached rows, masking keys at positions
+  /// >= valid[r] (every cached row when `valid` is null), then applies
+  /// wo_ once over the S rows.
+  Tensor attend_cached(const Tensor& q, const KvState* const* kv,
+                       const std::int64_t* valid, ExecutionContext& ctx);
 
   std::int64_t d_model_;
   std::int64_t heads_;

@@ -93,6 +93,16 @@ void KvState::write_row(const float* k_row, const float* v_row,
 
 void KvState::append(const Tensor& k_step, const Tensor& v_step,
                      const KernelBackend& be) {
+  if (k_step.rank() != 2 || k_step.dim(0) != 1 || k_step.dim(1) != d_ ||
+      v_step.rank() != 2 || v_step.dim(0) != 1 || v_step.dim(1) != d_) {
+    throw FaultError("kv_cache", FaultKind::kMalformedInput,
+                     "KvState::append expects [1, D] K/V steps matching init");
+  }
+  append_row(k_step.data(), v_step.data(), be);
+}
+
+void KvState::append_row(const float* k_row, const float* v_row,
+                         const KernelBackend& be) {
   if (!initialized()) {
     throw FaultError("kv_cache", FaultKind::kMalformedInput,
                      "KvState::append before init");
@@ -102,12 +112,7 @@ void KvState::append(const Tensor& k_step, const Tensor& v_step,
                      "KvState capacity exhausted: cache planned for " +
                          std::to_string(cap_) + " steps");
   }
-  if (k_step.rank() != 2 || k_step.dim(0) != 1 || k_step.dim(1) != d_ ||
-      v_step.rank() != 2 || v_step.dim(0) != 1 || v_step.dim(1) != d_) {
-    throw FaultError("kv_cache", FaultKind::kMalformedInput,
-                     "KvState::append expects [1, D] K/V steps matching init");
-  }
-  write_row(k_step.data(), v_step.data(), len_, be);
+  write_row(k_row, v_row, len_, be);
   ++len_;
 }
 

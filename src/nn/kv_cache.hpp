@@ -23,8 +23,9 @@
 // decode tables, and the kernel decodes each key's head slice in-register
 // as it scores or mixes it (DESIGN.md §12.4). There is no decode scratch,
 // so a state holds nothing mutable on read and may be read from any
-// number of threads at once. Batched decoding runs across per-stream
-// states, since live streams sit at different positions.
+// number of threads at once. A batched decode step projects S streams'
+// rows together and appends row r to stream r's own state, since live
+// streams sit at different positions.
 //
 // All storage is allocated once in init() under the caller's ambient
 // ArenaScope (a DecodeSession's never-reset KV arena); append and
@@ -65,6 +66,10 @@ class KvState {
   /// through `be`'s encode entry (the same codes on every backend).
   void append(const Tensor& k_step, const Tensor& v_step,
               const KernelBackend& be);
+  /// append() from dim()-float rows — one row of a stacked [S, D]
+  /// projection, as a batched decode step appends each stream's own.
+  void append_row(const float* k_row, const float* v_row,
+                  const KernelBackend& be);
 
   /// Bulk prefill from [t, D] projections, one row per timestep
   /// (cross-attention fills its whole encoder-side cache once per

@@ -40,8 +40,7 @@ void DecodeSession::begin() {
   check_cache_probe();
 }
 
-const Tensor& DecodeSession::step(
-    const std::vector<std::int64_t>& last_tokens) {
+void DecodeSession::check_step() const {
   if (sequences_ == 0) {
     throw FaultError("decode", FaultKind::kMalformedInput,
                      "decode step before begin()");
@@ -53,19 +52,29 @@ const Tensor& DecodeSession::step(
                      "decode past planned capacity (max_steps " +
                          std::to_string(cfg_.max_steps) + ")");
   }
+}
+
+const Tensor& DecodeSession::step(
+    const std::vector<std::int64_t>& last_tokens) {
   const std::int64_t allocs_before = tensor_heap_allocs_this_thread();
-  step_arena_.reset();
-  {
-    ArenaScope scope(&step_arena_);
-    Tensor y = hooks_.step(last_tokens, cfg_.ctx);
-    // copy_from reuses the owned buffer when the logits shape repeats, so
-    // steady-state steps allocate nothing here.
-    output_.copy_from(y);
-  }
-  ++steps_;
+  DecodeSession* self = this;
+  // copy_from reuses the owned buffer when the logits shape repeats, so
+  // steady-state steps allocate nothing here.
+  output_.copy_from(step_batch(
+      std::span<DecodeSession* const>(&self, 1), step_arena_,
+      [&](ExecutionContext& ctx) { return hooks_.step(last_tokens, ctx); }));
   last_step_allocs_ = tensor_heap_allocs_this_thread() - allocs_before;
-  check_cache_probe();
   return output_;
+}
+
+void StreamDecoder::step_batch(std::span<DecodeStepSlot> slots, Arena&) {
+  for (DecodeStepSlot& s : slots) {
+    try {
+      s.token = s.decoder->step(s.last_token);
+    } catch (...) {
+      s.error = std::current_exception();
+    }
+  }
 }
 
 void DecodeSession::check_cache_probe() {

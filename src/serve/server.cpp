@@ -48,7 +48,8 @@ struct InferenceServer::Ticket {
   Clock::time_point exec_tp;
   bool executing = false;
 
-  // Decode-stream requests (is_decode): never coalesced, never retried.
+  // Decode-stream requests (is_decode): never retried; a kStep may share
+  // one stacked forward with other streams' steps.
   bool is_decode = false;
   DecodeOp op = DecodeOp::kStep;
   std::string stream_key;  ///< "<tenant>#<stream>"
@@ -102,7 +103,19 @@ struct InferenceServer::WorkerSlot {
   std::array<std::int64_t,
              static_cast<std::size_t>(ResiliencePolicy::kAbftGuard) + 1>
       planned_rows{};
+  /// Scratch every batched decode step on this worker runs in, reset per
+  /// batch: one arena for the stacked forward instead of every member's
+  /// own step arena.
+  Arena decode_scratch;
 };
+
+namespace {
+
+// Most decode steps one stacked forward takes. The fp32 chain on a narrow
+// post-ReLU weight slows past M = 32 (ROADMAP item 3, "Known cost").
+constexpr int kMaxDecodeBatch = 32;
+
+}  // namespace
 
 InferenceServer::InferenceServer(ForwardFactory factory, ServerConfig cfg)
     : factory_(std::move(factory)),
@@ -297,7 +310,9 @@ void InferenceServer::worker_main(std::shared_ptr<WorkerSlot> slot) {
     if (queue_.pop(ticket, std::chrono::milliseconds(2))) {
       std::vector<std::shared_ptr<Ticket>> batch{std::move(ticket)};
       if (batch.front()->is_decode) {
-        // Stateful and stream-ordered: a decode request always runs solo.
+        // A step takes the other streams' queued steps into its forward;
+        // opens and closes run solo, in queue order.
+        take_decode_peers(batch);
         process_decode(*slot, batch);
       } else {
         plan(*slot, batch.front());
@@ -370,8 +385,9 @@ std::chrono::microseconds InferenceServer::coalesce(
   const std::int64_t d = lead->input.dim(1);
   const auto match = [&](const std::shared_ptr<Ticket>& t) {
     // Never cross-tenant, never across ladder levels (one policy must
-    // serve the whole batch), never probes, never decode steps (stateful;
-    // they run solo), rank-2 same-width rows only.
+    // serve the whole batch), never probes, never decode requests (steps
+    // batch among themselves in take_decode_peers), rank-2 same-width
+    // rows only.
     return !t->is_decode && t->tenant == tenant && t->level == level &&
            !t->probe && t->input.rank() == 2 && t->input.dim(1) == d &&
            t->input.dim(0) > 0;
@@ -587,76 +603,178 @@ void InferenceServer::process(WorkerSlot& slot,
   }
 }
 
+void InferenceServer::take_decode_peers(
+    std::vector<std::shared_ptr<Ticket>>& batch) {
+  const std::shared_ptr<Ticket> lead = batch.front();
+  // A half-open probe is the breaker's isolated health check: solo.
+  if (lead->op != DecodeOp::kStep || lead->probe) return;
+  const auto match = [&](const std::shared_ptr<Ticket>& t) {
+    // Same tenant and ladder level (one policy serves the batch), never a
+    // probe, and at most one step per stream: a stream's next step needs
+    // this one's token, so a second queued step waits for the next batch.
+    if (!t->is_decode || t->op != DecodeOp::kStep || t->probe ||
+        t->tenant != lead->tenant || t->level != lead->level) {
+      return false;
+    }
+    for (const auto& member : batch) {
+      if (member->stream_key == t->stream_key) return false;
+    }
+    return true;
+  };
+  queue_.try_pop_batch(batch, kMaxDecodeBatch - 1, match);
+}
+
 void InferenceServer::process_decode(
     WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& batch) {
   // A shed step evicts its whole stream (fail() does): the sequence now
   // has a hole no later step could fill, so holding the KV cache would
   // only leak it.
-  if (start_execution(slot, batch).empty()) return;
-  const std::shared_ptr<Ticket>& ticket = batch.front();
-  const TenantConfig& tcfg = ticket->tenant->cfg;
-  CircuitBreaker& breaker = ticket->tenant->breaker;
-  Response r;
-  r.breaker_level = ticket->level;
-  r.policy = tcfg.ladder[static_cast<std::size_t>(ticket->level)];
-
-  try {
-    std::int64_t token = -1;
-    switch (ticket->op) {
-      case DecodeOp::kOpen: {
-        // Build + prefill outside every lock (the encoder forward is the
-        // expensive part); publish to the map only once the stream is
-        // usable. Reopening an id replaces (and frees) the old stream.
-        auto entry = std::make_shared<StreamEntry>();
-        entry->decoder = cfg_.decoder_factory();
-        entry->decoder->open(ticket->src);
-        token = entry->decoder->bos_token();
-        {
-          std::lock_guard<std::mutex> lk(streams_mu_);
-          // A ticket the watchdog already failed stays unpublished: its
-          // error told the client the stream is gone.
-          if (!ticket->completed.load(std::memory_order_acquire)) {
-            streams_[ticket->stream_key] = std::move(entry);
-          }
-        }
-        stats_.decode_opened.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      case DecodeOp::kStep: {
-        std::shared_ptr<StreamEntry> entry;
-        {
-          std::lock_guard<std::mutex> lk(streams_mu_);
-          auto it = streams_.find(ticket->stream_key);
-          if (it != streams_.end()) entry = it->second;
-        }
-        if (entry == nullptr) {
-          throw FaultError("serve/" + tcfg.name, FaultKind::kMalformedInput,
-                           "unknown decode stream '" + ticket->stream_key +
-                               "' (never opened, or already evicted)");
-        }
-        std::lock_guard<std::mutex> lk(entry->mu);
-        token = entry->decoder->step(ticket->last_token);
-        stats_.decode_steps.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      case DecodeOp::kClose: {
-        if (evict_stream(ticket->stream_key)) {
-          stats_.decode_closed.fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
+  const auto live = start_execution(slot, batch);
+  if (live.empty()) return;
+  const std::shared_ptr<Ticket>& lead = live.front();
+  Response base;
+  base.breaker_level = lead->level;
+  base.policy = lead->tenant->cfg.ladder[static_cast<std::size_t>(lead->level)];
+  std::vector<DecodeStepSlot> outs(live.size());
+  if (lead->op == DecodeOp::kStep) {
+    base.batch_size = std::max(1, step_streams(slot, live, outs));
+  } else {
+    try {
+      outs.front().token = open_or_close(*lead);
+    } catch (...) {
+      outs.front().error = std::current_exception();
     }
+  }
+  finish_decode(live, outs, base);
+}
 
-    // Lateness is load, not a compute fault (same rule as process()).
-    breaker.on_success(ticket->probe);
-    if (Clock::now() > ticket->deadline_tp) {
+std::int64_t InferenceServer::open_or_close(const Ticket& ticket) {
+  if (ticket.op == DecodeOp::kClose) {
+    if (evict_stream(ticket.stream_key)) {
+      stats_.decode_closed.fetch_add(1, std::memory_order_relaxed);
+    }
+    return -1;
+  }
+  // Build + prefill outside every lock (the encoder forward is the
+  // expensive part); publish to the map only once the stream is usable.
+  // Reopening an id replaces (and frees) the old stream.
+  auto entry = std::make_shared<StreamEntry>();
+  entry->decoder = cfg_.decoder_factory();
+  entry->decoder->open(ticket.src);
+  const std::int64_t bos = entry->decoder->bos_token();
+  {
+    std::lock_guard<std::mutex> lk(streams_mu_);
+    // A ticket the watchdog already failed stays unpublished: its error
+    // told the client the stream is gone.
+    if (!ticket.completed.load(std::memory_order_acquire)) {
+      streams_[ticket.stream_key] = std::move(entry);
+    }
+  }
+  stats_.decode_opened.fetch_add(1, std::memory_order_relaxed);
+  return bos;
+}
+
+int InferenceServer::step_streams(
+    WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& live,
+    std::vector<DecodeStepSlot>& outs) {
+  std::vector<std::shared_ptr<StreamEntry>> entries(live.size());
+  {
+    std::lock_guard<std::mutex> lk(streams_mu_);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      auto it = streams_.find(live[i]->stream_key);
+      if (it != streams_.end()) entries[i] = it->second;
+    }
+  }
+  // (entry, member index): an unknown stream fails its own ticket only.
+  std::vector<std::pair<StreamEntry*, std::size_t>> order;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (entries[i] != nullptr) {
+      order.emplace_back(entries[i].get(), i);
+      continue;
+    }
+    outs[i].error = std::make_exception_ptr(FaultError(
+        "serve/" + live[i]->tenant->cfg.name, FaultKind::kMalformedInput,
+        "unknown decode stream '" + live[i]->stream_key +
+            "' (never opened, or already evicted)"));
+  }
+  if (order.empty()) return 0;
+  // Entry mutexes in address order: two workers' batches can never wait
+  // on each other in a cycle.
+  std::sort(order.begin(), order.end());
+  std::vector<std::unique_lock<std::mutex>> locks;
+  std::vector<DecodeStepSlot> slots;
+  locks.reserve(order.size());
+  slots.reserve(order.size());
+  for (const auto& [entry, i] : order) {
+    locks.emplace_back(entry->mu);
+    slots.push_back({entry->decoder.get(), live[i]->last_token, -1, {}});
+  }
+  stats_.decode_batches.fetch_add(1, std::memory_order_relaxed);
+  try {
+    slots.front().decoder->step_batch(slots, slot.decode_scratch);
+  } catch (...) {
+    // A fault of the shared forward: every member may have appended part
+    // of a step, so every member fails and is evicted.
+    for (DecodeStepSlot& s : slots) s.error = std::current_exception();
+  }
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    DecodeStepSlot& out = outs[order[k].second];
+    out.token = slots[k].token;
+    out.error = slots[k].error;
+    if (!out.error) stats_.decode_steps.fetch_add(1, std::memory_order_relaxed);
+  }
+  return static_cast<int>(slots.size());
+}
+
+void InferenceServer::finish_decode(
+    const std::vector<std::shared_ptr<Ticket>>& live,
+    const std::vector<DecodeStepSlot>& outs, const Response& base) {
+  CircuitBreaker& breaker = live.front()->tenant->breaker;
+  std::vector<std::pair<FaultKind, std::string>> errors(live.size());
+  // Breaker feedback strictly precedes every completion (as in process()).
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (!outs[i].error) {
+      // Lateness is load, not a compute fault.
+      breaker.on_success(live[i]->probe);
+      continue;
+    }
+    // A FaultError keeps its kind; anything else is contained as
+    // kUncorrectable.
+    try {
+      std::rethrow_exception(outs[i].error);
+    } catch (const FaultError& err) {
+      errors[i] = {err.kind(), err.what()};
+    } catch (const std::exception& err) {
+      errors[i] = {FaultKind::kUncorrectable, err.what()};
+    } catch (...) {
+      errors[i] = {FaultKind::kUncorrectable, "unknown exception"};
+    }
+    // Malformed requests are the client's defect, not the tenant's compute
+    // health — they never walk the breaker ladder.
+    if (errors[i].first != FaultKind::kMalformedInput) {
+      breaker.on_fault(live[i]->probe);
+    }
+  }
+  const Clock::time_point done = Clock::now();
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const std::shared_ptr<Ticket>& ticket = live[i];
+    Response r = base;
+    if (outs[i].error) {
+      // Never retried: a step is stateful (it may have appended to the KV
+      // cache), so re-executing could double-append — the stream is
+      // evicted instead (fail() does) and the client reopens from scratch.
+      fail(ticket, errors[i].first, std::move(errors[i].second), nullptr,
+           std::move(r));
+      continue;
+    }
+    if (done > ticket->deadline_tp) {
       fail(ticket, FaultKind::kDeadlineExceeded,
            "decode completed after deadline; stale token withheld",
            &stats_.deadline_missed, std::move(r));
-      return;
+      continue;
     }
     r.ok = true;
-    r.token = token;
+    r.token = outs[i].token;
     r.degraded = ticket->level > 0;
     if (complete(ticket, std::move(r))) {
       stats_.completed.fetch_add(1, std::memory_order_relaxed);
@@ -664,15 +782,6 @@ void InferenceServer::process_decode(
         stats_.degraded.fetch_add(1, std::memory_order_relaxed);
       }
     }
-  } catch (const std::exception& err) {
-    // Never retried: a step is stateful (it appended to the KV cache), so
-    // re-executing after a fault could double-append — the stream is
-    // evicted instead (fail() does) and the client reopens from scratch.
-    const auto* fault = dynamic_cast<const FaultError*>(&err);
-    const FaultKind kind =
-        fault != nullptr ? fault->kind() : FaultKind::kUncorrectable;
-    if (kind != FaultKind::kMalformedInput) breaker.on_fault(ticket->probe);
-    fail(ticket, kind, err.what(), nullptr, std::move(r));
   }
 }
 
@@ -859,9 +968,16 @@ std::string HealthReport::to_string() const {
     if (!occ.empty()) out += "serve: batch_occupancy " + occ + "\n";
   }
   if (stats.decode_opened > 0 || decode_streams > 0) {
+    const double mean_batch =
+        stats.decode_batches > 0
+            ? static_cast<double>(stats.decode_steps) /
+                  static_cast<double>(stats.decode_batches)
+            : 0.0;
     out += "serve: decode streams=" + std::to_string(decode_streams) +
            " opened=" + std::to_string(stats.decode_opened) +
            " steps=" + std::to_string(stats.decode_steps) +
+           " batches=" + std::to_string(stats.decode_batches) +
+           " mean_batch=" + std::to_string(mean_batch).substr(0, 5) +
            " closed=" + std::to_string(stats.decode_closed) +
            " evicted=" + std::to_string(stats.decode_evicted) + "\n";
   }

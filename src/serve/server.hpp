@@ -243,10 +243,14 @@ class InferenceServer {
   /// Admission control for decode-stream requests — same synchronous
   /// typed rejections as submit(), plus FaultError(kMalformedInput) when
   /// no decoder_factory is configured or the stream id is empty. Decode
-  /// requests ride the same queue and worker pool as batch requests but
-  /// are never coalesced and never retried: a step is stateful (it
-  /// appends to the stream's KV cache), so re-executing one after a fault
-  /// could double-append — the stream is evicted instead.
+  /// requests ride the same queue and worker pool as batch requests. A
+  /// worker that pops a step also takes every other queued step of the
+  /// same tenant and ladder level (one per stream, no probes) and runs
+  /// them as one stacked forward (DESIGN.md §15.5); each stream's token is
+  /// the one its solo step would emit. Decode requests are never retried:
+  /// a step is stateful (it appends to the stream's KV cache), so
+  /// re-executing one after a fault could double-append — the stream is
+  /// evicted instead.
   std::future<Response> submit_decode(DecodeRequest req);
 
   /// Stops intake, serves every queued request (deadlines still enforced),
@@ -285,9 +289,29 @@ class InferenceServer {
   std::future<Response> enqueue(TenantState& tenant,
                                 std::chrono::microseconds deadline,
                                 std::shared_ptr<Ticket> ticket);
-  /// Executes one decode ticket (always solo — never coalesced).
+  /// Widens a popped decode kStep with every queued kStep of its tenant
+  /// and ladder level — at most one per stream, never a probe. Opens,
+  /// closes and probes stay solo.
+  void take_decode_peers(std::vector<std::shared_ptr<Ticket>>& batch);
+  /// Executes a decode batch: one open or close, or S steps of S streams
+  /// in one stacked forward (step_streams).
   void process_decode(WorkerSlot& slot,
                       const std::vector<std::shared_ptr<Ticket>>& batch);
+  /// Runs a kOpen (returns the BOS token) or a kClose.
+  std::int64_t open_or_close(const Ticket& ticket);
+  /// Steps every live member's stream through one StreamDecoder::step_batch
+  /// call under the worker's decode scratch, writing each member's token or
+  /// error to outs[i]. An unknown stream or a member's own fault fails only
+  /// that member; a fault of the shared forward fails them all. Returns how
+  /// many members stepped.
+  int step_streams(WorkerSlot& slot,
+                   const std::vector<std::shared_ptr<Ticket>>& live,
+                   std::vector<DecodeStepSlot>& outs);
+  /// Breaker feedback for every member, then each member's completion:
+  /// its token, its typed error, or a typed late-completion failure.
+  void finish_decode(const std::vector<std::shared_ptr<Ticket>>& live,
+                     const std::vector<DecodeStepSlot>& outs,
+                     const Response& base);
   /// Unlinks one stream from the map (never waiting on its entry mutex);
   /// returns whether it existed.
   bool evict_stream(const std::string& key);

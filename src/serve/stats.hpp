@@ -80,6 +80,9 @@ struct StatsSnapshot {
 
   std::int64_t decode_opened = 0;   ///< decode streams opened (prefills run)
   std::int64_t decode_steps = 0;    ///< decode steps served (tokens emitted)
+  /// Stacked decode forwards run; decode_steps / decode_batches is the
+  /// mean decode batch.
+  std::int64_t decode_batches = 0;
   std::int64_t decode_closed = 0;   ///< streams closed by kClose requests
   std::int64_t decode_evicted = 0;  ///< streams freed by shed/fault/drain
   std::array<std::int64_t, kBatchOccupancyBuckets + 1> batch_occupancy{};
@@ -124,6 +127,7 @@ struct ServerStats {
 
   std::atomic<std::int64_t> decode_opened{0};
   std::atomic<std::int64_t> decode_steps{0};
+  std::atomic<std::int64_t> decode_batches{0};
   std::atomic<std::int64_t> decode_closed{0};
   std::atomic<std::int64_t> decode_evicted{0};
   std::array<std::atomic<std::int64_t>, kBatchOccupancyBuckets + 1>
@@ -174,6 +178,7 @@ struct ServerStats {
     s.coalesce_wait_us = coalesce_wait_us.load(std::memory_order_relaxed);
     s.decode_opened = decode_opened.load(std::memory_order_relaxed);
     s.decode_steps = decode_steps.load(std::memory_order_relaxed);
+    s.decode_batches = decode_batches.load(std::memory_order_relaxed);
     s.decode_closed = decode_closed.load(std::memory_order_relaxed);
     s.decode_evicted = decode_evicted.load(std::memory_order_relaxed);
     for (std::size_t b = 0; b < s.batch_occupancy.size(); ++b) {

@@ -29,9 +29,13 @@ def gemm_artifact(speedup=2.5, bits=8, gflops_t1=10.0, gflops_t4=30.0):
                            "speedup_avx2_vs_scalar_fused_t1": speedup}]}
 
 
-def serve_artifact(drain=1000.0, drain_b8=2000.0, steady=4000.0):
+def serve_artifact(drain=1000.0, drain_b8=2000.0, steady=4000.0,
+                   decode_speedup=1.4, batched_tps=30000.0):
     arms = {"steady": steady, "drain": drain, "drain_b8": drain_b8}
     return {"bench": "serve_loadgen",
+            "decode": {"streams": 16, "speedup_vs_serial": decode_speedup,
+                       "batched_tokens_per_s": batched_tps,
+                       "mean_decode_batch": 15.8},
             "arms": [{"name": n, "throughput_rps": v, "p99_us": 100.0}
                      for n, v in arms.items()]}
 
@@ -80,6 +84,14 @@ class BenchGate(unittest.TestCase):
     def test_drain_ratio_below_floor_fails(self):
         self.assert_gate(1, serve_artifact(drain_b8=1400.0))
 
+    def test_decode_batch_speedup_below_floor_fails(self):
+        self.assert_gate(1, serve_artifact(decode_speedup=1.1))
+
+    def test_missing_decode_arm_fails(self):
+        doc = serve_artifact()
+        del doc["decode"]
+        self.assert_gate(1, doc)
+
     def test_decode_speedup_below_floor_fails(self):
         self.assert_gate(1, decode_artifact(speedup=2.9))
 
@@ -102,6 +114,11 @@ class BenchGate(unittest.TestCase):
 
     def test_steady_drop_is_informational(self):
         self.assert_gate(0, serve_artifact(steady=2000.0), serve_artifact())
+
+    def test_decode_tokens_drop_is_informational(self):
+        out = self.assert_gate(0, serve_artifact(batched_tps=15000.0),
+                               serve_artifact())
+        self.assertIn("decode batched_tokens_per_s", out)
 
     def test_warn_only_passes_a_trend_regression(self):
         self.assert_gate(0, gemm_artifact(gflops_t1=7.5), gemm_artifact(),

@@ -261,8 +261,9 @@ TEST(AttentionIncremental, CausalSelfMatchesMonolithicBitExact) {
         for (std::int64_t bi = 0; bi < b; ++bi) {
           KvState kv;
           kv.init(t, 16);
+          KvState* const kvs[] = {&kv};
           for (std::int64_t i = 0; i < t; ++i) {
-            Tensor step = mha.decode_self_step(row_slice(x, bi, i), kv, ec);
+            Tensor step = mha.decode_self_step(row_slice(x, bi, i), kvs, ec);
             EXPECT_TRUE(rows_bit_equal(mono, bi, i, step))
                 << "b=" << b << " stream=" << bi << " t=" << t << " i=" << i
                 << " threads=" << threads;
@@ -293,9 +294,11 @@ TEST(AttentionIncremental, CrossAttentionMatchesMonolithicBitExact) {
     for (std::int64_t valid = 1; valid <= tk; ++valid) {
       const std::vector<std::int64_t> lengths = {valid};
       Tensor mono = mha.forward(q, enc, /*causal=*/false, &lengths, ec);
+      const KvState* const kvs[] = {&kv};
+      const std::int64_t valids[] = {valid};
       for (std::int64_t i = 0; i < tq; ++i) {
         Tensor step =
-            mha.decode_cross_step(row_slice(q, 0, i), kv, valid, ec);
+            mha.decode_cross_step(row_slice(q, 0, i), kvs, valids, ec);
         EXPECT_TRUE(rows_bit_equal(mono, 0, i, step))
             << "valid=" << valid << " i=" << i << " threads=" << threads;
       }
@@ -323,17 +326,21 @@ TEST(AttentionIncremental, MalformedShapesThrowTypedNotAbort) {
   std::vector<std::int64_t> bad_lengths = {1, 2};  // batch is 1
   EXPECT_THROW(mha.forward(q, q, false, &bad_lengths, train), FaultError);
 
-  // The decode steps take one stream: two rows (or two sources) are
-  // malformed, not a batch.
+  // A decode step takes one row per cache: two rows against one cache (or
+  // two sources into one prefill) are malformed, not a batch.
   ExecutionContext ec;
   KvState cache;
   cache.init(8, 8);
+  KvState* const one_cache[] = {&cache};
   Tensor two_rows = Tensor::randn({2, 8}, rng);
-  EXPECT_THROW(mha.decode_self_step(two_rows, cache, ec), FaultError);
+  EXPECT_THROW(mha.decode_self_step(two_rows, one_cache, ec), FaultError);
   EXPECT_THROW(mha.prefill_cross(Tensor::randn({2, 5, 8}, rng), cache, ec),
                FaultError);
   mha.prefill_cross(kv, cache, ec);
-  EXPECT_THROW(mha.decode_cross_step(two_rows, cache, 5, ec), FaultError);
+  const KvState* const one_cross[] = {&cache};
+  const std::int64_t five[] = {5};
+  EXPECT_THROW(mha.decode_cross_step(two_rows, one_cross, five, ec),
+               FaultError);
 }
 
 // ----- KvState ---------------------------------------------------------------

@@ -1268,5 +1268,243 @@ TEST(DecodeSession, ServeStreamRejectsOutOfVocabWithoutDegrading) {
   server.shutdown();
 }
 
+
+// ----- DecodeBatch: stacked steps of independent streams ---------------------
+
+/// Every KV format the batched step is pinned under: fp32, each format at
+/// 8 bits, and AdaptivFloat at 6 and 4 bits.
+std::vector<KvCacheFormat> batch_kv_formats() {
+  std::vector<KvCacheFormat> out = {KvCacheFormat{}};
+  for (FormatKind kind : all_format_kinds()) out.push_back({true, kind, 8});
+  out.push_back({true, FormatKind::kAdaptivFloat, 6});
+  out.push_back({true, FormatKind::kAdaptivFloat, 4});
+  return out;
+}
+
+std::vector<const KernelBackend*> test_backends() {
+  std::vector<const KernelBackend*> out = {&scalar_backend()};
+  if (const KernelBackend* avx2 = avx2_backend()) out.push_back(avx2);
+  return out;
+}
+
+bool row_bit_equal(const Tensor& stacked, std::int64_t row,
+                   const Tensor& solo) {
+  const std::int64_t n = solo.numel();
+  return stacked.rank() == 2 && stacked.dim(1) == n &&
+         std::memcmp(stacked.data() + row * n, solo.data(),
+                     static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+TEST(DecodeBatch, StackedStepsMatchSoloStepsBitForBit) {
+  // S streams at staggered positions and source lengths step together;
+  // each joins at its own tick, leaves after its own length and rejoins on
+  // a new source. Every batched logits row must equal, bit for bit, what
+  // the same stream's solo step returns — for every KV format, backend,
+  // batch width and thread count.
+  ThreadCountRestorer restore;
+  TransformerBundle b(481, tiny_transformer_config());
+  calibrate_transformer_kv(b, 2, 482);
+  Pcg32 rng(483);
+  std::vector<TokenSeq> srcs;
+  for (int i = 0; i < 40; ++i) srcs.push_back(b.task.sample(rng).source);
+  constexpr int kTicks = 12;
+
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    for (const KernelBackend* be : test_backends()) {
+      for (const KvCacheFormat& kv : batch_kv_formats()) {
+        for (const std::size_t s : {1, 2, 3, 16}) {
+          TransformerDecoder::Options opts;
+          opts.kv = kv;
+          opts.max_steps = 10;
+          opts.ctx.backend = be;
+          std::vector<std::unique_ptr<TransformerDecoder>> solo, batched;
+          for (std::size_t r = 0; r < s; ++r) {
+            solo.push_back(std::make_unique<TransformerDecoder>(b.model, opts));
+            batched.push_back(
+                std::make_unique<TransformerDecoder>(b.model, opts));
+          }
+          // Stream r joins at tick r % 3, runs 2 + (r * 5) % 7 steps,
+          // leaves for one tick and rejoins on the next source.
+          std::vector<int> left(s, 0), next_src(s, 0);
+          std::vector<std::int64_t> last(s, TranslationTask::kBos);
+          std::vector<bool> live(s, false);
+          Arena scratch;
+          int rows_checked = 0;
+          for (int tick = 0; tick < kTicks; ++tick) {
+            std::vector<TransformerDecoder*> decs;
+            std::vector<std::int64_t> ids;
+            std::vector<Tensor> expect;
+            for (std::size_t r = 0; r < s; ++r) {
+              if (!live[r] && tick >= static_cast<int>(r % 3)) {
+                const TokenSeq& src =
+                    srcs[(r * 3 + static_cast<std::size_t>(next_src[r]++)) %
+                         srcs.size()];
+                solo[r]->begin(src, TranslationTask::kPad);
+                batched[r]->begin(src, TranslationTask::kPad);
+                left[r] = 2 + static_cast<int>((r * 5) % 7);
+                last[r] = TranslationTask::kBos;
+                live[r] = true;
+                continue;  // joins at the next tick
+              }
+              if (!live[r]) continue;
+              expect.push_back(solo[r]->step({last[r]}));
+              decs.push_back(batched[r].get());
+              ids.push_back(last[r]);
+              last[r] = argmax_rows(expect.back())[0];
+              if (--left[r] == 0) live[r] = false;
+            }
+            if (decs.empty()) continue;
+            const Tensor logits =
+                TransformerDecoder::step_batch(decs, ids, scratch);
+            ASSERT_EQ(logits.dim(0), static_cast<std::int64_t>(decs.size()));
+            for (std::size_t k = 0; k < decs.size(); ++k) {
+              ++rows_checked;
+              EXPECT_TRUE(row_bit_equal(logits, static_cast<std::int64_t>(k),
+                                        expect[k]))
+                  << "kv="
+                  << (kv.quantized ? format_kind_name(kv.kind) : "fp32")
+                  << "/" << kv.bits << " backend=" << be->name
+                  << " threads=" << threads << " S=" << s << " tick=" << tick
+                  << " row=" << k;
+            }
+          }
+          EXPECT_GT(rows_checked, 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(DecodeBatch, SteadyStateBatchedStepAllocatesNoTensors) {
+  // The stacked forward runs in the caller's scratch arena: once a first
+  // sequence has grown it, a batched step makes no tensor heap allocation.
+  TransformerBundle b(485, tiny_transformer_config());
+  calibrate_transformer_kv(b, 2, 486);
+  TransformerDecoder::Options opts;
+  opts.kv = {true, FormatKind::kAdaptivFloat, 8};
+  std::vector<std::unique_ptr<TransformerDecoder>> decs;
+  std::vector<TransformerDecoder*> ptrs;
+  for (int r = 0; r < 4; ++r) {
+    decs.push_back(std::make_unique<TransformerDecoder>(b.model, opts));
+    ptrs.push_back(decs.back().get());
+  }
+  Pcg32 rng(487);
+  Arena scratch;
+  for (int seq = 0; seq < 2; ++seq) {
+    for (TransformerDecoder* d : ptrs) {
+      d->begin(b.task.sample(rng).source, TranslationTask::kPad);
+    }
+    std::vector<std::int64_t> ids(ptrs.size(), TranslationTask::kBos);
+    for (int step = 0; step < 12; ++step) {
+      const std::int64_t before = tensor_heap_allocs_this_thread();
+      ids = argmax_rows(TransformerDecoder::step_batch(ptrs, ids, scratch));
+      const std::int64_t allocs = tensor_heap_allocs_this_thread() - before;
+      if (seq > 0) {
+        EXPECT_EQ(allocs, 0) << "step=" << step;
+        EXPECT_EQ(ptrs.front()->session().last_step_heap_allocs(), 0);
+      }
+    }
+    for (TransformerDecoder* d : ptrs) EXPECT_EQ(d->session().steps(), 12);
+  }
+}
+
+TEST(DecodeBatch, MemberDefectsFailOnlyThatMember) {
+  // Through TransformerStreamDecoder::step_batch: an out-of-vocab token, a
+  // spent plan and a stream never opened fail their own slots typed,
+  // before anything is appended; the healthy members step together and a
+  // decoder of another model steps on its own. Each healthy token equals a
+  // solo step's, and the failed members decode afterwards as if the batch
+  // never happened.
+  TransformerBundle b(491, tiny_transformer_config());
+  TransformerBundle other(492, tiny_transformer_config());
+  const auto make = [](TransformerMT& model, std::int64_t max_steps) {
+    TransformerDecoder::Options o;
+    o.max_steps = max_steps;
+    return std::make_unique<TransformerStreamDecoder>(
+        model, o, TranslationTask::kPad, TranslationTask::kBos,
+        TranslationTask::kEos);
+  };
+  Pcg32 rng(493);
+  const TokenSeq src_a = b.task.sample(rng).source;
+  const TokenSeq src_b = b.task.sample(rng).source;
+
+  auto good1 = make(b.model, 0), oov = make(b.model, 0);
+  auto spent = make(b.model, 1), unopened = make(b.model, 0);
+  auto good2 = make(b.model, 0), foreign = make(other.model, 0);
+  good1->open(src_a);
+  oov->open(src_b);
+  spent->open(src_a);
+  good2->open(src_b);
+  foreign->open(src_a);
+  spent->step(TranslationTask::kBos);  // its one planned step is used up
+
+  std::vector<DecodeStepSlot> slots(6);
+  StreamDecoder* members[] = {good1.get(),    oov.get(),   spent.get(),
+                              unopened.get(), good2.get(), foreign.get()};
+  const std::int64_t tokens[] = {TranslationTask::kBos, b.cfg.tgt_vocab,
+                                 TranslationTask::kBos, TranslationTask::kBos,
+                                 TranslationTask::kBos, TranslationTask::kBos};
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i].decoder = members[i];
+    slots[i].last_token = tokens[i];
+  }
+  Arena scratch;
+  good1->step_batch(slots, scratch);
+
+  const auto kind_of = [](const std::exception_ptr& e) {
+    try {
+      std::rethrow_exception(e);
+    } catch (const FaultError& err) {
+      return err.kind();
+    } catch (...) {
+    }
+    return FaultKind::kUncorrectable;
+  };
+  for (const std::size_t bad : {1, 2, 3}) {
+    ASSERT_TRUE(slots[bad].error) << bad;
+    EXPECT_EQ(kind_of(slots[bad].error), FaultKind::kMalformedInput) << bad;
+  }
+  const auto solo_first = [&](TransformerMT& model, const TokenSeq& src) {
+    auto ref = make(model, 0);
+    ref->open(src);
+    return ref->step(TranslationTask::kBos);
+  };
+  for (const std::size_t ok : {0, 4, 5}) EXPECT_FALSE(slots[ok].error) << ok;
+  EXPECT_EQ(slots[0].token, solo_first(b.model, src_a));
+  EXPECT_EQ(slots[4].token, solo_first(b.model, src_b));
+  EXPECT_EQ(slots[5].token, solo_first(other.model, src_a));
+  // Nothing was appended for the rejected out-of-vocab member.
+  EXPECT_EQ(oov->step(TranslationTask::kBos), solo_first(b.model, src_b));
+}
+
+TEST(DecodeBatch, FullCacheRejectedBeforeAnyRowAppends) {
+  // The attention step checks every stream's cache before it appends any
+  // row, so one full cache leaves the others' lengths untouched.
+  Pcg32 rng(495);
+  MultiHeadAttention mha(8, 2, rng);
+  ExecutionContext ec;
+  KvState roomy, full;
+  roomy.init(4, 8);
+  full.init(1, 8);
+  KvState* const only_full[] = {&full};
+  mha.decode_self_step(Tensor::randn({1, 8}, rng), only_full, ec);
+  KvState* const both[] = {&roomy, &full};
+  EXPECT_THROW(mha.decode_self_step(Tensor::randn({2, 8}, rng), both, ec),
+               FaultError);
+  EXPECT_EQ(roomy.len(), 0);
+  EXPECT_EQ(full.len(), 1);
+
+  // The cross step takes one valid length per cache.
+  KvState cross;
+  cross.init(5, 8);
+  mha.prefill_cross(Tensor::randn({1, 5, 8}, rng), cross, ec);
+  const KvState* const one[] = {&cross};
+  const std::int64_t two_lengths[] = {5, 5};
+  EXPECT_THROW(mha.decode_cross_step(Tensor::randn({1, 8}, rng), one,
+                                     two_lengths, ec),
+               FaultError);
+}
+
 }  // namespace
 }  // namespace af

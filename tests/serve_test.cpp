@@ -976,9 +976,15 @@ TEST(ServeBatch, HealthReportShowsQueueWaitPercentilesAndOccupancy) {
 
 struct DecodeKnobs {
   std::atomic<int> fail_next{0};
+  /// Faults the next batched step as a whole, as a shared forward would.
+  std::atomic<int> fail_next_batch{0};
+  /// Set when one batched step held two slots of one stream.
+  std::atomic<bool> stream_twice_in_batch{false};
   /// Injected faults throw std::runtime_error instead of a FaultError.
   std::atomic<bool> foreign{false};
   std::atomic<bool> block{false};
+  /// Steps that have entered step(), counted before the `block` gate.
+  std::atomic<int> entered{0};
   /// Decoders currently alive — eviction must free the KV-holding object.
   std::atomic<int> live{0};
 };
@@ -986,6 +992,9 @@ struct DecodeKnobs {
 // Deterministic stand-in for TransformerStreamDecoder (serve_test does not
 // link af_models): open() folds the source into a sum, step() is a pure
 // function of (sum, last_token), so expected tokens are computable inline.
+// A negative token is out of its vocabulary; kPoisonToken faults the step.
+constexpr std::int64_t kPoisonToken = 666;
+
 class FakeStreamDecoder : public StreamDecoder {
  public:
   explicit FakeStreamDecoder(std::shared_ptr<DecodeKnobs> knobs)
@@ -1002,6 +1011,7 @@ class FakeStreamDecoder : public StreamDecoder {
   }
 
   std::int64_t step(std::int64_t last_token) override {
+    knobs_->entered.fetch_add(1, std::memory_order_acq_rel);
     while (knobs_->block.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(1ms);
     }
@@ -1010,7 +1020,30 @@ class FakeStreamDecoder : public StreamDecoder {
       throw FaultError("decode-test", FaultKind::kNonFinite,
                        "injected step fault");
     }
+    if (last_token < 0) {
+      throw FaultError("decode-test", FaultKind::kMalformedInput,
+                       "token out of vocab");
+    }
+    if (last_token == kPoisonToken) {
+      throw FaultError("decode-test", FaultKind::kNonFinite,
+                       "poisoned step");
+    }
     return sum_ + last_token + 1;
+  }
+
+  void step_batch(std::span<DecodeStepSlot> slots, Arena& scratch) override {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      for (std::size_t j = i + 1; j < slots.size(); ++j) {
+        if (slots[i].decoder == slots[j].decoder) {
+          knobs_->stream_twice_in_batch.store(true);
+        }
+      }
+    }
+    if (take_fault(knobs_->fail_next_batch)) {
+      throw FaultError("decode-test", FaultKind::kNonFinite,
+                       "injected batch fault");
+    }
+    StreamDecoder::step_batch(slots, scratch);
   }
 
   std::int64_t bos_token() const override { return 1; }
@@ -1378,9 +1411,164 @@ TEST(ServeDecode, HealthReportCountsStreams) {
 
   HealthReport h = server.health();
   EXPECT_EQ(h.decode_streams, 1);
+  EXPECT_EQ(h.stats.decode_batches, 1);
   const std::string text = h.to_string();
   EXPECT_NE(text.find("decode streams=1"), std::string::npos) << text;
   EXPECT_NE(text.find("opened=1"), std::string::npos) << text;
+  EXPECT_NE(text.find("steps=1 batches=1 mean_batch=1.000"),
+            std::string::npos)
+      << text;
+  server.shutdown();
+}
+
+/// Opens `ids` on tenant "t" (sum(src) = 7 each) and parks the lone worker
+/// inside a step of stream "park", so the requests submitted next queue up
+/// behind it and the worker pops them as one batch once `knobs->block`
+/// clears. Returns the parked step's future.
+std::future<Response> park_worker(InferenceServer& server, DecodeKnobs& knobs,
+                                  const std::vector<std::string>& ids) {
+  for (const std::string& id : ids) {
+    EXPECT_TRUE(
+        server.submit_decode(make_decode("t", id, DecodeOp::kOpen)).get().ok);
+  }
+  knobs.block.store(true);
+  const int before = knobs.entered.load();
+  auto parked =
+      server.submit_decode(make_decode("t", "park", DecodeOp::kStep, 1));
+  // The lone worker parks in the step.
+  for (int i = 0; i < 5000 && knobs.entered.load() == before; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_GT(knobs.entered.load(), before) << "the worker never parked";
+  return parked;
+}
+
+ServerConfig one_worker_decode_config(std::shared_ptr<DecodeKnobs> knobs) {
+  ServerConfig cfg = decode_config(std::move(knobs));
+  cfg.workers = 1;
+  cfg.watchdog.enabled = false;
+  return cfg;
+}
+
+TEST(ServeDecode, BatchedStepFailsOnlyTheBadMember) {
+  // Steps of five streams queue behind a parked one and run as one batch.
+  // A member's own defect — an unknown stream, a token its decoder
+  // rejects, a faulting step — fails that ticket alone and evicts only its
+  // stream; the others get the tokens their solo steps would emit.
+  auto knobs = std::make_shared<DecodeKnobs>();
+  InferenceServer server(test_factory(std::make_shared<Knobs>()),
+                         one_worker_decode_config(knobs));
+  server.add_tenant(plain_tenant("t"));
+
+  auto parked = park_worker(server, *knobs, {"park", "a", "bad", "sick", "d"});
+  auto a = server.submit_decode(make_decode("t", "a", DecodeOp::kStep, 1));
+  auto ghost =
+      server.submit_decode(make_decode("t", "ghost", DecodeOp::kStep, 1));
+  auto bad = server.submit_decode(make_decode("t", "bad", DecodeOp::kStep, -3));
+  auto sick = server.submit_decode(
+      make_decode("t", "sick", DecodeOp::kStep, kPoisonToken));
+  auto d = server.submit_decode(make_decode("t", "d", DecodeOp::kStep, 5));
+  knobs->block.store(false);
+  ASSERT_TRUE(parked.get().ok);
+
+  const Response ra = a.get(), rd = d.get();
+  ASSERT_TRUE(ra.ok) << ra.error;
+  ASSERT_TRUE(rd.ok) << rd.error;
+  EXPECT_EQ(ra.token, 9);
+  EXPECT_EQ(rd.token, 13);
+  EXPECT_EQ(ra.batch_size, 4) << "a, bad, sick and d stepped together";
+  EXPECT_EQ(rd.batch_size, 4);
+  const Response rg = ghost.get(), rb = bad.get(), rs = sick.get();
+  EXPECT_FALSE(rg.ok);
+  EXPECT_EQ(rg.error_kind, FaultKind::kMalformedInput);
+  EXPECT_FALSE(rb.ok);
+  EXPECT_EQ(rb.error_kind, FaultKind::kMalformedInput);
+  EXPECT_FALSE(rs.ok);
+  EXPECT_EQ(rs.error_kind, FaultKind::kNonFinite);
+
+  // park and the two healthy members stay live; the bad-token member and
+  // the faulted one were evicted.
+  EXPECT_EQ(server.decode_streams(), 3);
+  EXPECT_EQ(knobs->live.load(), 3);
+  EXPECT_FALSE(knobs->stream_twice_in_batch.load());
+  server.shutdown();
+  const StatsSnapshot s = server.stats();
+  EXPECT_EQ(s.decode_batches, 2) << "the parked step, then one batch";
+  EXPECT_EQ(s.decode_steps, 3);
+}
+
+TEST(ServeDecode, BatchedStepSharedFaultFailsEveryMember) {
+  // A fault of the forward the members share cannot be pinned on one of
+  // them: every member fails typed and is evicted; streams outside the
+  // batch are untouched.
+  auto knobs = std::make_shared<DecodeKnobs>();
+  InferenceServer server(test_factory(std::make_shared<Knobs>()),
+                         one_worker_decode_config(knobs));
+  server.add_tenant(plain_tenant("t"));
+
+  auto parked = park_worker(server, *knobs, {"park", "a", "b"});
+  auto a = server.submit_decode(make_decode("t", "a", DecodeOp::kStep, 1));
+  auto b = server.submit_decode(make_decode("t", "b", DecodeOp::kStep, 1));
+  knobs->fail_next_batch.store(1);
+  knobs->block.store(false);
+  ASSERT_TRUE(parked.get().ok);
+  for (Response r : {a.get(), b.get()}) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error_kind, FaultKind::kNonFinite);
+    EXPECT_EQ(r.batch_size, 2);
+  }
+  EXPECT_EQ(server.decode_streams(), 1) << "only park is left";
+  server.shutdown();
+}
+
+TEST(ServeDecode, TwoQueuedStepsOfOneStreamNeverShareABatch) {
+  // A stream's next step needs this one's token, so a second queued step
+  // of the same stream waits for the next batch; the other stream's step
+  // joins the first.
+  auto knobs = std::make_shared<DecodeKnobs>();
+  InferenceServer server(test_factory(std::make_shared<Knobs>()),
+                         one_worker_decode_config(knobs));
+  server.add_tenant(plain_tenant("t"));
+
+  auto parked = park_worker(server, *knobs, {"park", "s", "u"});
+  auto s1 = server.submit_decode(make_decode("t", "s", DecodeOp::kStep, 1));
+  auto s2 = server.submit_decode(make_decode("t", "s", DecodeOp::kStep, 9));
+  auto u = server.submit_decode(make_decode("t", "u", DecodeOp::kStep, 1));
+  knobs->block.store(false);
+  ASSERT_TRUE(parked.get().ok);
+  const Response r1 = s1.get(), r2 = s2.get(), ru = u.get();
+  ASSERT_TRUE(r1.ok && r2.ok && ru.ok) << r1.error << r2.error << ru.error;
+  EXPECT_EQ(r1.token, 9);
+  EXPECT_EQ(r2.token, 17);
+  EXPECT_EQ(ru.token, 9);
+  EXPECT_EQ(r1.batch_size + r2.batch_size, 3)
+      << "one of s's steps rode with u's, the other ran alone";
+  EXPECT_EQ(ru.batch_size, 2);
+  EXPECT_FALSE(knobs->stream_twice_in_batch.load());
+  server.shutdown();
+  EXPECT_EQ(server.stats().decode_batches, 3);
+}
+
+TEST(ServeDecode, OpensAndClosesStaySoloBehindABatch) {
+  // An open or a close never joins a step batch, and a step never joins
+  // an open: each runs in queue order, alone.
+  auto knobs = std::make_shared<DecodeKnobs>();
+  InferenceServer server(test_factory(std::make_shared<Knobs>()),
+                         one_worker_decode_config(knobs));
+  server.add_tenant(plain_tenant("t"));
+
+  auto parked = park_worker(server, *knobs, {"park", "a"});
+  auto opened = server.submit_decode(make_decode("t", "n", DecodeOp::kOpen));
+  auto step = server.submit_decode(make_decode("t", "a", DecodeOp::kStep, 1));
+  auto closed = server.submit_decode(make_decode("t", "a", DecodeOp::kClose));
+  knobs->block.store(false);
+  ASSERT_TRUE(parked.get().ok);
+  const Response ro = opened.get(), rs = step.get(), rc = closed.get();
+  EXPECT_TRUE(ro.ok);
+  EXPECT_EQ(ro.batch_size, 1);
+  EXPECT_EQ(rs.batch_size, 1);
+  EXPECT_TRUE(rc.ok);
+  EXPECT_EQ(rc.batch_size, 1);
   server.shutdown();
 }
 
