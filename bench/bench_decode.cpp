@@ -124,9 +124,9 @@ TokenSeq incremental_greedy(TransformerDecoder& dec, const TokenSeq& src,
     if (next == eos) break;
     out.push_back(next);
     last[0] = next;
-    // Same prefix-length bound as the full-recompute loop: the session's
+    // Same prefix-length bound as the full-recompute loop: the decoder's
     // plan defaults to the model's max_len.
-    if (++tgt_len >= dec.session().max_steps()) break;
+    if (++tgt_len >= dec.max_steps()) break;
   }
   return out;
 }
@@ -216,7 +216,7 @@ int run_verify_only() {
             kv_logits_dig);
         last[0] = argmax_rows(logits)[0];
         toks.push_back(last[0]);
-        if (i > 0) steady_allocs += dec.session().last_step_heap_allocs();
+        if (i > 0) steady_allocs += dec.last_step_heap_allocs();
       }
       streams.push_back(std::move(toks));
     }

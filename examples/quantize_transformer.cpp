@@ -6,13 +6,12 @@
 // the PTQ -> QAR pipeline at 5-bit weights for AdaptivFloat, exactly the
 // protocol of the paper's Table 2 (a single cell of it, for speed), and
 // finishes with an incremental-decoding demo: the same sentence decoded
-// through a DecodeSession-backed TransformerDecoder with fp32 and packed
-// AdaptivFloat-8 KV caches.
+// through a TransformerDecoder with fp32 and packed AdaptivFloat-8 KV
+// caches.
 #include <cstdio>
 
 #include "src/models/trainer.hpp"
 #include "src/numerics/registry.hpp"
-#include "src/runtime/decode.hpp"
 
 namespace {
 
@@ -36,7 +35,7 @@ af::TokenSeq decode_greedy(af::TransformerDecoder& dec, const af::TokenSeq& src,
     if (next == TranslationTask::kEos) break;
     out.push_back(next);
     last[0] = next;
-    if (s + 2 >= dec.session().max_steps()) break;
+    if (s + 2 >= dec.max_steps()) break;
   }
   return out;
 }
@@ -84,7 +83,7 @@ int main() {
   // bit, while AdaptivFloat-8 KV stores cached K/V rows as packed codes
   // (per-layer exp_bias recalibrated from calibrate_transformer_kv ranges)
   // at a quarter of the bytes per decoded token.
-  std::printf("\nincremental decode demo (DecodeSession KV cache)\n");
+  std::printf("\nincremental decode demo (TransformerDecoder KV cache)\n");
   calibrate_transformer_kv(bundle, 8, 11);
   Pcg32 demo_rng(13);
   const TokenSeq src = bundle.task.sample(demo_rng).source;
@@ -110,6 +109,6 @@ int main() {
   std::printf("  kv bytes/token:  fp32 %zu | af<8> %zu\n",
               fp32_dec.kv_bytes_per_step(), q_dec.kv_bytes_per_step());
   std::printf("  steady-state heap allocs per step: %lld\n",
-              static_cast<long long>(q_dec.session().last_step_heap_allocs()));
+              static_cast<long long>(q_dec.last_step_heap_allocs()));
   return 0;
 }

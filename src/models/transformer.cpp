@@ -358,45 +358,23 @@ TransformerDecoder::TransformerDecoder(TransformerMT& model, Options opts)
     : model_(model), opts_(std::move(opts)) {
   const TransformerConfig& cfg = model_.cfg_;
   if (opts_.max_steps == 0) opts_.max_steps = cfg.max_len;
-  if (opts_.max_steps > cfg.max_len) {
+  if (opts_.max_steps < 0 || opts_.max_steps > cfg.max_len) {
     // The positional table (and the monolithic path it must match) only
     // covers max_len positions — a longer plan could never be decoded.
     throw FaultError("decode", FaultKind::kMalformedInput,
                      "decode plan of " + std::to_string(opts_.max_steps) +
-                         " steps exceeds max_len " +
-                         std::to_string(cfg.max_len));
+                         " steps outside 1.." + std::to_string(cfg.max_len));
   }
-  const auto layers = static_cast<std::size_t>(cfg.dec_layers);
+  opts_.ctx.training = false;
   if (opts_.kv.quantized) kv_codecs_ = model_.kv_codecs(opts_.kv);
+  modules_ = model_.all_modules();
+  const auto layers = static_cast<std::size_t>(cfg.dec_layers);
   self_kv_.resize(layers);
   cross_kv_.resize(layers);
-
-  DecodeHooks hooks;
-  hooks.setup = [this](ExecutionContext& c) { setup(c); };
-  hooks.prefill = [this](ExecutionContext& c) { prefill(c); };
-  hooks.step = [this](const std::vector<std::int64_t>& t,
-                      ExecutionContext& c) {
-    TransformerDecoder* self = this;
-    return forward_rows(std::span<TransformerDecoder* const>(&self, 1), t, c);
-  };
-  modules_ = model_.all_modules();
-  hooks.cache_probe = [this] {
-    std::int64_t depth = 0;
-    for (Module* m : modules_) depth += m->cache_depth();
-    return depth;
-  };
-  DecodeSessionConfig scfg;
-  scfg.ctx = opts_.ctx;
-  scfg.max_steps = opts_.max_steps;
-  session_ = std::make_unique<DecodeSession>(std::move(hooks),
-                                             std::move(scfg));
-}
-
-void TransformerDecoder::setup(ExecutionContext&) {
-  // Runs under the session's KV arena: every byte of cache storage is
-  // planned here, once, to full capacity.
-  const TransformerConfig& cfg = model_.cfg_;
-  for (std::size_t i = 0; i < self_kv_.size(); ++i) {
+  // Every byte of cache storage is planned here, once, to full capacity,
+  // in the never-reset KV arena.
+  ArenaScope scope(&kv_arena_);
+  for (std::size_t i = 0; i < layers; ++i) {
     self_kv_[i].init(opts_.max_steps, cfg.d_model,
                      kv_codecs_ ? kv_codecs_->self[i] : KvQuantConfig{});
     cross_kv_[i].init(cfg.max_len, cfg.d_model,
@@ -405,6 +383,9 @@ void TransformerDecoder::setup(ExecutionContext&) {
 }
 
 void TransformerDecoder::begin(const TokenSeq& src, std::int64_t pad_id) {
+  // Unbegun until the prefill succeeds: a throw below must not leave the
+  // previous sequence's caches and position steppable.
+  begun_ = false;
   if (src.empty() ||
       static_cast<std::int64_t>(src.size()) > model_.cfg_.max_len) {
     throw FaultError("decode", FaultKind::kMalformedInput,
@@ -414,31 +395,53 @@ void TransformerDecoder::begin(const TokenSeq& src, std::int64_t pad_id) {
   }
   src_batch_.assign(1, src);
   src_lengths_ = valid_lengths(src_batch_, pad_id);
-  session_->begin();
-}
-
-void TransformerDecoder::prefill(ExecutionContext& ctx) {
-  Tensor enc = model_.encode(src_batch_, src_lengths_, ctx);
-  for (std::size_t i = 0; i < self_kv_.size(); ++i) {
-    self_kv_[i].reset();
-    cross_kv_[i].reset();
-    // The encoder side never changes during decoding: project K/V once.
-    model_.dec_blocks_[i].cross_attn.prefill_cross(enc, cross_kv_[i], ctx);
+  if (sequences_ == 1) {
+    // The first sequence (prefill + steps) revealed the scratch peak;
+    // collapse the chunk list so every later cycle bumps one block.
+    step_arena_.consolidate();
   }
+  step_arena_.reset();
+  {
+    ArenaScope scope(&step_arena_);
+    Tensor enc = model_.encode(src_batch_, src_lengths_, opts_.ctx);
+    for (std::size_t i = 0; i < self_kv_.size(); ++i) {
+      self_kv_[i].reset();
+      cross_kv_[i].reset();
+      // The encoder side never changes during decoding: project K/V once.
+      model_.dec_blocks_[i].cross_attn.prefill_cross(enc, cross_kv_[i],
+                                                     opts_.ctx);
+    }
+  }
+  check_no_caches();
   pos_ = 0;
+  ++sequences_;
+  begun_ = true;
 }
 
 const Tensor& TransformerDecoder::step(
     const std::vector<std::int64_t>& last_tokens) {
-  if (last_tokens.size() != 1) {
-    throw FaultError("decode", FaultKind::kMalformedInput,
-                     "decode step needs exactly one token");
-  }
-  return session_->step(last_tokens);
+  const std::int64_t allocs_before = tensor_heap_allocs_this_thread();
+  TransformerDecoder* self = this;
+  // copy_from reuses the owned buffer when the logits shape repeats, so
+  // steady-state steps allocate nothing here.
+  output_.copy_from(step_batch(std::span<TransformerDecoder* const>(&self, 1),
+                               last_tokens, step_arena_));
+  last_step_allocs_ = tensor_heap_allocs_this_thread() - allocs_before;
+  return output_;
 }
 
 void TransformerDecoder::check_step(std::int64_t token) const {
-  session_->check_step();
+  if (!begun_) {
+    throw FaultError("decode", FaultKind::kMalformedInput,
+                     "decode step before a successful begin()");
+  }
+  if (pos_ >= opts_.max_steps) {
+    // The KV plan is exhausted: a longer sequence was never provisioned.
+    // Typed so a serving layer fails the stream, not the process.
+    throw FaultError("decode", FaultKind::kMalformedInput,
+                     "decode past planned capacity (max_steps " +
+                         std::to_string(opts_.max_steps) + ")");
+  }
   const std::int64_t vocab = model_.cfg_.tgt_vocab;
   if (token < 0 || token >= vocab) {
     throw FaultError("decode", FaultKind::kMalformedInput,
@@ -447,9 +450,19 @@ void TransformerDecoder::check_step(std::int64_t token) const {
   }
 }
 
+void TransformerDecoder::check_no_caches() const {
+  std::int64_t depth = 0;
+  for (const Module* m : modules_) depth += m->cache_depth();
+  if (depth != 0) {
+    throw FaultError("decode", FaultKind::kMalformedInput,
+                     "decode forward leaked adjoint caches (depth " +
+                         std::to_string(depth) + ")");
+  }
+}
+
 bool TransformerDecoder::stacks_with(const TransformerDecoder& peer) const {
-  const ExecutionContext& a = session_->context();
-  const ExecutionContext& b = peer.session_->context();
+  const ExecutionContext& a = opts_.ctx;
+  const ExecutionContext& b = peer.opts_.ctx;
   return &model_ == &peer.model_ && a.resilience == b.resilience &&
          a.guard == b.guard && a.report == b.report &&
          a.mac_hook == b.mac_hook && a.backend == b.backend;
@@ -460,21 +473,31 @@ Tensor TransformerDecoder::step_batch(
     const std::vector<std::int64_t>& ids, Arena& scratch) {
   if (decs.empty() || ids.size() != decs.size()) {
     throw FaultError("decode", FaultKind::kMalformedInput,
-                     "decode batch needs one token per decoder");
+                     "decode step needs one token per decoder");
   }
-  std::vector<DecodeSession*> sessions;
-  sessions.reserve(decs.size());
   for (std::size_t r = 0; r < decs.size(); ++r) {
     if (!decs.front()->stacks_with(*decs[r])) {
       throw FaultError("decode", FaultKind::kMalformedInput,
                        "decode batch mixes models or execution contexts");
     }
     decs[r]->check_step(ids[r]);
-    sessions.push_back(decs[r]->session_.get());
   }
-  return DecodeSession::step_batch(
-      sessions, scratch,
-      [&](ExecutionContext& ctx) { return forward_rows(decs, ids, ctx); });
+  const std::int64_t allocs_before = tensor_heap_allocs_this_thread();
+  scratch.reset();
+  Tensor logits;
+  {
+    ArenaScope scope(&scratch);
+    logits = forward_rows(decs, ids, decs.front()->opts_.ctx);
+  }
+  const std::int64_t allocs =
+      tensor_heap_allocs_this_thread() - allocs_before;
+  for (TransformerDecoder* dec : decs) {
+    ++dec->pos_;
+    dec->last_step_allocs_ = allocs;
+  }
+  // Every member runs the same model, so one walk covers them all.
+  decs.front()->check_no_caches();
+  return logits;
 }
 
 Tensor TransformerDecoder::forward_rows(
@@ -525,7 +548,6 @@ Tensor TransformerDecoder::forward_rows(
                    blk.ln3.forward(add(x2, h), ctx));
   }
   Tensor out = aq.process("dec.out", model.dec_final_.forward(y, ctx));
-  for (TransformerDecoder* dec : decs) ++dec->pos_;
   return model.out_proj_.forward(out, ctx);
 }
 

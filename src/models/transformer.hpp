@@ -22,6 +22,8 @@
 #include "src/nn/linear.hpp"
 #include "src/nn/quant.hpp"
 #include "src/runtime/decode.hpp"
+#include "src/runtime/execution_context.hpp"
+#include "src/tensor/arena.hpp"
 
 namespace af {
 
@@ -173,10 +175,17 @@ class TransformerMT {
   std::vector<StepCtx> ctx_;
 };
 
-/// Incremental decoder over a TransformerMT: a DecodeSession whose hooks
-/// run the model's context entry points one timestep at a time against
-/// per-layer KvStates (self-attention caches appended per step,
-/// cross-attention caches prefilled once per sequence).
+/// Incremental decoder over a TransformerMT: the model's context entry
+/// points run one timestep at a time against per-layer KvStates
+/// (self-attention caches appended per step, cross-attention caches
+/// prefilled once per sequence).
+///
+/// Two arenas back it. The KV arena is filled once, at construction, with
+/// every KvState planned to max_steps capacity, and is never reset, so
+/// cached keys/values keep their bytes for the decoder's lifetime. The
+/// step arena is the cyclic scratch: reset before every prefill and every
+/// solo step, consolidated once the first sequence has revealed its peak.
+/// From the second sequence on a step makes no heap allocation.
 ///
 /// With fp32 KV the emitted logits are bit-identical to full-recompute
 /// decoding (teacher-forced forward over the growing prefix) whenever the
@@ -190,21 +199,25 @@ class TransformerDecoder {
   struct Options {
     std::int64_t max_steps = 0;  ///< KV plan; 0 = model max_len
     KvCacheFormat kv;
-    ExecutionContext ctx;
+    ExecutionContext ctx;  ///< every forward's policy; training forced off
   };
 
+  /// Plans the KV storage. A max_steps outside 1..max_len, or quantized KV
+  /// over an uncalibrated model, throws FaultError(kMalformedInput).
   TransformerDecoder(TransformerMT& model, Options opts);
   /// Default options: fp32 KV planned to the model's max_len.
   explicit TransformerDecoder(TransformerMT& model);
 
   /// Starts decoding `src`: runs the encoder and the cross-attention
-  /// prefill, resets the self-attention caches.
+  /// prefill, resets the self-attention caches and the position. If it
+  /// throws, the decoder is left unbegun: step() throws until a later
+  /// begin() succeeds.
   void begin(const TokenSeq& src, std::int64_t pad_id);
 
   /// Feeds the last emitted token (`last_tokens` holds exactly one) and
   /// returns the next-token logits [1, tgt_vocab]. The reference stays
-  /// valid (and is overwritten) across steps. This is the S = 1 case of
-  /// step_batch, in the session's own step arena.
+  /// valid (and is overwritten) across steps. This is step_batch over
+  /// this decoder alone, in its own step arena.
   const Tensor& step(const std::vector<std::int64_t>& last_tokens);
 
   /// Throws FaultError(kMalformedInput) unless this decoder can take a
@@ -231,35 +244,43 @@ class TransformerDecoder {
                            const std::vector<std::int64_t>& ids,
                            Arena& scratch);
 
+  /// Steps taken in this sequence: the next step's positional row.
   std::int64_t position() const { return pos_; }
+  std::int64_t max_steps() const { return opts_.max_steps; }
+  /// Sequences begun successfully.
+  std::int64_t sequences() const { return sequences_; }
+  /// Owned-buffer heap allocations during the most recent step.
+  std::int64_t last_step_heap_allocs() const { return last_step_allocs_; }
   /// Current KV payload across all layers.
   std::size_t kv_bytes() const;
   /// KV payload growth per decoded step (self caches; cross is prefilled).
   std::size_t kv_bytes_per_step() const;
 
-  DecodeSession& session() { return *session_; }
-  const DecodeSession& session() const { return *session_; }
-
  private:
-  void setup(ExecutionContext& ctx);
-  void prefill(ExecutionContext& ctx);
-  // The stacked step's forward: step_batch's body, and the session's step
-  // hook at S = 1.
+  // The stacked step's forward: step_batch's body.
   static Tensor forward_rows(std::span<TransformerDecoder* const> decs,
                              const std::vector<std::int64_t>& ids,
                              ExecutionContext& ctx);
+  // Throws unless no module holds an adjoint cache (inference stays clean).
+  void check_no_caches() const;
 
   TransformerMT& model_;
   Options opts_;
   std::shared_ptr<const TransformerMT::KvCodecs> kv_codecs_;  // null: fp32
+  // Declared before the KvStates, so their storage outlives them.
+  Arena kv_arena_;    // persistent KV storage; never reset
+  Arena step_arena_;  // solo-step and prefill scratch; reset every cycle
   std::vector<KvState> self_kv_, cross_kv_;
   std::vector<TokenSeq> src_batch_;  // the one source, as encode() takes it
   std::vector<std::int64_t> src_lengths_;
-  // The model's modules, listed once: the session's cache probe walks them
-  // after every step, and rebuilding the list there would allocate.
+  // The model's modules, listed once: the cache check walks them after
+  // every step, and rebuilding the list there would allocate.
   std::vector<Module*> modules_;
+  Tensor output_;  // the solo step's logits, copied out of the step arena
+  bool begun_ = false;
   std::int64_t pos_ = 0;
-  std::unique_ptr<DecodeSession> session_;  // last: its ctor runs setup()
+  std::int64_t sequences_ = 0;
+  std::int64_t last_step_allocs_ = 0;
 };
 
 /// Serving-facing adapter: a TransformerDecoder behind the runtime

@@ -28,7 +28,7 @@
 // streams sit at different positions.
 //
 // All storage is allocated once in init() under the caller's ambient
-// ArenaScope (a DecodeSession's never-reset KV arena); append and
+// ArenaScope (a TransformerDecoder's never-reset KV arena); append and
 // operands allocate nothing, which is what keeps steady-state decode at
 // zero heap allocations per emitted token.
 #pragma once

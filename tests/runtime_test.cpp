@@ -948,7 +948,7 @@ TEST(Session, PlanAtMaxRowsThenSmallerBatchesAllocateNothing) {
   }
 }
 
-// ----- DecodeSession / TransformerDecoder ------------------------------------
+// ----- TransformerDecoder (suite DecodeSession) -----------------------------
 
 TransformerConfig tiny_transformer_config() {
   TransformerConfig cfg;
@@ -1070,13 +1070,13 @@ TEST(DecodeSession, QuantizedKvZeroSteadyStateAllocsPerToken) {
       const Tensor& logits = dec.step(last);
       last[0] = argmax_rows(logits)[0];
       if (seq > 0) {
-        EXPECT_EQ(dec.session().last_step_heap_allocs(), 0)
+        EXPECT_EQ(dec.last_step_heap_allocs(), 0)
             << "seq=" << seq << " step=" << step;
       }
     }
   }
   EXPECT_GT(dec.kv_bytes(), 0u);
-  EXPECT_EQ(dec.session().sequences(), 3);
+  EXPECT_EQ(dec.sequences(), 3);
 }
 
 TEST(DecodeSession, KvCodecsBuiltOncePerModelAndFormat) {
@@ -1136,12 +1136,12 @@ TEST(DecodeSession, CapacityExhaustionIsTypedAndSessionStaysUsable) {
   } catch (const FaultError& e) {
     EXPECT_EQ(e.kind(), FaultKind::kMalformedInput);
   }
-  // A typed capacity fault must not poison the session: a new sequence
+  // A typed capacity fault must not poison the decoder: a new sequence
   // begins cleanly on the same plan.
   dec.begin(src, TranslationTask::kPad);
   last[0] = TranslationTask::kBos;
   EXPECT_NO_THROW(dec.step(last));
-  EXPECT_EQ(dec.session().steps(), 1);
+  EXPECT_EQ(dec.position(), 1);
 }
 
 TEST(DecodeSession, MalformedConfigurationThrowsTyped) {
@@ -1171,9 +1171,74 @@ TEST(DecodeSession, MalformedConfigurationThrowsTyped) {
   dec.begin(b.task.sample(rng).source, TranslationTask::kPad);
   EXPECT_THROW(dec.step({1, 2}), FaultError);  // two tokens, one lane
 
-  // Bare DecodeSession misconfiguration.
-  EXPECT_THROW(DecodeSession(DecodeHooks{}, DecodeSessionConfig{}),
-               FaultError);
+  // A negative plan is malformed configuration, rejected before any KV
+  // storage is planned.
+  TransformerDecoder::Options negative_plan;
+  negative_plan.max_steps = -1;
+  const std::int64_t allocs_before = tensor_heap_allocs_this_thread();
+  try {
+    TransformerDecoder bad(b.model, negative_plan);
+    FAIL() << "a negative max_steps plan must throw";
+  } catch (const FaultError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kMalformedInput);
+  }
+  EXPECT_EQ(tensor_heap_allocs_this_thread(), allocs_before);
+}
+
+TEST(DecodeSession, FailedBeginLeavesDecoderUnbegun) {
+  // A begin() that throws (here: a source id outside the vocabulary, found
+  // by the encoder) must not leave the previous sequence steppable: its
+  // caches and position belong to another source, and stepping on from
+  // them would run past the positional table.
+  TransformerBundle b(457, tiny_transformer_config());
+  TransformerDecoder dec(b.model);
+  Pcg32 rng(458);
+  const TokenSeq src = b.task.sample(rng).source;
+  dec.begin(src, TranslationTask::kPad);
+  std::vector<std::int64_t> last = {TranslationTask::kBos};
+  for (int step = 0; step < 5; ++step) {
+    last[0] = argmax_rows(dec.step(last))[0];
+  }
+  ASSERT_EQ(dec.position(), 5);
+
+  try {
+    dec.begin({3, b.cfg.src_vocab}, TranslationTask::kPad);
+    FAIL() << "an out-of-vocab source must throw";
+  } catch (const FaultError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kMalformedInput);
+  }
+  for (int i = 0; i < 2; ++i) {
+    try {
+      dec.step({TranslationTask::kBos});
+      FAIL() << "a step after a failed begin() must throw";
+    } catch (const FaultError& e) {
+      EXPECT_EQ(e.kind(), FaultKind::kMalformedInput);
+    }
+  }
+  try {
+    dec.begin({}, TranslationTask::kPad);
+    FAIL() << "an empty source must throw";
+  } catch (const FaultError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kMalformedInput);
+  }
+  EXPECT_THROW(dec.step({TranslationTask::kBos}), FaultError);
+  EXPECT_EQ(dec.sequences(), 1);
+
+  // A later begin() that succeeds decodes exactly what a fresh decoder
+  // does, over its whole plan.
+  TransformerDecoder fresh(b.model);
+  dec.begin(src, TranslationTask::kPad);
+  fresh.begin(src, TranslationTask::kPad);
+  EXPECT_EQ(dec.position(), 0);
+  std::vector<std::int64_t> a = {TranslationTask::kBos};
+  std::vector<std::int64_t> c = a;
+  for (std::int64_t step = 0; step < dec.max_steps(); ++step) {
+    a[0] = argmax_rows(dec.step(a))[0];
+    c[0] = argmax_rows(fresh.step(c))[0];
+    ASSERT_EQ(a, c) << "step=" << step;
+  }
+  EXPECT_THROW(dec.step(a), FaultError);  // plan spent, not overrun
+  EXPECT_EQ(dec.sequences(), 2);
 }
 
 void expect_malformed(const std::function<void()>& fn, const char* what) {
@@ -1402,10 +1467,10 @@ TEST(DecodeBatch, SteadyStateBatchedStepAllocatesNoTensors) {
       const std::int64_t allocs = tensor_heap_allocs_this_thread() - before;
       if (seq > 0) {
         EXPECT_EQ(allocs, 0) << "step=" << step;
-        EXPECT_EQ(ptrs.front()->session().last_step_heap_allocs(), 0);
+        EXPECT_EQ(ptrs.front()->last_step_heap_allocs(), 0);
       }
     }
-    for (TransformerDecoder* d : ptrs) EXPECT_EQ(d->session().steps(), 12);
+    for (TransformerDecoder* d : ptrs) EXPECT_EQ(d->position(), 12);
   }
 }
 
