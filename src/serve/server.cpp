@@ -65,6 +65,13 @@ struct InferenceServer::StreamEntry {
   std::unique_ptr<StreamDecoder> decoder;
 };
 
+/// What a runner leaves for finish() about one live batch member.
+struct InferenceServer::Outcome {
+  Tensor output;             ///< request payload
+  std::int64_t token = -1;   ///< decode payload
+  std::exception_ptr error;  ///< this member's failure, if any
+};
+
 struct InferenceServer::TenantState {
   TenantConfig cfg;
   CircuitBreaker breaker;
@@ -98,8 +105,7 @@ struct InferenceServer::WorkerSlot {
   /// Per-ResiliencePolicy largest activation row count whose planning run
   /// already happened — later runs at or below a planned row count must
   /// not allocate (the arena holds the larger peak and owned buffers
-  /// shrink in place). Generalizes the PR-8 per-policy planned bitmask to
-  /// variable batch shapes.
+  /// shrink in place).
   std::array<std::int64_t,
              static_cast<std::size_t>(ResiliencePolicy::kAbftGuard) + 1>
       planned_rows{};
@@ -111,8 +117,9 @@ struct InferenceServer::WorkerSlot {
 
 namespace {
 
-// Most decode steps one stacked forward takes. The fp32 chain on a narrow
-// post-ReLU weight slows past M = 32 (ROADMAP item 3, "Known cost").
+// Most decode steps one stacked forward takes: past M = 32 rows the fp32
+// dot chain on a narrow post-ReLU weight gets slower per row
+// (micro_gemm_packed m_sweep_serve, fc2 32x256: 3x the time for 2x rows).
 constexpr int kMaxDecodeBatch = 32;
 
 }  // namespace
@@ -309,17 +316,8 @@ void InferenceServer::worker_main(std::shared_ptr<WorkerSlot> slot) {
     std::shared_ptr<Ticket> ticket;
     if (queue_.pop(ticket, std::chrono::milliseconds(2))) {
       std::vector<std::shared_ptr<Ticket>> batch{std::move(ticket)};
-      if (batch.front()->is_decode) {
-        // A step takes the other streams' queued steps into its forward;
-        // opens and closes run solo, in queue order.
-        take_decode_peers(batch);
-        process_decode(*slot, batch);
-      } else {
-        plan(*slot, batch.front());
-        std::chrono::microseconds waited{0};
-        if (cfg_.batch.max_batch > 1) waited = coalesce(*slot, batch);
-        process(*slot, batch, waited);
-      }
+      const std::chrono::microseconds waited = widen(*slot, batch);
+      execute(*slot, batch, waited);
       std::lock_guard<std::mutex> lk(slot->mu);
       slot->inflight.clear();
     } else if (!running_.load(std::memory_order_acquire) &&
@@ -361,41 +359,56 @@ void InferenceServer::plan(WorkerSlot& slot,
     planned = rows;
   } catch (...) {
     // Planning is best-effort (a strict guard could flag the zero
-    // exemplar); fall back to lazy shape-driven planning in process().
+    // exemplar); fall back to lazy shape-driven planning in run_forward().
   }
 }
 
-std::chrono::microseconds InferenceServer::coalesce(
+std::chrono::microseconds InferenceServer::widen(
     WorkerSlot& slot, std::vector<std::shared_ptr<Ticket>>& batch) {
   // Budget kept between the wait's release and the tightest member
   // deadline: it covers pack + forward + scatter.
   constexpr std::chrono::microseconds kDeadlineMargin{1000};
-  const BatchConfig& bc = cfg_.batch;
   const std::shared_ptr<Ticket> lead = batch.front();
-  // A half-open probe is the breaker's isolated health check and runs
-  // solo; malformed (non-rank-2, empty) inputs must also fail
-  // individually, never drag a batch down with them.
-  if (lead->probe || lead->input.rank() != 2 || lead->input.dim(0) <= 0) {
-    return std::chrono::microseconds{0};
+  const bool step = lead->is_decode;
+  if (!step) plan(slot, lead);
+  // A half-open probe is the breaker's isolated health check, and opens
+  // and closes run in queue order: all three stay solo. So do malformed
+  // (non-rank-2, empty) request inputs, which must fail individually.
+  const Tensor& x = lead->input;
+  int cap = 1;
+  if (step) {
+    if (lead->op == DecodeOp::kStep) cap = kMaxDecodeBatch;
+  } else if (x.rank() == 2 && x.dim(0) > 0) {
+    cap = cfg_.batch.max_batch;
   }
-  const Clock::time_point t0 = Clock::now();
-  const Clock::time_point window_end = t0 + bc.coalesce_window;
-  TenantState* const tenant = lead->tenant;
-  const int level = lead->level;
-  const std::int64_t d = lead->input.dim(1);
+  if (lead->probe || cap <= 1) return std::chrono::microseconds{0};
+
   const auto match = [&](const std::shared_ptr<Ticket>& t) {
-    // Never cross-tenant, never across ladder levels (one policy must
-    // serve the whole batch), never probes, never decode requests (steps
-    // batch among themselves in take_decode_peers), rank-2 same-width
-    // rows only.
-    return !t->is_decode && t->tenant == tenant && t->level == level &&
-           !t->probe && t->input.rank() == 2 && t->input.dim(1) == d &&
-           t->input.dim(0) > 0;
+    // Never across kinds or tenants, never across ladder levels (one
+    // policy serves the batch), never probes.
+    if (t->is_decode != step || t->tenant != lead->tenant ||
+        t->level != lead->level || t->probe) {
+      return false;
+    }
+    if (!step) {
+      return t->input.rank() == 2 && t->input.dim(1) == x.dim(1) &&
+             t->input.dim(0) > 0;
+    }
+    // At most one step per stream: a stream's next step needs this one's
+    // token, so a second queued step waits for the next batch.
+    if (t->op != DecodeOp::kStep) return false;
+    for (const auto& member : batch) {
+      if (member->stream_key == t->stream_key) return false;
+    }
+    return true;
   };
+  // Only request batches wait: a step batch is whatever is queued now.
+  const Clock::time_point t0 = Clock::now();
+  const Clock::time_point window_end =
+      step ? t0 : t0 + cfg_.batch.coalesce_window;
   for (;;) {
-    queue_.try_pop_batch(batch, bc.max_batch - static_cast<int>(batch.size()),
-                         match);
-    if (static_cast<int>(batch.size()) >= bc.max_batch) break;
+    queue_.try_pop_batch(batch, cap - static_cast<int>(batch.size()), match);
+    if (static_cast<int>(batch.size()) >= cap) break;
     const Clock::time_point now = Clock::now();
     // Wait bound: the coalesce window, tightened so the batch never holds
     // a member past the point it could still complete on time.
@@ -417,7 +430,9 @@ InferenceServer::start_execution(
   // Already-completed tickets drop silently; members past their deadline
   // are shed typed without execution — queue expiry is a per-request
   // fault, never the batch's (running an expired member could only
-  // produce a result its client must not use).
+  // produce a result its client must not use). A shed step evicts its
+  // whole stream (fail() does): the sequence now has a hole no later step
+  // could fill, so holding the KV cache would only leak it.
   const Clock::time_point now = Clock::now();
   std::vector<std::shared_ptr<Ticket>> live;
   live.reserve(batch.size());
@@ -443,23 +458,43 @@ InferenceServer::start_execution(
   return live;
 }
 
-void InferenceServer::process(WorkerSlot& slot,
+void InferenceServer::execute(WorkerSlot& slot,
                               const std::vector<std::shared_ptr<Ticket>>& batch,
                               std::chrono::microseconds coalesce_us) {
   const auto live = start_execution(slot, batch);
   if (live.empty()) return;
+  const Ticket& lead = *live.front();
+  Response base;
+  base.breaker_level = lead.level;
+  base.policy = lead.tenant->cfg.ladder[static_cast<std::size_t>(lead.level)];
+  base.batch_size = static_cast<int>(live.size());
+  base.coalesce_us = coalesce_us;
+  std::vector<Outcome> outs(live.size());
+  bool clean = true;
+  if (!lead.is_decode) {
+    clean = run_forward(slot, live, outs, base);
+  } else if (lead.op == DecodeOp::kStep) {
+    base.batch_size = std::max(1, step_streams(slot, live, outs));
+  } else {
+    try {
+      outs.front().token = open_or_close(lead);
+    } catch (...) {
+      outs.front().error = std::current_exception();
+    }
+  }
+  finish(live, outs, clean, base);
+}
 
+bool InferenceServer::run_forward(
+    WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& live,
+    std::vector<Outcome>& outs, Response& base) {
   const TenantConfig& tcfg = live.front()->tenant->cfg;
-  CircuitBreaker& breaker = live.front()->tenant->breaker;
-  const int level = live.front()->level;
-  const ResiliencePolicy policy = tcfg.ladder[static_cast<std::size_t>(level)];
-  const std::size_t pidx = static_cast<std::size_t>(policy);
+  const std::size_t pidx = static_cast<std::size_t>(base.policy);
   const int batch_size = static_cast<int>(live.size());
 
   // Pack the members into one [total_rows, d] activation tensor in the
   // worker's staging arena (not the session arena — run() resets that). A
-  // solo request executes its input tensor directly: the batch=1 path is
-  // the PR-8 single-request path, byte-for-byte.
+  // solo request executes its input tensor directly.
   const Tensor* input = &live.front()->input;
   Tensor packed;
   std::vector<std::int64_t> row_offsets;
@@ -472,28 +507,18 @@ void InferenceServer::process(WorkerSlot& slot,
     packed = pack_rows(inputs, &row_offsets);
     input = &packed;
   }
-  stats_.count_batch(batch_size, coalesce_us.count());
+  stats_.count_batch(batch_size, base.coalesce_us.count());
 
   InferenceSession& session = *slot.session;
-  int attempt = 0;
-  // What every member's response carries, whatever its outcome.
-  const auto response = [&] {
-    Response r;
-    r.retries = attempt;
-    r.breaker_level = level;
-    r.policy = policy;
-    r.batch_size = batch_size;
-    r.coalesce_us = coalesce_us;
-    return r;
-  };
   for (;;) {
     ResilienceReport report;
     ExecutionContext& ctx = session.context();
-    ctx.resilience = policy;
+    ctx.resilience = base.policy;
     ctx.guard = tcfg.guard;
     ctx.report = &report;
     ctx.mac_hook = tcfg.use_mac_hook ? slot.mac_hook.get() : nullptr;
 
+    std::exception_ptr error;
     try {
       const std::int64_t rows = input->rank() == 2 ? input->dim(0) : 1;
       const bool was_planned =
@@ -515,137 +540,47 @@ void InferenceServer::process(WorkerSlot& slot,
         slot.planned_rows[pidx] = std::max(slot.planned_rows[pidx], rows);
       }
 
-      // Deadline recheck: a stale result is failed typed, never returned
-      // as if it were fresh.
-      // Breaker feedback strictly precedes every completion: a client that
-      // awaited a response and then submits again must find the breaker
-      // already informed by this outcome (what makes the storm test's
-      // transition sequence exactly reproducible). The batch executed as
-      // one forward, but the ladder walks request-by-request, exactly as
-      // the serial path would have.
-      const Clock::time_point done = Clock::now();
-      for (const auto& ticket : live) {
-        if (done > ticket->deadline_tp || report.clean()) {
-          // A late result means the tenant is numerically healthy —
-          // lateness is load, not a fault; probes still recover the
-          // breaker under pressure.
-          breaker.on_success(ticket->probe);
-        } else {
-          breaker.on_fault(ticket->probe);
+      if (batch_size == 1) {
+        outs.front().output.copy_from(y);
+      } else {
+        // Scatter: each member's rows, copied out of the batched output
+        // into owned storage (bit-identical to its serial execution by
+        // row independence of every kernel on the path).
+        for (std::size_t i = 0; i < live.size(); ++i) {
+          outs[i].output =
+              copy_row_block(y, row_offsets[i], live[i]->input.dim(0));
         }
       }
-
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        const auto& ticket = live[i];
-        Response r = response();
-        if (done > ticket->deadline_tp) {
-          fail(ticket, FaultKind::kDeadlineExceeded,
-               "completed after deadline; stale result withheld",
-               &stats_.deadline_missed, std::move(r));
-          continue;
-        }
-        r.ok = true;
-        if (batch_size == 1) {
-          r.output.copy_from(y);
-        } else {
-          // Scatter: this member's rows, copied out of the batched output
-          // into owned storage (bit-identical to its serial execution by
-          // row independence of every kernel on the path).
-          r.output =
-              copy_row_block(y, row_offsets[i], ticket->input.dim(0));
-        }
-        const bool degraded = !report.clean() || level > 0;
-        r.degraded = degraded;
-        if (complete(ticket, std::move(r))) {
-          stats_.completed.fetch_add(1, std::memory_order_relaxed);
-          if (degraded) {
-            stats_.degraded.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-      return;
-    } catch (const std::exception& err) {
-      // A FaultError keeps its kind. Anything else (even a programmer-error
-      // Error from deep inside a kernel) is contained as kUncorrectable and
-      // never retried — typed failed responses, never a dead server.
-      const auto* fault = dynamic_cast<const FaultError*>(&err);
-      const FaultKind kind =
-          fault != nullptr ? fault->kind() : FaultKind::kUncorrectable;
+      return report.clean();
+    } catch (const FaultError& err) {
       // Fault attribution: a compute fault surfaced by the batched forward
       // cannot be pinned on one member, so the WHOLE batch retries (and,
       // when retries exhaust, fails) together through the breaker ladder.
-      if (fault != nullptr && fault_kind_recoverable(kind) &&
-          attempt < tcfg.retry.max_retries) {
+      if (fault_kind_recoverable(err.kind()) &&
+          base.retries < tcfg.retry.max_retries) {
         const auto backoff = std::chrono::microseconds(
-            tcfg.retry.backoff_base.count() << attempt);
+            tcfg.retry.backoff_base.count() << base.retries);
         Clock::time_point tightest = Clock::time_point::max();
         for (const auto& ticket : live) {
           tightest = std::min(tightest, ticket->deadline_tp);
         }
         if (Clock::now() + backoff < tightest) {
-          ++attempt;
+          ++base.retries;
           stats_.retries.fetch_add(1, std::memory_order_relaxed);
           if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
           slot.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
           continue;
         }
       }
-      // Malformed requests are the client's defect, not the tenant's
-      // compute health — they never walk the breaker ladder.
-      if (kind != FaultKind::kMalformedInput) {
-        for (const auto& ticket : live) breaker.on_fault(ticket->probe);
-      }
-      for (const auto& ticket : live) {
-        fail(ticket, kind, err.what(), nullptr, response());
-      }
-      return;
-    }
-  }
-}
-
-void InferenceServer::take_decode_peers(
-    std::vector<std::shared_ptr<Ticket>>& batch) {
-  const std::shared_ptr<Ticket> lead = batch.front();
-  // A half-open probe is the breaker's isolated health check: solo.
-  if (lead->op != DecodeOp::kStep || lead->probe) return;
-  const auto match = [&](const std::shared_ptr<Ticket>& t) {
-    // Same tenant and ladder level (one policy serves the batch), never a
-    // probe, and at most one step per stream: a stream's next step needs
-    // this one's token, so a second queued step waits for the next batch.
-    if (!t->is_decode || t->op != DecodeOp::kStep || t->probe ||
-        t->tenant != lead->tenant || t->level != lead->level) {
-      return false;
-    }
-    for (const auto& member : batch) {
-      if (member->stream_key == t->stream_key) return false;
-    }
-    return true;
-  };
-  queue_.try_pop_batch(batch, kMaxDecodeBatch - 1, match);
-}
-
-void InferenceServer::process_decode(
-    WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& batch) {
-  // A shed step evicts its whole stream (fail() does): the sequence now
-  // has a hole no later step could fill, so holding the KV cache would
-  // only leak it.
-  const auto live = start_execution(slot, batch);
-  if (live.empty()) return;
-  const std::shared_ptr<Ticket>& lead = live.front();
-  Response base;
-  base.breaker_level = lead->level;
-  base.policy = lead->tenant->cfg.ladder[static_cast<std::size_t>(lead->level)];
-  std::vector<DecodeStepSlot> outs(live.size());
-  if (lead->op == DecodeOp::kStep) {
-    base.batch_size = std::max(1, step_streams(slot, live, outs));
-  } else {
-    try {
-      outs.front().token = open_or_close(*lead);
+      error = std::current_exception();
     } catch (...) {
-      outs.front().error = std::current_exception();
+      // Anything else — even a programmer-error Error from deep inside a
+      // kernel, or an exception outside std::exception — is never retried.
+      error = std::current_exception();
     }
+    for (Outcome& out : outs) out.error = error;
+    return true;
   }
-  finish_decode(live, outs, base);
 }
 
 std::int64_t InferenceServer::open_or_close(const Ticket& ticket) {
@@ -676,7 +611,7 @@ std::int64_t InferenceServer::open_or_close(const Ticket& ticket) {
 
 int InferenceServer::step_streams(
     WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& live,
-    std::vector<DecodeStepSlot>& outs) {
+    std::vector<Outcome>& outs) {
   std::vector<std::shared_ptr<StreamEntry>> entries(live.size());
   {
     std::lock_guard<std::mutex> lk(streams_mu_);
@@ -718,7 +653,7 @@ int InferenceServer::step_streams(
     for (DecodeStepSlot& s : slots) s.error = std::current_exception();
   }
   for (std::size_t k = 0; k < slots.size(); ++k) {
-    DecodeStepSlot& out = outs[order[k].second];
+    Outcome& out = outs[order[k].second];
     out.token = slots[k].token;
     out.error = slots[k].error;
     if (!out.error) stats_.decode_steps.fetch_add(1, std::memory_order_relaxed);
@@ -726,61 +661,72 @@ int InferenceServer::step_streams(
   return static_cast<int>(slots.size());
 }
 
-void InferenceServer::finish_decode(
-    const std::vector<std::shared_ptr<Ticket>>& live,
-    const std::vector<DecodeStepSlot>& outs, const Response& base) {
+void InferenceServer::finish(const std::vector<std::shared_ptr<Ticket>>& live,
+                             std::vector<Outcome>& outs, bool clean,
+                             const Response& base) {
   CircuitBreaker& breaker = live.front()->tenant->breaker;
   std::vector<std::pair<FaultKind, std::string>> errors(live.size());
-  // Breaker feedback strictly precedes every completion (as in process()).
+  const Clock::time_point done = Clock::now();
+  // Breaker feedback strictly precedes every completion: a client that
+  // awaited a response and then submits again must find the breaker
+  // already informed by this outcome (what makes the storm test's
+  // transition sequence exactly reproducible). A batch executed as one
+  // forward, but the ladder walks member by member, exactly as the serial
+  // path would have.
   for (std::size_t i = 0; i < live.size(); ++i) {
-    if (!outs[i].error) {
-      // Lateness is load, not a compute fault.
+    // A late result means the tenant is numerically healthy — lateness is
+    // load, not a fault; probes still recover the breaker under pressure.
+    bool healthy = clean || done > live[i]->deadline_tp;
+    if (outs[i].error) {
+      // A FaultError keeps its kind; anything else is contained as
+      // kUncorrectable — typed failed responses, never a dead server.
+      try {
+        std::rethrow_exception(outs[i].error);
+      } catch (const FaultError& err) {
+        errors[i] = {err.kind(), err.what()};
+      } catch (const std::exception& err) {
+        errors[i] = {FaultKind::kUncorrectable, err.what()};
+      } catch (...) {
+        errors[i] = {FaultKind::kUncorrectable, "unknown exception"};
+      }
+      // Malformed requests are the client's defect, not the tenant's
+      // compute health — they never walk the breaker ladder.
+      if (errors[i].first == FaultKind::kMalformedInput) continue;
+      healthy = false;
+    }
+    if (healthy) {
       breaker.on_success(live[i]->probe);
-      continue;
-    }
-    // A FaultError keeps its kind; anything else is contained as
-    // kUncorrectable.
-    try {
-      std::rethrow_exception(outs[i].error);
-    } catch (const FaultError& err) {
-      errors[i] = {err.kind(), err.what()};
-    } catch (const std::exception& err) {
-      errors[i] = {FaultKind::kUncorrectable, err.what()};
-    } catch (...) {
-      errors[i] = {FaultKind::kUncorrectable, "unknown exception"};
-    }
-    // Malformed requests are the client's defect, not the tenant's compute
-    // health — they never walk the breaker ladder.
-    if (errors[i].first != FaultKind::kMalformedInput) {
+    } else {
       breaker.on_fault(live[i]->probe);
     }
   }
-  const Clock::time_point done = Clock::now();
   for (std::size_t i = 0; i < live.size(); ++i) {
     const std::shared_ptr<Ticket>& ticket = live[i];
     Response r = base;
     if (outs[i].error) {
-      // Never retried: a step is stateful (it may have appended to the KV
-      // cache), so re-executing could double-append — the stream is
-      // evicted instead (fail() does) and the client reopens from scratch.
+      // A failed step is never retried: it may have appended to the KV
+      // cache, so re-executing could double-append — the stream is evicted
+      // instead (fail() does) and the client reopens from scratch.
       fail(ticket, errors[i].first, std::move(errors[i].second), nullptr,
            std::move(r));
       continue;
     }
+    // Deadline recheck: a stale result is failed typed, never returned as
+    // if it were fresh.
     if (done > ticket->deadline_tp) {
       fail(ticket, FaultKind::kDeadlineExceeded,
-           "decode completed after deadline; stale token withheld",
+           "completed after deadline; stale result withheld",
            &stats_.deadline_missed, std::move(r));
       continue;
     }
     r.ok = true;
+    r.output = std::move(outs[i].output);
     r.token = outs[i].token;
-    r.degraded = ticket->level > 0;
+    const bool degraded = !clean || r.breaker_level > 0;
+    r.degraded = degraded;
     if (complete(ticket, std::move(r))) {
       stats_.completed.fetch_add(1, std::memory_order_relaxed);
-      if (ticket->level > 0) {
-        stats_.degraded.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (degraded) stats_.degraded.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
@@ -835,9 +781,8 @@ void InferenceServer::watchdog_main() {
 }
 
 void InferenceServer::shutdown() {
-  bool was_accepting = accepting_.exchange(false, std::memory_order_acq_rel);
+  accepting_.store(false, std::memory_order_release);
   if (!running_.exchange(false, std::memory_order_acq_rel)) {
-    (void)was_accepting;
     return;  // already shut down
   }
   queue_.close();

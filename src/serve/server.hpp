@@ -146,8 +146,8 @@ struct DecodeRequest {
 /// each member's response is bit-identical to its serial single-request
 /// execution (enforced in tests and serve_loadgen --verify).
 struct BatchConfig {
-  /// Max requests coalesced into one forward. 1 disables batching: the
-  /// worker loop is then byte-for-byte the PR-8 single-request path.
+  /// Max requests coalesced into one forward. 1 disables batching: every
+  /// request then runs solo.
   int max_batch = 1;
   /// How long a worker holding a non-full batch waits for more work.
   std::chrono::microseconds coalesce_window{0};
@@ -276,6 +276,7 @@ class InferenceServer {
   struct TenantState;
   struct WorkerSlot;
   struct StreamEntry;
+  struct Outcome;
 
   using Clock = std::chrono::steady_clock;
 
@@ -289,16 +290,38 @@ class InferenceServer {
   std::future<Response> enqueue(TenantState& tenant,
                                 std::chrono::microseconds deadline,
                                 std::shared_ptr<Ticket> ticket);
-  /// Widens a popped decode kStep with every queued kStep of its tenant
-  /// and ladder level — at most one per stream, never a probe. Opens,
-  /// closes and probes stay solo.
-  void take_decode_peers(std::vector<std::shared_ptr<Ticket>>& batch);
-  /// Executes a decode batch: one open or close, or S steps of S streams
-  /// in one stacked forward (step_streams).
-  void process_decode(WorkerSlot& slot,
-                      const std::vector<std::shared_ptr<Ticket>>& batch);
   /// Runs a kOpen (returns the BOS token) or a kClose.
   std::int64_t open_or_close(const Ticket& ticket);
+  /// Unlinks one stream from the map (never waiting on its entry mutex);
+  /// returns whether it existed.
+  bool evict_stream(const std::string& key);
+  /// Runs the BatchConfig::plan_rows planning forward for the lead's policy
+  /// once per worker, before the coalesce wait.
+  void plan(WorkerSlot& slot, const std::shared_ptr<Ticket>& lead);
+  /// Widens `batch` (seeded with one popped ticket) with one predicate pop
+  /// per pass: same kind, tenant and level, no probes; requests rank-2 at
+  /// the lead's width, up to max_batch, waiting until full / window closed
+  /// / tightest-deadline bound hit; steps one per stream, up to
+  /// kMaxDecodeBatch, never waiting. Opens, closes, probes and malformed
+  /// request leads stay solo. Returns the time spent widening.
+  std::chrono::microseconds widen(WorkerSlot& slot,
+                                  std::vector<std::shared_ptr<Ticket>>& batch);
+  /// Sheds the expired members of `batch` typed and publishes the rest to
+  /// the watchdog as executing; returns the members still to run.
+  std::vector<std::shared_ptr<Ticket>> start_execution(
+      WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& batch);
+  /// start_execution, then the kind's runner (run_forward, step_streams or
+  /// open_or_close) fills one Outcome per live member, then finish().
+  void execute(WorkerSlot& slot,
+               const std::vector<std::shared_ptr<Ticket>>& batch,
+               std::chrono::microseconds coalesce_us);
+  /// Packs the members into one forward, retries recoverable FaultErrors
+  /// within the tightest deadline (base.retries counts them) and scatters
+  /// each member's rows, or gives every member the forward's error.
+  /// Returns whether the ResilienceReport was clean.
+  bool run_forward(WorkerSlot& slot,
+                   const std::vector<std::shared_ptr<Ticket>>& live,
+                   std::vector<Outcome>& outs, Response& base);
   /// Steps every live member's stream through one StreamDecoder::step_batch
   /// call under the worker's decode scratch, writing each member's token or
   /// error to outs[i]. An unknown stream or a member's own fault fails only
@@ -306,30 +329,12 @@ class InferenceServer {
   /// many members stepped.
   int step_streams(WorkerSlot& slot,
                    const std::vector<std::shared_ptr<Ticket>>& live,
-                   std::vector<DecodeStepSlot>& outs);
-  /// Breaker feedback for every member, then each member's completion:
-  /// its token, its typed error, or a typed late-completion failure.
-  void finish_decode(const std::vector<std::shared_ptr<Ticket>>& live,
-                     const std::vector<DecodeStepSlot>& outs,
-                     const Response& base);
-  /// Unlinks one stream from the map (never waiting on its entry mutex);
-  /// returns whether it existed.
-  bool evict_stream(const std::string& key);
-  /// Runs the BatchConfig::plan_rows planning forward for the lead's policy
-  /// once per worker, before the coalesce wait.
-  void plan(WorkerSlot& slot, const std::shared_ptr<Ticket>& lead);
-  /// Widens `batch` (seeded with one popped ticket) with predicate-matching
-  /// queue entries until full / window closed / tightest-deadline bound hit.
-  /// Returns the time spent waiting.
-  std::chrono::microseconds coalesce(
-      WorkerSlot& slot, std::vector<std::shared_ptr<Ticket>>& batch);
-  /// Sheds the expired members of `batch` typed and publishes the rest to
-  /// the watchdog as executing; returns the members still to run.
-  std::vector<std::shared_ptr<Ticket>> start_execution(
-      WorkerSlot& slot, const std::vector<std::shared_ptr<Ticket>>& batch);
-  void process(WorkerSlot& slot,
-               const std::vector<std::shared_ptr<Ticket>>& batch,
-               std::chrono::microseconds coalesce_us);
+                   std::vector<Outcome>& outs);
+  /// Breaker feedback for every member, then each member's completion: its
+  /// payload, its typed error, or a typed late-completion failure.
+  /// `clean` = false marks every completed member degraded.
+  void finish(const std::vector<std::shared_ptr<Ticket>>& live,
+              std::vector<Outcome>& outs, bool clean, const Response& base);
   void spawn_worker_locked();
   /// Single-completion gate: stamps and delivers `r` unless the ticket was
   /// already completed. A failed decode ticket's stream is unlinked before

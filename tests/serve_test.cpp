@@ -236,7 +236,11 @@ struct Knobs {
   std::atomic<int> fail_kind{static_cast<int>(FaultKind::kChecksumMismatch)};
   /// Injected faults throw std::runtime_error instead of a FaultError.
   std::atomic<bool> foreign{false};
+  /// With `foreign`: throw an int, which no std::exception handler catches.
+  std::atomic<bool> foreign_int{false};
   std::atomic<bool> block{false};
+  /// Forwards that have entered the test forward, counted before the gate.
+  std::atomic<int> entered{0};
   /// Planning runs (BatchConfig::plan_rows) seen, and how long each takes.
   std::atomic<int> plans{0};
   std::atomic<int> plan_delay_ms{0};
@@ -270,6 +274,7 @@ InferenceServer::ForwardFactory test_factory(std::shared_ptr<Knobs> knobs) {
       return Linear(kDim, kDim, r, true, "fc");
     }());
     return [knobs, fc](const Tensor& x, ExecutionContext& ctx) {
+      knobs->entered.fetch_add(1, std::memory_order_acq_rel);
       while (knobs->block.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(1ms);
       }
@@ -279,6 +284,7 @@ InferenceServer::ForwardFactory test_factory(std::shared_ptr<Knobs> knobs) {
         std::this_thread::sleep_for(
             std::chrono::milliseconds(knobs->plan_delay_ms.load()));
       } else if (take_fault(knobs->fail_next)) {
+        if (knobs->foreign_int.load()) throw 7;
         if (knobs->foreign.load()) throw std::runtime_error("injected error");
         throw FaultError("test", static_cast<FaultKind>(knobs->fail_kind.load()),
                          "injected fault");
@@ -511,24 +517,31 @@ TEST(ServeRetry, MalformedInputIsNeverRetried) {
 }
 
 TEST(ServeRetry, ForeignExceptionFailsUncorrectableUnretriedAndFeedsBreaker) {
-  auto knobs = std::make_shared<Knobs>();
-  InferenceServer server(test_factory(knobs), ServerConfig{});
-  TenantConfig t = plain_tenant("t");
-  t.retry.max_retries = 2;        // kUncorrectable is a recoverable kind...
-  t.breaker.fault_threshold = 1;  // ...yet one breaker fault opens it
-  server.add_tenant(t);
+  // A std::exception that is not a FaultError, and a thrown value outside
+  // std::exception altogether.
+  for (const bool as_int : {false, true}) {
+    SCOPED_TRACE(as_int ? "throw int" : "throw std::runtime_error");
+    auto knobs = std::make_shared<Knobs>();
+    InferenceServer server(test_factory(knobs), ServerConfig{});
+    TenantConfig t = plain_tenant("t");
+    t.retry.max_retries = 2;        // kUncorrectable is a recoverable kind...
+    t.breaker.fault_threshold = 1;  // ...yet one breaker fault opens it
+    server.add_tenant(t);
 
-  knobs->foreign.store(true);
-  knobs->fail_next.store(1);
-  Response r = server.submit(make_request("t")).get();
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.error_kind, FaultKind::kUncorrectable);
-  EXPECT_EQ(r.retries, 0) << "a non-FaultError is never retried";
-  EXPECT_EQ(submit_expecting_rejection(server, make_request("t")),
-            FaultKind::kCircuitOpen)
-      << "a non-FaultError always counts against the breaker";
-  server.shutdown();
-  EXPECT_EQ(server.stats().retries, 0);
+    knobs->foreign.store(true);
+    knobs->foreign_int.store(as_int);
+    knobs->fail_next.store(1);
+    Response r = server.submit(make_request("t")).get();
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error_kind, FaultKind::kUncorrectable);
+    EXPECT_EQ(r.retries, 0) << "a non-FaultError is never retried";
+    EXPECT_EQ(submit_expecting_rejection(server, make_request("t")),
+              FaultKind::kCircuitOpen)
+        << "a non-FaultError always counts against the breaker";
+    server.shutdown();
+    EXPECT_EQ(server.stats().retries, 0);
+    EXPECT_EQ(server.health().tenants[0].breaker.opens, 1);
+  }
 }
 
 // ----- malformed input fault containment ------------------------------------
@@ -1570,6 +1583,79 @@ TEST(ServeDecode, OpensAndClosesStaySoloBehindABatch) {
   EXPECT_TRUE(rc.ok);
   EXPECT_EQ(rc.batch_size, 1);
   server.shutdown();
+}
+
+
+// ----- mixed traffic ---------------------------------------------------------
+
+TEST(ServeMixed, RequestsAndStepsOnOneTenantBatchOnlyWithTheirOwnKind) {
+  // Batched requests and the steps of four streams wait in one queue behind
+  // a parked worker. Each kind widens only with its own: a step packed into
+  // a forward, or a request handed to step_batch, would fail its batch.
+  constexpr int kReqs = 10;
+  auto knobs = std::make_shared<Knobs>();
+  auto dknobs = std::make_shared<DecodeKnobs>();
+  ServerConfig cfg = batching_config(8);
+  cfg.batch.coalesce_window = 20ms;
+  cfg.decoder_factory = decode_config(dknobs).decoder_factory;
+  InferenceServer server(test_factory(knobs), cfg);
+  server.add_tenant(plain_tenant("t"));
+
+  const std::vector<std::string> streams{"a", "b", "c", "d"};
+  for (const std::string& id : streams) {
+    ASSERT_TRUE(
+        server.submit_decode(make_decode("t", id, DecodeOp::kOpen)).get().ok);
+  }
+  // Park the lone worker in the first request's planning forward.
+  knobs->block.store(true);
+  std::vector<std::future<Response>> reqs, steps;
+  reqs.push_back(server.submit(make_request("t", 900)));
+  for (int i = 0; i < 5000 && knobs->entered.load() == 0; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_GT(knobs->entered.load(), 0) << "the worker never parked";
+  for (int i = 1; i < kReqs; ++i) {
+    reqs.push_back(
+        server.submit(make_request("t", 900 + static_cast<unsigned>(i))));
+    if (i <= static_cast<int>(streams.size())) {
+      steps.push_back(server.submit_decode(make_decode(
+          "t", streams[static_cast<std::size_t>(i - 1)], DecodeOp::kStep, i)));
+    }
+  }
+  knobs->block.store(false);
+
+  Pcg32 rng(kSeed);
+  Linear direct(kDim, kDim, rng, true, "fc");
+  ExecutionContext ctx;
+  for (int i = 0; i < kReqs; ++i) {
+    const Response r = reqs[static_cast<std::size_t>(i)].get();
+    ASSERT_TRUE(r.ok) << r.error;
+    const Tensor serial = direct.forward(
+        random_tensor({2, kDim}, 900 + static_cast<unsigned>(i)), ctx);
+    EXPECT_TRUE(bit_equal(r.output, serial))
+        << "request " << i << " diverged from its serial execution";
+    EXPECT_LE(r.batch_size, 8);
+  }
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    const Response r = steps[k].get();
+    ASSERT_TRUE(r.ok) << r.error;
+    // sum(src) = 7 and step(last) = 7 + last + 1.
+    EXPECT_EQ(r.token, 7 + static_cast<std::int64_t>(k + 1) + 1);
+    EXPECT_EQ(r.batch_size, 4) << "the four streams step together";
+  }
+  EXPECT_FALSE(dknobs->stream_twice_in_batch.load());
+  server.shutdown();
+
+  const StatsSnapshot s = server.stats();
+  EXPECT_EQ(s.batched_requests, kReqs) << "count_batch sees requests only";
+  std::int64_t by_occupancy = 0;
+  for (std::size_t b = 1; b < s.batch_occupancy.size(); ++b) {
+    by_occupancy += static_cast<std::int64_t>(b) * s.batch_occupancy[b];
+  }
+  EXPECT_EQ(by_occupancy, kReqs);
+  EXPECT_EQ(s.decode_steps, 4) << "decode_steps sees steps only";
+  EXPECT_EQ(s.decode_batches, 1);
+  EXPECT_EQ(s.completed, kReqs + 4 + 4) << "requests, steps and opens";
 }
 
 }  // namespace
